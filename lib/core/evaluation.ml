@@ -123,12 +123,26 @@ let campaign_tasks ?tools ?names ~config device =
    comparison) and each is generated and certified exactly once: the
    first task to need an instance marks it pending and builds it, while
    sibling tool tasks block on the condition variable until it is ready
-   rather than duplicating the (expensive) generation + proof. *)
+   rather than duplicating the (expensive) generation + proof.
+
+   Only the [instance_capacity] most recently built instances are kept.
+   Tasks run point-major, so an instance's siblings start within a few
+   tasks of each other; a process that works through many points (a
+   long campaign, repeated benchmark passes) would otherwise hold every
+   instance it ever generated. An evicted instance that is needed again
+   is rebuilt, identically: generation is a pure function of the task. *)
 type instance_cell = Ready of Benchmark.t | Pending
 
+let instance_capacity = 16
 let instance_mutex = Mutex.create ()
 let instance_ready = Condition.create ()
 let instance_cache : (string, instance_cell) Hashtbl.t = Hashtbl.create 64
+
+(* Keys of the [Ready] entries, oldest first. *)
+let instance_order : string Queue.t = Queue.create ()
+
+let cached_instances () =
+  Mutex.protect instance_mutex (fun () -> Queue.length instance_order)
 
 let instance_for device (task : Task.t) =
   let key =
@@ -168,6 +182,9 @@ let instance_for device (task : Task.t) =
         | bench ->
             Mutex.lock instance_mutex;
             Hashtbl.replace instance_cache key (Ready bench);
+            Queue.push key instance_order;
+            if Queue.length instance_order > instance_capacity then
+              Hashtbl.remove instance_cache (Queue.pop instance_order);
             Condition.broadcast instance_ready;
             Mutex.unlock instance_mutex;
             bench

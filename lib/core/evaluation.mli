@@ -85,6 +85,10 @@ val campaign_exec :
     route, verify, and time it. Pure up to the task, so campaign results
     are scheduling-independent; safe to call from several domains. *)
 
+val cached_instances : unit -> int
+(** Instances {!campaign_exec}'s cache holds now: the most recently
+    built ones, at most 16. *)
+
 val aggregate_campaign :
   ?tools:Qls_router.Router.t list ->
   ?names:string list ->

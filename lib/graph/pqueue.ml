@@ -1,120 +1,68 @@
-(* Binary min-heap over parallel arrays. Priorities live in a bare
-   [float array] (unboxed storage, so a comparison is two float loads,
-   never a pointer chase), stamps and values in their own arrays. The
-   A*-based router pushes hundreds of thousands of states per circuit;
-   the earlier record-per-entry heap allocated a boxed-float record per
-   push and chased entry pointers on every sift comparison. Ordering is
-   unchanged: min priority first, FIFO among equal priorities via the
-   monotonically increasing stamp. *)
+(* Binary min-heap of int ids. The heap array holds ids only; each id's
+   priority lives in a caller-owned [float array] indexed by the id, so
+   a push or pop passes an array pointer and ints, never a float — a
+   float argument to a call that is not inlined is boxed, and this build
+   has no flambda to unbox it. Order is (key, id) lexicographic: ids are
+   distinct, so it is a strict total order and the pop sequence is fixed
+   by it alone. A caller that issues ids in push order gets FIFO among
+   equal keys. *)
 
-type 'a t = {
-  mutable prio : float array;
-  mutable stamp : int array;
-  mutable value : 'a array;
-  mutable size : int;
-  mutable next_stamp : int;
-}
+type t = { mutable heap : int array; mutable size : int }
 
-let create () =
-  { prio = [||]; stamp = [||]; value = [||]; size = 0; next_stamp = 0 }
-
+let create () = { heap = [||]; size = 0 }
 let is_empty q = q.size = 0
 let size q = q.size
+let clear q = q.size <- 0
 
-(* Strict (prio, stamp) lexicographic order against an explicit key —
-   the sifts below keep the moving element in locals (hole insertion)
-   instead of exchanging three array slots per level, which performs the
-   same comparisons in the same order and half the stores. *)
-let key_less q ~prio ~stamp i =
-  prio < q.prio.(i) || (prio = q.prio.(i) && stamp < q.stamp.(i))
+let less (keys : float array) a b =
+  keys.(a) < keys.(b) || (keys.(a) = keys.(b) && a < b)
 
-let slot_less q i j =
-  q.prio.(i) < q.prio.(j)
-  || (q.prio.(i) = q.prio.(j) && q.stamp.(i) < q.stamp.(j))
-
-(* Pops only shrink [size]; slots past it keep their last value until
-   overwritten by a later push (exactly as the record heap kept popped
-   entries in its backing array), so the grow seed below is only ever
-   read into dead slots. *)
-let grow q v =
-  let cap = Array.length q.prio in
+let grow q =
+  let cap = Array.length q.heap in
   if q.size = cap then begin
-    let ncap = max 16 (2 * cap) in
-    let prio = Array.make ncap 0.0 in
-    let stamp = Array.make ncap 0 in
-    let value = Array.make ncap v in
-    Array.blit q.prio 0 prio 0 q.size;
-    Array.blit q.stamp 0 stamp 0 q.size;
-    Array.blit q.value 0 value 0 q.size;
-    q.prio <- prio;
-    q.stamp <- stamp;
-    q.value <- value
+    let heap = Array.make (max 16 (2 * cap)) 0 in
+    Array.blit q.heap 0 heap 0 cap;
+    q.heap <- heap
   end
 
-let push q prio value =
-  grow q value;
-  let stamp = q.next_stamp in
-  q.next_stamp <- stamp + 1;
+let push q keys id =
+  grow q;
   q.size <- q.size + 1;
   (* Sift up with a hole: parents slide down until the insertion point. *)
   let i = ref (q.size - 1) in
-  while
-    !i > 0
-    &&
+  while !i > 0 && less keys id q.heap.((!i - 1) / 2) do
     let parent = (!i - 1) / 2 in
-    key_less q ~prio ~stamp parent
-  do
-    let parent = (!i - 1) / 2 in
-    q.prio.(!i) <- q.prio.(parent);
-    q.stamp.(!i) <- q.stamp.(parent);
-    q.value.(!i) <- q.value.(parent);
+    q.heap.(!i) <- q.heap.(parent);
     i := parent
   done;
-  q.prio.(!i) <- prio;
-  q.stamp.(!i) <- stamp;
-  q.value.(!i) <- value
+  q.heap.(!i) <- id
 
-let pop q =
-  if q.size = 0 then None
-  else begin
-    let prio = q.prio.(0) and value = q.value.(0) in
-    q.size <- q.size - 1;
-    if q.size > 0 then begin
-      (* Sift the displaced last element down with a hole: children
-         bubble up until its slot is found. *)
-      let mp = q.prio.(q.size)
-      and ms = q.stamp.(q.size)
-      and mv = q.value.(q.size) in
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < q.size && not (key_less q ~prio:mp ~stamp:ms l) then
-          smallest := l;
-        if
-          r < q.size
-          &&
-          (if !smallest = !i then not (key_less q ~prio:mp ~stamp:ms r)
-           else slot_less q r !smallest)
-        then smallest := r;
-        if !smallest = !i then continue := false
-        else begin
-          q.prio.(!i) <- q.prio.(!smallest);
-          q.stamp.(!i) <- q.stamp.(!smallest);
-          q.value.(!i) <- q.value.(!smallest);
-          i := !smallest
-        end
-      done;
-      q.prio.(!i) <- mp;
-      q.stamp.(!i) <- ms;
-      q.value.(!i) <- mv
-    end;
-    Some (prio, value)
-  end
-
-let clear q =
-  q.prio <- [||];
-  q.stamp <- [||];
-  q.value <- [||];
-  q.size <- 0
+let pop q keys =
+  if q.size = 0 then invalid_arg "Pqueue.pop: empty queue";
+  let top = q.heap.(0) in
+  q.size <- q.size - 1;
+  if q.size > 0 then begin
+    (* Sift the displaced last id down with a hole: children bubble up
+       until its slot is found. *)
+    let m = q.heap.(q.size) in
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+      let smallest = ref !i in
+      if l < q.size && not (less keys m q.heap.(l)) then smallest := l;
+      if
+        r < q.size
+        &&
+        if !smallest = !i then not (less keys m q.heap.(r))
+        else less keys q.heap.(r) q.heap.(!smallest)
+      then smallest := r;
+      if !smallest = !i then continue := false
+      else begin
+        q.heap.(!i) <- q.heap.(!smallest);
+        i := !smallest
+      end
+    done;
+    q.heap.(!i) <- m
+  end;
+  top

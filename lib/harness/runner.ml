@@ -89,8 +89,7 @@ let run_once ~timeout ~site f =
       in
       wait ()
 
-let attempt_hist =
-  lazy (Qls_obs.histogram "runner.attempt_seconds")
+let attempt_hist = Qls_obs.histogram "runner.attempt_seconds"
 
 let run_counted ?(site = site_exec) ?(key = "") ?(seed = 0) config f =
   (* The fault hook runs inside the guarded body: an injected exception
@@ -110,7 +109,7 @@ let run_counted ?(site = site_exec) ?(key = "") ?(seed = 0) config f =
     let t0 = Unix.gettimeofday () in
     let result = run_once ~timeout:config.timeout ~site body in
     (* lint: nondet-source — attempt timing feeds a histogram only *)
-    Qls_obs.observe (Lazy.force attempt_hist) (Unix.gettimeofday () -. t0);
+    Qls_obs.observe attempt_hist (Unix.gettimeofday () -. t0);
     if traced then
       Qls_obs.stop sp
         ~attrs:

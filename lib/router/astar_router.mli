@@ -25,9 +25,11 @@ type options = {
       (** weight of the next-layer heuristic term, 0 = admissible,
           default 0.5 *)
   node_budget : int;
-      (** A* queue insertions allowed per layer (bounds time {e and} peak
-          memory, since each queued state carries a mapping), default
-          10_000 *)
+      (** A* queue insertions allowed per layer, default 10_000. Bounds
+          time {e and} memory: a queued node costs seven words (a row of
+          five ints, its f-cost and its heap entry), not a mapping, so
+          the search's memory is the budget times a few words plus one
+          [n_prog]-int table per expanded node. *)
   seed : int;  (** tie-breaking stream for the fallback *)
 }
 
@@ -37,15 +39,18 @@ val default_options : options
 (** The A* closed set: collision-free at every device size. The
     pre-rewrite key truncated each physical index to one byte, so on
     devices with more than 256 physical qubits distinct mappings
-    collided and live search states were silently pruned. Keys are now
-    an incrementally-maintained Zobrist hash verified against the stored
-    mappings. Exposed so the >256-qubit collision regression test can
+    collided and live search states were silently pruned. Keys are an
+    incrementally-maintained Zobrist hash, and every key match is
+    verified against the stored table. Expanded mappings are stored
+    flat, one slot of [n_prog] ints each, in an open-addressed table
+    that a generation stamp empties between layers, so one set serves a
+    whole route. Exposed so the >256-qubit collision regression test can
     probe the key discipline directly. *)
 module Closed : sig
   type t
 
   val create : n_prog:int -> n_phys:int -> t
-  (** Fresh closed set for mappings of [n_prog] program qubits onto
+  (** Empty closed set for mappings of [n_prog] program qubits onto
       [n_phys] physical qubits. Deterministic: same dimensions, same
       keys. *)
 

@@ -348,8 +348,8 @@ type 'a raced = {
 
 let default_seeds = [ 0; 1; 2; 3 ]
 
-let obs_races = lazy (Qls_obs.counter "sat.portfolio.races")
-let obs_race_cancelled = lazy (Qls_obs.counter "sat.portfolio.cancelled")
+let obs_races = Qls_obs.counter "sat.portfolio.races"
+let obs_race_cancelled = Qls_obs.counter "sat.portfolio.cancelled"
 
 let race ?jobs ~seeds ~f () =
   let seeds = Array.of_list seeds in
@@ -385,8 +385,8 @@ let race ?jobs ~seeds ~f () =
       (fun acc r -> match r with None -> acc + 1 | Some _ -> acc)
       0 results
   in
-  Qls_obs.incr (Lazy.force obs_races);
-  Qls_obs.add (Lazy.force obs_race_cancelled) cancelled;
+  Qls_obs.incr obs_races;
+  Qls_obs.add obs_race_cancelled cancelled;
   { value; winner_seed = seeds.(w); raced = n; cancelled }
 
 let race_check ?jobs ?(seeds = default_seeds) ?conflict_budget ~swaps device

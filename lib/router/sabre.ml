@@ -139,8 +139,8 @@ let score_swap ~opts ~dmat ~decay ~front_phys ~extended_phys (p, p') =
 
 (* Pass-level aggregates feed the post-campaign summary even with span
    tracing off; the two [add]s per pass are noise next to routing. *)
-let obs_rounds = lazy (Qls_obs.counter "router.rounds")
-let obs_gates = lazy (Qls_obs.counter "router.gates")
+let obs_rounds = Qls_obs.counter "router.rounds"
+let obs_gates = Qls_obs.counter "router.gates"
 
 let routing_pass ~opts ~rng ~trace ~device ~initial circuit =
   let st = Route_state.create ~device ~source:circuit ~initial in
@@ -242,8 +242,8 @@ let routing_pass ~opts ~rng ~trace ~device ~initial circuit =
     end
     else incr stuck
   done;
-  Qls_obs.add (Lazy.force obs_rounds) !rounds;
-  Qls_obs.add (Lazy.force obs_gates) (Route_state.done_count st);
+  Qls_obs.add obs_rounds !rounds;
+  Qls_obs.add obs_gates (Route_state.done_count st);
   if traced then
     Qls_obs.stop pass_sp
       ~attrs:

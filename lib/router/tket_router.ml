@@ -60,8 +60,8 @@ let score_swap ~opts ~dmat ~layers_phys (p, p') =
 
 (* Same registry names as Sabre's — the obs registry hands back one
    shared counter per name, so the summary aggregates across routers. *)
-let obs_rounds = lazy (Qls_obs.counter "router.rounds")
-let obs_gates = lazy (Qls_obs.counter "router.gates")
+let obs_rounds = Qls_obs.counter "router.rounds"
+let obs_gates = Qls_obs.counter "router.gates"
 
 let route ?(options = default_options) ?initial device circuit =
   let opts = options in
@@ -136,8 +136,8 @@ let route ?(options = default_options) ?initial device circuit =
       Qls_obs.stop round_sp ~attrs:[ ("emitted", Qls_obs.Int emitted) ];
     if emitted > 0 then stuck := 0 else incr stuck
   done;
-  Qls_obs.add (Lazy.force obs_rounds) !rounds;
-  Qls_obs.add (Lazy.force obs_gates) (Route_state.done_count st);
+  Qls_obs.add obs_rounds !rounds;
+  Qls_obs.add obs_gates (Route_state.done_count st);
   if traced then
     Qls_obs.stop pass_sp
       ~attrs:

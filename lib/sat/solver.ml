@@ -567,9 +567,9 @@ let solve_raw ~conflict_budget ~assumps t =
 
 (* Aggregate CDCL effort into the obs registry once per [solve]; the
    per-solve span carries the same numbers as attributes when tracing. *)
-let obs_conflicts = lazy (Qls_obs.counter "sat.conflicts")
-let obs_learned = lazy (Qls_obs.counter "sat.learned")
-let obs_restarts = lazy (Qls_obs.counter "sat.restarts")
+let obs_conflicts = Qls_obs.counter "sat.conflicts"
+let obs_learned = Qls_obs.counter "sat.learned"
+let obs_restarts = Qls_obs.counter "sat.restarts"
 
 let solve ?(conflict_budget = 2_000_000) ?(assumptions = []) t =
   Qls_cancel.poll ();
@@ -600,9 +600,9 @@ let solve ?(conflict_budget = 2_000_000) ?(assumptions = []) t =
   t.total_decisions <- t.total_decisions + t.decisions;
   t.total_restarts <- t.total_restarts + t.restarts;
   t.total_learned <- t.total_learned + t.learned;
-  Qls_obs.add (Lazy.force obs_conflicts) t.conflicts;
-  Qls_obs.add (Lazy.force obs_learned) t.learned;
-  Qls_obs.add (Lazy.force obs_restarts) t.restarts;
+  Qls_obs.add obs_conflicts t.conflicts;
+  Qls_obs.add obs_learned t.learned;
+  Qls_obs.add obs_restarts t.restarts;
   if traced then
     Qls_obs.stop sp
       ~attrs:

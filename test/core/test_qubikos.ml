@@ -487,6 +487,28 @@ let evaluation_tests =
             check_int "all exact-confirmed" r.Evaluation.o_circuits
               r.Evaluation.o_exact_confirmed)
           rows);
+    test_case "the campaign instance cache keeps the 16 most recent"
+      (fun () ->
+        (* 20 instances, one sabre task each: the cache stays at its bound
+           and a re-run of an evicted task rebuilds the same instance. *)
+        let device = Topologies.grid 3 3 in
+        let config =
+          {
+            (Evaluation.default_figure_config device) with
+            swap_counts = [ 1 ];
+            circuits_per_point = 20;
+            gate_budget = 20;
+            seed = 4242;
+          }
+        in
+        let tasks =
+          Evaluation.campaign_tasks ~names:[ "sabre" ] ~config device
+        in
+        let swaps t = (Evaluation.campaign_exec ~device t).Qls_harness.Task.swaps in
+        let first = List.map swaps tasks in
+        check_bool "bounded" true (Evaluation.cached_instances () <= 16);
+        Alcotest.(check (list int)) "rebuilt instances route the same" first
+          (List.map swaps tasks));
     test_case "pp functions produce aligned tables" (fun () ->
         let device = Topologies.grid 3 3 in
         let config =

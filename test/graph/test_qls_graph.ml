@@ -357,44 +357,55 @@ let apsp_tests =
 (* Pqueue                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Drain [q], returning the ids in pop order. *)
+let drain_ids q keys =
+  let out = ref [] in
+  while not (Pqueue.is_empty q) do
+    out := Pqueue.pop q keys :: !out
+  done;
+  List.rev !out
+
 let pqueue_tests =
   [
     test_case "pops in priority order" (fun () ->
+        let keys = [| 3.; 1.; 2.; 0.5 |] in
         let q = Pqueue.create () in
-        List.iter (fun p -> Pqueue.push q p (int_of_float p)) [ 3.; 1.; 2.; 0.5 ];
-        let order = ref [] in
-        let rec drain () =
-          match Pqueue.pop q with
-          | None -> ()
-          | Some (_, v) ->
-              order := v :: !order;
-              drain ()
-        in
-        drain ();
-        Alcotest.(check (list int)) "ascending" [ 0; 1; 2; 3 ] (List.rev !order));
+        Array.iteri (fun id _ -> Pqueue.push q keys id) keys;
+        Alcotest.(check (list int)) "ascending key" [ 3; 1; 2; 0 ]
+          (drain_ids q keys));
     test_case "FIFO among ties" (fun () ->
+        let keys = Array.make 6 1.0 in
+        keys.(4) <- 0.5;
         let q = Pqueue.create () in
-        Pqueue.push q 1.0 "a";
-        Pqueue.push q 1.0 "b";
-        Pqueue.push q 1.0 "c";
-        let pop () = match Pqueue.pop q with Some (_, v) -> v | None -> "?" in
-        Alcotest.(check string) "first" "a" (pop ());
-        Alcotest.(check string) "second" "b" (pop ());
-        Alcotest.(check string) "third" "c" (pop ()));
+        (* Ids issued in push order pop in push order among equal keys. *)
+        List.iter (Pqueue.push q keys) [ 0; 1; 2; 3 ];
+        check_int "first" 0 (Pqueue.pop q keys);
+        (* Pushed later with a smaller key: it jumps the queue, and the
+           ties resume in id order after it. *)
+        List.iter (Pqueue.push q keys) [ 4; 5 ];
+        Alcotest.(check (list int)) "rest" [ 4; 1; 2; 3; 5 ] (drain_ids q keys));
     test_case "size and is_empty" (fun () ->
+        let keys = [| 1.0 |] in
         let q = Pqueue.create () in
         check_bool "empty" true (Pqueue.is_empty q);
-        Pqueue.push q 1.0 ();
+        Pqueue.push q keys 0;
         check_int "one" 1 (Pqueue.size q);
-        ignore (Pqueue.pop q);
-        check_bool "empty again" true (Pqueue.is_empty q));
+        ignore (Pqueue.pop q keys);
+        check_bool "empty again" true (Pqueue.is_empty q);
+        Alcotest.check_raises "pop on empty"
+          (Invalid_argument "Pqueue.pop: empty queue") (fun () ->
+            ignore (Pqueue.pop q keys)));
     test_case "clear drops everything" (fun () ->
+        let keys = Array.init 10 float_of_int in
         let q = Pqueue.create () in
-        for i = 1 to 10 do
-          Pqueue.push q (float_of_int i) i
+        for i = 0 to 9 do
+          Pqueue.push q keys i
         done;
         Pqueue.clear q;
-        check_bool "empty" true (Pqueue.is_empty q));
+        check_bool "empty" true (Pqueue.is_empty q);
+        (* The storage is reused: a cleared heap orders fresh ids. *)
+        List.iter (Pqueue.push q keys) [ 7; 2; 5 ];
+        Alcotest.(check (list int)) "reused" [ 2; 5; 7 ] (drain_ids q keys));
   ]
 
 let pqueue_props =
@@ -402,15 +413,45 @@ let pqueue_props =
     QCheck.Test.make ~name:"pqueue pops sorted" ~count:200
       QCheck.(list (float_range 0.0 100.0))
       (fun prios ->
+        let keys = Array.of_list prios in
         let q = Pqueue.create () in
-        List.iter (fun p -> Pqueue.push q p p) prios;
-        let rec drain acc =
-          match Pqueue.pop q with
-          | None -> List.rev acc
-          | Some (p, _) -> drain (p :: acc)
+        Array.iteri (fun id _ -> Pqueue.push q keys id) keys;
+        let out = List.map (fun id -> keys.(id)) (drain_ids q keys) in
+        out = List.sort Float.compare prios);
+    (* The A* interleaves pushes and pops and leans on exact tie order:
+       against a sorted-list model, every pop is the least (key, id) of
+       what is queued, with ids issued in push order and small integer
+       keys so ties are common. *)
+    QCheck.Test.make ~name:"pqueue pops least (key, id) under interleaving"
+      ~count:200
+      QCheck.(list_of_size Gen.(0 -- 300) (option (int_range 0 4)))
+      (fun ops ->
+        let keys = Array.make (List.length ops) 0.0 in
+        let q = Pqueue.create () in
+        let model = ref [] and next = ref 0 in
+        let rec insert id = function
+          | [] -> [ id ]
+          | x :: rest as l ->
+              if keys.(id) < keys.(x) || (keys.(id) = keys.(x) && id < x)
+              then id :: l
+              else x :: insert id rest
         in
-        let out = drain [] in
-        out = List.sort compare prios);
+        List.for_all
+          (function
+            | Some k ->
+                let id = !next in
+                incr next;
+                keys.(id) <- float_of_int k;
+                Pqueue.push q keys id;
+                model := insert id !model;
+                true
+            | None -> (
+                match !model with
+                | [] -> Pqueue.is_empty q
+                | least :: rest ->
+                    model := rest;
+                    Pqueue.pop q keys = least))
+          ops);
   ]
 
 (* ------------------------------------------------------------------ *)

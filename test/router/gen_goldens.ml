@@ -23,8 +23,12 @@ let seeds = [ 0; 1; 7; 42 ]
 
 (* qmap (A-star) goldens live on the big devices where its closed-set and
    layer-search rewrites actually bite — rochester (53q) and eagle
-   (127q); two seeds keep the suite fast (the eagle search dominates). *)
-let qmap_devices = [ ("rochester", 53); ("eagle", 127) ]
+   (127q), whose searches use up the node budget in most layers — plus
+   sycamore (the other heavy Fig. 4 device) and aspen-4, where almost
+   every search reaches its goal; two seeds keep the suite fast (the
+   eagle search dominates). *)
+let qmap_devices =
+  [ ("rochester", 53); ("eagle", 127); ("sycamore54", 250); ("aspen4", 150) ]
 let qmap_seeds = [ 0; 1 ]
 let n_swaps = 3
 

@@ -1,8 +1,10 @@
 (* Golden recordings of routed outputs — regenerate with gen_goldens.exe.
    sabre/tket cases recorded BEFORE the router hot-path refactor (PR 3);
    qmap cases recorded with the PR 9 Zobrist closed set and deferred
-   materialisation on the >53-qubit devices that code targets. Any
-   further hot-path work must reproduce all of them bit-identically. *)
+   materialisation on the >53-qubit devices that code targets; the
+   sycamore54 and aspen4 qmap cases were recorded with that same search,
+   before its rewrite onto the flat search arena. Any further hot-path
+   work must reproduce all of them bit-identically. *)
 
 type case = {
   device : string;
@@ -54,4 +56,12 @@ let cases =
       swaps = 3177; digest = "807aaca8e21597a179f38ed1056c4f06" };
     { device = "eagle"; gate_budget = 127; seed = 1; router = "qmap";
       swaps = 2459; digest = "23818146682678ca08b4916baec42edf" };
+    { device = "sycamore54"; gate_budget = 250; seed = 0; router = "qmap";
+      swaps = 713; digest = "3d8f357caa94399ec703f16866db4482" };
+    { device = "sycamore54"; gate_budget = 250; seed = 1; router = "qmap";
+      swaps = 812; digest = "ac3464effca2b3358326c0c28a740b8c" };
+    { device = "aspen4"; gate_budget = 150; seed = 0; router = "qmap";
+      swaps = 129; digest = "75a7e3b745f0a6ae46d8799ed2a5979d" };
+    { device = "aspen4"; gate_budget = 150; seed = 1; router = "qmap";
+      swaps = 95; digest = "e881baa10e71d60557283e045d30a043" };
   ]

@@ -57,6 +57,30 @@ let triangle () =
   Circuit.create ~n_qubits:3 [ Gate.cx 0 1; Gate.cx 1 2; Gate.cx 0 2 ]
 
 (* ------------------------------------------------------------------ *)
+(* Metric registration: runs first, before anything has routed.         *)
+(* ------------------------------------------------------------------ *)
+
+(* The routers' and the solver's counters are plain module-level values,
+   registered when their modules initialise. As lazy values they were
+   created on first use, and parallel SABRE trials forcing one for the
+   first time on two domains at once raised [CamlinternalLazy.Undefined]
+   on one of them. *)
+let registration_tests =
+  [
+    test_case "router and sat counters exist before any route" (fun () ->
+        let names = List.map fst (Qls_obs.counters ()) in
+        List.iter
+          (fun n -> check_bool n true (List.mem n names))
+          [
+            "router.rounds";
+            "router.gates";
+            "sat.conflicts";
+            "sat.learned";
+            "sat.restarts";
+          ]);
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Route_state                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -529,6 +553,27 @@ let closed_set_props =
         ignore (Astar_router.Closed.add closed m1);
         Astar_router.Closed.mem closed m1
         && Mapping.equal m1 m2 = Astar_router.Closed.mem closed m2);
+    (* Enough distinct mappings to grow the slot store and the table
+       several times, with many repeats: every answer matches a model. *)
+    QCheck.Test.make ~name:"closed set matches a model across growth"
+      ~count:20
+      QCheck.(int_range 0 100_000)
+      (fun seed ->
+        let rng = Rng.create seed in
+        let closed = Astar_router.Closed.create ~n_prog:4 ~n_phys:8 in
+        let model = Hashtbl.create 1024 in
+        List.for_all
+          (fun _ ->
+            let m = Mapping.random rng ~n_program:4 ~n_physical:8 in
+            let key = Mapping.to_array m in
+            let fresh = not (Hashtbl.mem model key) in
+            let probe = Mapping.random rng ~n_program:4 ~n_physical:8 in
+            Hashtbl.replace model key ();
+            Astar_router.Closed.add closed m = fresh
+            && Astar_router.Closed.mem closed m
+            && Astar_router.Closed.mem closed probe
+               = Hashtbl.mem model (Mapping.to_array probe))
+          (List.init 1500 Fun.id));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -997,6 +1042,48 @@ let golden_tests =
     Goldens.cases
 
 (* ------------------------------------------------------------------ *)
+(* Allocation: qmap's layer search reuses one arena per route.          *)
+(* ------------------------------------------------------------------ *)
+
+let allocation_tests =
+  [
+    test_case "qmap allocates at most 46k minor words per routed gate"
+      (fun () ->
+        (* The rochester seed-0 golden instance. The allocated-word count
+           is deterministic — the same from run to run and under both
+           dune profiles — so this bound cannot flake. It is a third of
+           what the search allocated when every queued state was a fresh
+           tuple over a [Mapping.t]. *)
+        let device = Option.get (Qls_arch.Topologies.by_name "rochester") in
+        let config =
+          {
+            Qubikos.Generator.default_config with
+            n_swaps = 3;
+            gate_budget = 53;
+            seed = 0;
+          }
+        in
+        let circuit =
+          (Qubikos.Generator.generate ~config device).Qubikos.Benchmark.circuit
+        in
+        check_bool "tracing off" false (Qls_obs.enabled ());
+        let w0 = Gc.minor_words () in
+        let t = Astar_router.route device circuit in
+        let words = Gc.minor_words () -. w0 in
+        let gates =
+          List.length
+            (List.filter
+               (function Transpiled.Gate _ -> true | Transpiled.Swap _ -> false)
+               (Transpiled.ops t))
+        in
+        check_int "every gate routed" (Circuit.length circuit) gates;
+        let per_gate = words /. float_of_int gates in
+        check_bool
+          (Printf.sprintf "%.0f minor words per gate <= 46000" per_gate)
+          true (per_gate <= 46_000.));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Hot-path invariants: lookahead queries are round-invariant, and the  *)
 (* routers build them once per round (the PR 3 hoisting).               *)
 (* ------------------------------------------------------------------ *)
@@ -1333,6 +1420,7 @@ let cancellation_tests =
 let () =
   Alcotest.run "qls_router"
     [
+      ("registration", registration_tests);
       ("route-state", route_state_tests);
       ("placement", placement_tests);
       ("router-properties", List.map QCheck_alcotest.to_alcotest router_props);
@@ -1351,6 +1439,7 @@ let () =
       ("token-swap", token_swap_tests);
       ("token-swap-properties", List.map QCheck_alcotest.to_alcotest token_swap_props);
       ("goldens", golden_tests);
+      ("allocation", allocation_tests);
       ("hot-path", hot_path_tests);
       ("hot-path-properties", List.map QCheck_alcotest.to_alcotest hot_path_props);
       ("tie-break", tie_break_tests);
