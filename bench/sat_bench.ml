@@ -20,13 +20,18 @@
    never gated — which configuration wins a race depends on machine
    timing.
 
+   A plain run writes BENCH_sat.fresh.json and never touches the
+   committed baseline; [--out BENCH_sat.json] regenerates it.
+
    [--check BASELINE] enforces, on the fresh run:
    - correctness: every walk (fresh, incremental, raced) returns the
      instance's designed optimum — QUBIKOS knows the answer;
    - the headline gate: total fresh conflicts >= 2x total incremental
      conflicts across the suite;
-   - no per-instance regression: incremental conflicts may not exceed
-     the committed baseline by more than [--tolerance] (default 10%). *)
+   - no per-instance regression: neither the fresh nor the incremental
+     conflict count may exceed its baseline entry at all (the counts
+     are deterministic, so any increase is a search change), and every
+     run entry must have a baseline entry. *)
 
 module Device = Qls_arch.Device
 module Topologies = Qls_arch.Topologies
@@ -285,29 +290,29 @@ let load_entries path =
 
 let key e = (e.device, e.n_swaps, e.gate_budget, e.seed)
 
-let check ~baseline ~tolerance entries =
+let check ~baseline entries =
   let base = load_entries baseline in
   let problems = ref [] in
   let note fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
   List.iter
     (fun e ->
+      let id = Printf.sprintf "%s/swaps=%d/seed=%d" e.device e.n_swaps e.seed in
       if e.optimum <> e.n_swaps then
-        note "%s/swaps=%d/seed=%d: found optimum %d, designed %d" e.device
-          e.n_swaps e.seed e.optimum e.n_swaps;
+        note "%s: found optimum %d, designed %d" id e.optimum e.n_swaps;
       match List.find_opt (fun b -> key b = key e) base with
-      | None -> ()
+      | None ->
+          note "%s: no baseline entry in %s (renamed spec or damaged baseline)"
+            id baseline
       | Some b ->
-          let cap =
-            int_of_float
-              (ceil (float_of_int b.incr_conflicts *. (1.0 +. tolerance)))
+          let gate what now was =
+            if now > was then
+              note
+                "%s: %s conflicts %d exceed baseline %d (deterministic — a \
+                 code change altered the search)"
+                id what now was
           in
-          if e.incr_conflicts > cap then
-            note
-              "%s/swaps=%d/seed=%d: incremental conflicts %d exceed baseline \
-               %d by more than %.0f%% (deterministic — a code change weakened \
-               clause reuse)"
-              e.device e.n_swaps e.seed e.incr_conflicts b.incr_conflicts
-              (tolerance *. 100.0))
+          gate "fresh" e.fresh_conflicts b.fresh_conflicts;
+          gate "incremental" e.incr_conflicts b.incr_conflicts)
     entries;
   let total f = List.fold_left (fun a e -> a + f e) 0 entries in
   let fresh = total (fun e -> e.fresh_conflicts)
@@ -324,13 +329,12 @@ let check ~baseline ~tolerance entries =
 
 let () =
   let scale = ref Quick in
-  let out = ref "BENCH_sat.json" in
+  let out = ref "BENCH_sat.fresh.json" in
   let baseline = ref None in
-  let tolerance = ref 0.10 in
   let usage () =
     prerr_endline
       "usage: sat_bench.exe [--quick | --full] [--out FILE] [--check \
-       BASELINE] [--tolerance FRAC]";
+       BASELINE]";
     exit 2
   in
   let argv = Sys.argv in
@@ -356,12 +360,6 @@ let () =
               baseline := Some f;
               parse (i + 2)
           | None -> usage ())
-      | "--tolerance" -> (
-          match Option.bind (value i) float_of_string_opt with
-          | Some f when f >= 0.0 ->
-              tolerance := f;
-              parse (i + 2)
-          | _ -> usage ())
       | _ -> usage ()
   in
   parse 1;
@@ -374,7 +372,7 @@ let () =
   match !baseline with
   | None -> ()
   | Some b -> (
-      match check ~baseline:b ~tolerance:!tolerance entries with
+      match check ~baseline:b entries with
       | Ok ratio ->
           Printf.eprintf
             "sat_bench: fresh/incremental conflict ratio %.2fx, no \

@@ -213,6 +213,15 @@ let gate_free_witness ~vars ~device circuit =
   let ops = List.init (Circuit.length circuit) (fun i -> Transpiled.Gate i) in
   Transpiled.create ~source:circuit ~device ~initial ops
 
+(* One encoding pass inside an [olsq.encode] span, which sits next to
+   the solver's [sat.solve] so a trace splits encode from solve. The
+   attributes are a thunk: with tracing off nothing is built. *)
+let encode_span ~vars f =
+  Qls_obs.with_span ~site:"sat" "olsq.encode"
+    ~attrs:(fun () ->
+      [ ("vars", Qls_obs.Int (total_vars vars)); ("k", Qls_obs.Int vars.k) ])
+    f
+
 let validate_instance ~fn ~swaps device circuit =
   if swaps < 0 then invalid_arg (fn ^ ": negative swap count");
   if Circuit.n_qubits circuit > Device.n_qubits device then
@@ -226,7 +235,7 @@ let check ?(conflict_budget = 2_000_000) ?config ~swaps device circuit =
   else if vars.n_prog = 0 then Infeasible
   else begin
     let solver = Solver.create ?config (total_vars vars) in
-    encode ~vars ~device ~dag solver;
+    encode_span ~vars (fun () -> encode ~vars ~device ~dag solver);
     match Solver.solve ~conflict_budget solver with
     | Solver.Sat -> Feasible (decode ~vars ~device ~dag ~circuit solver)
     | Solver.Unsat -> Infeasible
@@ -258,8 +267,9 @@ module Incremental = struct
       if vars.n_gates = 0 || vars.n_prog = 0 then None
       else begin
         let solver = Solver.create ?config (total_vars vars) in
-        encode ~vars ~device ~dag solver;
-        encode_earliest_block ~vars ~dag solver;
+        encode_span ~vars (fun () ->
+            encode ~vars ~device ~dag solver;
+            encode_earliest_block ~vars ~dag solver);
         Some solver
       end
     in

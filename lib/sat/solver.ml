@@ -1,6 +1,12 @@
 (* CDCL with two-watched literals, 1UIP learning, VSIDS-style activities,
    phase saving, geometric restarts, incremental solving under assumptions
-   and deterministically seeded configuration diversification. *)
+   and deterministically seeded configuration diversification.
+
+   Data layout: every clause lives in one growable int arena (a length
+   word, then the literals) and is named by its offset; each literal has
+   a value slot and an int stack of the clauses watching it; decision
+   levels are an int array of trail positions. Nothing on the search
+   path allocates, apart from the amortised growth of those arrays. *)
 
 type result = Sat | Unsat | Unknown
 
@@ -49,19 +55,26 @@ let config_of_seed seed =
 type t = {
   nv : int;
   cfg : config;
-  (* clause database: each clause is an int array of internal literals *)
-  mutable clauses : int array array;
-  mutable n_clauses : int;
-  (* watches.(lit) = clause indices watching [lit] *)
-  mutable watches : int list array;
-  (* assignment per variable index: -1 unassigned / 0 false / 1 true *)
-  assign : int array;
+  (* clause arena: clause [c] is [arena.(c)] = n, then n literals *)
+  mutable arena : int array;
+  mutable arena_top : int;
+  (* watches.(l).(0 .. n_watches.(l) - 1): the clauses watching [l], the
+     most recently pushed on top (last) *)
+  watches : int array array;
+  n_watches : int array;
+  mutable watch_buf : int array; (* propagate's copy of one stack *)
+  (* per literal: -1 unassigned / 0 false / 1 true *)
+  values : int array;
   level : int array;
-  reason : int array; (* clause index or -1 *)
+  reason : int array; (* clause offset or -1 *)
   trail : int array;
   mutable trail_size : int;
   mutable qhead : int;
-  mutable trail_lim : int list; (* trail sizes at decision points *)
+  (* level_start.(d): trail size when level d + 1 opened *)
+  mutable level_start : int array;
+  mutable n_levels : int;
+  learnt : int array; (* analyze's output clause *)
+  mutable n_learnt : int;
   activity : float array;
   mutable var_inc : float;
   phase : bool array;
@@ -98,6 +111,17 @@ let dimacs_of_lit l =
 let neg l = l lxor 1
 let var_idx l = l lsr 1
 let is_pos l = l land 1 = 0
+
+(* [a] copied into a fresh array of at least [need] slots (and at least
+   double its length), its first [used] slots carried over. The copy is
+   a typed loop on purpose: OCaml 5's [Array.blit] into a major-heap
+   array takes the write barrier for every element, ints included. *)
+let grown a ~used need =
+  let b = Array.make (max need (max 4 (2 * Array.length a))) 0 in
+  for i = 0 to used - 1 do
+    b.(i) <- a.(i)
+  done;
+  b
 
 (* Heap ordering: higher activity first; on equal activity the lower
    variable index wins, which reproduces the argmax of the linear scan this
@@ -168,16 +192,21 @@ let create ?(config = default_config) nv =
     {
       nv;
       cfg = config;
-      clauses = Array.make 64 [||];
-      n_clauses = 0;
-      watches = Array.make (max 2 (2 * nv)) [];
-      assign = Array.make (max 1 nv) (-1);
+      arena = Array.make 1024 0;
+      arena_top = 0;
+      watches = Array.make (max 2 (2 * nv)) [||];
+      n_watches = Array.make (max 2 (2 * nv)) 0;
+      watch_buf = Array.make 64 0;
+      values = Array.make (max 2 (2 * nv)) (-1);
       level = Array.make (max 1 nv) 0;
       reason = Array.make (max 1 nv) (-1);
       trail = Array.make (max 1 nv) 0;
       trail_size = 0;
       qhead = 0;
-      trail_lim = [];
+      level_start = Array.make (max 1 nv) 0;
+      n_levels = 0;
+      learnt = Array.make (max 1 nv) 0;
+      n_learnt = 0;
       activity = Array.make (max 1 nv) 0.0;
       var_inc = 1.0;
       phase = Array.make (max 1 nv) config.init_phase;
@@ -212,145 +241,183 @@ let create ?(config = default_config) nv =
 let n_vars t = t.nv
 let solver_config t = t.cfg
 
-let lit_value t l =
-  let a = t.assign.(var_idx l) in
-  if a < 0 then -1 else if is_pos l then a else 1 - a
+(* Append the clause [lits.(0 .. n-1)] to the arena; returns its offset. *)
+let push_clause t lits n =
+  let c = t.arena_top in
+  if c + 1 + n > Array.length t.arena then
+    t.arena <- grown t.arena ~used:c (c + 1 + n);
+  t.arena.(c) <- n;
+  for i = 0 to n - 1 do
+    t.arena.(c + 1 + i) <- lits.(i)
+  done;
+  t.arena_top <- c + 1 + n;
+  c
 
-let push_clause t c =
-  if t.n_clauses = Array.length t.clauses then begin
-    let bigger = Array.make (2 * t.n_clauses) [||] in
-    Array.blit t.clauses 0 bigger 0 t.n_clauses;
-    t.clauses <- bigger
-  end;
-  t.clauses.(t.n_clauses) <- c;
-  t.n_clauses <- t.n_clauses + 1;
-  t.n_clauses - 1
-
-let watch t l ci = t.watches.(l) <- ci :: t.watches.(l)
+(* Push clause [c] on top of [l]'s watch stack. *)
+let watch t l c =
+  let n = t.n_watches.(l) in
+  if n = Array.length t.watches.(l) then
+    t.watches.(l) <- grown t.watches.(l) ~used:n (n + 1);
+  t.watches.(l).(n) <- c;
+  t.n_watches.(l) <- n + 1
 
 let enqueue t l reason =
   let v = var_idx l in
-  t.assign.(v) <- (if is_pos l then 1 else 0);
-  t.level.(v) <- List.length t.trail_lim;
+  t.values.(l) <- 1;
+  t.values.(neg l) <- 0;
+  t.level.(v) <- t.n_levels;
   t.reason.(v) <- reason;
   t.phase.(v) <- is_pos l;
   t.trail.(t.trail_size) <- l;
   t.trail_size <- t.trail_size + 1
 
+let new_level t =
+  if t.n_levels = Array.length t.level_start then
+    t.level_start <- grown t.level_start ~used:t.n_levels (t.n_levels + 1);
+  t.level_start.(t.n_levels) <- t.trail_size;
+  t.n_levels <- t.n_levels + 1
+
 let backtrack t lvl =
-  let keep =
-    (* trail size at the start of level lvl + 1 *)
-    match t.trail_lim with
-    | [] -> t.trail_size
-    | lims ->
-        let arr = Array.of_list (List.rev lims) in
-        if lvl >= Array.length arr then t.trail_size else arr.(lvl)
-  in
-  for i = t.trail_size - 1 downto keep do
-    let v = var_idx t.trail.(i) in
-    t.assign.(v) <- -1;
-    t.reason.(v) <- -1;
-    heap_insert t v
-  done;
-  t.trail_size <- keep;
-  (* never move the propagation head forward: units enqueued by an
-     incremental [add_clause] sit below [keep] but are not yet propagated *)
-  t.qhead <- min t.qhead keep;
-  let rec drop lims =
-    if List.length lims > lvl then drop (List.tl lims) else lims
-  in
-  t.trail_lim <- drop t.trail_lim
+  if t.n_levels > lvl then begin
+    let keep = t.level_start.(lvl) in
+    for i = t.trail_size - 1 downto keep do
+      let l = t.trail.(i) in
+      let v = var_idx l in
+      t.values.(l) <- -1;
+      t.values.(neg l) <- -1;
+      t.reason.(v) <- -1;
+      heap_insert t v
+    done;
+    t.trail_size <- keep;
+    (* never move the propagation head forward: units enqueued by an
+       incremental [add_clause] sit below [keep] but are not yet propagated *)
+    t.qhead <- min t.qhead keep;
+    t.n_levels <- lvl
+  end
+
+(* Sort [a] in place with an insertion sort, which allocates nothing.
+   [Olsq]'s clauses arrive in ascending order or with one large literal
+   in front, where it is linear at any length. *)
+let sort_lits a =
+  for i = 1 to Array.length a - 1 do
+    let l = a.(i) in
+    let j = ref (i - 1) in
+    (* lint: cancel-poll-coverage — shifts at most i slots *)
+    while !j >= 0 && a.(!j) > l do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- l
+  done
 
 (* Incremental clause addition: permitted at any time. The solver backtracks
    to the root level and simplifies the clause against the level-0
    assignment, so clauses learned in earlier solve calls (which are implied
    by the database alone, never by assumptions) remain sound. *)
 let add_clause t lits =
-  List.iter
-    (fun l ->
-      let v = abs l in
-      if l = 0 || v > t.nv then
-        invalid_arg (Printf.sprintf "Solver.add_clause: bad literal %d" l))
-    lits;
+  let lits = Array.of_list lits in
+  for i = 0 to Array.length lits - 1 do
+    let l = lits.(i) in
+    if l = 0 || abs l > t.nv then
+      invalid_arg (Printf.sprintf "Solver.add_clause: bad literal %d" l);
+    lits.(i) <- lit_of_dimacs l
+  done;
   backtrack t 0;
   t.model <- None;
-  let lits = List.sort_uniq Int.compare (List.map lit_of_dimacs lits) in
-  let tautology = List.exists (fun l -> List.mem (neg l) lits) lits in
-  if not (tautology || List.exists (fun l -> lit_value t l = 1) lits) then begin
-    (* drop literals already false at level 0 *)
-    let lits = List.filter (fun l -> lit_value t l <> 0) lits in
-    match lits with
-    | [] -> t.root_unsat <- true
-    | [ l ] ->
+  sort_lits lits;
+  (* Sorted, a literal's negation is its neighbour (2v, 2v+1): one pass
+     drops duplicates and literals false at level 0, compacting in place,
+     and spots tautologies and clauses already true at level 0. *)
+  let n = ref 0 and prev = ref (-1) and satisfied = ref false in
+  for i = 0 to Array.length lits - 1 do
+    let l = lits.(i) in
+    if l = neg !prev || t.values.(l) = 1 then satisfied := true
+    else if l <> !prev && t.values.(l) < 0 then begin
+      lits.(!n) <- l;
+      incr n
+    end;
+    prev := l
+  done;
+  if not !satisfied then
+    match !n with
+    | 0 -> t.root_unsat <- true
+    | 1 ->
         (* level-0 unit: assign now, propagate at the next solve *)
-        enqueue t l (-1)
-    | l0 :: l1 :: _ ->
-        let c = Array.of_list lits in
-        let ci = push_clause t c in
-        watch t l0 ci;
-        watch t l1 ci
-  end
+        enqueue t lits.(0) (-1)
+    | n ->
+        let c = push_clause t lits n in
+        watch t lits.(0) c;
+        watch t lits.(1) c
 
-(* Returns the conflicting clause index, or -1. *)
+(* Returns the conflicting clause, or -1.
+
+   Watchers of the falsified literal are visited from the top of its
+   stack down; those that keep watching it are re-pushed in visit order,
+   and after a conflict the unvisited rest goes back under them with the
+   next unvisited one on top. The order decides which unit is found
+   first, so it is part of the search the pins in the tests hold: keep
+   it exactly. *)
 let propagate t =
+  let arena = t.arena and values = t.values in
   let conflict = ref (-1) in
   (* lint: cancel-poll-coverage — each pass consumes one trail entry; the CDCL loop polls per restart *)
   while !conflict < 0 && t.qhead < t.trail_size do
-    let l = t.trail.(t.qhead) in
+    let false_lit = neg t.trail.(t.qhead) in
     t.qhead <- t.qhead + 1;
-    let false_lit = neg l in
-    let watchers = t.watches.(false_lit) in
-    t.watches.(false_lit) <- [];
-    let rec go = function
-      | [] -> ()
-      | ci :: rest ->
-          if !conflict >= 0 then
-            (* conflict already found: keep remaining watchers untouched *)
-            t.watches.(false_lit) <- ci :: (t.watches.(false_lit) @ rest)
-          else begin
-            let c = t.clauses.(ci) in
-            (* normalise: c.(1) is the false literal *)
-            if c.(0) = false_lit then begin
-              c.(0) <- c.(1);
-              c.(1) <- false_lit
-            end;
-            if lit_value t c.(0) = 1 then begin
-              (* satisfied: keep watching *)
-              t.watches.(false_lit) <- ci :: t.watches.(false_lit);
-              go rest
-            end
-            else begin
-              (* find a new literal to watch *)
-              let n = Array.length c in
-              let found = ref false in
-              let k = ref 2 in
-              (* lint: cancel-poll-coverage — scan bounded by clause length *)
-              while (not !found) && !k < n do
-                if lit_value t c.(!k) <> 0 then begin
-                  c.(1) <- c.(!k);
-                  c.(!k) <- false_lit;
-                  watch t c.(1) ci;
-                  found := true
-                end;
-                incr k
-              done;
-              if !found then go rest
-              else begin
-                (* clause is unit or conflicting under c.(0) *)
-                t.watches.(false_lit) <- ci :: t.watches.(false_lit);
-                if lit_value t c.(0) = 0 then begin
-                  conflict := ci;
-                  go rest
-                end
-                else begin
-                  if lit_value t c.(0) = -1 then enqueue t c.(0) ci;
-                  go rest
-                end
-              end
-            end
-          end
-    in
-    go watchers
+    let n = t.n_watches.(false_lit) in
+    if n > Array.length t.watch_buf then t.watch_buf <- grown t.watch_buf ~used:0 n;
+    let buf = t.watch_buf and ws = t.watches.(false_lit) in
+    for j = 0 to n - 1 do
+      buf.(j) <- ws.(j)
+    done;
+    (* re-pushed below; never more than [n], so [ws] is not regrown *)
+    t.n_watches.(false_lit) <- 0;
+    let next = ref (n - 1) in
+    (* lint: cancel-poll-coverage — visits each watcher of one literal at most once *)
+    while !conflict < 0 && !next >= 0 do
+      let c = buf.(!next) in
+      decr next;
+      (* normalise: the false literal sits in slot 1 *)
+      if arena.(c + 1) = false_lit then begin
+        arena.(c + 1) <- arena.(c + 2);
+        arena.(c + 2) <- false_lit
+      end;
+      let first = arena.(c + 1) in
+      if values.(first) = 1 then (* satisfied: keep watching *)
+        watch t false_lit c
+      else begin
+        (* find a new literal to watch *)
+        let last = c + arena.(c) in
+        let k = ref (c + 3) in
+        (* lint: cancel-poll-coverage — scan bounded by clause length *)
+        while !k <= last && values.(arena.(!k)) = 0 do
+          incr k
+        done;
+        if !k <= last then begin
+          let l = arena.(!k) in
+          arena.(c + 2) <- l;
+          arena.(!k) <- false_lit;
+          watch t l c
+        end
+        else begin
+          (* clause is unit or conflicting under its first literal *)
+          watch t false_lit c;
+          if values.(first) = 0 then conflict := c else enqueue t first c
+        end
+      end
+    done;
+    if !next >= 0 then begin
+      (* conflict: buf.(0 .. next-1) under the kept, buf.(next) on top *)
+      let kept = t.n_watches.(false_lit) and rest = !next in
+      for j = kept - 1 downto 0 do
+        ws.(j + rest) <- ws.(j)
+      done;
+      for j = 0 to rest - 1 do
+        ws.(j) <- buf.(j)
+      done;
+      ws.(kept + rest) <- buf.(rest);
+      t.n_watches.(false_lit) <- kept + rest + 1
+    end
   done;
   !conflict
 
@@ -367,37 +434,38 @@ let bump t v =
 
 let decay t = t.var_inc <- t.var_inc /. t.cfg.decay
 
-let current_level t = List.length t.trail_lim
-
-(* First-UIP conflict analysis. Returns (learnt clause with the asserting
-   literal first, backjump level). Assumption decisions need no special
-   case here: the decision literal of the conflicting level is always the
-   last seen literal of that level, so the loop terminates on it before
-   ever dereferencing its absent reason. *)
-let analyze t conflict_ci =
-  let learnt_tail = ref [] in
+(* First-UIP conflict analysis. Leaves the learnt clause in
+   [t.learnt.(0 .. t.n_learnt - 1)] — the asserting literal first, then
+   the other literals most recently seen first, with the first literal
+   of the highest remaining level swapped into slot 1 — and returns the
+   backjump level, that literal's level. Assumption decisions need no
+   special case here: the decision literal of the conflicting level is
+   always the last seen literal of that level, so the loop terminates on
+   it before ever dereferencing its absent reason. *)
+let analyze t conflict =
+  let arena = t.arena and learnt = t.learnt in
+  let n = ref 1 in
   let counter = ref 0 in
   let p = ref (-1) in
   let idx = ref (t.trail_size - 1) in
-  let ci = ref conflict_ci in
-  let cur = current_level t in
+  let c = ref conflict in
+  let cur = t.n_levels in
   let continue = ref true in
   (* lint: cancel-poll-coverage — 1-UIP resolution walks the trail once; bounded by trail size *)
   while !continue do
-    let c = t.clauses.(!ci) in
-    Array.iter
-      (fun q ->
-        if !p >= 0 && q = !p then ()
+    for j = !c + 1 to !c + arena.(!c) do
+      let q = arena.(j) in
+      let v = var_idx q in
+      if q <> !p && (not t.seen.(v)) && t.level.(v) > 0 then begin
+        t.seen.(v) <- true;
+        bump t v;
+        if t.level.(v) >= cur then incr counter
         else begin
-          let v = var_idx q in
-          if (not t.seen.(v)) && t.level.(v) > 0 then begin
-            t.seen.(v) <- true;
-            bump t v;
-            if t.level.(v) >= cur then incr counter
-            else learnt_tail := q :: !learnt_tail
-          end
-        end)
-      c;
+          learnt.(!n) <- q;
+          incr n
+        end
+      end
+    done;
     (* advance to the next seen literal on the trail *)
     (* lint: cancel-poll-coverage — walks down the finite trail *)
     while not t.seen.(var_idx t.trail.(!idx)) do
@@ -408,20 +476,31 @@ let analyze t conflict_ci =
     t.seen.(v) <- false;
     decr counter;
     decr idx;
-    if !counter = 0 then begin
-      p := lit;
-      continue := false
-    end
-    else begin
-      p := lit;
-      ci := t.reason.(v)
-    end
+    p := lit;
+    if !counter = 0 then continue := false else c := t.reason.(v)
   done;
-  List.iter (fun q -> t.seen.(var_idx q) <- false) !learnt_tail;
-  let backjump =
-    List.fold_left (fun acc q -> max acc (t.level.(var_idx q))) 0 !learnt_tail
-  in
-  (neg !p :: !learnt_tail, backjump)
+  let n = !n in
+  learnt.(0) <- neg !p;
+  (* most recently seen first *)
+  for j = 1 to (n - 1) / 2 do
+    let q = learnt.(j) in
+    learnt.(j) <- learnt.(n - j);
+    learnt.(n - j) <- q
+  done;
+  let best = ref 1 in
+  for j = 1 to n - 1 do
+    t.seen.(var_idx learnt.(j)) <- false;
+    if t.level.(var_idx learnt.(j)) > t.level.(var_idx learnt.(!best)) then
+      best := j
+  done;
+  t.n_learnt <- n;
+  if n = 1 then 0
+  else begin
+    let q = learnt.(1) in
+    learnt.(1) <- learnt.(!best);
+    learnt.(!best) <- q;
+    t.level.(var_idx learnt.(1))
+  end
 
 (* Final-conflict analysis: assumption [a] (internal literal) is false under
    the current trail. Walk the trail top-down expanding reasons; the
@@ -430,22 +509,19 @@ let analyze t conflict_ci =
    assumptions, including [a] itself) in [t.last_core]. *)
 let analyze_final t a =
   let core = ref [ a ] in
-  if current_level t > 0 then begin
-    let level1_start =
-      match List.rev t.trail_lim with x :: _ -> x | [] -> assert false
-    in
+  if t.n_levels > 0 then begin
     t.seen.(var_idx a) <- true;
-    for i = t.trail_size - 1 downto level1_start do
+    for i = t.trail_size - 1 downto t.level_start.(0) do
       let l = t.trail.(i) in
       let v = var_idx l in
       if t.seen.(v) then begin
-        (if t.reason.(v) < 0 then core := l :: !core
-         else
-           Array.iter
-             (fun q ->
-               let w = var_idx q in
-               if t.level.(w) > 0 then t.seen.(w) <- true)
-             t.clauses.(t.reason.(v)));
+        let r = t.reason.(v) in
+        if r < 0 then core := l :: !core
+        else
+          for j = r + 1 to r + t.arena.(r) do
+            let w = var_idx t.arena.(j) in
+            if t.level.(w) > 0 then t.seen.(w) <- true
+          done;
         t.seen.(v) <- false
       end
     done;
@@ -458,7 +534,7 @@ let pick_branch t =
   (* lint: cancel-poll-coverage — each pop shrinks the heap; bounded by variable count *)
   while !best < 0 && t.heap_size > 0 do
     let v = heap_pop t in
-    if t.assign.(v) < 0 then best := v
+    if t.values.(2 * v) < 0 then best := v
   done;
   !best
 
@@ -484,7 +560,7 @@ let solve_raw ~conflict_budget ~assumps t =
            t.conflicts <- t.conflicts + 1;
            incr since_restart;
            if t.conflicts land 4095 = 0 then Qls_cancel.poll ();
-           if current_level t = 0 then begin
+           if t.n_levels = 0 then begin
              (* conflict independent of any assumption: permanently unsat *)
              t.root_unsat <- true;
              result := Unsat;
@@ -494,30 +570,19 @@ let solve_raw ~conflict_budget ~assumps t =
              t.budget_exhausted <- true;
              raise Exit
            end;
-           let learnt, backjump = analyze t confl in
+           let backjump = analyze t confl in
            decay t;
            backtrack t backjump;
-           (match learnt with
-           | [ l ] -> enqueue t l (-1)
-           | l :: _ ->
-               let c = Array.of_list learnt in
-               let ci = push_clause t c in
-               t.learned <- t.learned + 1;
-               (* watch the asserting literal and one backjump-level lit *)
-               watch t c.(0) ci;
-               (* move a literal of the backjump level to slot 1 *)
-               let n = Array.length c in
-               let best = ref 1 in
-               for k = 2 to n - 1 do
-                 if t.level.(var_idx c.(k)) > t.level.(var_idx c.(!best)) then
-                   best := k
-               done;
-               let tmp = c.(1) in
-               c.(1) <- c.(!best);
-               c.(!best) <- tmp;
-               watch t c.(1) ci;
-               enqueue t l ci
-           | [] -> assert false)
+           let l = t.learnt.(0) in
+           if t.n_learnt = 1 then enqueue t l (-1)
+           else begin
+             let c = push_clause t t.learnt t.n_learnt in
+             t.learned <- t.learned + 1;
+             (* watch the asserting literal and one backjump-level lit *)
+             watch t l c;
+             watch t t.learnt.(1) c;
+             enqueue t l c
+           end
          end
          else if !since_restart > !restart_limit then begin
            since_restart := 0;
@@ -531,32 +596,32 @@ let solve_raw ~conflict_budget ~assumps t =
            Qls_cancel.poll ();
            backtrack t 0
          end
-         else if current_level t < n_assumps then begin
+         else if t.n_levels < n_assumps then begin
            (* consume the assumption prefix as pseudo-decisions *)
-           let a = assumps.(current_level t) in
-           match lit_value t a with
+           let a = assumps.(t.n_levels) in
+           match t.values.(a) with
            | 1 ->
                (* already true: open a dummy level so level indices keep
                   matching assumption indices *)
-               t.trail_lim <- t.trail_size :: t.trail_lim
+               new_level t
            | 0 ->
                analyze_final t a;
                result := Unsat;
                raise Exit
            | _ ->
-               t.trail_lim <- t.trail_size :: t.trail_lim;
+               new_level t;
                enqueue t a (-1)
          end
          else begin
            match pick_branch t with
            | -1 ->
                (* full assignment: SAT *)
-               t.model <- Some (Array.init t.nv (fun v -> t.assign.(v) = 1));
+               t.model <- Some (Array.init t.nv (fun v -> t.values.(2 * v) = 1));
                result := Sat;
                raise Exit
            | v ->
                t.decisions <- t.decisions + 1;
-               t.trail_lim <- t.trail_size :: t.trail_lim;
+               new_level t;
                let l = 2 * v + if t.phase.(v) then 0 else 1 in
                enqueue t l (-1)
          end

@@ -919,6 +919,170 @@ let olsq_incremental_props =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* OLSQ search pins, allocation and tracing                            *)
+(* ------------------------------------------------------------------ *)
+
+(* [f ()] with the (conflicts, learned, restarts) its solves added to
+   the solver's obs counters. The counters are looked up here, not at
+   module initialisation, so the registration test above still sees
+   only what the library registered. *)
+let sat_effort f =
+  let read () =
+    let value name = Qls_obs.counter_value (Qls_obs.counter name) in
+    (value "sat.conflicts", value "sat.learned", value "sat.restarts")
+  in
+  let c0, l0, r0 = read () in
+  let v = f () in
+  let c1, l1, r1 = read () in
+  (v, (c1 - c0, l1 - l0, r1 - r0))
+
+(* One cell of the paper's section IV-A study shape: 30 gates, capped
+   saturation. *)
+let study_instance name ~n_swaps ~seed =
+  let device = Option.get (Topologies.by_name name) in
+  let config =
+    {
+      Qubikos.Generator.default_config with
+      n_swaps;
+      gate_budget = 30;
+      saturation_cap = 1;
+      seed;
+    }
+  in
+  (device, Qubikos.Generator.generate ~config device)
+
+let verdict_name = function
+  | Olsq.Feasible _ -> "feasible"
+  | Olsq.Infeasible -> "infeasible"
+  | Olsq.Unknown -> "unknown"
+
+let check_effort = Alcotest.(check (triple int int int))
+
+(* The refutation of optimum - 1 on the study's four cells (Aspen-4 and
+   grid 3x3 at 3 and 4 SWAPs; the seeds of the study benchmark's first
+   four ops at seed 1), pinned as (conflicts, learned, restarts).
+   Recorded from the list-based solver; a solver rewrite that keeps the
+   search keeps every count. *)
+let olsq_pins =
+  [
+    ("aspen4", 3, 269157861, (1232, 1227, 4));
+    ("grid3x3", 3, 151149761, (308, 304, 2));
+    ("aspen4", 4, 630123623, (1955, 1949, 5));
+    ("grid3x3", 4, 993154398, (395, 388, 2));
+  ]
+
+let olsq_pin_tests =
+  [
+    test_case "study refutations take the pinned searches" (fun () ->
+        List.iter
+          (fun (name, n_swaps, seed, expected) ->
+            let device, b = study_instance name ~n_swaps ~seed in
+            let what = Printf.sprintf "%s n=%d seed=%d" name n_swaps seed in
+            let v, effort =
+              sat_effort (fun () ->
+                  Olsq.check
+                    ~swaps:(b.Qubikos.Benchmark.optimal_swaps - 1)
+                    device b.Qubikos.Benchmark.circuit)
+            in
+            Alcotest.(check string) what "infeasible" (verdict_name v);
+            check_effort what expected effort)
+          olsq_pins);
+    test_case "an incremental walk takes the pinned search" (fun () ->
+        (* BENCH_sat.json's grid3x3 / 3 SWAPs / seed 1 entry *)
+        let device = Topologies.grid 3 3 in
+        let config =
+          {
+            Qubikos.Generator.default_config with
+            n_swaps = 3;
+            saturation_cap = 1;
+            seed = 1;
+          }
+        in
+        let b = Qubikos.Generator.generate ~config device in
+        let r, effort =
+          sat_effort (fun () ->
+              Olsq.minimum_swaps
+                ~max_swaps:(b.Qubikos.Benchmark.optimal_swaps + 1)
+                device b.Qubikos.Benchmark.circuit)
+        in
+        (match r with
+        | Olsq.Optimal { swaps; _ } -> check_int "optimum" 3 swaps
+        | Olsq.Unknown_above _ -> Alcotest.fail "walk ran out of budget");
+        check_effort "walk" (1567, 1566, 7) effort);
+    test_case "olsq allocates at most 1,500 words per conflict" (fun () ->
+        (* Words allocated on either heap: minor words plus words placed
+           directly in the major heap, so moving allocation into large
+           arrays cannot pass. The list-based solver allocated about
+           4,100 words per conflict here, the array-based one 630 to 760:
+           OCaml 5.1's word counters drift with the heap's state across
+           minor collections, so the bound leaves room for that. *)
+        let device, b = study_instance "aspen4" ~n_swaps:3 ~seed:269157861 in
+        check_bool "tracing off" false (Qls_obs.enabled ());
+        let words () =
+          let minor, promoted, major = Gc.counters () in
+          minor +. major -. promoted
+        in
+        let w0 = words () in
+        let v, (conflicts, _, _) =
+          sat_effort (fun () ->
+              Olsq.check ~swaps:2 device b.Qubikos.Benchmark.circuit)
+        in
+        let per_conflict = (words () -. w0) /. float_of_int conflicts in
+        Alcotest.(check string) "verdict" "infeasible" (verdict_name v);
+        check_int "conflicts" 1232 conflicts;
+        check_bool
+          (Printf.sprintf "%.0f words per conflict <= 1500" per_conflict)
+          true
+          (per_conflict <= 1500.));
+    test_case "a traced Olsq.check spans encode then solve, same search"
+      (fun () ->
+        let device, b = study_instance "grid3x3" ~n_swaps:3 ~seed:151149761 in
+        let swaps = b.Qubikos.Benchmark.optimal_swaps - 1 in
+        let circuit = b.Qubikos.Benchmark.circuit in
+        let run () =
+          let v, effort =
+            sat_effort (fun () -> Olsq.check ~swaps device circuit)
+          in
+          (verdict_name v, effort)
+        in
+        let plain = run () in
+        let path = Filename.temp_file "qls_olsq_trace" ".jsonl" in
+        Qls_obs.tracing_to path;
+        let traced, session_k =
+          Fun.protect ~finally:Qls_obs.shutdown (fun () ->
+              let traced = run () in
+              let sess = Olsq.Incremental.create ~max_swaps:4 device circuit in
+              (traced, Olsq.Incremental.max_swaps sess))
+        in
+        let records, bad = Qls_obs.load_jsonl path in
+        Sys.remove path;
+        check_int "trace intact" 0 bad;
+        Alcotest.(check (pair string (triple int int int)))
+          "tracing changes nothing" plain traced;
+        let sat_spans =
+          List.filter
+            (fun r ->
+              r.Qls_obs.r_name = "olsq.encode" || r.Qls_obs.r_name = "sat.solve")
+            records
+        in
+        let attr r key = List.assoc_opt key r.Qls_obs.r_attrs in
+        Alcotest.(check (list (pair string (option string))))
+          "check encodes at k, solves, then the session encodes at max_swaps"
+          [
+            ("olsq.encode", Some (string_of_int swaps));
+            ("sat.solve", None);
+            ("olsq.encode", Some (string_of_int session_k));
+          ]
+          (List.map (fun r -> (r.Qls_obs.r_name, attr r "k")) sat_spans);
+        List.iter
+          (fun r ->
+            Alcotest.(check string) "site" "sat" r.Qls_obs.r_site;
+            if r.Qls_obs.r_name = "olsq.encode" then
+              check_bool "vars recorded" true (attr r "vars" <> None))
+          sat_spans);
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Token swapping                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -1436,6 +1600,7 @@ let () =
       ("olsq-incremental", olsq_incremental_tests);
       ( "olsq-incremental-properties",
         List.map QCheck_alcotest.to_alcotest olsq_incremental_props );
+      ("olsq-pins", olsq_pin_tests);
       ("token-swap", token_swap_tests);
       ("token-swap-properties", List.map QCheck_alcotest.to_alcotest token_swap_props);
       ("goldens", golden_tests);

@@ -43,6 +43,14 @@ let pigeonhole n =
   done;
   (nv, !clauses)
 
+(* Uniform random 3-SAT: [n_clauses] clauses of three literals over
+   variables [1 .. nv], drawn from [rng]. *)
+let random_3sat rng ~nv ~n_clauses =
+  List.init n_clauses (fun _ ->
+      List.init 3 (fun _ ->
+          let v = 1 + Rng.int rng nv in
+          if Rng.bool rng then v else -v))
+
 let basic_tests =
   [
     test_case "empty formula is satisfiable" (fun () ->
@@ -132,6 +140,17 @@ let basic_tests =
         let s = Solver.create nv in
         List.iter (Solver.add_clause s) clauses;
         check_bool "unknown" true (Solver.solve ~conflict_budget:1 s = Solver.Unknown));
+    test_case "a long clause is simplified against level 0" (fun () ->
+        (* a hundred literals, descending and with repeats, so the sort
+           shifts every slot; all but one are false at level 0, so the
+           clause is a unit that forces a variable the default negative
+           phase would set false *)
+        let nv = 100 in
+        let units = List.init (nv - 1) (fun i -> [ -(i + 1) ]) in
+        let long = List.init nv (fun i -> nv - i) @ [ 50; 7; nv ] in
+        let s, r = solve_clauses nv (units @ [ long ]) in
+        check_bool "sat" true (is_sat r);
+        check_bool "forced" true (Solver.value s nv));
   ]
 
 (* Incremental interface: clause addition between solves, assumptions,
@@ -281,12 +300,7 @@ let random_props =
         let rng = Rng.create seed in
         let nv = 4 + Rng.int rng 7 in
         let n_clauses = 2 + Rng.int rng (4 * nv) in
-        let clauses =
-          List.init n_clauses (fun _ ->
-              List.init 3 (fun _ ->
-                  let v = 1 + Rng.int rng nv in
-                  if Rng.bool rng then v else -v))
-        in
+        let clauses = random_3sat rng ~nv ~n_clauses in
         let s, r = solve_clauses nv clauses in
         match r with
         | Solver.Sat -> model_satisfies s clauses && brute_sat nv clauses
@@ -300,12 +314,7 @@ let random_props =
         let rng = Rng.create seed in
         let nv = 4 + Rng.int rng 7 in
         let n_clauses = 2 + Rng.int rng (4 * nv) in
-        let clauses =
-          List.init n_clauses (fun _ ->
-              List.init 3 (fun _ ->
-                  let v = 1 + Rng.int rng nv in
-                  if Rng.bool rng then v else -v))
-        in
+        let clauses = random_3sat rng ~nv ~n_clauses in
         let assumptions =
           List.init
             (Rng.int rng 4)
@@ -340,12 +349,7 @@ let random_props =
         let rng = Rng.create seed in
         let nv = 4 + Rng.int rng 6 in
         let n_clauses = 2 + Rng.int rng (4 * nv) in
-        let clauses =
-          List.init n_clauses (fun _ ->
-              List.init 3 (fun _ ->
-                  let v = 1 + Rng.int rng nv in
-                  if Rng.bool rng then v else -v))
-        in
+        let clauses = random_3sat rng ~nv ~n_clauses in
         let s = Solver.create ~config:(Solver.config_of_seed cfg_seed) nv in
         List.iter (Solver.add_clause s) clauses;
         match Solver.solve s with
@@ -354,10 +358,126 @@ let random_props =
         | Solver.Unknown -> false);
   ]
 
+(* Search pins: the exact (result, conflicts, decisions, restarts,
+   learned) of each solve, recorded from the list-based solver before
+   its internals moved onto flat arrays. Counts this exact catch a
+   change of decision order, propagation order or learned clauses,
+   which the verdict-only tests above cannot see. *)
+
+let result_name = function
+  | Solver.Sat -> "Sat"
+  | Solver.Unsat -> "Unsat"
+  | Solver.Unknown -> "Unknown"
+
+let search =
+  Alcotest.testable
+    (fun ppf (r, c, d, rs, l) ->
+      Format.fprintf ppf "(%s, %d, %d, %d, %d)" (result_name r) c d rs l)
+    ( = )
+
+let last_search s r =
+  let conflicts, decisions = Solver.stats s in
+  (r, conflicts, decisions, Solver.restarts s, Solver.learned s)
+
+let check_search name expected (s, r) =
+  Alcotest.check search name expected (last_search s r)
+
+(* Random 3-SAT at clause/variable ratio 4.26, the satisfiability
+   threshold: 80 variables, 341 clauses. *)
+let threshold_pins =
+  [
+    (1, (Solver.Unsat, 88, 106, 0, 78));
+    (2, (Solver.Sat, 6, 24, 0, 6));
+    (3, (Solver.Unsat, 124, 139, 1, 118));
+    (4, (Solver.Unsat, 176, 212, 1, 167));
+    (5, (Solver.Unsat, 283, 325, 2, 276));
+    (6, (Solver.Unsat, 44, 52, 0, 39));
+    (7, (Solver.Unsat, 207, 242, 1, 202));
+    (8, (Solver.Sat, 36, 63, 0, 36));
+    (9, (Solver.Unsat, 72, 93, 0, 67));
+    (10, (Solver.Sat, 92, 127, 0, 92));
+  ]
+
+let threshold_instance seed =
+  random_3sat (Rng.create seed) ~nv:80 ~n_clauses:341
+
+let pin_tests =
+  [
+    test_case "pigeonhole 6 into 5 takes the pinned search" (fun () ->
+        let nv, clauses = pigeonhole 5 in
+        check_search "php 6->5" (Solver.Unsat, 153, 194, 1, 146)
+          (solve_clauses nv clauses));
+    test_case "config_of_seed 3 takes its pinned search" (fun () ->
+        let nv, clauses = pigeonhole 5 in
+        let s = Solver.create ~config:(Solver.config_of_seed 3) nv in
+        List.iter (Solver.add_clause s) clauses;
+        check_search "php 6->5, seed 3" (Solver.Unsat, 155, 189, 0, 151)
+          (s, Solver.solve s));
+    test_case "threshold random 3-SAT takes the pinned searches" (fun () ->
+        List.iter
+          (fun (seed, expected) ->
+            check_search
+              (Printf.sprintf "seed %d" seed)
+              expected
+              (solve_clauses 80 (threshold_instance seed)))
+          threshold_pins);
+    test_case "an assumption sequence on one solver takes the pinned searches"
+      (fun () ->
+        (* Pigeonhole 6 -> 5 with each pigeon's at-least-one-hole clause
+           guarded by its own selector, plus a root-true variable [h]
+           whose assumption opens a dummy level. Learned clauses carry
+           from solve to solve, so every step depends on the ones
+           before it. *)
+        let n = 5 in
+        let var p hole = (p * n) + hole + 1 in
+        let nv = (n + 1) * n in
+        let sel p = nv + 1 + p in
+        let h = nv + n + 2 in
+        let s = Solver.create h in
+        Solver.add_clause s [ h ];
+        for p = 0 to n do
+          Solver.add_clause s (-sel p :: List.init n (fun hole -> var p hole))
+        done;
+        for hole = 0 to n - 1 do
+          for p = 0 to n do
+            for p' = p + 1 to n do
+              Solver.add_clause s [ -var p hole; -var p' hole ]
+            done
+          done
+        done;
+        let step name assumptions expected core total =
+          let r = Solver.solve ~assumptions s in
+          check_search name expected (s, r);
+          Alcotest.(check (list int)) (name ^ " core") core (Solver.unsat_core s);
+          Alcotest.(check (list int))
+            (name ^ " totals") total
+            (let c, d, rs, l = Solver.total_stats s in
+             [ c; d; rs; l ])
+        in
+        let sels = List.map sel in
+        let all = [ 31; 32; 33; 34; 35; 36 ] in
+        step "all pigeons" (h :: sels [ 0; 1; 2; 3; 4; 5 ])
+          (Solver.Unsat, 150, 198, 1, 150) all [ 150; 198; 1; 150 ];
+        step "five pigeons" (sels [ 0; 1; 2; 3; 4 ])
+          (Solver.Sat, 5, 10, 0, 5) [] [ 155; 208; 1; 155 ];
+        step "all pigeons, permuted" (sels [ 5; 1; 2; 3; 4; 0 ])
+          (Solver.Unsat, 0, 0, 0, 0) all [ 155; 208; 1; 155 ];
+        step "no assumptions" [] (Solver.Sat, 0, 12, 0, 0) []
+          [ 155; 220; 1; 155 ];
+        step "h and five pigeons" (h :: sels [ 1; 2; 3; 4; 5 ])
+          (Solver.Sat, 1, 7, 0, 1) [] [ 156; 227; 1; 156 ];
+        Solver.add_clause s [ -sel 0 ];
+        step "root-false assumption" (sels [ 1; 0; 2 ])
+          (Solver.Unsat, 0, 0, 0, 0) [ 31 ] [ 156; 227; 1; 156 ];
+        step "contradictory assumptions" [ sel 1; -sel 1 ]
+          (Solver.Unsat, 0, 0, 0, 0) [ -32; 32 ] [ 156; 227; 1; 156 ]);
+  ]
+
 let () =
   Alcotest.run "qls_sat"
     [
       ("solver", basic_tests);
       ("incremental", incremental_tests);
+      ("search-pins", pin_tests);
       ("random", List.map QCheck_alcotest.to_alcotest random_props);
     ]
