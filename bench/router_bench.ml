@@ -13,8 +13,10 @@
    quick scale unless --quick/--full is given, matching the recorded
    baseline's mode) — commit the result when a deliberate perf change
    moves the numbers. --check compares the fresh run against the
-   committed baseline and exits 1 on a >tolerance ns/gate regression or
-   ANY increase in the (deterministic) builds-per-round counters. *)
+   committed baseline and exits 1 on a >tolerance ns/gate regression,
+   on a cell whose (deterministic) swaps or rounds differ from the
+   baseline's, on ANY increase in the builds-per-round counters, or on
+   a cell the baseline has no entry for. *)
 
 module Core = Router_bench_core
 

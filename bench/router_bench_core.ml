@@ -17,7 +17,8 @@
 
    [write_json] emits BENCH_router.json; [check] compares a fresh run
    against a committed baseline and fails on >tolerance ns/gate
-   regression or any builds_per_round increase. *)
+   regression, on any change of a cell's swaps or rounds, on any
+   builds_per_round increase, and on a cell the baseline lacks. *)
 
 module Device = Qls_arch.Device
 module Topologies = Qls_arch.Topologies
@@ -296,8 +297,11 @@ let key e = (e.router, e.device, e.gate_budget, e.n_swaps, e.seed)
    may not exceed [1 + tolerance]. Individual small cells (tens of µs)
    jitter past 25% routinely on a loaded CI runner; the geomean over a
    dozen cells does not, so this keeps the gate meaningful without
-   flaking. The structural counters are bit-deterministic and may not
-   regress at all, per cell. *)
+   flaking. The structural numbers are bit-deterministic and gated per
+   cell: [swaps] and [rounds] must equal the baseline exactly (a change
+   that alters routes fails here, not only in the goldens), and
+   builds_per_round may not rise at all. A fresh cell with no baseline
+   entry fails too: it would otherwise escape every gate. *)
 let check ~baseline ~tolerance entries =
   let base = load_entries baseline in
   let problems = ref [] in
@@ -306,12 +310,18 @@ let check ~baseline ~tolerance entries =
   List.iter
     (fun e ->
       match List.find_opt (fun b -> key b = key e) base with
-      | None -> ()
+      | None ->
+          note "%s/%s/%dg/s%d: no baseline entry (regenerate %s with --update)"
+            e.router e.device e.gate_budget e.seed baseline
       | Some b ->
           if b.ns_per_gate > 0.0 then
             Hashtbl.replace ratios e.router
               (log (e.ns_per_gate /. b.ns_per_gate)
               :: (try Hashtbl.find ratios e.router with Not_found -> []));
+          if e.swaps <> b.swaps || e.rounds <> b.rounds then
+            note
+              "%s/%s/%dg: swaps %d, rounds %d differ from the baseline's %d, %d (deterministic — the routed output changed)"
+              e.router e.device e.gate_budget e.swaps e.rounds b.swaps b.rounds;
           (* The baseline file stores builds_per_round at 4 decimals, so
              a fresh (exact) value can sit up to half an ulp above the
              recorded one; the smallest genuine regression is one extra

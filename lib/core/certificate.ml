@@ -133,6 +133,21 @@ let check_exn bench =
            (Format.pp_print_list pp_failure)
            fs)
 
+exception Optimality_violated of { tool : string; swaps : int; optimum : int }
+
+let () =
+  Printexc.register_printer (function
+    | Optimality_violated { tool; swaps; optimum } ->
+        Some
+          (Printf.sprintf
+             "optimality violated: %s routed with %d SWAPs, below the \
+              certified optimum %d"
+             tool swaps optimum)
+    | _ -> None)
+
+let check_routed ~tool ~optimum swaps =
+  if swaps < optimum then raise (Optimality_violated { tool; swaps; optimum })
+
 type exact_result = {
   certified : bool;
   exact_agrees : bool option;

@@ -46,6 +46,20 @@ val check : Benchmark.t -> (unit, failure list) result
 val check_exn : Benchmark.t -> unit
 (** @raise Failure listing the problems if {!check} fails. *)
 
+exception Optimality_violated of { tool : string; swaps : int; optimum : int }
+(** A verified route used fewer SWAPs than its instance's certified
+    optimum. Either the certificate or the verifier is wrong, so the
+    result is an alarm, never a data point: it must not enter a gap mean
+    or a cache. Prints as
+    ["optimality violated: <tool> routed with <swaps> SWAPs, below the
+    certified optimum <optimum>"]. *)
+
+val check_routed : tool:string -> optimum:int -> int -> unit
+(** [check_routed ~tool ~optimum swaps] checks a verified route's SWAP
+    count against the certified optimum. Campaign tasks and serve
+    responses for generated instances call it before reporting a count.
+    @raise Optimality_violated when [swaps < optimum]. *)
+
 type exact_result = {
   certified : bool;  (** structural certificate passed *)
   exact_agrees : bool option;

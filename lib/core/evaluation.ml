@@ -224,6 +224,8 @@ let campaign_exec ?tools ~device (task : Task.t) =
   (* lint: nondet-source — wall-clock feeds the [seconds] metric only *)
   let t0 = Unix.gettimeofday () in
   let _, report = Router.run_verified tool device bench.Benchmark.circuit in
+  Certificate.check_routed ~tool:task.Task.tool
+    ~optimum:bench.Benchmark.optimal_swaps report.Verifier.swap_count;
   {
     Task.swaps = report.Verifier.swap_count;
     (* lint: nondet-source — timing metric, never reaches routed output *)

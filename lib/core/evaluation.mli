@@ -83,7 +83,10 @@ val campaign_exec :
     the task's instance, resolve its tool — from [tools] by name when
     given, else from the registry seeded with {!Qls_harness.Task.rng_seed} —
     route, verify, and time it. Pure up to the task, so campaign results
-    are scheduling-independent; safe to call from several domains. *)
+    are scheduling-independent; safe to call from several domains.
+    @raise Certificate.Optimality_violated when the verified route uses
+    fewer SWAPs than the certified optimum: the task fails (permanently)
+    instead of reporting a count that would falsify the certificate. *)
 
 val cached_instances : unit -> int
 (** Instances {!campaign_exec}'s cache holds now: the most recently

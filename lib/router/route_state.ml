@@ -43,30 +43,40 @@ type t = {
   source : Circuit.t;
   dag : Dag.t;
   initial : Mapping.t;
-  mutable mapping : Mapping.t;
+  (* The current mapping, updated in place by [apply_swap]: [q2p] is
+     program -> physical, [p2q] physical -> program (-1 when empty). *)
+  q2p : int array;
+  p2q : int array;
   mutable ops_rev : Transpiled.op list;
   indeg : int array;          (* remaining unexecuted predecessors per DAG vertex *)
   mutable front : int list;   (* vertices with indeg 0, not yet emitted *)
   mutable emitted : int;      (* two-qubit gates emitted *)
   mutable n_swaps : int;
   pending_1q : int list array; (* per program qubit: 1q gate indices, ascending *)
-  (* Hot-path scratch, owned by this state and reused across rounds; see
-     "Router hot path" in DESIGN.md for the ownership rules. Every public
-     query restores its scratch to the neutral state before returning, so
-     calls never observe each other. *)
-  phys_front : int array;     (* per physical qubit: front gates touching it *)
-  (* Dense int-set over the physical qubits with phys_front > 0, delta-
-     maintained by [bump_front]/[apply_swap]: [active_phys.(0..active_count)]
-     are the members (unordered), [active_pos.(p)] is p's slot or -1.
-     Lets {!swap_candidates} walk O(front qubits) instead of re-scanning
-     all [n_phys] counts every round. *)
+  (* Hot-path scratch and result buffers, owned by this state and reused
+     across rounds; see "Scratch ownership" in DESIGN.md §9. Mark arrays
+     are restored to the neutral state before a query returns; result
+     buffers are the caller's to read until the next mutation. *)
+  partner : int array;
+      (* per physical qubit: the physical qubit holding the other operand
+         of its front gate, or -1. A program qubit is in at most one front
+         gate (two front gates on one qubit would depend on each other),
+         so one slot per physical qubit suffices. *)
+  (* Dense int-set over the physical qubits with a front gate, delta-
+     maintained by [add_front]/[remove_front]/[apply_swap]:
+     [active_phys.(0..active_count)] are the members (unordered),
+     [active_pos.(p)] is p's slot or -1. Lets {!swap_candidates} walk
+     O(front qubits) instead of re-scanning all [n_phys] slots every
+     round. *)
   active_phys : int array;
   active_pos : int array;
   mutable active_count : int;
-  edge_mark : bool array;     (* per coupler index: candidate-dedup marks *)
-  edge_ids : int array;       (* candidate coupler-index collection buffer *)
+  edge_mark : bool array;     (* per coupler index: candidate marks *)
+  cand : int array;           (* candidate pairs, flat: p0; p0'; p1; p1'; ... *)
   es_seen : bool array;       (* per DAG vertex: extended-set BFS marks *)
-  es_queue : int Queue.t;     (* extended-set BFS queue, cleared per use *)
+  es_front : int array;       (* sorted front, the head of the BFS queue *)
+  es_buf : int array;         (* extended set, BFS order; also the queue's tail *)
+  mutable es_count : int;
   indeg_scratch : int array;  (* lazily-initialised indeg copy (by epoch) *)
   indeg_epoch : int array;    (* validity epoch of indeg_scratch entries *)
   mutable epoch : int;        (* current remaining_layers epoch *)
@@ -79,8 +89,8 @@ type t = {
      rebuilds, which is how the bench and the hot-path tests prove the
      delta maintenance (builds per round drops below 1). *)
   mutable front_gen : int;
-  mutable es_cache : (int * int * int list) option;
-      (* (front_gen, size, result) *)
+  mutable es_gen : int;       (* front_gen [es_buf] was built for, or -1 *)
+  mutable es_size : int;      (* the [size] it was built for *)
   mutable rl_cache : (int * int * int list list) option;
       (* (front_gen, max_layers, result) *)
 }
@@ -103,20 +113,23 @@ let deactivate t p =
     t.active_pos.(p) <- -1
   end
 
-(* [phys_front] bookkeeping: every front gate contributes one count to the
-   physical qubit of each of its two program qubits (the two are always
-   distinct physical qubits, so a gate never double-counts one qubit).
-   The active set follows the 0 <-> positive transitions. *)
-let bump_front t v delta =
+(* Front bookkeeping: a front gate links the physical qubits of its two
+   program qubits in [partner], and both join the active set. *)
+let add_front t v =
   let a, b = Dag.pair t.dag v in
-  let pa = Mapping.phys t.mapping a and pb = Mapping.phys t.mapping b in
-  let bump p =
-    let c = t.phys_front.(p) + delta in
-    t.phys_front.(p) <- c;
-    if c > 0 then activate t p else deactivate t p
-  in
-  bump pa;
-  bump pb
+  let pa = t.q2p.(a) and pb = t.q2p.(b) in
+  t.partner.(pa) <- pb;
+  t.partner.(pb) <- pa;
+  activate t pa;
+  activate t pb
+
+let remove_front t v =
+  let a, b = Dag.pair t.dag v in
+  let pa = t.q2p.(a) and pb = t.q2p.(b) in
+  t.partner.(pa) <- -1;
+  t.partner.(pb) <- -1;
+  deactivate t pa;
+  deactivate t pb
 
 let create ~device ~source ~initial =
   if Mapping.n_program initial <> Circuit.n_qubits source then
@@ -147,51 +160,65 @@ let create ~device ~source ~initial =
       | Gate.G2 _ -> ())
     (Circuit.gates source);
   Array.iteri (fun q l -> pending_1q.(q) <- List.rev l) pending_1q;
+  let n_phys = Device.n_qubits device in
   let t =
     {
       device;
       source;
       dag;
       initial;
-      mapping = initial;
+      q2p = Mapping.to_array initial;
+      p2q = Array.init n_phys (Mapping.occupant initial);
       ops_rev = [];
       indeg;
       front;
       emitted = 0;
       n_swaps = 0;
       pending_1q;
-      phys_front = Array.make (Device.n_qubits device) 0;
-      active_phys = Array.make (Device.n_qubits device) 0;
-      active_pos = Array.make (Device.n_qubits device) (-1);
+      partner = Array.make n_phys (-1);
+      active_phys = Array.make n_phys 0;
+      active_pos = Array.make n_phys (-1);
       active_count = 0;
       edge_mark = Array.make (Device.n_edges device) false;
-      edge_ids = Array.make (Device.n_edges device) 0;
+      cand = Array.make (2 * Device.n_edges device) 0;
       es_seen = Array.make n false;
-      es_queue = Queue.create ();
+      es_front = Array.make n 0;
+      es_buf = Array.make n 0;
+      es_count = 0;
       indeg_scratch = Array.make n 0;
       indeg_epoch = Array.make n 0;
       epoch = 0;
       front_gen = 0;
-      es_cache = None;
+      es_gen = -1;
+      es_size = 0;
       rl_cache = None;
     }
   in
-  List.iter (fun v -> bump_front t v 1) t.front;
+  List.iter (fun v -> add_front t v) t.front;
   t
 
 let device t = t.device
 let dag t = t.dag
-let mapping t = t.mapping
+let mapping t = Mapping.of_array ~n_physical:(Array.length t.p2q) t.q2p
+let phys_table t = t.q2p
+let occupant_table t = t.p2q
+let front_partner t = t.partner
 let front t = t.front
+let front_generation t = t.front_gen
 let done_count t = t.emitted
 let remaining t = Dag.n_gates t.dag - t.emitted
 let finished t = remaining t = 0
 
 let gate_distance t v =
   let a, b = Dag.pair t.dag v in
-  (Device.distance_row t.device (Mapping.phys t.mapping a)).(Mapping.phys t.mapping b)
+  (Device.distance_row t.device t.q2p.(a)).(t.q2p.(b))
 
 let executable t v = gate_distance t v = 1
+
+(* lint: cancel-poll-coverage — walks the front list once *)
+let rec any_executable t = function
+  | [] -> false
+  | v :: rest -> executable t v || any_executable t rest
 
 (* Emit the pending single-qubit gates on qubit [q] that precede source
    position [before]. *)
@@ -216,42 +243,56 @@ let emit_gate t v =
       t.indeg.(w) <- t.indeg.(w) - 1;
       if t.indeg.(w) = 0 then begin
         t.front <- w :: t.front;
-        bump_front t w 1
+        add_front t w
       end)
     (Dag.successors t.dag v)
 
 let advance t =
-  let emitted_total = ref 0 in
-  let progress = ref true in
-  (* lint: cancel-poll-coverage — each pass emits at least one gate or exits; bounded by gate count *)
-  while !progress do
-    progress := false;
-    let exec, blocked = List.partition (fun v -> executable t v) t.front in
-    if not (List.is_empty exec) then begin
-      (* Keep deterministic order: lower DAG index first. *)
-      let exec = List.sort Int.compare exec in
-      List.iter (fun v -> bump_front t v (-1)) exec;
-      t.front <- blocked;
-      List.iter (fun v -> emit_gate t v) exec;
-      emitted_total := !emitted_total + List.length exec;
-      progress := true
-    end
-  done;
-  if !emitted_total > 0 then t.front_gen <- t.front_gen + 1;
-  !emitted_total
+  (* A blocked round (the common case while a router searches for a
+     SWAP) is answered by one scan of the front, without allocating. *)
+  if not (any_executable t t.front) then 0
+  else begin
+    let emitted_total = ref 0 in
+    let progress = ref true in
+    (* lint: cancel-poll-coverage — each pass emits at least one gate or exits; bounded by gate count *)
+    while !progress do
+      progress := false;
+      let exec, blocked = List.partition (fun v -> executable t v) t.front in
+      if not (List.is_empty exec) then begin
+        (* Keep deterministic order: lower DAG index first. *)
+        let exec = List.sort Int.compare exec in
+        List.iter (fun v -> remove_front t v) exec;
+        t.front <- blocked;
+        List.iter (fun v -> emit_gate t v) exec;
+        emitted_total := !emitted_total + List.length exec;
+        progress := true
+      end
+    done;
+    t.front_gen <- t.front_gen + 1;
+    !emitted_total
+  end
 
 let apply_swap t p p' =
   if not (Device.coupled t.device p p') then
     invalid_arg
       (Printf.sprintf "Route_state.apply_swap: (%d,%d) is not a coupler" p p');
-  t.mapping <- Mapping.swap_physical t.mapping p p';
+  let a = t.p2q.(p) and b = t.p2q.(p') in
+  t.p2q.(p) <- b;
+  t.p2q.(p') <- a;
+  if a >= 0 then t.q2p.(a) <- p';
+  if b >= 0 then t.q2p.(b) <- p;
   (* The occupants of p and p' exchanged, and with them their front
-     counts; the active set follows the two slots' new counts. *)
-  let c = t.phys_front.(p) in
-  t.phys_front.(p) <- t.phys_front.(p');
-  t.phys_front.(p') <- c;
-  if t.phys_front.(p) > 0 then activate t p else deactivate t p;
-  if t.phys_front.(p') > 0 then activate t p' else deactivate t p';
+     gates. A gate on exactly (p, p') stays put; otherwise each partner
+     now points at its operand's new slot, and the active set follows. *)
+  let x = t.partner.(p) and y = t.partner.(p') in
+  if x <> p' then begin
+    t.partner.(p) <- y;
+    t.partner.(p') <- x;
+    if x >= 0 then t.partner.(x) <- p';
+    if y >= 0 then t.partner.(y) <- p;
+    if y >= 0 then activate t p else deactivate t p;
+    if x >= 0 then activate t p' else deactivate t p'
+  end;
   t.n_swaps <- t.n_swaps + 1;
   t.ops_rev <- Transpiled.Swap (p, p') :: t.ops_rev
 
@@ -262,7 +303,7 @@ let force_route_first t =
   | [] -> ()
   | v :: _ -> (
       let a, b = Dag.pair t.dag v in
-      let pa = Mapping.phys t.mapping a and pb = Mapping.phys t.mapping b in
+      let pa = t.q2p.(a) and pb = t.q2p.(b) in
       match Qls_graph.Bfs.path (Device.graph t.device) pa pb with
       | None | Some [] | Some [ _ ] -> ()
       | Some path ->
@@ -277,77 +318,142 @@ let force_route_first t =
 
 let swap_candidates t =
   Atomic.incr Debug.sc_scans;
-  (* Walk only the delta-maintained active set (physical qubits with a
-     front count), collect their incident couplers, dedup with the
-     edge-mark scratch, and restore ascending canonical order — exactly
-     the list the old filter over [Device.edges] produced, now at
-     O(front qubits + front couplers) per round: the historical full
-     [phys_front] re-scan paid O(n_phys) per round regardless of front
-     size. [pf_scanned] records the entries actually examined so the
-     hot-path tests can prove the delta maintenance. *)
+  (* Walk only the delta-maintained active set (physical qubits holding a
+     front operand) and mark their incident couplers; the marked range is
+     then read back in ascending coupler order — the canonical
+     [Device.edges] order — clearing each mark on the way. The cost is
+     O(front couplers + marked id range), never a re-scan of every qubit.
+     [pf_scanned] records the active entries examined so the hot-path
+     tests can prove the delta maintenance. *)
   Atomic.fetch_and_add Debug.pf_scanned t.active_count |> ignore;
-  let k = ref 0 in
+  let lo = ref max_int and hi = ref (-1) in
   for i = 0 to t.active_count - 1 do
-    let p = t.active_phys.(i) in
-    Array.iter
-      (fun e ->
-        if not t.edge_mark.(e) then begin
-          t.edge_mark.(e) <- true;
-          t.edge_ids.(!k) <- e;
-          incr k
-        end)
-      (Device.incident_edges t.device p)
+    let inc = Device.incident_edges t.device t.active_phys.(i) in
+    for j = 0 to Array.length inc - 1 do
+      let e = inc.(j) in
+      t.edge_mark.(e) <- true;
+      if e < !lo then lo := e;
+      if e > !hi then hi := e
+    done
   done;
-  let ids = Array.sub t.edge_ids 0 !k in
-  Array.sort Int.compare ids;
-  Array.fold_right
-    (fun e acc ->
+  let n = ref 0 in
+  for e = !lo to !hi do
+    if t.edge_mark.(e) then begin
       t.edge_mark.(e) <- false;
-      Device.edge_at t.device e :: acc)
-    ids []
+      let p, p' = Device.edge_at t.device e in
+      t.cand.(2 * !n) <- p;
+      t.cand.((2 * !n) + 1) <- p';
+      incr n
+    end
+  done;
+  !n
+
+let candidate_pairs t = t.cand
+
+(* Queue the unseen successors of one vertex onto [es_buf] while the
+   window has room. *)
+(* lint: cancel-poll-coverage — walks one successor list *)
+let rec es_visit t size = function
+  | [] -> ()
+  | w :: rest ->
+      if t.es_count < size && not t.es_seen.(w) then begin
+        t.es_seen.(w) <- true;
+        t.es_buf.(t.es_count) <- w;
+        t.es_count <- t.es_count + 1
+      end;
+      es_visit t size rest
+
+(* Write the front into [es_front], ascending; returns its length. Front
+   gates share no qubit, so the front is at most half the qubit count and
+   insertion sort is the cheap choice. *)
+let fill_sorted_front t =
+  let a = t.es_front in
+  List.iteri
+    (fun n v ->
+      let i = ref n in
+      (* lint: cancel-poll-coverage — insertion step, bounded by the front size *)
+      while !i > 0 && a.(!i - 1) > v do
+        a.(!i) <- a.(!i - 1);
+        decr i
+      done;
+      a.(!i) <- v)
+    t.front;
+  List.length t.front
 
 let build_extended_set t ~size =
   Atomic.incr Debug.es_builds;
   (* Breadth-first through successors of the front layer, skipping
      already-emitted vertices; nearer successors first, capped at [size].
-     Visited marks live in the [es_seen] scratch and are cleared on the
-     way out (only front + result vertices were ever marked). *)
+     The queue is the sorted front followed by [es_buf] itself: every
+     discovered vertex is both a result and a later queue entry. Visited
+     marks are cleared on the way out (only front + result vertices were
+     ever marked). *)
   let seen = t.es_seen in
-  List.iter (fun v -> seen.(v) <- true) t.front;
-  Queue.clear t.es_queue;
-  let out = ref [] in
-  let count = ref 0 in
-  List.iter (fun v -> Queue.add v t.es_queue) (List.sort Int.compare t.front);
-  (* lint: cancel-poll-coverage — BFS capped by [size] and each DAG node enqueues once *)
-  while !count < size && not (Queue.is_empty t.es_queue) do
-    let v = Queue.pop t.es_queue in
-    List.iter
-      (fun w ->
-        if !count < size && not seen.(w) then begin
-          seen.(w) <- true;
-          out := w :: !out;
-          incr count;
-          Queue.add w t.es_queue
-        end)
-      (Dag.successors t.dag v)
+  let n_front = fill_sorted_front t in
+  for i = 0 to n_front - 1 do
+    seen.(t.es_front.(i)) <- true
   done;
-  let result = List.rev !out in
-  List.iter (fun v -> seen.(v) <- false) t.front;
-  List.iter (fun v -> seen.(v) <- false) result;
-  result
+  t.es_count <- 0;
+  for i = 0 to n_front - 1 do
+    es_visit t size (Dag.successors t.dag t.es_front.(i))
+  done;
+  let head = ref 0 in
+  (* lint: cancel-poll-coverage — BFS capped by [size]; each DAG node is queued once *)
+  while t.es_count < size && !head < t.es_count do
+    es_visit t size (Dag.successors t.dag t.es_buf.(!head));
+    incr head
+  done;
+  for i = 0 to n_front - 1 do
+    seen.(t.es_front.(i)) <- false
+  done;
+  for i = 0 to t.es_count - 1 do
+    seen.(t.es_buf.(i)) <- false
+  done
 
 (* The extended set depends only on the front set, the DAG, and [size]:
-   a swap-only round leaves all three untouched, so the cached list is
-   exactly what a rebuild would produce. Callers already treat the
-   result as read-only (they map over it), so sharing one list across
-   rounds is safe. *)
+   a swap-only round leaves all three untouched, so the buffer already
+   holds exactly what a rebuild would produce. *)
 let extended_set t ~size =
-  match t.es_cache with
-  | Some (gen, sz, cached) when gen = t.front_gen && sz = size -> cached
-  | _ ->
-      let result = build_extended_set t ~size in
-      t.es_cache <- Some (t.front_gen, size, result);
-      result
+  if t.es_gen <> t.front_gen || t.es_size <> size then begin
+    build_extended_set t ~size;
+    t.es_gen <- t.front_gen;
+    t.es_size <- size
+  end;
+  t.es_count
+
+let extended_buffer t = t.es_buf
+
+(* The historical tie window is an absolute [1e-12], which silently
+   widens relative to the scores themselves on large devices (front sums
+   grow with device diameter and front size). The relative mode fixes the
+   window at 1e-9 of the best score; it changes which candidates count
+   as tied, so it sits behind the routers' [relative_tie_break] option
+   and the goldens pin the default. *)
+let[@inline] tied ~relative ~best ~tol ~cap s =
+  if relative then Float.abs (s -. best) <= tol else s <= cap
+
+let pick_tied ~rng ~relative scores n =
+  let best = ref infinity in
+  for i = 0 to n - 1 do
+    best := Float.min !best scores.(i)
+  done;
+  let best = !best in
+  let tol = 1e-9 *. Float.max 1.0 best and cap = best +. 1e-12 in
+  let count = ref 0 in
+  for i = 0 to n - 1 do
+    if tied ~relative ~best ~tol ~cap scores.(i) then incr count
+  done;
+  if !count = 0 then -1
+  else begin
+    (* The [k]-th tied candidate in buffer order: the element [Rng.pick]
+       drew from the list of ties, with the same single draw. *)
+    let k = ref (Qls_graph.Rng.int rng !count) and chosen = ref (-1) in
+    for i = 0 to n - 1 do
+      if !chosen < 0 && tied ~relative ~best ~tol ~cap scores.(i) then
+        if !k = 0 then chosen := i else decr k
+    done;
+    !chosen
+  end
 
 let build_remaining_layers t ~max_layers =
   Atomic.incr Debug.rl_builds;
@@ -396,10 +502,8 @@ let front_pairs_physical t =
   List.map
     (fun v ->
       let a, b = Dag.pair t.dag v in
-      (Mapping.phys t.mapping a, Mapping.phys t.mapping b))
+      (t.q2p.(a), t.q2p.(b)))
     t.front
-
-let snapshot_mapping t = t.mapping
 
 let ops_so_far t = List.rev t.ops_rev
 

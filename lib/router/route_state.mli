@@ -22,15 +22,25 @@
     of one routing round — their results are invariant, so routers must
     build each {e once per round} and reuse the value across every
     candidate SWAP they score. The {!Debug} counters exist to keep that
-    contract observable. *)
+    contract observable.
+
+    {2 Buffers and live tables}
+
+    The round queries write into int buffers owned by the state
+    ({!candidate_pairs}, {!extended_buffer}) and return how many entries
+    they wrote; {!phys_table}, {!occupant_table} and {!front_partner}
+    are the state's own tables. All of them are read-only for callers
+    (same aliasing contract as {!Qls_arch.Device.distance_row}) and stay
+    valid until the next {!advance}, {!apply_swap} or
+    {!force_route_first}, which update them in place. Callers that keep a
+    mapping across SWAPs take a {!mapping} snapshot. *)
 
 type t
 (** Mutable routing state. Internally owns preallocated scratch arrays
-    (physical-front counts, coupler marks, BFS visited marks, an epoch-
-    tagged in-degree copy) that the lookahead queries reuse across rounds;
-    every query restores its scratch before returning, so the state stays
-    single-owner with no cross-call aliasing. A state must only be used
-    from one domain at a time. *)
+    (coupler marks, BFS visited marks, an epoch-tagged in-degree copy)
+    and the result buffers above; every query restores its scratch
+    before returning, so calls never observe each other. A state must
+    only be used from one domain at a time. *)
 
 (** Counters of lookahead-structure constructions, for the benchmark
     harness and the hoisting regression tests. Process-global and atomic
@@ -41,7 +51,7 @@ module Debug : sig
     remaining_layers_builds : int;
     swap_candidate_scans : int;
     phys_front_scanned : int;
-        (** physical-front entries examined across all
+        (** active physical-front entries examined across all
             {!swap_candidates} calls. The active set is delta-maintained,
             so this totals the {e front sizes}, not
             [scans * n_qubits] — the regression tests pin the gap. *)
@@ -53,7 +63,7 @@ module Debug : sig
   val counters : unit -> counters
   (** Current counts since the last {!reset}. The build counters count
       {e rebuilds} (cache misses), not calls: {!extended_set} and
-      {!remaining_layers} results are cached across rounds whose
+      {!remaining_layers} results are kept across rounds whose
       {!advance} emitted nothing (SWAP-only rounds leave the front — and
       hence both structures — unchanged), so a correctly hoisted router
       sees at most one [extended_set_builds] (resp.
@@ -82,7 +92,31 @@ val dag : t -> Qls_circuit.Dag.t
 (** The two-qubit dependency DAG of the source circuit. *)
 
 val mapping : t -> Qls_layout.Mapping.t
-(** Current program→physical mapping. *)
+(** An immutable snapshot of the current program→physical mapping: a
+    fresh copy, unaffected by later SWAPs. O(physical qubits); per-round
+    loops read {!phys_table} instead. *)
+
+val phys_table : t -> int array
+(** The live program→physical table: [(phys_table t).(q)] is the
+    physical qubit holding program qubit [q] right now. {!apply_swap}
+    updates it in place, so one fetch per routing pass stays current.
+    Read-only. *)
+
+val occupant_table : t -> int array
+(** The live physical→program table, [-1] for an empty slot; the inverse
+    of {!phys_table}, updated in place with it. Read-only. *)
+
+val front_partner : t -> int array
+(** The live front partner table: [(front_partner t).(p)] is the physical
+    qubit holding the other operand of the front gate on [p], or [-1]
+    when no front gate touches [p]. Each program qubit is in at most one
+    front gate, so this describes the whole front at physical level.
+    Read-only. *)
+
+val front_generation : t -> int
+(** Counts front-layer changes: bumps exactly when {!advance} emits
+    gates. Structures derived from the front set alone (never from the
+    mapping) can be cached on it across SWAP-only rounds. *)
 
 val front : t -> int list
 (** DAG vertices whose predecessors have all executed — the SABRE
@@ -108,11 +142,13 @@ val executable : t -> int -> bool
 val advance : t -> int
 (** Emit every currently executable front gate, transitively; returns how
     many two-qubit gates were emitted. After [advance t = 0] and
-    [not (finished t)], the front layer is blocked and a SWAP is needed. *)
+    [not (finished t)], the front layer is blocked and a SWAP is needed.
+    A call that emits nothing allocates nothing. *)
 
 val apply_swap : t -> int -> int -> unit
 (** [apply_swap t p p'] records a SWAP on the coupled physical pair and
-    updates the mapping.
+    exchanges the two slots' contents in place — in the mapping tables
+    and in {!front_partner}.
     @raise Invalid_argument if [(p, p')] is not a coupler. *)
 
 val swap_count : t -> int
@@ -125,25 +161,45 @@ val force_route_first : t -> unit
     which keeps every heuristic router's main loop terminating. No-op on
     an empty front. *)
 
-val swap_candidates : t -> (int * int) list
-(** Couplers touching at least one physical qubit that currently holds a
-    front-layer program qubit — the standard SWAP candidate set, in
-    canonical ({!Qls_arch.Device.edges}) order. The physical front is an
-    active {e set} delta-maintained across {!advance}/{!apply_swap}, so
-    this costs O(front qubits + couplers incident to the front) — it
-    never re-scans the per-qubit count array, which on a 127-qubit device
-    dominated small-front rounds. Round-invariant: build once per routing
-    round. *)
+val swap_candidates : t -> int
+(** Writes the standard SWAP candidate set — the couplers touching at
+    least one physical qubit that holds a front-layer operand — into
+    {!candidate_pairs} in ascending coupler id (canonical
+    {!Qls_arch.Device.edges}) order, and returns how many it wrote.
+    Candidate [i] is the physical pair
+    [(buf.(2 * i), buf.(2 * i + 1))], oriented as in the coupler list.
+    The physical front is an active {e set} delta-maintained across
+    {!advance}/{!apply_swap}, so this costs O(front qubits + couplers
+    incident to the front + the marked coupler-id range); it never
+    re-scans every qubit, which on a 127-qubit device dominated
+    small-front rounds. Round-invariant: build once per routing round. *)
 
-val extended_set : t -> size:int -> int list
+val candidate_pairs : t -> int array
+(** The buffer {!swap_candidates} writes. Read-only; valid until the next
+    mutation. *)
+
+val extended_set : t -> size:int -> int
 (** The SABRE "extended set": up to [size] DAG vertices following the
     front layer, collected breadth-first through the successor relation
-    (nearer successors first). Round-invariant: build once per round and
-    share it across every candidate scored that round. The result is
-    additionally cached inside the state, keyed on (front generation,
-    [size]): SWAP-only rounds never change the front, so consecutive
-    blocked rounds reuse the list and only an {!advance} that emitted
-    gates forces a rebuild (DESIGN.md §14). *)
+    (nearer successors first), written into {!extended_buffer}; returns
+    how many. Round-invariant: build once per round and share it across
+    every candidate scored that round. The buffer is additionally kept
+    keyed on ({!front_generation}, [size]): SWAP-only rounds never change
+    the front, so consecutive blocked rounds reuse it and only an
+    {!advance} that emitted gates forces a rebuild (DESIGN.md §14). *)
+
+val extended_buffer : t -> int array
+(** The buffer {!extended_set} writes, in BFS order. Read-only; valid
+    until the next mutation. *)
+
+val pick_tied :
+  rng:Qls_graph.Rng.t -> relative:bool -> float array -> int -> int
+(** [pick_tied ~rng ~relative scores n] draws the SWAP among the [n]
+    candidates scored in [scores.(0 .. n-1)] (buffer order): the
+    candidates tied with the lowest score, under an absolute [1e-12]
+    window, or with [relative] a window of [1e-9 * max 1 best], and one
+    [Rng.int] draw over them, in order. Returns the candidate's index, or
+    [-1] when none ties (a NaN score). Allocates nothing. *)
 
 val remaining_layers : t -> max_layers:int -> int list list
 (** ASAP timeslices of the not-yet-emitted two-qubit gates, starting from
@@ -151,13 +207,10 @@ val remaining_layers : t -> max_layers:int -> int list list
     lookahead structure of the t|ket⟩-style router. Round-invariant:
     build once per round and share it across every candidate scored that
     round. Cached across SWAP-only rounds exactly like {!extended_set},
-    keyed on (front generation, [max_layers]). *)
+    keyed on ({!front_generation}, [max_layers]). *)
 
 val front_pairs_physical : t -> (int * int) list
 (** Physical qubit pairs of the front-layer gates. *)
-
-val snapshot_mapping : t -> Qls_layout.Mapping.t
-(** Alias of {!mapping} (mappings are immutable values). *)
 
 val finish : t -> Qls_layout.Transpiled.t
 (** Emit the trailing single-qubit gates and package the result.

@@ -23,8 +23,12 @@ val run_verified :
   Qls_circuit.Circuit.t ->
   Qls_layout.Transpiled.t * Qls_layout.Verifier.report
 (** Route and {!Qls_layout.Verifier.check_exn} the result; every
-    experiment in this repository goes through this entry point.
-    @raise Failure if the router produced an invalid result. *)
+    experiment in this repository goes through this entry point. The
+    result must route exactly [circuit] ({!Qls_circuit.Circuit.equal})
+    on [device] (same name and couplers): the verifier only checks a
+    result against its own source and device.
+    @raise Failure if the router produced an invalid result or routed
+    another circuit or device. *)
 
 val swap_count :
   t ->

@@ -3,7 +3,6 @@ module Circuit = Qls_circuit.Circuit
 module Gate = Qls_circuit.Gate
 module Dag = Qls_circuit.Dag
 module Device = Qls_arch.Device
-module Mapping = Qls_layout.Mapping
 module Transpiled = Qls_layout.Transpiled
 
 type options = {
@@ -32,16 +31,6 @@ let default_options =
     release_valve_after = 32;
     relative_tie_break = false;
   }
-
-(* The historical tie window is an absolute [1e-12], which silently widens
-   relative to the scores themselves on large devices (front sums grow
-   with device diameter and front size). The relative mode fixes the
-   window at 1e-9 of the best score; it changes which candidates count as
-   tied, so it sits behind an option and the goldens pin the default. *)
-let tied ~opts s best =
-  if opts.relative_tie_break then
-    Float.abs (s -. best) <= 1e-9 *. Float.max 1.0 best
-  else s <= best +. 1e-12
 
 let with_trials trials opts = { opts with trials }
 
@@ -77,77 +66,184 @@ type decision = {
   chosen : int * int;
 }
 
-(* [front_phys] / [extended_phys] are the round's front layer and extended
-   set projected to physical pairs and packed flat
-   ([|pa0; pb0; pa1; pb1; ...|]), hoisted by the caller: both are
-   round-invariant ({!Route_state} docs), so building them here — once per
-   {e candidate} — would redo identical Dag/Mapping queries |candidates|
-   times per round. [dmat] is the device distance matrix
-   ({!Device.distance_matrix}), hoisted once per pass: each queried pair
-   relocates its endpoints through the pending (p, p') exchange and pays
-   two array indexes, with no accessor call and no tuple traversal in the
-   innermost loop (DESIGN.md §14). The basic term accumulates in exact
-   integer arithmetic (hop distances are small ints, so the sum is
-   float-exact and bit-identical to the historical float fold the goldens
-   pin); the weighted lookahead keeps the historical float accumulation
-   order. *)
-let score_swap ~opts ~dmat ~decay ~front_phys ~extended_phys (p, p') =
-  let sum_pairs pairs =
-    let sum = ref 0 in
-    let i = ref 0 in
-    let stop = Array.length pairs in
-    (* lint: cancel-poll-coverage — fixed scan over the layer's gate-pair array *)
-    while !i < stop do
-      let pa = pairs.(!i) and pb = pairs.(!i + 1) in
-      let ra = if pa = p then p' else if pa = p' then p else pa in
-      let rb = if pb = p then p' else if pb = p' then p else pb in
-      sum := !sum + dmat.(ra).(rb);
-      i := !i + 2
+(* SABRE's lookahead window in program-qubit form, cached on the front
+   generation: the extended set's gates ([ext_a]/[ext_b], BFS order) and
+   per-program-qubit touch lists over them. Touch list [q] starts at
+   [head.(q)] (-1 = empty) and follows [next]; entry [e] names the other
+   operand [other.(e)] of one window gate on [q]. Both depend on the
+   front set only, so SWAP-only rounds reuse them and only a front change
+   rebuilds them. *)
+type window = {
+  ext_a : int array;
+  ext_b : int array;
+  mutable n_ext : int;
+  mutable gen : int;
+  head : int array;
+  other : int array;
+  next : int array;
+}
+
+let make_window ~size ~n_prog =
+  {
+    ext_a = Array.make size 0;
+    ext_b = Array.make size 0;
+    n_ext = 0;
+    gen = -1;
+    head = Array.make (max 1 n_prog) (-1);
+    other = Array.make (2 * size) 0;
+    next = Array.make (2 * size) 0;
+  }
+
+let refresh_window w st ~size =
+  let gen = Route_state.front_generation st in
+  if gen <> w.gen then begin
+    w.gen <- gen;
+    for k = 0 to w.n_ext - 1 do
+      w.head.(w.ext_a.(k)) <- -1;
+      w.head.(w.ext_b.(k)) <- -1
     done;
-    !sum
-  in
-  let basic =
-    let n = Array.length front_phys / 2 in
-    float_of_int (sum_pairs front_phys) /. float_of_int (max 1 n)
-  in
-  let lookahead =
-    let n = Array.length extended_phys / 2 in
-    if n = 0 then 0.0
-    else
-      match opts.lookahead_decay with
-      | None ->
-          (* Stock SABRE divides the extended-set cost by |E| (each
-             lookahead gate weighted equally — exactly the behaviour the
-             paper's case study exposes). *)
-          float_of_int (sum_pairs extended_phys) /. float_of_int n
-      | Some gamma ->
-          (* With lookahead decay we normalise by the weight mass instead
-             so magnitudes stay comparable. *)
-          let acc = ref 0.0 and wsum = ref 0.0 in
-          for k = 0 to n - 1 do
-            let pa = extended_phys.(2 * k) and pb = extended_phys.((2 * k) + 1) in
-            let ra = if pa = p then p' else if pa = p' then p else pa in
-            let rb = if pb = p then p' else if pb = p' then p else pb in
-            let w = gamma ** float_of_int k in
-            acc := !acc +. (w *. float_of_int dmat.(ra).(rb));
-            wsum := !wsum +. w
-          done;
-          if !wsum > 0.0 then !acc /. !wsum else 0.0
-  in
-  let decay_factor = Float.max decay.(p) decay.(p') in
-  decay_factor *. (basic +. (opts.extended_set_weight *. lookahead))
+    let n = Route_state.extended_set st ~size in
+    let es = Route_state.extended_buffer st in
+    let dag = Route_state.dag st in
+    for k = 0 to n - 1 do
+      let a, b = Dag.pair dag es.(k) in
+      w.ext_a.(k) <- a;
+      w.ext_b.(k) <- b;
+      w.other.(2 * k) <- b;
+      w.next.(2 * k) <- w.head.(a);
+      w.head.(a) <- 2 * k;
+      w.other.((2 * k) + 1) <- a;
+      w.next.((2 * k) + 1) <- w.head.(b);
+      w.head.(b) <- (2 * k) + 1
+    done;
+    w.n_ext <- n
+  end
+
+(* Sum of the current physical distances over the front layer. *)
+(* lint: cancel-poll-coverage — walks the front list once *)
+let rec front_sum dmat q2p dag acc = function
+  | [] -> acc
+  | v :: rest ->
+      let a, b = Dag.pair dag v in
+      front_sum dmat q2p dag (acc + dmat.(q2p.(a)).(q2p.(b))) rest
+
+(* Change of the window's distance sum when program qubit [q] moves from
+   [p] to [p'] (rows [rp]/[rp'] of the distance matrix): the gates on
+   its touch list, except the one shared with [skip], whose two operands
+   trade places and keep their distance. *)
+let touch_delta w q2p rp rp' q skip =
+  let acc = ref 0 and e = ref w.head.(q) in
+  (* lint: cancel-poll-coverage — walks one touch list, at most the window size *)
+  while !e >= 0 do
+    let o = w.other.(!e) in
+    if o <> skip then begin
+      let po = q2p.(o) in
+      acc := !acc + rp'.(po) - rp.(po)
+    end;
+    e := w.next.(!e)
+  done;
+  !acc
+
+(* Score every candidate of the round into [scores]:
+
+     score(p, p') = max(decay p, decay p') * (basic / |F| + w * lookahead)
+
+   where [basic] and [lookahead] are the front and window distance sums
+   after the SWAP. Each is the round's sum plus the change on the pairs
+   that touch p or p' (DESIGN.md §14, "SABRE delta scoring"): the front
+   has at most one gate per physical qubit, read from the partner table;
+   the window's gates on the two occupants come from the touch lists.
+   The sums are exact integers, so the floats divided out of them — and
+   with them the scores, the tie set and the draw — are bit-identical to
+   summing every pair per candidate. With [lookahead_decay] the window
+   terms carry per-position weights and keep their full float scan. *)
+let score_round ~opts ~dmat ~decay ~weights ~wsums ~scores w st n_cands =
+  let q2p = Route_state.phys_table st and p2q = Route_state.occupant_table st in
+  let partner = Route_state.front_partner st in
+  let cands = Route_state.candidate_pairs st in
+  let front = Route_state.front st in
+  let n_front = float_of_int (max 1 (List.length front)) in
+  let front_total = front_sum dmat q2p (Route_state.dag st) 0 front in
+  let n_ext = w.n_ext in
+  let ext_total = ref 0 in
+  for k = 0 to n_ext - 1 do
+    ext_total := !ext_total + dmat.(q2p.(w.ext_a.(k))).(q2p.(w.ext_b.(k)))
+  done;
+  let ext_total = !ext_total in
+  for i = 0 to n_cands - 1 do
+    let p = cands.(2 * i) and p' = cands.((2 * i) + 1) in
+    let rp = dmat.(p) and rp' = dmat.(p') in
+    let x = partner.(p) and y = partner.(p') in
+    let basic_sum =
+      if x = p' then front_total
+      else
+        front_total
+        + (if x >= 0 then rp'.(x) - rp.(x) else 0)
+        + if y >= 0 then rp.(y) - rp'.(y) else 0
+    in
+    let lookahead =
+      if n_ext = 0 then 0.0
+      else
+        match opts.lookahead_decay with
+        | None ->
+            (* Stock SABRE divides the extended-set cost by |E| (each
+               lookahead gate weighted equally — exactly the behaviour the
+               paper's case study exposes). *)
+            let a = p2q.(p) and b = p2q.(p') in
+            let d =
+              (if a >= 0 then touch_delta w q2p rp rp' a b else 0)
+              + if b >= 0 then touch_delta w q2p rp' rp b a else 0
+            in
+            float_of_int (ext_total + d) /. float_of_int n_ext
+        | Some _ ->
+            (* With lookahead decay the sum is weighted by gamma^k and
+               normalised by the weight mass, so magnitudes stay
+               comparable. *)
+            let acc = ref 0.0 in
+            for k = 0 to n_ext - 1 do
+              let pa = q2p.(w.ext_a.(k)) and pb = q2p.(w.ext_b.(k)) in
+              let ra = if pa = p then p' else if pa = p' then p else pa in
+              let rb = if pb = p then p' else if pb = p' then p else pb in
+              acc := !acc +. (weights.(k) *. float_of_int dmat.(ra).(rb))
+            done;
+            let wsum = wsums.(n_ext) in
+            if wsum > 0.0 then !acc /. wsum else 0.0
+    in
+    let basic = float_of_int basic_sum /. n_front in
+    scores.(i) <-
+      Float.max decay.(p) decay.(p')
+      *. (basic +. (opts.extended_set_weight *. lookahead))
+  done
 
 (* Pass-level aggregates feed the post-campaign summary even with span
    tracing off; the two [add]s per pass are noise next to routing. *)
 let obs_rounds = Qls_obs.counter "router.rounds"
 let obs_gates = Qls_obs.counter "router.gates"
 
+(* One routing pass. Returns the finished state — the output pass
+   packages it with [Route_state.finish], a refinement pass only reads
+   its final mapping — and the decisions recorded when [trace] is set. *)
 let routing_pass ~opts ~rng ~trace ~device ~initial circuit =
   let st = Route_state.create ~device ~source:circuit ~initial in
   let n_phys = Device.n_qubits device in
   let dmat = Device.distance_matrix device in
   let dag = Route_state.dag st in
   let decay = Array.make n_phys 1.0 in
+  let size = opts.extended_set_size in
+  let window = make_window ~size ~n_prog:(Circuit.n_qubits circuit) in
+  let scores = Array.make (Device.n_edges device) 0.0 in
+  (* gamma^k and its prefix sums, once per pass. *)
+  let weights, wsums =
+    match opts.lookahead_decay with
+    | None -> ([||], [||])
+    | Some gamma ->
+        let weights = Array.init size (fun k -> gamma ** float_of_int k) in
+        let wsums = Array.make (size + 1) 0.0 in
+        for k = 0 to size - 1 do
+          wsums.(k + 1) <- wsums.(k) +. weights.(k)
+        done;
+        (weights, wsums)
+  in
   let decisions = ref [] in
   let rounds_since_reset = ref 0 in
   let stuck = ref 0 in
@@ -173,64 +269,45 @@ let routing_pass ~opts ~rng ~trace ~device ~initial circuit =
       Array.fill decay 0 n_phys 1.0
     end
     else begin
-      let candidates = Route_state.swap_candidates st in
-      let extended =
-        Route_state.extended_set st ~size:opts.extended_set_size
+      let n = Route_state.swap_candidates st in
+      refresh_window window st ~size;
+      score_round ~opts ~dmat ~decay ~weights ~wsums ~scores window st n;
+      let i =
+        Route_state.pick_tied ~rng ~relative:opts.relative_tie_break scores n
       in
-      (* Project the round-invariant structures to flat physical-pair
-         arrays once per round: scoring then touches no Dag/Mapping
-         accessor (and chases no list links) at all. *)
-      let mapping = Route_state.mapping st in
-      let pack vs =
-        let n = List.length vs in
-        let arr = Array.make (2 * n) 0 in
-        List.iteri
-          (fun i v ->
-            let a, b = Dag.pair dag v in
-            arr.(2 * i) <- Mapping.phys mapping a;
-            arr.((2 * i) + 1) <- Mapping.phys mapping b)
-          vs;
-        arr
-      in
-      let front_phys = pack (Route_state.front st) in
-      let extended_phys = pack extended in
-      let scored =
-        List.map
-          (fun sw ->
-            (sw, score_swap ~opts ~dmat ~decay ~front_phys ~extended_phys sw))
-          candidates
-      in
-      let best_score =
-        List.fold_left (fun acc (_, s) -> Float.min acc s) infinity scored
-      in
-      let ties = List.filter (fun (_, s) -> tied ~opts s best_score) scored in
-      match ties with
-      | [] ->
-          (* Unreachable on a validated (connected) device — every front
-             qubit has at least one coupler, so the candidate list is
-             never empty and scores are finite. Kept total anyway: fall
-             back to the release valve instead of [Rng.pick] on []. *)
-          Route_state.force_route_first st
-      | _ ->
-          let chosen, _ = Rng.pick rng ties in
-          if trace then begin
-            let front_gates =
-              List.map (fun v -> Dag.pair dag v) (List.sort Int.compare (Route_state.front st))
-            in
-            let sorted =
-              List.sort (fun (_, s) (_, s') -> Float.compare s s') scored
-            in
-            decisions := { front_gates; candidates = sorted; chosen } :: !decisions
-          end;
-          let p, p' = chosen in
-          Route_state.apply_swap st p p';
-          decay.(p) <- decay.(p) +. opts.decay_increment;
-          decay.(p') <- decay.(p') +. opts.decay_increment;
-          incr rounds_since_reset;
-          if !rounds_since_reset >= opts.decay_reset_interval then begin
-            Array.fill decay 0 n_phys 1.0;
-            rounds_since_reset := 0
-          end
+      if i < 0 then
+        (* Unreachable on a validated (connected) device — every front
+           qubit has at least one coupler, so the candidate set is never
+           empty and scores are finite. Kept total anyway: fall back to
+           the release valve. *)
+        Route_state.force_route_first st
+      else begin
+        let cands = Route_state.candidate_pairs st in
+        let p = cands.(2 * i) and p' = cands.((2 * i) + 1) in
+        if trace then begin
+          let front_gates =
+            List.map (fun v -> Dag.pair dag v)
+              (List.sort Int.compare (Route_state.front st))
+          in
+          let scored =
+            List.init n (fun j ->
+                ((cands.(2 * j), cands.((2 * j) + 1)), scores.(j)))
+          in
+          let sorted =
+            List.sort (fun (_, s) (_, s') -> Float.compare s s') scored
+          in
+          decisions :=
+            { front_gates; candidates = sorted; chosen = (p, p') } :: !decisions
+        end;
+        Route_state.apply_swap st p p';
+        decay.(p) <- decay.(p) +. opts.decay_increment;
+        decay.(p') <- decay.(p') +. opts.decay_increment;
+        incr rounds_since_reset;
+        if !rounds_since_reset >= opts.decay_reset_interval then begin
+          Array.fill decay 0 n_phys 1.0;
+          rounds_since_reset := 0
+        end
+      end
     end;
     let emitted = Route_state.advance st in
     if traced then
@@ -252,7 +329,7 @@ let routing_pass ~opts ~rng ~trace ~device ~initial circuit =
           ("swaps", Qls_obs.Int (Route_state.swap_count st));
           ("gates", Qls_obs.Int (Route_state.done_count st));
         ];
-  (Route_state.finish st, List.rev !decisions)
+  (st, List.rev !decisions)
 
 let reverse_circuit circuit =
   let gates = Circuit.gates circuit in
@@ -268,12 +345,15 @@ let run_trial ~opts ~rng ~trace ~device ~initial circuit =
   let mapping = ref initial in
   for pass = 0 to opts.bidirectional_passes - 1 do
     let c = if pass mod 2 = 0 then circuit else reversed in
-    let result, _ =
+    let st, _ =
       routing_pass ~opts ~rng:refine_rng ~trace:false ~device ~initial:!mapping c
     in
-    mapping := Transpiled.final_mapping result
+    mapping := Route_state.mapping st
   done;
-  routing_pass ~opts ~rng ~trace ~device ~initial:!mapping circuit
+  let st, decisions =
+    routing_pass ~opts ~rng ~trace ~device ~initial:!mapping circuit
+  in
+  (Route_state.finish st, decisions)
 
 (* One complete trial, self-contained: the rng is derived from
    (seed, trial) alone and the initial placement from that rng, so a

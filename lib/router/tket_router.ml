@@ -1,7 +1,6 @@
 module Rng = Qls_graph.Rng
 module Dag = Qls_circuit.Dag
 module Device = Qls_arch.Device
-module Mapping = Qls_layout.Mapping
 
 type options = {
   lookahead_slices : int;
@@ -22,41 +21,32 @@ let default_options =
     relative_tie_break = false;
   }
 
-(* Same scale-dependence fix as Sabre.tied: the absolute 1e-12 window is
-   the historical default the goldens pin; the relative mode tracks the
-   score magnitude. *)
-let tied ~opts s best =
-  if opts.relative_tie_break then
-    Float.abs (s -. best) <= 1e-9 *. Float.max 1.0 best
-  else s <= best +. 1e-12
-
-(* [layers_phys] is the round's slice lookahead projected to flat
-   physical-pair arrays (one [|pa0; pb0; ...|] per slice), hoisted by the
-   caller: {!Route_state.remaining_layers} is round-invariant (and
-   simulates the whole lookahead window), so rebuilding it per candidate
-   multiplied the round cost by |candidates| for no change in the result.
-   [dmat] is the hoisted {!Device.distance_matrix} (DESIGN.md §14): each
-   queried pair relocates its endpoints through the pending (p, p')
-   exchange and pays two array indexes. The float accumulation order
-   matches the historical per-vertex traversal, so scores stay
-   bit-identical. *)
-let score_swap ~opts ~dmat ~layers_phys (p, p') =
-  let total = ref 0.0 in
-  List.iteri
-    (fun k layer ->
-      let w = opts.slice_discount ** float_of_int k in
-      let i = ref 0 in
-      let stop = Array.length layer in
+(* Score every candidate of the round into [scores]. [pairs] holds the
+   round's slice lookahead as flat physical pairs, slice [k] ending at
+   [ends.(k)], packed once per round ({!Route_state.remaining_layers} is
+   round-invariant). [dmat] is the hoisted {!Device.distance_matrix}
+   (DESIGN.md §14): each queried pair relocates its endpoints through the
+   pending (p, p') exchange and pays two array indexes. The float
+   accumulation order is the historical per-vertex traversal, so scores
+   stay bit-identical. *)
+let score_round ~dmat ~weights ~pairs ~ends ~n_layers ~scores cands n_cands =
+  for i = 0 to n_cands - 1 do
+    let p = cands.(2 * i) and p' = cands.((2 * i) + 1) in
+    let total = ref 0.0 in
+    for k = 0 to n_layers - 1 do
+      let w = weights.(k) in
+      let j = ref (if k = 0 then 0 else ends.(k - 1)) in
       (* lint: cancel-poll-coverage — fixed scan over the slice's gate-pair array *)
-      while !i < stop do
-        let pa = layer.(!i) and pb = layer.(!i + 1) in
+      while !j < ends.(k) do
+        let pa = pairs.(!j) and pb = pairs.(!j + 1) in
         let ra = if pa = p then p' else if pa = p' then p else pa in
         let rb = if pb = p then p' else if pb = p' then p else pb in
         total := !total +. (w *. float_of_int dmat.(ra).(rb));
-        i := !i + 2
-      done)
-    layers_phys;
-  !total
+        j := !j + 2
+      done
+    done;
+    scores.(i) <- !total
+  done
 
 (* Same registry names as Sabre's — the obs registry hands back one
    shared counter per name, so the summary aggregates across routers. *)
@@ -77,6 +67,14 @@ let route ?(options = default_options) ?initial device circuit =
   let st = Route_state.create ~device ~source:circuit ~initial:start in
   let dmat = Device.distance_matrix device in
   let dag = Route_state.dag st in
+  let q2p = Route_state.phys_table st in
+  let scores = Array.make (Device.n_edges device) 0.0 in
+  let n_slices = max 0 opts.lookahead_slices in
+  let weights =
+    Array.init n_slices (fun k -> opts.slice_discount ** float_of_int k)
+  in
+  let pairs = Array.make (2 * Dag.n_gates dag) 0 in
+  let ends = Array.make n_slices 0 in
   let stuck = ref 0 in
   let traced = Qls_obs.enabled () in
   let pass_sp =
@@ -96,40 +94,32 @@ let route ?(options = default_options) ?initial device circuit =
       stuck := 0
     end
     else begin
-      let candidates = Route_state.swap_candidates st in
+      let n = Route_state.swap_candidates st in
       let layers =
         Route_state.remaining_layers st ~max_layers:opts.lookahead_slices
       in
-      let mapping = Route_state.mapping st in
-      let layers_phys =
-        List.map
-          (fun layer ->
-            let n = List.length layer in
-            let arr = Array.make (2 * n) 0 in
-            List.iteri
-              (fun i v ->
-                let a, b = Dag.pair dag v in
-                arr.(2 * i) <- Mapping.phys mapping a;
-                arr.((2 * i) + 1) <- Mapping.phys mapping b)
-              layer;
-            arr)
-          layers
+      let fill = ref 0 in
+      List.iteri
+        (fun k layer ->
+          List.iter
+            (fun v ->
+              let a, b = Dag.pair dag v in
+              pairs.(!fill) <- q2p.(a);
+              pairs.(!fill + 1) <- q2p.(b);
+              fill := !fill + 2)
+            layer;
+          ends.(k) <- !fill)
+        layers;
+      let cands = Route_state.candidate_pairs st in
+      score_round ~dmat ~weights ~pairs ~ends ~n_layers:(List.length layers)
+        ~scores cands n;
+      let i =
+        Route_state.pick_tied ~rng ~relative:opts.relative_tie_break scores n
       in
-      let scored =
-        List.map
-          (fun sw -> (sw, score_swap ~opts ~dmat ~layers_phys sw))
-          candidates
-      in
-      let best = List.fold_left (fun acc (_, s) -> Float.min acc s) infinity scored in
-      let ties = List.filter (fun (_, s) -> tied ~opts s best) scored in
-      match ties with
-      | [] ->
-          (* Unreachable on a validated (connected) device; kept total
-             rather than [Rng.pick]-crashing on []. *)
-          Route_state.force_route_first st
-      | _ ->
-          let (p, p'), _ = Rng.pick rng ties in
-          Route_state.apply_swap st p p'
+      if i < 0 then
+        (* Unreachable on a validated (connected) device; kept total. *)
+        Route_state.force_route_first st
+      else Route_state.apply_swap st cands.(2 * i) cands.((2 * i) + 1)
     end;
     let emitted = Route_state.advance st in
     if traced then

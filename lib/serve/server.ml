@@ -244,6 +244,14 @@ let routed_of t (p : Protocol.route_params) =
           let _, report = Router.run_verified router device circuit in
           (* lint: nondet-source — see above *)
           let dt = Unix.gettimeofday () -. t0 in
+          (* A count below the certified optimum is an alarm: raising here
+             keeps it out of the route cache and answers it as a typed
+             error. *)
+          Option.iter
+            (fun optimum ->
+              Certificate.check_routed ~tool:p.tool ~optimum
+                report.Verifier.swap_count)
+            optimal;
           {
             swaps = report.Verifier.swap_count;
             depth = report.Verifier.depth;
@@ -497,6 +505,14 @@ let handle_payload t conn payload ~t_recv =
                      (Printf.sprintf
                         {|"ok":false,"kind":"deadline_exceeded","error":"deadline exceeded","elapsed_ms":%d,"limit_ms":%d|}
                         elapsed_ms limit_ms))
+            | Error (Certificate.Optimality_violated { tool; swaps; optimum })
+              ->
+                respond t conn ~verb ~status:"optimality_violated" ~hit:false
+                  ~t_recv ~id
+                  (with_id id
+                     (Printf.sprintf
+                        {|"ok":false,"kind":"optimality_violated","error":"routed below the certified optimum","tool":"%s","swaps":%d,"optimal":%d|}
+                        (Qls_sealed.escape tool) swaps optimum))
             | Error (Pool.Worker_lost { stalled_ms; _ }) ->
                 respond t conn ~verb ~status:"internal" ~hit:false ~t_recv ~id
                   (error_payload ~id ~kind:"internal"

@@ -592,6 +592,38 @@ let serialize_tests =
           (Result.is_error (Certificate.check b')));
   ]
 
+(* A routed count below the certified optimum is an alarm, raised as a
+   typed error before anything can aggregate or cache it. No correct
+   router can produce one on a certified instance, so the check is
+   driven directly. *)
+let optimality_tests =
+  [
+    test_case "a count below the optimum raises Optimality_violated"
+      (fun () ->
+        Certificate.check_routed ~tool:"sabre" ~optimum:5 5;
+        Certificate.check_routed ~tool:"sabre" ~optimum:5 12;
+        match Certificate.check_routed ~tool:"sabre" ~optimum:5 4 with
+        | () -> Alcotest.fail "no error below the optimum"
+        | exception Certificate.Optimality_violated { tool; swaps; optimum }
+          ->
+            Alcotest.(check string) "tool" "sabre" tool;
+            check_int "swaps" 4 swaps;
+            check_int "optimum" 5 optimum);
+    test_case "a campaign task fails permanently on a violation" (fun () ->
+        let e =
+          Qls_harness.Herror.of_exn ~site:"runner.exec"
+            (Certificate.Optimality_violated
+               { tool = "qmap"; swaps = 2; optimum = 3 })
+        in
+        check_bool "permanent, never retried" false
+          (Qls_harness.Herror.retryable e);
+        Alcotest.(check string)
+          "message"
+          "optimality violated: qmap routed with 2 SWAPs, below the certified \
+           optimum 3"
+          e.Qls_harness.Herror.message);
+  ]
+
 let () =
   Alcotest.run "qubikos"
     [
@@ -601,4 +633,5 @@ let () =
       ("queko", queko_tests);
       ("evaluation", evaluation_tests);
       ("serialize", serialize_tests);
+      ("optimality", optimality_tests);
     ]

@@ -1,7 +1,7 @@
 (* Regenerates the golden recordings in goldens.ml.
 
    The goldens pin the exact routed output (ops sequence + swap count) of
-   the stock SABRE and tket routers on fixed-seed QUBIKOS instances, so
+   the heuristic routers on fixed-seed QUBIKOS instances, so
    any hot-path refactor can prove its outputs bit-identical to the
    recordings. Run
 
@@ -14,23 +14,81 @@
 module Topologies = Qls_arch.Topologies
 module Transpiled = Qls_layout.Transpiled
 module Mapping = Qls_layout.Mapping
-module Sabre = Qls_router.Sabre
-module Tket_router = Qls_router.Tket_router
-module Astar_router = Qls_router.Astar_router
+module Router = Qls_router.Router
+module Registry = Qls_router.Registry
 
-let devices = [ ("aspen4", 150); ("sycamore54", 250) ]
-let seeds = [ 0; 1; 7; 42 ]
+(* One recording: the instance (device, gate budget, designed SWAPs,
+   generator seed) and the tool, by registry name and seed. "sabre5" is
+   the registry's "sabre" with five trials; every other SABRE name runs
+   one trial. *)
+type spec = {
+  device : string;
+  gate_budget : int;
+  n_swaps : int;
+  seed : int;
+  router : string;
+  router_seed : int;
+}
 
-(* qmap (A-star) goldens live on the big devices where its closed-set and
-   layer-search rewrites actually bite — rochester (53q) and eagle
-   (127q), whose searches use up the node budget in most layers — plus
-   sycamore (the other heavy Fig. 4 device) and aspen-4, where almost
-   every search reaches its goal; two seeds keep the suite fast (the
-   eagle search dominates). *)
-let qmap_devices =
-  [ ("rochester", 53); ("eagle", 127); ("sycamore54", 250); ("aspen4", 150) ]
-let qmap_seeds = [ 0; 1 ]
-let n_swaps = 3
+let specs ~devices ~n_swaps ~seeds ~routers ~router_seed =
+  List.concat_map
+    (fun (device, gate_budget) ->
+      List.concat_map
+        (fun seed ->
+          List.map
+            (fun router ->
+              { device; gate_budget; n_swaps; seed; router; router_seed })
+            routers)
+        seeds)
+    devices
+
+let all_specs =
+  List.concat
+    [
+      (* Stock single-trial SABRE and tket. *)
+      specs
+        ~devices:[ ("aspen4", 150); ("sycamore54", 250) ]
+        ~n_swaps:3 ~seeds:[ 0; 1; 7; 42 ] ~routers:[ "sabre"; "tket" ]
+        ~router_seed:0;
+      (* qmap (A-star) goldens live on the big devices where its
+         closed-set and layer-search rewrites actually bite — rochester
+         (53q) and eagle (127q), whose searches use up the node budget in
+         most layers — plus sycamore (the other heavy Fig. 4 device) and
+         aspen-4, where almost every search reaches its goal; two seeds
+         keep the suite fast (the eagle search dominates). *)
+      specs
+        ~devices:
+          [ ("rochester", 53); ("eagle", 127); ("sycamore54", 250);
+            ("aspen4", 150) ]
+        ~n_swaps:3 ~seeds:[ 0; 1 ] ~routers:[ "qmap" ] ~router_seed:0;
+      (* The SABRE paths the cases above leave open: [lookahead_decay]
+         scoring ("sabre-decay") and ML-QLS, which routes through
+         [Sabre.route] with no bidirectional passes. *)
+      specs
+        ~devices:[ ("aspen4", 150); ("sycamore54", 250) ]
+        ~n_swaps:3 ~seeds:[ 1; 7 ] ~routers:[ "sabre-decay"; "mlqls" ]
+        ~router_seed:0;
+      (* Five trials at the paper's 1,500-gate budget and its largest
+         SWAP count, on large fronts. Rochester seed 3 at router seed 1
+         and seed 1 at router seed 2 each fire the release valve once,
+         in one pass of one trial; the router seeds were picked for
+         that, since the valve rarely fires at these settings (never in
+         single-trial routes at router seeds 0-9). *)
+      specs
+        ~devices:[ ("rochester", 1500); ("sycamore54", 1500) ]
+        ~n_swaps:20 ~seeds:[ 1; 3 ] ~routers:[ "sabre5" ] ~router_seed:1;
+      specs
+        ~devices:[ ("rochester", 1500) ]
+        ~n_swaps:20 ~seeds:[ 1 ] ~routers:[ "sabre5" ] ~router_seed:2;
+    ]
+
+let route spec device circuit =
+  let name, trials =
+    match spec.router with "sabre5" -> ("sabre", 5) | name -> (name, 1)
+  in
+  match Registry.by_name ~sabre_trials:trials ~seed:spec.router_seed name with
+  | Some r -> r.Router.route device circuit
+  | None -> failwith ("unknown router " ^ spec.router)
 
 let fingerprint t =
   let buf = Buffer.create 4096 in
@@ -47,46 +105,31 @@ let fingerprint t =
     (Transpiled.ops t);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let instance device_name gate_budget seed =
-  let device =
-    match Topologies.by_name device_name with
-    | Some d -> d
-    | None -> failwith ("unknown device " ^ device_name)
-  in
-  let config =
-    { Qubikos.Generator.default_config with n_swaps; gate_budget; seed }
-  in
-  (device, Qubikos.Generator.generate ~config device)
-
 let () =
   print_endline "let cases =";
   print_endline "  [";
-  let record dev_name gate_budget seed router_name t =
-    Printf.printf
-      "    { device = %S; gate_budget = %d; seed = %d; router = %S;\n\
-      \      swaps = %d; digest = %S };\n"
-      dev_name gate_budget seed router_name (Transpiled.swap_count t)
-      (fingerprint t)
-  in
   List.iter
-    (fun (dev_name, gate_budget) ->
-      List.iter
-        (fun seed ->
-          let device, inst = instance dev_name gate_budget seed in
-          let circuit = inst.Qubikos.Benchmark.circuit in
-          record dev_name gate_budget seed "sabre" (Sabre.route device circuit);
-          record dev_name gate_budget seed "tket"
-            (Tket_router.route device circuit))
-        seeds)
-    devices;
-  List.iter
-    (fun (dev_name, gate_budget) ->
-      List.iter
-        (fun seed ->
-          let device, inst = instance dev_name gate_budget seed in
-          let circuit = inst.Qubikos.Benchmark.circuit in
-          record dev_name gate_budget seed "qmap"
-            (Astar_router.route device circuit))
-        qmap_seeds)
-    qmap_devices;
+    (fun s ->
+      let device =
+        match Topologies.by_name s.device with
+        | Some d -> d
+        | None -> failwith ("unknown device " ^ s.device)
+      in
+      let config =
+        {
+          Qubikos.Generator.default_config with
+          n_swaps = s.n_swaps;
+          gate_budget = s.gate_budget;
+          seed = s.seed;
+        }
+      in
+      let inst = Qubikos.Generator.generate ~config device in
+      let t = route s device inst.Qubikos.Benchmark.circuit in
+      Printf.printf
+        "    { device = %S; gate_budget = %d; n_swaps = %d; seed = %d;\n\
+        \      router = %S; router_seed = %d;\n\
+        \      swaps = %d; digest = %S };\n"
+        s.device s.gate_budget s.n_swaps s.seed s.router s.router_seed
+        (Transpiled.swap_count t) (fingerprint t))
+    all_specs;
   print_endline "  ]"

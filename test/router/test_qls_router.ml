@@ -46,6 +46,16 @@ let fingerprint t =
     (Transpiled.ops t);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
+(* The buffer queries of Route_state, read back as lists. *)
+let candidates st =
+  let n = Route_state.swap_candidates st in
+  let buf = Route_state.candidate_pairs st in
+  List.init n (fun i -> (buf.(2 * i), buf.((2 * i) + 1)))
+
+let extended st ~size =
+  let n = Route_state.extended_set st ~size in
+  Array.to_list (Array.sub (Route_state.extended_buffer st) 0 n)
+
 (* A circuit whose gates are all executable under the identity mapping on
    a line: consecutive-qubit CNOTs. *)
 let adjacent_circuit n_qubits n_gates =
@@ -143,7 +153,7 @@ let route_state_tests =
         ignore (Route_state.advance st);
         Alcotest.(check (list (pair int int))) "edges at 0 and 4"
           [ (0, 1); (3, 4) ]
-          (List.sort compare (Route_state.swap_candidates st)));
+          (candidates st));
     test_case "extended set follows successors breadth-first" (fun () ->
         let device = Topologies.line 4 in
         let source =
@@ -157,9 +167,8 @@ let route_state_tests =
         ignore (Route_state.advance st);
         (* gate 0 (0,2) is blocked; its successors 1, 2 then 3 follow *)
         Alcotest.(check (list int)) "lookahead order" [ 1; 2; 3 ]
-          (Route_state.extended_set st ~size:10);
-        Alcotest.(check (list int)) "capped" [ 1 ]
-          (Route_state.extended_set st ~size:1));
+          (extended st ~size:10);
+        Alcotest.(check (list int)) "capped" [ 1 ] (extended st ~size:1));
     test_case "remaining_layers matches ASAP slices initially" (fun () ->
         let rng = Rng.create 5 in
         let source = Random_circuit.uniform rng ~n_qubits:6 ~n_two_qubit:20 ~single_ratio:0.0 in
@@ -197,8 +206,15 @@ let route_state_tests =
         check_bool "ops recorded" true (List.length (Route_state.ops_so_far st) = 2);
         Alcotest.(check (list (pair int int))) "physical front" [ (0, 2) ]
           (Route_state.front_pairs_physical st);
-        check_bool "snapshot is the mapping" true
-          (Mapping.equal (Route_state.snapshot_mapping st) (Route_state.mapping st)));
+        (* The snapshot is a copy: later SWAPs move the live table only. *)
+        let snap = Route_state.mapping st in
+        check_bool "snapshot matches the live table" true
+          (Mapping.to_array snap = Route_state.phys_table st);
+        Route_state.apply_swap st 1 2;
+        Alcotest.(check (array int)) "live table swapped in place" [| 0; 2; 1 |]
+          (Route_state.phys_table st);
+        Alcotest.(check (array int)) "snapshot unchanged" [| 0; 1; 2 |]
+          (Mapping.to_array snap));
     test_case "force_route_first unblocks the earliest gate" (fun () ->
         let device = Topologies.line 5 in
         let source = Circuit.create ~n_qubits:5 [ Gate.cx 0 4 ] in
@@ -1176,8 +1192,10 @@ let golden_tests =
   List.map
     (fun (c : Goldens.case) ->
       test_case
-        (Printf.sprintf "%s on %s seed %d" c.Goldens.router c.Goldens.device
-           c.Goldens.seed)
+        (Printf.sprintf "%s on %s seed %d%s" c.Goldens.router c.Goldens.device
+           c.Goldens.seed
+           (if c.Goldens.router_seed = 0 then ""
+            else Printf.sprintf " router seed %d" c.Goldens.router_seed))
         (fun () ->
           let device =
             match Qls_arch.Topologies.by_name c.Goldens.device with
@@ -1187,19 +1205,27 @@ let golden_tests =
           let config =
             {
               Qubikos.Generator.default_config with
-              n_swaps = 3;
+              n_swaps = c.Goldens.n_swaps;
               gate_budget = c.Goldens.gate_budget;
               seed = c.Goldens.seed;
             }
           in
           let inst = Qubikos.Generator.generate ~config device in
           let circuit = inst.Qubikos.Benchmark.circuit in
-          let t =
+          (* Same dispatch as gen_goldens: registry names, "sabre5" is
+             "sabre" with five trials. *)
+          let name, trials =
             match c.Goldens.router with
-            | "sabre" -> Sabre.route device circuit
-            | "tket" -> Tket_router.route device circuit
-            | "qmap" -> Astar_router.route device circuit
-            | r -> Alcotest.fail ("unknown router " ^ r)
+            | "sabre5" -> ("sabre", 5)
+            | name -> (name, 1)
+          in
+          let t =
+            match
+              Registry.by_name ~sabre_trials:trials ~seed:c.Goldens.router_seed
+                name
+            with
+            | Some r -> r.Router.route device circuit
+            | None -> Alcotest.fail ("unknown router " ^ c.Goldens.router)
           in
           check_int "swap count" c.Goldens.swaps (Transpiled.swap_count t);
           Alcotest.(check string) "ops digest" c.Goldens.digest (fingerprint t)))
@@ -1245,6 +1271,64 @@ let allocation_tests =
         check_bool
           (Printf.sprintf "%.0f minor words per gate <= 46000" per_gate)
           true (per_gate <= 46_000.));
+    test_case "sabre allocates at most 600 minor words per routing round"
+      (fun () ->
+        (* A Fig. 4 Sycamore instance at the paper's 1,500-gate budget and
+           20 designed SWAPs, routed by one SABRE trial (two refinement
+           passes and the output pass). The count covers everything the
+           route allocates — DAGs, op lists, the result — divided by its
+           rounds ([router.rounds] delta). Scoring each candidate by
+           re-summing the front and extended set through fresh lists cost
+           about 1,300 words per round here; delta scoring on the state's
+           buffers costs about 230. Minor-word counts drift with the
+           heap's state on OCaml 5.1, so the bound keeps headroom. *)
+        let device = Topologies.sycamore54 () in
+        let config =
+          {
+            Qubikos.Generator.default_config with
+            n_swaps = 20;
+            gate_budget = 1500;
+            seed = 1;
+          }
+        in
+        let circuit =
+          (Qubikos.Generator.generate ~config device).Qubikos.Benchmark.circuit
+        in
+        check_bool "tracing off" false (Qls_obs.enabled ());
+        let rounds = Qls_obs.counter "router.rounds" in
+        let r0 = Qls_obs.counter_value rounds in
+        let w0 = Gc.minor_words () in
+        let t = Sabre.route device circuit in
+        let words = Gc.minor_words () -. w0 in
+        let n_rounds = Qls_obs.counter_value rounds - r0 in
+        check_int "rounds" 3071 n_rounds;
+        check_int "swaps" 711 (Transpiled.swap_count t);
+        let per_round = words /. float_of_int n_rounds in
+        check_bool
+          (Printf.sprintf "%.0f minor words per round <= 600" per_round)
+          true (per_round <= 600.));
+    test_case "a blocked round's state queries allocate nothing" (fun () ->
+        (* cx 0 4 on a 5-line stays blocked: a blocked [advance], the
+           candidate scan and the (kept) extended set all work in the
+           state's own arrays. *)
+        let device = Topologies.line 5 in
+        let source = Circuit.create ~n_qubits:5 [ Gate.cx 0 4; Gate.cx 0 1 ] in
+        let st =
+          Route_state.create ~device ~source
+            ~initial:(Placement.identity device source)
+        in
+        ignore (Route_state.advance st);
+        ignore (Route_state.extended_set st ~size:20);
+        let w0 = Gc.minor_words () in
+        for _ = 1 to 1000 do
+          ignore (Route_state.advance st);
+          ignore (Route_state.swap_candidates st);
+          ignore (Route_state.extended_set st ~size:20)
+        done;
+        let words = Gc.minor_words () -. w0 in
+        check_bool
+          (Printf.sprintf "%.0f minor words over 1000 blocked rounds" words)
+          true (words < 100.));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1277,14 +1361,14 @@ let hot_path_props =
         ignore (Route_state.advance st);
         Route_state.finished st
         ||
-        let es = Route_state.extended_set st ~size:20 in
+        let es = extended st ~size:20 in
         let rl = Route_state.remaining_layers st ~max_layers:3 in
-        let cands = Route_state.swap_candidates st in
+        let cands = candidates st in
         List.for_all
           (fun _cand ->
-            Route_state.extended_set st ~size:20 = es
+            extended st ~size:20 = es
             && Route_state.remaining_layers st ~max_layers:3 = rl
-            && Route_state.swap_candidates st = cands)
+            && candidates st = cands)
           cands);
   ]
 
@@ -1315,7 +1399,7 @@ let hot_path_tests =
         ignore (Route_state.advance st);
         if not (Route_state.finished st) then
           check_bool ">= 3 candidates per blocked round" true
-            (List.length (Route_state.swap_candidates st) >= 3));
+            (Route_state.swap_candidates st >= 3));
     test_case "tket builds remaining layers once per round" (fun () ->
         let device = Topologies.aspen4 () in
         let rng = Rng.create 5 in
@@ -1377,9 +1461,9 @@ let hot_path_tests =
           (Route_state.Debug.counters ())
             .Route_state.Debug.remaining_layers_builds
         in
-        let es1 = Route_state.extended_set st ~size:10 in
+        let es1 = extended st ~size:10 in
         check_int "first query builds" 1 (builds ());
-        let es2 = Route_state.extended_set st ~size:10 in
+        let es2 = extended st ~size:10 in
         check_int "repeat query cached" 1 (builds ());
         Alcotest.(check (list int)) "cached value identical" es1 es2;
         let rl1 = Route_state.remaining_layers st ~max_layers:3 in
@@ -1387,7 +1471,7 @@ let hot_path_tests =
         (* A SWAP round that unblocks nothing must not invalidate. *)
         Route_state.apply_swap st 0 1;
         check_int "swap round: still zero emitted" 0 (Route_state.advance st);
-        ignore (Route_state.extended_set st ~size:10);
+        ignore (extended st ~size:10);
         ignore (Route_state.remaining_layers st ~max_layers:3);
         check_int "swap-only round served from cache" 1 (builds ());
         check_int "layers too" 1 (lbuilds ());
@@ -1395,12 +1479,12 @@ let hot_path_tests =
           "layers value stable" rl1
           (Route_state.remaining_layers st ~max_layers:3);
         (* A different size is a different key: rebuild. *)
-        ignore (Route_state.extended_set st ~size:1);
+        ignore (extended st ~size:1);
         check_int "size change rebuilds" 2 (builds ());
         (* Progress (advance that emits) invalidates. *)
         Route_state.force_route_first st;
         check_bool "progress made" true (Route_state.advance st > 0);
-        ignore (Route_state.extended_set st ~size:10);
+        ignore (extended st ~size:10);
         check_int "front change rebuilds" 3 (builds ()));
   ]
 
@@ -1581,6 +1665,64 @@ let cancellation_tests =
            with Qls_cancel.Expired _ -> true));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Router.run_verified checks what it was asked to route.              *)
+(* ------------------------------------------------------------------ *)
+
+let run_verified_tests =
+  let circuit () =
+    Random_circuit.uniform (Rng.create 21) ~n_qubits:6 ~n_two_qubit:20
+      ~single_ratio:0.0
+  in
+  let rejects router device c =
+    try
+      ignore (Router.run_verified router device c);
+      false
+    with Failure _ -> true
+  in
+  [
+    test_case "a router that routes the reversed circuit is rejected"
+      (fun () ->
+        (* SABRE's backward refinement pass routes the reversed circuit; a
+           router handing that pass back is valid against its own source,
+           so the verifier alone accepts it. *)
+        let device = Topologies.grid 2 3 in
+        let c = circuit () in
+        let reversed =
+          let g = Circuit.gates c in
+          let n = Array.length g in
+          Circuit.of_array ~n_qubits:(Circuit.n_qubits c)
+            (Array.init n (fun i -> g.(n - 1 - i)))
+        in
+        check_bool "not a palindrome" false (Circuit.equal c reversed);
+        let stub =
+          {
+            Router.name = "reversed";
+            route =
+              (fun ?initial device _ -> Sabre.route ?initial device reversed);
+          }
+        in
+        check_bool "valid on its own terms" true
+          (Verifier.is_valid (stub.Router.route device c));
+        check_bool "run_verified raises" true (rejects stub device c);
+        check_int "the honest router still verifies"
+          (Transpiled.swap_count (Sabre.route device c))
+          (Router.swap_count (Sabre.router ()) device c));
+    test_case "a router that routes on another device is rejected"
+      (fun () ->
+        let c = circuit () in
+        let stub =
+          {
+            Router.name = "elsewhere";
+            route =
+              (fun ?initial _ circuit ->
+                Sabre.route ?initial (Topologies.line 6) circuit);
+          }
+        in
+        check_bool "run_verified raises" true
+          (rejects stub (Topologies.grid 2 3) c));
+  ]
+
 let () =
   Alcotest.run "qls_router"
     [
@@ -1611,4 +1753,5 @@ let () =
       ("registry", registry_tests);
       ("cancellation", cancellation_tests);
       ("tracing", tracing_tests);
+      ("run-verified", run_verified_tests);
     ]
