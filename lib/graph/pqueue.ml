@@ -1,68 +1,67 @@
-(* Binary min-heap of int ids. The heap array holds ids only; each id's
-   priority lives in a caller-owned [float array] indexed by the id, so
-   a push or pop passes an array pointer and ints, never a float — a
-   float argument to a call that is not inlined is boxed, and this build
-   has no flambda to unbox it. Order is (key, id) lexicographic: ids are
-   distinct, so it is a strict total order and the pop sequence is fixed
-   by it alone. A caller that issues ids in push order gets FIFO among
-   equal keys. *)
+(* Bucket queue of int ids over small non-negative int keys. Bucket [k]
+   is a FIFO list of the ids queued under key [k], threaded through
+   [next] (indexed by id) from [head.(k)] to [tail.(k)]; [-1] ends a
+   list and marks an empty bucket. Pops take the head of the lowest
+   non-empty bucket, so ids leave by ascending key and in push order
+   within a key. *)
 
-type t = { mutable heap : int array; mutable size : int }
+type t = {
+  mutable head : int array; (* per key: first queued id, or -1 *)
+  mutable tail : int array; (* per key: last queued id, while head >= 0 *)
+  mutable next : int array; (* per id: next id in its bucket, or -1 *)
+  mutable lo : int; (* no queued id has a key below [lo] *)
+  mutable hi : int; (* highest key pushed since the last clear, or -1 *)
+  mutable size : int;
+}
 
-let create () = { heap = [||]; size = 0 }
+let create () =
+  {
+    head = Array.make 64 (-1);
+    tail = Array.make 64 0;
+    next = Array.make 64 0;
+    lo = max_int;
+    hi = -1;
+    size = 0;
+  }
+
 let is_empty q = q.size = 0
 let size q = q.size
-let clear q = q.size <- 0
 
-let less (keys : float array) a b =
-  keys.(a) < keys.(b) || (keys.(a) = keys.(b) && a < b)
-
-let grow q =
-  let cap = Array.length q.heap in
-  if q.size = cap then begin
-    let heap = Array.make (max 16 (2 * cap)) 0 in
-    Array.blit q.heap 0 heap 0 cap;
-    q.heap <- heap
-  end
-
-let push q keys id =
-  grow q;
-  q.size <- q.size + 1;
-  (* Sift up with a hole: parents slide down until the insertion point. *)
-  let i = ref (q.size - 1) in
-  while !i > 0 && less keys id q.heap.((!i - 1) / 2) do
-    let parent = (!i - 1) / 2 in
-    q.heap.(!i) <- q.heap.(parent);
-    i := parent
+(* Only buckets up to [hi] can be non-empty. *)
+let clear q =
+  for k = 0 to q.hi do
+    q.head.(k) <- -1
   done;
-  q.heap.(!i) <- id
+  q.lo <- max_int;
+  q.hi <- -1;
+  q.size <- 0
 
-let pop q keys =
-  if q.size = 0 then invalid_arg "Pqueue.pop: empty queue";
-  let top = q.heap.(0) in
-  q.size <- q.size - 1;
-  if q.size > 0 then begin
-    (* Sift the displaced last id down with a hole: children bubble up
-       until its slot is found. *)
-    let m = q.heap.(q.size) in
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < q.size && not (less keys m q.heap.(l)) then smallest := l;
-      if
-        r < q.size
-        &&
-        if !smallest = !i then not (less keys m q.heap.(r))
-        else less keys q.heap.(r) q.heap.(!smallest)
-      then smallest := r;
-      if !smallest = !i then continue := false
-      else begin
-        q.heap.(!i) <- q.heap.(!smallest);
-        i := !smallest
-      end
-    done;
-    q.heap.(!i) <- m
+let push q ~key id =
+  if key < 0 then invalid_arg "Pqueue.push: negative key";
+  let n = Array.length q.head in
+  if key >= n then begin
+    q.head <- Array.append q.head (Array.make (max (key + 1) n) (-1));
+    q.tail <- Array.append q.tail (Array.make (max (key + 1) n) 0)
   end;
-  top
+  if id >= Array.length q.next then
+    q.next <- Array.append q.next (Array.make (id + 1) 0);
+  q.next.(id) <- -1;
+  if q.head.(key) < 0 then q.head.(key) <- id else q.next.(q.tail.(key)) <- id;
+  q.tail.(key) <- id;
+  if key < q.lo then q.lo <- key;
+  if key > q.hi then q.hi <- key;
+  q.size <- q.size + 1
+
+let pop q =
+  if q.size = 0 then invalid_arg "Pqueue.pop: empty queue";
+  (* A queued id exists and its key lies in [lo, hi], so the scan stops
+     by [hi]. *)
+  let k = ref q.lo in
+  while q.head.(!k) < 0 do
+    incr k
+  done;
+  q.lo <- !k;
+  let id = q.head.(!k) in
+  q.head.(!k) <- q.next.(id);
+  q.size <- q.size - 1;
+  id

@@ -1,33 +1,35 @@
-(** Minimal mutable binary min-heap of int ids.
+(** Bucket queue of int ids keyed by small non-negative ints: the open
+    set of the A*-based router's layer search.
 
-    Used by the A*-based router's layer search. The heap stores ids
-    only; the priority of id [i] is [keys.(i)] in a [float array] the
-    caller owns and passes to every {!push} and {!pop}, so neither call
-    takes a float argument (which would be boxed). Ids pop by ascending
-    (key, id): among equal keys the smaller id first, so a caller that
-    issues ids in push order gets FIFO among ties, which keeps searches
-    deterministic. *)
+    Ids pop by ascending key, first in first out among equal keys, so a
+    caller that issues ids in push order pops by ascending (key, id) and
+    its search stays deterministic. {!push} and {!pop} are O(1) apart
+    from the pop's scan over empty buckets. A key may be below the
+    current minimum (an inadmissible heuristic is not monotone); the
+    bucket array grows to the largest key pushed. *)
 
 type t
-(** A min-heap of ids. *)
+(** A queue of ids. *)
 
 val create : unit -> t
-(** An empty heap. *)
+(** An empty queue. *)
 
 val is_empty : t -> bool
-(** Whether the heap holds no ids. *)
+(** Whether the queue holds no ids. *)
 
 val size : t -> int
 (** Number of queued ids. *)
 
-val push : t -> float array -> int -> unit
-(** [push q keys id] inserts [id] with priority [keys.(id)]. [keys.(id)]
-    must not change while [id] is queued, and every call on [q] must
-    pass the same priorities for the ids it holds. *)
+val push : t -> key:int -> int -> unit
+(** [push q ~key id] queues [id] under [key]. [id] must be non-negative
+    and not already queued.
+    @raise Invalid_argument when [key] is negative. *)
 
-val pop : t -> float array -> int
-(** Remove and return the id with the least (key, id).
-    @raise Invalid_argument when the heap is empty. *)
+val pop : t -> int
+(** Remove and return the id with the least key, the first pushed
+    among equal keys.
+    @raise Invalid_argument when the queue is empty. *)
 
 val clear : t -> unit
-(** Drop all ids, keeping the storage for reuse. *)
+(** Drop all ids, keeping the storage for reuse. Costs one store per
+    bucket up to the highest key pushed since the last clear. *)

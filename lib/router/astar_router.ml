@@ -4,9 +4,9 @@ module Dag = Qls_circuit.Dag
 module Device = Qls_arch.Device
 module Mapping = Qls_layout.Mapping
 
-type options = { lookahead_weight : float; node_budget : int; seed : int }
+type options = { node_budget : int; seed : int }
 
-let default_options = { lookahead_weight = 0.5; node_budget = 10_000; seed = 0 }
+let default_options = { node_budget = 10_000; seed = 0 }
 
 (* [a] extended to length [len], padded with [fill]. Growth is rare
    (amortised over a route), so the generic blit is fine here. *)
@@ -215,90 +215,87 @@ let excess dmat mapping pairs =
    scalars (g, layer excess, lookahead excess at 21 bits each — g is
    capped by the node budget and the excesses by the layer's total
    distance, all far below [2^21]), Zobrist key, and the closed-set slot
-   of the base mapping the pending swap applies to. Its f-cost is
-   [prio.(u)], the key {!Pqueue} orders by. Node ids count up from 0 in
-   push order every layer, so the heap's (f, id) order is the historical
-   (priority, FIFO stamp) order exactly. *)
+   of the base mapping the pending swap applies to. Node ids count up
+   from 0 in push order every layer, and {!Pqueue} pops FIFO among equal
+   keys, so the queue's order is (f, id): the historical (priority, FIFO
+   stamp) order exactly. *)
 type arena = {
   closed : Closed.t;
-  heap : Pqueue.t;
+  queue : Pqueue.t;
   mutable nodes : int array;
-  mutable prio : float array;
   mutable n_nodes : int;
   occ : int array; (* physical -> program of the expanded mapping; -1 at rest *)
   pmark : bool array; (* positions of target qubits; false at rest *)
+  target : int array; (* program qubit -> its target-layer partner; -1 at rest *)
+  ahead : int array; (* program qubit -> its lookahead-layer partner; -1 at rest *)
   edges : (int * int) array;
   dmat : int array array;
   n_phys : int;
+  mutable pushes : int; (* search work over the route: queue insertions, *)
+  mutable pops : int; (* queue pops *)
+  mutable exhausted : int; (* and layers that used up the node budget *)
 }
 
 let node_width = 5
 
 let create_arena device ~n_prog =
   let n_phys = Device.n_qubits device in
-  let cap = 1024 in
   {
     closed = Closed.create ~n_prog ~n_phys;
-    heap = Pqueue.create ();
-    nodes = Array.make (cap * node_width) 0;
-    prio = Array.make cap 0.0;
+    queue = Pqueue.create ();
+    nodes = Array.make (1024 * node_width) 0;
     n_nodes = 0;
     occ = Array.make n_phys (-1);
     pmark = Array.make n_phys false;
+    target = Array.make n_prog (-1);
+    ahead = Array.make n_prog (-1);
     edges = Array.of_list (Device.edges device);
     dmat = Device.distance_matrix device;
     n_phys;
+    pushes = 0;
+    pops = 0;
+    exhausted = 0;
   }
 
-(* Store node [n_nodes] and queue it. The f-cost is computed here and
-   stored straight into [prio]: passed to a call it would be boxed. *)
-let push a ~opts ~has_lookahead ~parent ~pend ~g ~lex ~kex ~zob ~base =
+(* Store node [n_nodes] and queue it under 4f, where
+   f = g + ceil(lex / 2) + kex / 4: the layer excess halved
+   (admissible) plus the lookahead excess halved at QMAP's weight 1/2.
+   4f is an integer, so the queue orders nodes by f exactly. *)
+let push a ~parent ~pend ~g ~lex ~kex ~zob ~base =
   let id = a.n_nodes in
-  if id = Array.length a.prio then begin
-    a.nodes <- extend a.nodes (2 * id * node_width) 0;
-    a.prio <- extend a.prio (2 * id) 0.0
-  end;
-  a.n_nodes <- id + 1;
   let row = id * node_width in
+  if row = Array.length a.nodes then a.nodes <- extend a.nodes (2 * row) 0;
+  a.n_nodes <- id + 1;
   a.nodes.(row) <- parent;
   a.nodes.(row + 1) <- pend;
   a.nodes.(row + 2) <- g lor (lex lsl 21) lor (kex lsl 42);
   a.nodes.(row + 3) <- zob;
   a.nodes.(row + 4) <- base;
-  let h_layer = float_of_int ((lex + 1) / 2) in
-  let h_look =
-    if has_lookahead then opts.lookahead_weight *. float_of_int kex /. 2.0
-    else 0.0
-  in
-  a.prio.(id) <- float_of_int g +. (h_layer +. h_look);
-  Pqueue.push a.heap a.prio id
+  Pqueue.push a.queue ~key:((4 * (g + ((lex + 1) / 2))) + kex) id
 
-(* Excess delta contributed by the pairs of one touch list ([maps] at
-   [off] is the pre-swap program→physical table, exchange (p, p')
-   pending). Each pair relocates its endpoints through the pending
-   exchange — post-swap distance without materialising the swapped
-   mapping. Pairs with an endpoint equal to [skip] are left out. *)
-(* lint: cancel-poll-coverage — walks one touch list, bounded by the layer's pair count *)
-let rec delta_pairs dmat maps off p p' skip acc = function
-  | [] -> acc
-  | (x, y) :: rest ->
-      if x = skip || y = skip then delta_pairs dmat maps off p p' skip acc rest
-      else begin
-        let px = maps.(off + x) and py = maps.(off + y) in
-        let rx = if px = p then p' else if px = p' then p else px in
-        let ry = if py = p then p' else if py = p' then p else py in
-        delta_pairs dmat maps off p p' skip
-          (acc + dmat.(rx).(ry) - dmat.(px).(py))
-          rest
-      end
+(* Point the qubits of a layer's pairs at each other ([on]) or back at
+   [-1]. An ASAP layer is a matching (two gates on one qubit are
+   ordered), so a qubit has at most one partner. *)
+let link partner pairs ~on =
+  List.iter
+    (fun (x, y) ->
+      partner.(x) <- (if on then y else -1);
+      partner.(y) <- (if on then x else -1))
+    pairs
 
-(* Delta over the pairs touching the swapped qubits [a]/[b] ([-1] =
-   empty position). Pairs touching both are visited once: skipped on
-   the second pass; program qubits are non-negative, so the [-1] skip of
-   the first pass never matches. *)
-let delta touch dmat maps off p p' a b =
-  let acc = if a >= 0 then delta_pairs dmat maps off p p' (-1) 0 touch.(a) else 0 in
-  if b >= 0 then delta_pairs dmat maps off p p' a acc touch.(b) else acc
+(* Excess change of a layer when the program qubits [x] on [p] and [y]
+   on [p'] ([-1] = empty position) trade places; [dp]/[dp'] are the
+   distance rows of [p]/[p'], [maps] at [off] the pre-swap table. Only
+   the pairs at [x] and [y] move: x's partner z stays put while x goes
+   from p to p', and likewise for y. A pair on both keeps its distance
+   and is skipped. *)
+let delta partner dp dp' maps off x y =
+  let z = if x < 0 then -1 else partner.(x) in
+  let w = if y < 0 then -1 else partner.(y) in
+  let pz = if z < 0 || z = y then -1 else maps.(off + z) in
+  let pw = if w < 0 || w = x then -1 else maps.(off + w) in
+  (if pz < 0 then 0 else dp'.(pz) - dp.(pz))
+  + if pw < 0 then 0 else dp.(pw) - dp'.(pw)
 
 (* The SWAP sequence from the root to node [u], first SWAP first. *)
 (* lint: cancel-poll-coverage — parent walk, bounded by the node's depth g *)
@@ -314,12 +311,12 @@ let rec trail nodes n_phys u acc =
    exhausted.
 
    Nodes carry their layer/lookahead distance excess and Zobrist key,
-   all maintained by O(pairs touching the swapped coupler) deltas, so
+   all maintained by O(1) deltas through the layers' partner tables, so
    neither the heuristic nor the goal test nor the closed-set key ever
    re-walks the whole layer or mapping. A node is (base slot, pending
    swap): its mapping is materialised into a closed-set slot only when
-   it is popped, so a push costs a node row, a heap insertion and no
-   allocation. Expansion order, heuristic values and budget accounting
+   it is popped and not already closed, so a push costs a node row and a
+   bucket append. Expansion order, heuristic values and budget accounting
    are exactly those of the historical recompute-everything search (the
    deltas are integer-exact); the qmap goldens pin this. Transposition
    detection falls out of the closed-set probe at push time: a state
@@ -328,27 +325,12 @@ let search a ~opts mapping ~target_pairs ~lookahead_pairs =
   let c = a.closed and n_phys = a.n_phys and dmat = a.dmat in
   let n_prog = c.Closed.n_prog in
   Closed.clear c;
-  Pqueue.clear a.heap;
+  Pqueue.clear a.queue;
   a.n_nodes <- 0;
-  (* Per program qubit: the pairs it appears in, for the delta updates. *)
-  let touches pairs =
-    let t = Array.make (max 1 n_prog) [] in
-    List.iter
-      (fun ((x, y) as pr) ->
-        t.(x) <- pr :: t.(x);
-        t.(y) <- pr :: t.(y))
-      pairs;
-    t
-  in
-  let tp_touch = touches target_pairs and lp_touch = touches lookahead_pairs in
-  let has_lookahead =
-    match lookahead_pairs with [] -> false | _ :: _ -> true
-  in
-  let targets =
-    Array.of_list (List.concat_map (fun (x, y) -> [ x; y ]) target_pairs)
-  in
+  link a.target target_pairs ~on:true;
+  link a.ahead lookahead_pairs ~on:true;
   let root = Closed.load c mapping in
-  push a ~opts ~has_lookahead ~parent:(-1) ~pend:(-1) ~g:0
+  push a ~parent:(-1) ~pend:(-1) ~g:0
     ~lex:(excess dmat mapping target_pairs)
     ~kex:(excess dmat mapping lookahead_pairs)
     ~zob:(Closed.hash c root) ~base:root;
@@ -358,21 +340,25 @@ let search a ~opts mapping ~target_pairs ~lookahead_pairs =
   let result = ref None in
   let budget_hit = ref false in
   let expanded = ref 0 in
-  while Option.is_none !result && (not !budget_hit) && not (Pqueue.is_empty a.heap) do
+  while Option.is_none !result && (not !budget_hit) && not (Pqueue.is_empty a.queue) do
     (* One search layer can expand far longer than a router round, so the
        per-round checkpoint alone gives poor cancellation latency here;
        poll on a stride that keeps the check off the per-pop hot cost. *)
     incr expanded;
     if !expanded land 1023 = 0 then Qls_cancel.poll ();
-    let u = Pqueue.pop a.heap a.prio in
+    let u = Pqueue.pop a.queue in
     let row = u * node_width in
     let pend = a.nodes.(row + 1) and scalars = a.nodes.(row + 2) in
     let zob = a.nodes.(row + 3) and base = a.nodes.(row + 4) in
+    (* A popped node whose mapping is already closed is dropped on a probe
+       of (base slot, pending swap), before the mapping is copied out. *)
+    let p = pend / n_phys and p' = pend mod n_phys in
     let s =
       if pend < 0 then base
-      else Closed.load_swapped c ~src:base ~p:(pend / n_phys) ~p':(pend mod n_phys)
+      else if Closed.mem_swapped c zob ~src:base ~p ~p' then -1
+      else Closed.load_swapped c ~src:base ~p ~p'
     in
-    if Closed.add_last c zob then begin
+    if s >= 0 && Closed.add_last c zob then begin
       let g = scalars land mask21 in
       let layer_ex = (scalars lsr 21) land mask21 in
       let look_ex = (scalars lsr 42) land mask21 in
@@ -384,10 +370,9 @@ let search a ~opts mapping ~target_pairs ~lookahead_pairs =
            expansion allocates no slot, so [maps] stays current. *)
         let maps = c.Closed.maps and off = s * n_prog in
         for q = 0 to n_prog - 1 do
-          a.occ.(maps.(off + q)) <- q
-        done;
-        for i = 0 to Array.length targets - 1 do
-          a.pmark.(maps.(off + targets.(i))) <- true
+          let p = maps.(off + q) in
+          a.occ.(p) <- q;
+          if a.target.(q) >= 0 then a.pmark.(p) <- true
         done;
         for e = 0 to Array.length a.edges - 1 do
           let p, p' = a.edges.(e) in
@@ -404,26 +389,29 @@ let search a ~opts mapping ~target_pairs ~lookahead_pairs =
             then begin
               incr pushed;
               if !pushed > opts.node_budget then budget_hit := true
-              else
-                push a ~opts ~has_lookahead ~parent:u ~pend:code ~g:(g + 1)
-                  ~lex:(layer_ex + delta tp_touch dmat maps off p p' x y)
-                  ~kex:
-                    (if has_lookahead then
-                       look_ex + delta lp_touch dmat maps off p p' x y
-                     else 0)
+              else begin
+                let dp = dmat.(p) and dp' = dmat.(p') in
+                push a ~parent:u ~pend:code ~g:(g + 1)
+                  ~lex:(layer_ex + delta a.target dp dp' maps off x y)
+                  ~kex:(look_ex + delta a.ahead dp dp' maps off x y)
                   ~zob:zob' ~base:s
+              end
             end
           end
         done;
-        for i = 0 to Array.length targets - 1 do
-          a.pmark.(maps.(off + targets.(i))) <- false
-        done;
         for q = 0 to n_prog - 1 do
-          a.occ.(maps.(off + q)) <- -1
+          let p = maps.(off + q) in
+          a.occ.(p) <- -1;
+          a.pmark.(p) <- false
         done
       end
     end
   done;
+  link a.target target_pairs ~on:false;
+  link a.ahead lookahead_pairs ~on:false;
+  a.pushes <- a.pushes + a.n_nodes;
+  a.pops <- a.pops + !expanded;
+  if !budget_hit then a.exhausted <- a.exhausted + 1;
   !result
 
 (* Budget fallback: route the layer's gates one at a time along shortest
@@ -453,6 +441,9 @@ let fallback_swaps device mapping target_pairs =
 
 let obs_rounds = Qls_obs.counter "router.rounds"
 let obs_gates = Qls_obs.counter "router.gates"
+let obs_pushes = Qls_obs.counter "router.astar.pushes"
+let obs_pops = Qls_obs.counter "router.astar.pops"
+let obs_exhausted = Qls_obs.counter "router.astar.exhausted"
 
 let route ?(options = default_options) ?initial device circuit =
   let opts = options in
@@ -510,12 +501,18 @@ let route ?(options = default_options) ?initial device circuit =
   done;
   Qls_obs.add obs_rounds !rounds;
   Qls_obs.add obs_gates (Route_state.done_count st);
+  Qls_obs.add obs_pushes arena.pushes;
+  Qls_obs.add obs_pops arena.pops;
+  Qls_obs.add obs_exhausted arena.exhausted;
   if traced then
     Qls_obs.stop pass_sp
       ~attrs:
         [
           ("rounds", Qls_obs.Int !rounds);
           ("swaps", Qls_obs.Int (Route_state.swap_count st));
+          ("pushes", Qls_obs.Int arena.pushes);
+          ("pops", Qls_obs.Int arena.pops);
+          ("exhausted", Qls_obs.Int arena.exhausted);
         ];
   Route_state.finish st
 

@@ -7,9 +7,11 @@
     gate of the layer is executable; the search cost is the number of
     SWAPs, the heuristic is the summed distance excess of the layer's
     gates (divided by 2, admissible: one SWAP improves at most two layer
-    gates by one each), optionally augmented with a discounted next-layer
-    lookahead term (QMAP's default behaviour, which sacrifices
-    admissibility for speed, exactly as the original tool does).
+    gates by one each), plus the next layer's distance excess at weight
+    1/2, halved the same way (QMAP's default lookahead, which sacrifices
+    admissibility for speed, exactly as the original tool does). Every
+    f-cost is therefore a whole number of quarters, which lets the open
+    set be a bucket queue keyed by 4f.
 
     Satisfying whole layers at a time is QMAP's signature locality: it
     produces clean per-layer mappings but no global routing plan, which is
@@ -21,20 +23,17 @@
     bounds its search frontier). *)
 
 type options = {
-  lookahead_weight : float;
-      (** weight of the next-layer heuristic term, 0 = admissible,
-          default 0.5 *)
   node_budget : int;
       (** A* queue insertions allowed per layer, default 10_000. Bounds
-          time {e and} memory: a queued node costs seven words (a row of
-          five ints, its f-cost and its heap entry), not a mapping, so
-          the search's memory is the budget times a few words plus one
-          [n_prog]-int table per expanded node. *)
+          time {e and} memory: a queued node costs six words (a row of
+          five ints and its queue link), not a mapping, so the search's
+          memory is the budget times six words plus one [n_prog]-int
+          table per expanded node. *)
   seed : int;  (** tie-breaking stream for the fallback *)
 }
 
 val default_options : options
-(** Lookahead 0.5, budget 10k. *)
+(** Budget 10k. *)
 
 (** The A* closed set: collision-free at every device size. The
     pre-rewrite key truncated each physical index to one byte, so on

@@ -358,99 +358,152 @@ let apsp_tests =
 (* ------------------------------------------------------------------ *)
 
 (* Drain [q], returning the ids in pop order. *)
-let drain_ids q keys =
+let drain_ids q =
   let out = ref [] in
   while not (Pqueue.is_empty q) do
-    out := Pqueue.pop q keys :: !out
+    out := Pqueue.pop q :: !out
   done;
   List.rev !out
+
+(* Push ids 0, 1, ... in order under [keys]. *)
+let push_all q keys = List.iteri (fun id key -> Pqueue.push q ~key id) keys
+
+(* The (key, insertion order) reference: ids of [keys] sorted by key,
+   stably, so equal keys keep their push order. *)
+let model_order keys =
+  List.mapi (fun id key -> (key, id)) keys
+  |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map snd
 
 let pqueue_tests =
   [
     test_case "pops in priority order" (fun () ->
-        let keys = [| 3.; 1.; 2.; 0.5 |] in
         let q = Pqueue.create () in
-        Array.iteri (fun id _ -> Pqueue.push q keys id) keys;
+        push_all q [ 6; 2; 4; 1 ];
         Alcotest.(check (list int)) "ascending key" [ 3; 1; 2; 0 ]
-          (drain_ids q keys));
+          (drain_ids q));
     test_case "FIFO among ties" (fun () ->
-        let keys = Array.make 6 1.0 in
-        keys.(4) <- 0.5;
         let q = Pqueue.create () in
-        (* Ids issued in push order pop in push order among equal keys. *)
-        List.iter (Pqueue.push q keys) [ 0; 1; 2; 3 ];
-        check_int "first" 0 (Pqueue.pop q keys);
+        (* Ids pushed under one key pop in push order. *)
+        List.iter (Pqueue.push q ~key:2) [ 0; 1; 2; 3 ];
+        check_int "first" 0 (Pqueue.pop q);
         (* Pushed later with a smaller key: it jumps the queue, and the
-           ties resume in id order after it. *)
-        List.iter (Pqueue.push q keys) [ 4; 5 ];
-        Alcotest.(check (list int)) "rest" [ 4; 1; 2; 3; 5 ] (drain_ids q keys));
+           ties resume in push order after it. *)
+        Pqueue.push q ~key:1 4;
+        Pqueue.push q ~key:2 5;
+        Alcotest.(check (list int)) "rest" [ 4; 1; 2; 3; 5 ] (drain_ids q));
     test_case "size and is_empty" (fun () ->
-        let keys = [| 1.0 |] in
         let q = Pqueue.create () in
         check_bool "empty" true (Pqueue.is_empty q);
-        Pqueue.push q keys 0;
+        Pqueue.push q ~key:1 0;
         check_int "one" 1 (Pqueue.size q);
-        ignore (Pqueue.pop q keys);
+        ignore (Pqueue.pop q);
         check_bool "empty again" true (Pqueue.is_empty q);
         Alcotest.check_raises "pop on empty"
           (Invalid_argument "Pqueue.pop: empty queue") (fun () ->
-            ignore (Pqueue.pop q keys)));
+            ignore (Pqueue.pop q));
+        Alcotest.check_raises "negative key"
+          (Invalid_argument "Pqueue.push: negative key") (fun () ->
+            Pqueue.push q ~key:(-1) 0));
     test_case "clear drops everything" (fun () ->
-        let keys = Array.init 10 float_of_int in
         let q = Pqueue.create () in
         for i = 0 to 9 do
-          Pqueue.push q keys i
+          Pqueue.push q ~key:i i
         done;
         Pqueue.clear q;
         check_bool "empty" true (Pqueue.is_empty q);
-        (* The storage is reused: a cleared heap orders fresh ids. *)
-        List.iter (Pqueue.push q keys) [ 7; 2; 5 ];
-        Alcotest.(check (list int)) "reused" [ 2; 5; 7 ] (drain_ids q keys));
+        (* The storage is reused: a cleared queue orders fresh ids. *)
+        List.iter (fun id -> Pqueue.push q ~key:id id) [ 7; 2; 5 ];
+        Alcotest.(check (list int)) "reused" [ 2; 5; 7 ] (drain_ids q));
+    test_case "clear then reuse leaves no stale ids" (fun () ->
+        let q = Pqueue.create () in
+        (* Ids 0-5 over three keys, two of them popped, the rest left
+           queued when the queue is cleared. *)
+        push_all q [ 3; 3; 1; 5; 1; 3 ];
+        let first = Pqueue.pop q in
+        let second = Pqueue.pop q in
+        Alcotest.(check (list int)) "popped" [ 2; 4 ] [ first; second ];
+        Pqueue.clear q;
+        (* Fresh ids from 0 again, under the same keys and new ones: the
+           old bucket links must not leak into the new lists. *)
+        push_all q [ 3; 0; 5; 3 ];
+        check_int "size" 4 (Pqueue.size q);
+        Alcotest.(check (list int)) "fresh only" [ 1; 0; 3; 2 ] (drain_ids q));
+    test_case "a key above the initial bucket capacity" (fun () ->
+        let q = Pqueue.create () in
+        push_all q [ 5; 100_000; 0; 1_000; 100_000; 5 ];
+        Alcotest.(check (list int)) "order" [ 2; 0; 5; 3; 1; 4 ] (drain_ids q);
+        (* The grown buckets stay usable after a clear. *)
+        Pqueue.clear q;
+        push_all q [ 70_000; 2 ];
+        Alcotest.(check (list int)) "after clear" [ 1; 0 ] (drain_ids q));
   ]
+
+(* One step of the model property: push under a key, pop, or clear. *)
+type pq_op = Push of int | Pop | Clear
+
+let pq_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map (fun k -> Push k) (int_range 0 12));
+        (3, return Pop);
+        (1, return Clear);
+      ])
+
+let pq_op_print = function
+  | Push k -> Printf.sprintf "push %d" k
+  | Pop -> "pop"
+  | Clear -> "clear"
 
 let pqueue_props =
   [
     QCheck.Test.make ~name:"pqueue pops sorted" ~count:200
-      QCheck.(list (float_range 0.0 100.0))
-      (fun prios ->
-        let keys = Array.of_list prios in
+      QCheck.(list (int_range 0 400))
+      (fun keys ->
         let q = Pqueue.create () in
-        Array.iteri (fun id _ -> Pqueue.push q keys id) keys;
-        let out = List.map (fun id -> keys.(id)) (drain_ids q keys) in
-        out = List.sort Float.compare prios);
-    (* The A* interleaves pushes and pops and leans on exact tie order:
-       against a sorted-list model, every pop is the least (key, id) of
-       what is queued, with ids issued in push order and small integer
-       keys so ties are common. *)
+        push_all q keys;
+        drain_ids q = model_order keys);
+    (* The A* interleaves pushes and pops, pushes keys below the current
+       minimum (its heuristic is not monotone), clears the queue between
+       layers and reissues ids from 0 after each clear. Against a
+       sorted-list model, every pop is the least (key, insertion order)
+       of what is queued. *)
     QCheck.Test.make ~name:"pqueue pops least (key, id) under interleaving"
-      ~count:200
-      QCheck.(list_of_size Gen.(0 -- 300) (option (int_range 0 4)))
+      ~count:300
+      (QCheck.make
+         ~print:QCheck.Print.(list pq_op_print)
+         QCheck.Gen.(list_size (0 -- 300) pq_op_gen))
       (fun ops ->
-        let keys = Array.make (List.length ops) 0.0 in
         let q = Pqueue.create () in
+        (* The model: queued (key, id), least first; ids are issued in
+           push order, so id order is insertion order. *)
         let model = ref [] and next = ref 0 in
-        let rec insert id = function
-          | [] -> [ id ]
-          | x :: rest as l ->
-              if keys.(id) < keys.(x) || (keys.(id) = keys.(x) && id < x)
-              then id :: l
-              else x :: insert id rest
+        let rec insert ((k, id) as e) = function
+          | [] -> [ e ]
+          | ((k', id') as x) :: rest ->
+              if k < k' || (k = k' && id < id') then e :: x :: rest
+              else x :: insert e rest
         in
         List.for_all
           (function
-            | Some k ->
+            | Push key ->
                 let id = !next in
                 incr next;
-                keys.(id) <- float_of_int k;
-                Pqueue.push q keys id;
-                model := insert id !model;
-                true
-            | None -> (
+                Pqueue.push q ~key id;
+                model := insert (key, id) !model;
+                Pqueue.size q = List.length !model
+            | Pop -> (
                 match !model with
                 | [] -> Pqueue.is_empty q
-                | least :: rest ->
+                | (_, least) :: rest ->
                     model := rest;
-                    Pqueue.pop q keys = least))
+                    Pqueue.pop q = least)
+            | Clear ->
+                Pqueue.clear q;
+                model := [];
+                next := 0;
+                Pqueue.is_empty q)
           ops);
   ]
 

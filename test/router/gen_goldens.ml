@@ -80,6 +80,19 @@ let all_specs =
       specs
         ~devices:[ ("rochester", 1500) ]
         ~n_swaps:20 ~seeds:[ 1 ] ~routers:[ "sabre5" ] ~router_seed:2;
+      (* qmap at the paper's Fig. 4 gate budgets (300 on Aspen-4, 1,500
+         on Sycamore and Rochester) and both ends of its SWAP range. Each
+         1,500-gate route uses up the node budget in 111 to 201 layers,
+         so these pin the budget accounting and the fallback as well as
+         the queue order. *)
+      specs
+        ~devices:
+          [ ("aspen4", 300); ("sycamore54", 1500); ("rochester", 1500) ]
+        ~n_swaps:5 ~seeds:[ 1 ] ~routers:[ "qmap" ] ~router_seed:0;
+      specs
+        ~devices:
+          [ ("aspen4", 300); ("sycamore54", 1500); ("rochester", 1500) ]
+        ~n_swaps:20 ~seeds:[ 1 ] ~routers:[ "qmap" ] ~router_seed:0;
     ]
 
 let route spec device circuit =

@@ -5,8 +5,11 @@
    sycamore54 and aspen4 qmap cases were recorded with that same search,
    before its rewrite onto the flat search arena; the sabre-decay, mlqls
    and five-trial paper-budget sabre5 cases were recorded before SABRE's
-   rounds moved onto delta scoring over an in-place routing state. Any
-   further hot-path work must reproduce all of them bit-identically. *)
+   rounds moved onto delta scoring over an in-place routing state; the
+   qmap cases at the Fig. 4 gate budgets (300 and 1,500 gates) were
+   recorded with the binary-heap open set and float f-costs, before the
+   bucket queue. Any further hot-path work must reproduce all of them
+   bit-identically. *)
 
 type case = {
   device : string;
@@ -131,4 +134,22 @@ let cases =
     { device = "rochester"; gate_budget = 1500; n_swaps = 20; seed = 1;
       router = "sabre5"; router_seed = 2;
       swaps = 1105; digest = "1fa64fc7486b5a30cb498db5a43d36c9" };
+    { device = "aspen4"; gate_budget = 300; n_swaps = 5; seed = 1;
+      router = "qmap"; router_seed = 0;
+      swaps = 214; digest = "bb5090571946f999fd3b133759e23b2b" };
+    { device = "sycamore54"; gate_budget = 1500; n_swaps = 5; seed = 1;
+      router = "qmap"; router_seed = 0;
+      swaps = 3027; digest = "c1d7ee7c44defe83e3014cabdc13ef53" };
+    { device = "rochester"; gate_budget = 1500; n_swaps = 5; seed = 1;
+      router = "qmap"; router_seed = 0;
+      swaps = 3888; digest = "8bdd5b22fd9d0a9f9223d0b808a36dd9" };
+    { device = "aspen4"; gate_budget = 300; n_swaps = 20; seed = 1;
+      router = "qmap"; router_seed = 0;
+      swaps = 334; digest = "9bf1c9f494a65429e0f981331e762a4f" };
+    { device = "sycamore54"; gate_budget = 1500; n_swaps = 20; seed = 1;
+      router = "qmap"; router_seed = 0;
+      swaps = 3563; digest = "e4b05acdac58915052edef241502936d" };
+    { device = "rochester"; gate_budget = 1500; n_swaps = 20; seed = 1;
+      router = "qmap"; router_seed = 0;
+      swaps = 3370; digest = "8698a349c9c32cbdf8df60b7082049a6" };
   ]

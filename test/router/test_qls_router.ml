@@ -84,6 +84,9 @@ let registration_tests =
           [
             "router.rounds";
             "router.gates";
+            "router.astar.pushes";
+            "router.astar.pops";
+            "router.astar.exhausted";
             "sat.conflicts";
             "sat.learned";
             "sat.restarts";
@@ -938,19 +941,22 @@ let olsq_incremental_props =
 (* OLSQ search pins, allocation and tracing                            *)
 (* ------------------------------------------------------------------ *)
 
-(* [f ()] with the (conflicts, learned, restarts) its solves added to
-   the solver's obs counters. The counters are looked up here, not at
-   module initialisation, so the registration test above still sees
-   only what the library registered. *)
-let sat_effort f =
+(* [f ()] with what it added to three obs counters. The counters are
+   looked up here, not at module initialisation, so the registration
+   test above still sees only what the library registered. *)
+let counter_deltas (a, b, c) f =
   let read () =
     let value name = Qls_obs.counter_value (Qls_obs.counter name) in
-    (value "sat.conflicts", value "sat.learned", value "sat.restarts")
+    (value a, value b, value c)
   in
-  let c0, l0, r0 = read () in
+  let a0, b0, c0 = read () in
   let v = f () in
-  let c1, l1, r1 = read () in
-  (v, (c1 - c0, l1 - l0, r1 - r0))
+  let a1, b1, c1 = read () in
+  (v, (a1 - a0, b1 - b0, c1 - c0))
+
+(* The (conflicts, learned, restarts) of [f]'s solves. *)
+let sat_effort f =
+  counter_deltas ("sat.conflicts", "sat.learned", "sat.restarts") f
 
 (* One cell of the paper's section IV-A study shape: 30 gates, capped
    saturation. *)
@@ -1096,6 +1102,72 @@ let olsq_pin_tests =
             if r.Qls_obs.r_name = "olsq.encode" then
               check_bool "vars recorded" true (attr r "vars" <> None))
           sat_spans);
+  ]
+
+(* qmap's search work: queue insertions, queue pops and layers that used
+   up the node budget. *)
+let astar_effort f =
+  counter_deltas
+    ("router.astar.pushes", "router.astar.pops", "router.astar.exhausted")
+    f
+
+(* Two of the Fig. 4-budget qmap goldens (1,500 gates, generator seed 1)
+   with their search work pinned as (pushes, pops, exhausted). Recorded
+   from the binary-heap search with float f-costs; a rewrite of the
+   queue or the arena that keeps the search keeps every count. *)
+let qmap_pins =
+  [
+    ("sycamore54", 5, (1_905_319, 108_899, 176));
+    ("rochester", 20, (1_444_467, 305_763, 111));
+  ]
+
+let qmap_pin_instance name ~n_swaps =
+  let device = Option.get (Topologies.by_name name) in
+  let config =
+    {
+      Qubikos.Generator.default_config with
+      n_swaps;
+      gate_budget = 1500;
+      seed = 1;
+    }
+  in
+  (device, (Qubikos.Generator.generate ~config device).Qubikos.Benchmark.circuit)
+
+let qmap_pin_tests =
+  [
+    test_case "paper-budget routes take the pinned searches" (fun () ->
+        List.iter
+          (fun (name, n_swaps, expected) ->
+            let device, circuit = qmap_pin_instance name ~n_swaps in
+            let _, effort =
+              astar_effort (fun () -> Astar_router.route device circuit)
+            in
+            check_effort (Printf.sprintf "%s n=%d" name n_swaps) expected effort)
+          qmap_pins);
+    test_case "a traced route reports the pinned counts on its span" (fun () ->
+        let name, n_swaps, expected = List.nth qmap_pins 1 in
+        let device, circuit = qmap_pin_instance name ~n_swaps in
+        let path = Filename.temp_file "qls_qmap_trace" ".jsonl" in
+        Qls_obs.tracing_to path;
+        let _, effort =
+          Fun.protect ~finally:Qls_obs.shutdown (fun () ->
+              astar_effort (fun () -> Astar_router.route device circuit))
+        in
+        let records, bad = Qls_obs.load_jsonl path in
+        Sys.remove path;
+        check_int "trace intact" 0 bad;
+        check_effort "counters" expected effort;
+        match List.filter (fun r -> r.Qls_obs.r_name = "astar.route") records with
+        | [ r ] ->
+            let attr key =
+              match List.assoc_opt key r.Qls_obs.r_attrs with
+              | Some v -> int_of_string v
+              | None -> Alcotest.fail ("astar.route lacks " ^ key)
+            in
+            check_effort "span attrs" expected
+              (attr "pushes", attr "pops", attr "exhausted")
+        | spans ->
+            Alcotest.failf "%d astar.route spans, expected 1" (List.length spans));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1743,6 +1815,7 @@ let () =
       ( "olsq-incremental-properties",
         List.map QCheck_alcotest.to_alcotest olsq_incremental_props );
       ("olsq-pins", olsq_pin_tests);
+      ("qmap-pins", qmap_pin_tests);
       ("token-swap", token_swap_tests);
       ("token-swap-properties", List.map QCheck_alcotest.to_alcotest token_swap_props);
       ("goldens", golden_tests);
