@@ -273,9 +273,14 @@ let route_cmd =
               (* A malformed file is a clean, line-numbered diagnostic —
                  not a backtrace. *)
               match Qasm.read_file_result path with
-              | Ok circuit -> Ok (circuit, None)
               | Error e ->
-                  Error (Printf.sprintf "%s: %s" path (Qasm.error_to_string e)))
+                  Error (Printf.sprintf "%s: %s" path (Qasm.error_to_string e))
+              | Ok circuit when Circuit.n_qubits circuit > Device.n_qubits device ->
+                  Error
+                    (Printf.sprintf "%s: circuit on %d qubits does not fit %s (%d qubits)"
+                       path (Circuit.n_qubits circuit) (Device.name device)
+                       (Device.n_qubits device))
+              | Ok circuit -> Ok (circuit, None))
           | None ->
               let bench =
                 Generator.generate ~config:(config_of device ~n_swaps ~gates ~seed) device

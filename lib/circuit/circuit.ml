@@ -1,13 +1,13 @@
 type t = { n_qubits : int; gates : Gate.t array }
 
 let check_gate n g =
-  List.iter
-    (fun q ->
-      if q < 0 || q >= n then
-        invalid_arg
-          (Printf.sprintf "Circuit: gate %s uses qubit outside [0, %d)"
-             (Gate.to_string g) n))
-    (Gate.qubits g)
+  if (match g with
+      | Gate.G1 { q; _ } -> q < 0 || q >= n
+      | Gate.G2 { a; b; _ } -> a < 0 || a >= n || b < 0 || b >= n)
+  then
+    invalid_arg
+      (Printf.sprintf "Circuit: gate %s uses qubit outside [0, %d)"
+         (Gate.to_string g) n)
 
 let of_array ~n_qubits gates =
   if n_qubits < 0 then invalid_arg "Circuit: negative qubit count";

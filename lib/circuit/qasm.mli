@@ -2,16 +2,20 @@
 
     Benchmarks are exchangeable with the Python QLS ecosystem (Qiskit,
     t|ket⟩, QMAP all consume OpenQASM 2), so the generator can emit
-    circuits other tools can read, and the test suite can round-trip. The
-    parser covers the subset this library emits: a header, one [qreg],
-    optional [creg], and parameterless named gate applications (parameters
-    in parentheses are accepted and discarded — layout synthesis ignores
-    them).
+    circuits other tools can read, and the test suite can round-trip.
 
-    Malformed input is a {e typed}, line-numbered {!error} — callers that
-    feed untrusted files (the CLI, campaign tasks over external circuit
-    suites) use the [_result] API so one bad file fails one task with a
-    clean diagnostic instead of an exception tearing down the run. *)
+    {b Grammar read} (one pass, in place): a comment runs from the first
+    [//] to the end of its line; statements split on [;]. Statements
+    starting with [OPENQASM], [include], [creg], [barrier] or [measure]
+    are skipped; [qreg name\[n\]] declares the one register; anything
+    else is a gate [name[(params)] reg\[i\][, reg\[j\]]], parameters
+    discarded — layout synthesis ignores them.
+
+    Malformed input is a {e typed}, line-numbered {!error} — a bad
+    statement or operand, another register, over two operands, a
+    negative, repeated or out-of-[qreg] index, a second or missing
+    [qreg]. Untrusted text (the CLI, the serve daemon, external suites)
+    goes through the [_result] API, which raises nothing. *)
 
 type error = { line : int; message : string }
 (** A parse failure; [line] is 1-based ([0] when no line applies, e.g. a
@@ -25,8 +29,8 @@ val error_to_string : error -> string
 val pp_error : Format.formatter -> error -> unit
 
 val to_string : Circuit.t -> string
-(** Emit OpenQASM 2.0. SWAP gates are emitted as [swap]; any gate name is
-    emitted verbatim. *)
+(** Emit OpenQASM 2.0 in one canonical layout per circuit (the serve route
+    cache keys on its hash). SWAPs are [swap]; other names are verbatim. *)
 
 val of_string : string -> Circuit.t
 (** Parse the supported OpenQASM 2.0 subset.

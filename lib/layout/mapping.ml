@@ -53,16 +53,20 @@ let phys_table m = m.q2p
 
 let to_array m = Array.copy m.q2p
 
-let swap_physical m p p' =
-  if p < 0 || p >= m.n_physical || p' < 0 || p' >= m.n_physical then
+let swap_tables ~q2p ~p2q p p' =
+  let n = Array.length p2q in
+  if p < 0 || p >= n || p' < 0 || p' >= n then
     invalid_arg "Mapping.swap_physical: physical qubit out of range";
   if p = p' then invalid_arg "Mapping.swap_physical: identical qubits";
-  let q2p = Array.copy m.q2p and p2q = Array.copy m.p2q in
   let a = p2q.(p) and b = p2q.(p') in
   p2q.(p) <- b;
   p2q.(p') <- a;
   if a >= 0 then q2p.(a) <- p';
-  if b >= 0 then q2p.(b) <- p;
+  if b >= 0 then q2p.(b) <- p
+
+let swap_physical m p p' =
+  let q2p = Array.copy m.q2p and p2q = Array.copy m.p2q in
+  swap_tables ~q2p ~p2q p p';
   { m with q2p; p2q }
 
 let apply_swaps m swaps =

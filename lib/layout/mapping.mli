@@ -50,7 +50,13 @@ val to_array : t -> int array
 
 val swap_physical : t -> int -> int -> t
 (** [swap_physical m p p'] exchanges the contents of the two physical
-    qubits (either may be empty). This is the action of a SWAP gate. *)
+    qubits (either may be empty). This is the action of a SWAP gate.
+    @raise Invalid_argument if [p] or [p'] is out of range, or [p = p']. *)
+
+val swap_tables : q2p:int array -> p2q:int array -> int -> int -> unit
+(** The same action in place on raw tables ([p2q] holds [-1] for an empty
+    slot), so a walk over a route copies nothing per SWAP.
+    @raise Invalid_argument exactly as {!swap_physical}. *)
 
 val apply_swaps : t -> (int * int) list -> t
 (** Folds {!swap_physical} over a SWAP list, left to right. *)

@@ -40,24 +40,45 @@ let mapping_at t k =
   in
   go t.initial 0 t.ops
 
-let to_physical_circuit t =
-  let n_phys = Device.n_qubits t.device in
-  let m = ref t.initial in
-  let out =
-    List.map
-      (fun op ->
-        match op with
-        | Swap (p, p') ->
-            m := Mapping.swap_physical !m p p';
-            Gate.swap p p'
-        | Gate i ->
-            let g = Circuit.gate t.source i in
-            Gate.map_qubits (fun q -> Mapping.phys !m q) g)
-      t.ops
-  in
-  Circuit.create ~n_qubits:n_phys out
+let iter_mapped t f =
+  let q2p = Mapping.to_array t.initial in
+  let p2q = Array.init (Mapping.n_physical t.initial) (Mapping.occupant t.initial) in
+  List.iteri
+    (fun k op ->
+      (match op with
+      | Swap (p, p') -> Mapping.swap_tables ~q2p ~p2q p p'
+      | Gate _ -> ());
+      f k op q2p)
+    t.ops
 
-let depth t = Circuit.depth (to_physical_circuit t)
+let to_physical_circuit t =
+  let out = ref [] in
+  iter_mapped t (fun _ op q2p ->
+      let g =
+        match op with
+        | Swap (p, p') -> Gate.swap p p'
+        | Gate i -> Gate.map_qubits (fun q -> q2p.(q)) (Circuit.gate t.source i)
+      in
+      out := g :: !out);
+  Circuit.create ~n_qubits:(Device.n_qubits t.device) (List.rev !out)
+
+(* The physical circuit's depth without building it: one frontier per
+   physical qubit. A single-qubit gate is placed as the pair (p, p). *)
+let depth t =
+  let front = Array.make (max 1 (Device.n_qubits t.device)) 0 in
+  let place p p' =
+    let d = 1 + Int.max front.(p) front.(p') in
+    front.(p) <- d;
+    front.(p') <- d
+  in
+  iter_mapped t (fun _ op q2p ->
+      match op with
+      | Swap (p, p') -> place p p'
+      | Gate i -> (
+          match Circuit.gate t.source i with
+          | Gate.G1 { q; _ } -> place q2p.(q) q2p.(q)
+          | Gate.G2 { a; b; _ } -> place q2p.(a) q2p.(b)));
+  Array.fold_left Int.max 0 front
 
 let pp ppf t =
   let n_swap = swap_count t in

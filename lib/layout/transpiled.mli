@@ -54,8 +54,15 @@ val to_physical_circuit : t -> Qls_circuit.Circuit.t
     as [swap] gates. This is what would be sent to the machine, and what
     {!Qls_circuit.Qasm.to_string} serialises for cross-checking. *)
 
+val iter_mapped : t -> (int -> op -> int array -> unit) -> unit
+(** [iter_mapped t f] calls [f k op q2p] on each op in order, [q2p] being
+    the program→physical table once op [k] has acted. One table is
+    updated in place ({!Mapping.swap_tables}); [f] may only read it.
+    @raise Invalid_argument on a SWAP {!Mapping.swap_physical} rejects. *)
+
 val depth : t -> int
-(** Depth of {!to_physical_circuit}. *)
+(** Depth of {!to_physical_circuit}, measured by one {!iter_mapped} walk
+    with a frontier per physical qubit, without building the circuit. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints op counts and the SWAP positions. *)

@@ -35,34 +35,30 @@ let check t =
   let seen = Array.make n_gates false in
   (* Last emitted source index per program qubit, for order checking. *)
   let last_on = Array.make (max 1 (Circuit.n_qubits src)) (-1) in
-  let mapping = ref (Transpiled.initial_mapping t) in
+  let in_order i q =
+    if last_on.(q) > i then
+      add (Order_broken { qubit = q; earlier = last_on.(q); later = i })
+    else last_on.(q) <- i
+  in
   let n_swaps = ref 0 in
-  List.iteri
-    (fun op_index op ->
+  Transpiled.iter_mapped t (fun op_index op q2p ->
       match op with
       | Transpiled.Swap (p, p') ->
           incr n_swaps;
           if not (Device.coupled dev p p') then
-            add (Uncoupled_swap { op_index; phys = (p, p') });
-          mapping := Mapping.swap_physical !mapping p p'
-      | Transpiled.Gate i ->
+            add (Uncoupled_swap { op_index; phys = (p, p') })
+      | Transpiled.Gate i -> (
           if i < 0 || i >= n_gates then
             invalid_arg (Printf.sprintf "Verifier: gate index %d out of range" i);
           if seen.(i) then add (Duplicated_gate i) else seen.(i) <- true;
-          let g = Circuit.gate src i in
-          List.iter
-            (fun q ->
-              if last_on.(q) > i then
-                add (Order_broken { qubit = q; earlier = last_on.(q); later = i })
-              else last_on.(q) <- i)
-            (Gate.qubits g);
-          if Gate.is_two_qubit g then begin
-            let a, b = Gate.pair g in
-            let pa = Mapping.phys !mapping a and pb = Mapping.phys !mapping b in
-            if not (Device.coupled dev pa pb) then
-              add (Uncoupled_gate { op_index; gate = i; phys = (pa, pb) })
-          end)
-    (Transpiled.ops t);
+          match Circuit.gate src i with
+          | Gate.G1 { q; _ } -> in_order i q
+          | Gate.G2 { a; b; _ } ->
+              in_order i a;
+              in_order i b;
+              let pa = q2p.(a) and pb = q2p.(b) in
+              if not (Device.coupled dev pa pb) then
+                add (Uncoupled_gate { op_index; gate = i; phys = (pa, pb) })));
   Array.iteri (fun i s -> if not s then add (Missing_gate i)) seen;
   match !violations with
   | [] -> Ok { swap_count = !n_swaps; depth = Transpiled.depth t }

@@ -11,7 +11,9 @@
       equivalence for layout purposes);
     - {b connectivity} — every two-qubit source gate executes on a coupled
       physical pair under the mapping in effect at its position;
-    - {b swap legality} — every SWAP acts on a coupled physical pair. *)
+    - {b swap legality} — every SWAP acts on a coupled physical pair.
+
+    One {!Transpiled.iter_mapped} pass over the ops checks all four. *)
 
 type violation =
   | Missing_gate of int        (** source gate never emitted *)

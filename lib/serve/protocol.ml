@@ -286,8 +286,7 @@ let route_of_fields fields =
     deadline_ms = deadline_of_fields fields;
   }
 
-let request_of_payload payload =
-  let fields = fields_of_payload payload in
+let request_of_fields fields =
   match List.assoc_opt "verb" fields with
   | None -> bad "request without a \"verb\""
   | Some "route" -> Route (route_of_fields fields)
@@ -307,10 +306,12 @@ let request_of_payload payload =
   | Some "health" -> Health
   | Some verb -> bad "unknown verb %S" verb
 
-let request_id payload =
-  match Qls_sealed.fields_of_line payload with
-  | fields -> List.assoc_opt "id" fields
-  | exception Qls_sealed.Malformed _ -> None
+let request_of_payload payload =
+  match fields_of_payload payload with
+  | exception Bad_request m -> (None, Error m)
+  | fields ->
+      ( List.assoc_opt "id" fields,
+        try Ok (request_of_fields fields) with Bad_request m -> Error m )
 
 (* ------------------------------------------------------------------ *)
 (* Cache keys                                                          *)
@@ -321,12 +322,12 @@ let request_id payload =
    cached answer to a request hand-crafted to collide with another; the
    daemon trusts its clients). *)
 let circuit_hash text =
+  (* A local ref in a [for] loop stays an unboxed Int64; a closure over
+     it would box one per byte. *)
   let h = ref (-3750763034362895579L) (* 0xcbf29ce484222325 *) in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c)))
-             1099511628211L)
-    text;
+  for i = 0 to String.length text - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code text.[i]))) 1099511628211L
+  done;
   Printf.sprintf "%016Lx" !h
 
 (* Length-prefix every component so the key is injective whatever bytes

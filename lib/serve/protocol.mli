@@ -63,12 +63,11 @@ exception Bad_request of string
 (** A frame or payload the protocol rejects; the server answers with a
     [kind:"bad_request"] response rather than dropping the link. *)
 
-val request_of_payload : string -> request
-(** Parse one request payload. @raise Bad_request on malformed JSON, an
-    unknown verb, or an ill-typed field. *)
-
-val request_id : string -> string option
-(** The optional ["id"] field of a payload, when it parses. *)
+val request_of_payload : string -> string option * (request, string) result
+(** Parse one request payload, once: its optional ["id"] and the request,
+    or why it is a bad request (malformed JSON, an unknown verb, an
+    ill-typed field). The id is [None] only when the JSON itself does
+    not parse, so a rejected request still gets its id echoed. *)
 
 (** {1 Framing} *)
 

@@ -1,6 +1,7 @@
 module Pool = Qls_harness.Pool
 module Device = Qls_arch.Device
 module Topologies = Qls_arch.Topologies
+module Circuit = Qls_circuit.Circuit
 module Qasm = Qls_circuit.Qasm
 module Router = Qls_router.Router
 module Registry = Qls_router.Registry
@@ -220,8 +221,11 @@ let routed_of t (p : Protocol.route_params) =
     match p.qasm with
     | Some text -> (
         match Qasm.of_string_result text with
-        | Ok c -> (c, None)
-        | Error e -> bad "qasm: %s" (Qasm.error_to_string e))
+        | Error e -> bad "qasm: %s" (Qasm.error_to_string e)
+        | Ok c when Circuit.n_qubits c > Device.n_qubits device ->
+            bad "qasm: circuit on %d qubits does not fit %s (%d qubits)"
+              (Circuit.n_qubits c) (Device.name device) (Device.n_qubits device)
+        | Ok c -> (c, None))
     | None ->
         let inst, _ = instance_of t p.gen in
         (inst.bench.Benchmark.circuit, Some inst.bench.Benchmark.optimal_swaps)
@@ -458,22 +462,22 @@ let request_deadline_ms t = function
 
 let handle_payload t conn payload ~t_recv =
   Qls_obs.incr t.c_requests;
-  let id = Protocol.request_id payload in
-  match Protocol.request_of_payload payload with
-  | exception Protocol.Bad_request msg ->
+  let id, request = Protocol.request_of_payload payload in
+  match request with
+  | Error msg ->
       respond t conn ~verb:"?" ~status:"bad_request" ~hit:false ~t_recv ~id
         (error_payload ~id ~kind:"bad_request" msg)
-  | Protocol.Stats ->
+  | Ok Protocol.Stats ->
       (* Answered on the reader thread: stats must stay observable even
          when the pool queue is saturated — that is when you need it. *)
       respond t conn ~verb:"stats" ~status:"ok" ~hit:false ~t_recv ~id
         (stats_payload t ~id)
-  | Protocol.Health ->
+  | Ok Protocol.Health ->
       (* Same: a liveness probe that queued behind the very saturation
          it should report would be useless. *)
       respond t conn ~verb:"health" ~status:"ok" ~hit:false ~t_recv ~id
         (health_payload t ~id)
-  | req -> (
+  | Ok req -> (
       let verb = verb_name req in
       let token = Qls_cancel.make ?deadline_ms:(request_deadline_ms t req) () in
       let job_key = string_of_int (Atomic.fetch_and_add t.job_seq 1) in

@@ -304,6 +304,11 @@ let layers_tests =
 (* Qasm                                                                *)
 (* ------------------------------------------------------------------ *)
 
+let check_error_line line text =
+  match Qasm.of_string_result text with
+  | Error e -> check_int ("line of " ^ e.Qasm.message) line e.Qasm.line
+  | Ok _ -> Alcotest.failf "expected a parse error for %S" text
+
 let qasm_tests =
   [
     test_case "emit contains header and gates" (fun () ->
@@ -375,7 +380,128 @@ let qasm_tests =
           (fun () ->
             Qasm.write_file path c;
             check_bool "equal" true (Circuit.equal c (Qasm.read_file path))));
+    (* Inputs whose gates [Gate] or [Circuit] reject: the reader reports
+       them as typed, line-numbered errors, not as Invalid_argument. *)
+    test_case "repeated operand is a line-numbered error" (fun () ->
+        check_error_line 3 "OPENQASM 2.0;\nqreg q[4];\ncx q[1],q[1];\n");
+    test_case "qubit outside the qreg is a line-numbered error" (fun () ->
+        check_error_line 3 "OPENQASM 2.0;\nqreg q[4];\ncx q[0],q[9];\n";
+        check_error_line 1 "h q[5];\nqreg q[2];\n");
+    test_case "negative qubit index is a line-numbered error" (fun () ->
+        check_error_line 3 "OPENQASM 2.0;\nqreg q[4];\nh q[-1];\n");
+    test_case "comment after a '/' in gate parameters" (fun () ->
+        let c = Qasm.of_string "OPENQASM 2.0;\nqreg q[1];\nrz(pi/4) q[0]; // phase\n" in
+        check_int "one gate" 1 (Circuit.length c);
+        Alcotest.(check string) "name" "rz" (Gate.name (Circuit.gate c 0)));
   ]
+
+(* Texts for the reader properties: well-formed circuits in varied
+   layouts, the same with a few random edits, token soup built from the
+   statements that used to leak Invalid_argument, and arbitrary bytes. *)
+let gate_names = [| "cx"; "h"; "cz"; "swap"; "x"; "t"; "rz(pi/4)"; "u3(0.1,0.2,0.3)" |]
+
+let qasm_gen =
+  QCheck.Gen.(
+    let* n = int_range 1 40 in
+    let* reg = oneofl [ "q"; "r"; "qr" ] in
+    let* header =
+      oneofl
+        [
+          Printf.sprintf "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg %s[%d];\n" reg n;
+          Printf.sprintf "OPENQASM 2.0; qreg  %s[ %d ]; creg c[%d];\n" reg n n;
+          Printf.sprintf "// header\r\nqreg %s [%d];\r\n" reg n;
+        ]
+    in
+    let stmt =
+      let* name = oneofa gate_names in
+      let* a = int_bound (n - 1) in
+      let* b = int_bound (n - 1) in
+      let* pad = oneofl [ " "; "  "; " \t" ] in
+      let* sep = oneofl [ ","; ", "; " , " ] in
+      let* tail = oneofl [ ";\n"; "; "; ";\r\n"; "; // note\n"; ";\n\n"; ";" ] in
+      if a = b || name = "h" || name = "x" then
+        return (Printf.sprintf "%s%s%s[%d]%s" name pad reg a tail)
+      else
+        return (Printf.sprintf "%s%s%s[%d]%s%s[%d]%s" name pad reg a sep reg b tail)
+    in
+    let* other =
+      oneofl [ "barrier q[0];\n"; "measure q[0] -> c[0];\n"; "include \"x\";"; "" ]
+    in
+    let* body = list_size (int_bound 40) stmt in
+    return (header ^ String.concat "" body ^ other))
+
+let mutate_gen text =
+  QCheck.Gen.(
+    let alphabet = "q[]();,/ \n\t-0123456789cxhr" in
+    let edit =
+      let* kind = int_bound 3 in
+      let* at = nat in
+      let* c = map (String.get alphabet) (int_bound (String.length alphabet - 1)) in
+      return (kind, at, c)
+    in
+    let* edits = list_size (int_range 1 4) edit in
+    return
+      (List.fold_left
+         (fun s (kind, at, c) ->
+           let n = String.length s in
+           let i = at mod (n + 1) in
+           let before = String.sub s 0 i and after = String.sub s i (n - i) in
+           match kind with
+           | 0 when i < n -> before ^ String.sub after 1 (n - i - 1)
+           | 1 when i < n -> before ^ String.make 1 c ^ String.sub after 1 (n - i - 1)
+           | 2 -> before ^ after ^ before
+           | _ -> before ^ String.make 1 c ^ after)
+         text edits))
+
+let soup_gen =
+  QCheck.Gen.(
+    map (String.concat "")
+      (list_size (int_bound 30)
+         (oneofl
+            [
+              "OPENQASM 2.0;"; "qreg q[4];"; "qreg q[-2];"; "qreg"; "cx q[1],q[1];";
+              "h q[-1];"; "cx q[0],q[9];"; "h q[3];"; "rz(pi/4) q[0];"; "// c"; "/";
+              "\n"; ";"; ","; " "; "q[2]"; "["; "]"; "("; ")"; "h r[0];";
+              "ccx q[0],q[1],q[2];"; "q[99999999999999999999]"; "0x1f"; "\t";
+            ])))
+
+let qasm_text_arb =
+  QCheck.make ~print:(Printf.sprintf "%S")
+    QCheck.Gen.(oneof [ qasm_gen; qasm_gen >>= mutate_gen ])
+
+let qasm_any_arb =
+  QCheck.make ~print:(Printf.sprintf "%S")
+    QCheck.Gen.(
+      oneof [ qasm_gen >>= mutate_gen; soup_gen; soup_gen >>= mutate_gen; string ])
+
+(* Lines where the old rule (cut only when the first '/' starts "//")
+   and the new one (cut at the first "//") disagree. *)
+let comment_rule_changes text =
+  List.exists
+    (fun line ->
+      match String.index_opt line '/' with
+      | None -> false
+      | Some i ->
+          let n = String.length line in
+          let rec comment_at j =
+            j + 1 < n && ((line.[j] = '/' && line.[j + 1] = '/') || comment_at (j + 1))
+          in
+          not (i + 1 < n && line.[i + 1] = '/') && comment_at (i + 1))
+    (String.split_on_char '\n' text)
+
+let named_circuit_arb =
+  QCheck.make
+    ~print:(fun c -> Printf.sprintf "%d qubits, %d gates" (Circuit.n_qubits c) (Circuit.length c))
+    QCheck.Gen.(
+      let* n = oneof [ int_range 2 20; int_range 2 200_000 ] in
+      let gate =
+        let* name = oneof [ oneofa gate_names; string_size ~gen:printable (int_bound 4) ] in
+        let* a = int_bound (n - 1) in
+        let* b = int_bound (n - 1) in
+        return (if a = b then Gate.g1 name a else Gate.g2 name a b)
+      in
+      let* gates = list_size (int_bound 50) gate in
+      return (Circuit.create ~n_qubits:n gates))
 
 let qasm_props =
   [
@@ -390,6 +516,28 @@ let qasm_props =
         in
         let c = Circuit.create ~n_qubits:n gates in
         Circuit.equal c (Qasm.of_string (Qasm.to_string c)));
+    QCheck.Test.make ~name:"of_string_result never raises" ~count:3000
+      qasm_any_arb (fun text ->
+        match Qasm.of_string_result text with Ok _ | Error _ -> true);
+    QCheck.Test.make
+      ~name:"reader agrees with the frozen parser on generated and mutated texts"
+      ~count:3000 ~max_gen:9000 qasm_text_arb (fun text ->
+        (* The '//' fix changes these lines on purpose; it has its own
+           case above. *)
+        QCheck.assume (not (comment_rule_changes text));
+        match Qasm_oracle.of_string text with
+        | c -> (
+            match Qasm.of_string_result text with
+            | Ok c' -> Circuit.equal c c'
+            | Error _ -> false)
+        | exception Qasm.Parse_error e -> Qasm.of_string_result text = Error e
+        (* The frozen parser leaked Invalid_argument here; the reader
+           owes a typed error (the cases above pin which line). *)
+        | exception Invalid_argument _ ->
+            Result.is_error (Qasm.of_string_result text));
+    QCheck.Test.make ~name:"to_string is byte-identical to the frozen writer"
+      ~count:500 named_circuit_arb (fun c ->
+        String.equal (Qasm.to_string c) (Qasm_oracle.to_string c));
   ]
 
 (* ------------------------------------------------------------------ *)

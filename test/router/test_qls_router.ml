@@ -1738,6 +1738,88 @@ let cancellation_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* The one-pass verifier against the frozen one (verifier_oracle.ml).  *)
+(* ------------------------------------------------------------------ *)
+
+(* A SABRE route of a random circuit, then one of: nothing (valid), a
+   dropped, duplicated or reordered op, a SWAP on an uncoupled pair, or a
+   malformed SWAP (same qubit twice, or off the device). *)
+let mutated_route seed mutation =
+  let rng = Rng.create seed in
+  let device = [| Topologies.line 5; Topologies.grid 3 3; Topologies.aspen4 () |].(seed mod 3) in
+  let n = Device.n_qubits device in
+  let circuit =
+    Random_circuit.uniform rng ~n_qubits:(2 + Rng.int rng (n - 1))
+      ~n_two_qubit:(1 + Rng.int rng 40) ~single_ratio:0.3
+  in
+  let routed =
+    Sabre.route ~options:{ Sabre.default_options with trials = 1; seed } device circuit
+  in
+  let ops = Array.of_list (Transpiled.ops routed) in
+  let k = Array.length ops in
+  let at = Rng.int rng k and other = Rng.int rng k in
+  let ops =
+    match mutation with
+    | 0 -> ops
+    | 1 -> Array.append (Array.sub ops 0 at) (Array.sub ops (at + 1) (k - at - 1))
+    | 2 -> Array.concat [ Array.sub ops 0 at; [| ops.(at) |]; Array.sub ops at (k - at) ]
+    | 3 ->
+        let ops = Array.copy ops in
+        let moved = ops.(at) in
+        ops.(at) <- ops.(other);
+        ops.(other) <- moved;
+        ops
+    | 4 ->
+        let p = Rng.int rng n in
+        let p' =
+          Option.value ~default:((p + 1) mod n)
+            (List.find_opt
+               (fun p' -> p' <> p && not (Device.coupled device p p'))
+               (List.init n Fun.id))
+        in
+        Array.concat [ Array.sub ops 0 at; [| Transpiled.Swap (p, p') |]; Array.sub ops at (k - at) ]
+    | _ ->
+        let p = Rng.int rng n in
+        let bad = if Rng.bool rng then Transpiled.Swap (p, p) else Transpiled.Swap (p, n) in
+        Array.concat [ Array.sub ops 0 at; [| bad |]; Array.sub ops at (k - at) ]
+  in
+  Transpiled.create ~source:circuit ~device
+    ~initial:(Transpiled.initial_mapping routed) (Array.to_list ops)
+
+let verifier_oracle_props =
+  [
+    QCheck.Test.make
+      ~name:"check returns the frozen verifier's report or violations, in order"
+      ~count:400
+      QCheck.(pair (int_bound 1_000_000) (int_bound 5))
+      (fun (seed, mutation) ->
+        let t = mutated_route seed mutation in
+        let run check =
+          match check t with
+          | Ok r -> Ok (r.Verifier.swap_count, r.Verifier.depth)
+          | Error vs ->
+              Error (List.map (Format.asprintf "%a" Verifier.pp_violation) vs)
+          | exception Invalid_argument m -> Error [ "raised " ^ m ]
+        in
+        let show = function
+          | Ok (swaps, depth) -> Printf.sprintf "ok: %d swaps, depth %d" swaps depth
+          | Error vs -> String.concat "; " vs
+        in
+        let expected = run Verifier_oracle.check and got = run Verifier.check in
+        if expected <> got then
+          QCheck.Test.fail_reportf "mutation %d: expected %s, got %s" mutation
+            (show expected) (show got);
+        (* the physical circuit, now built on the in-place walk *)
+        (match Verifier_oracle.to_physical_circuit t with
+        | old ->
+            Circuit.equal old (Transpiled.to_physical_circuit t)
+        | exception Invalid_argument m -> (
+            match Transpiled.to_physical_circuit t with
+            | _ -> false
+            | exception Invalid_argument m' -> String.equal m m')));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Router.run_verified checks what it was asked to route.              *)
 (* ------------------------------------------------------------------ *)
 
@@ -1827,4 +1909,6 @@ let () =
       ("cancellation", cancellation_tests);
       ("tracing", tracing_tests);
       ("run-verified", run_verified_tests);
+      ( "verifier-oracle",
+        List.map QCheck_alcotest.to_alcotest verifier_oracle_props );
     ]

@@ -10,6 +10,9 @@ module Server = Qls_serve.Server
 module Pool = Qls_harness.Pool
 module Herror = Qls_harness.Herror
 module Evaluation = Qubikos.Evaluation
+module Qasm = Qls_circuit.Qasm
+module Circuit = Qls_circuit.Circuit
+module Gate = Qls_circuit.Gate
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -83,11 +86,17 @@ let test_frame_malformed () =
   | Ok (Some "hi") -> ()
   | _ -> Alcotest.fail "CRLF header should be tolerated"
 
+(* The request of a payload, raising its bad_request reason. *)
+let request_of_payload payload =
+  match Protocol.request_of_payload payload with
+  | _, Ok req -> req
+  | _, Error msg -> raise (Protocol.Bad_request msg)
+
 let test_request_parse () =
-  (match Protocol.request_of_payload {|{"verb":"stats"}|} with
+  (match request_of_payload {|{"verb":"stats"}|} with
   | Protocol.Stats -> ()
   | _ -> Alcotest.fail "stats");
-  (match Protocol.request_of_payload {|{"verb":"route"}|} with
+  (match request_of_payload {|{"verb":"route"}|} with
   | Protocol.Route p ->
       check_string "default arch" "aspen4" p.gen.arch;
       check_int "default swaps" 5 p.gen.n_swaps;
@@ -96,7 +105,7 @@ let test_request_parse () =
       check_int "default trials" 20 p.trials
   | _ -> Alcotest.fail "route");
   (match
-     Protocol.request_of_payload
+     request_of_payload
        {|{"verb":"certify","arch":"grid3x3","swaps":2,"gates":30,"seed":7}|}
    with
   | Protocol.Certify { gen = g; deadline_ms = None } ->
@@ -106,7 +115,7 @@ let test_request_parse () =
       check_int "seed" 7 g.seed
   | _ -> Alcotest.fail "certify");
   let rejects payload =
-    match Protocol.request_of_payload payload with
+    match request_of_payload payload with
     | exception Protocol.Bad_request _ -> ()
     | _ -> Alcotest.fail ("should reject: " ^ payload)
   in
@@ -116,33 +125,42 @@ let test_request_parse () =
   rejects {|not json|};
   (* evaluate has no optimum to compare an inline circuit against *)
   rejects {|{"verb":"evaluate","qasm":"OPENQASM 2.0;"}|};
+  (* one parse yields the id, also for a request it rejects *)
   check_bool "id" true
-    (match Protocol.request_id {|{"id":"r1","verb":"stats"}|} with
-    | Some "r1" -> true
+    (match Protocol.request_of_payload {|{"id":"r1","verb":"stats"}|} with
+    | Some "r1", Ok Protocol.Stats -> true
+    | _ -> false);
+  check_bool "id of a rejected request" true
+    (match Protocol.request_of_payload {|{"id":"r2","verb":"warp"}|} with
+    | Some "r2", Error _ -> true
+    | _ -> false);
+  check_bool "no id without JSON" true
+    (match Protocol.request_of_payload "not json" with
+    | None, Error _ -> true
     | _ -> false)
 
 let test_request_parse_deadline () =
   (match
-     Protocol.request_of_payload {|{"verb":"route","deadline_ms":250}|}
+     request_of_payload {|{"verb":"route","deadline_ms":250}|}
    with
   | Protocol.Route p ->
       check_bool "route deadline" true
         (match p.deadline_ms with Some 250 -> true | _ -> false)
   | _ -> Alcotest.fail "route with deadline");
   (match
-     Protocol.request_of_payload
+     request_of_payload
        {|{"verb":"certify","arch":"grid3x3","swaps":2,"deadline_ms":100}|}
    with
   | Protocol.Certify { deadline_ms = Some 100; _ } -> ()
   | _ -> Alcotest.fail "certify with deadline");
-  (match Protocol.request_of_payload {|{"verb":"route"}|} with
+  (match request_of_payload {|{"verb":"route"}|} with
   | Protocol.Route { deadline_ms = None; _ } -> ()
   | _ -> Alcotest.fail "absent deadline is None");
-  (match Protocol.request_of_payload {|{"verb":"health"}|} with
+  (match request_of_payload {|{"verb":"health"}|} with
   | Protocol.Health -> ()
   | _ -> Alcotest.fail "health verb");
   let rejects payload =
-    match Protocol.request_of_payload payload with
+    match request_of_payload payload with
     | exception Protocol.Bad_request _ -> ()
     | _ -> Alcotest.fail ("should reject: " ^ payload)
   in
@@ -300,6 +318,79 @@ let test_circuit_hash () =
   check_string "deterministic" h1 h2;
   check_bool "content-sensitive" false (String.equal h1 h3);
   check_int "16 hex digits" 16 (String.length h1)
+
+let generated arch ~swaps ~gates ~seed =
+  let device = Option.get (Qls_arch.Topologies.by_name arch) in
+  let config =
+    { Qubikos.Generator.default_config with n_swaps = swaps; gate_budget = gates; seed }
+  in
+  (device, (Qubikos.Generator.generate ~config device).Qubikos.Benchmark.circuit)
+
+(* Recorded before [Qasm.to_string] and [circuit_hash] were rewritten:
+   the route-cache key of a fixed circuit must not drift. *)
+let test_route_key_pinned () =
+  let _, c = generated "grid3x3" ~swaps:2 ~gates:24 ~seed:3 in
+  let key circuit =
+    Protocol.route_key ~device:"grid3x3"
+      ~circuit:(Protocol.circuit_hash (Qasm.to_string circuit))
+      ~tool:"sabre" ~trials:1 ~seed:3
+  in
+  check_string "route key" "7:grid3x3|16:40798d89b38adf48|5:sabre|1:1|1:3" (key c);
+  (* The key hashes the canonical re-serialisation, so an inline text in
+     another layout shares the entry. *)
+  let loose =
+    "OPENQASM 2.0;\n// same circuit, other spacing\nqreg q[9];\n"
+    ^ String.concat ""
+        (List.map
+           (function
+             | Gate.G1 { name; q } -> Printf.sprintf "%s  q[%d] ;\n" name q
+             | Gate.G2 { name; a; b } -> Printf.sprintf "%s q[ %d ], q[%d]; // x\n" name a b)
+           (Array.to_list (Circuit.gates c)))
+  in
+  check_string "layout-independent" (key c) (key (Qasm.of_string loose))
+
+(* ------------------------------------------------------------------ *)
+(* Allocation on the cold request path                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words per gate of the three non-routing stages of a cold inline
+   route, on a 1,500-gate Aspen-4 instance. Before the one-pass reader,
+   the Printf-free writer and the one-pass verifier these read about 120,
+   116 and 53 words per gate; now about 14, 0 and 0.1. Minor-word counts
+   drift with the heap's state on OCaml 5.1, so each bound keeps
+   headroom. *)
+let words_per_gate n f =
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let check_words what per_gate bound =
+  check_bool (Printf.sprintf "%s: %.1f minor words per gate <= %.0f" what per_gate bound)
+    true (per_gate <= bound)
+
+let request_path_instance =
+  lazy
+    (let device, c = generated "aspen4" ~swaps:5 ~gates:1500 ~seed:1 in
+     let routed =
+       Qls_router.Sabre.route
+         ~options:{ Qls_router.Sabre.default_options with trials = 1 }
+         device c
+     in
+     (c, Qasm.to_string c, routed))
+
+let allocation_tests =
+  let gate what bound f =
+    test_case (Printf.sprintf "%s allocates at most %.0f minor words per gate" what bound)
+      (fun () ->
+        let c, text, routed = Lazy.force request_path_instance in
+        check_words what (words_per_gate (Circuit.length c) (fun () -> f c text routed)) bound)
+  in
+  [
+    gate "Qasm.of_string" 40. (fun _ text _ -> ignore (Qasm.of_string text));
+    gate "Qasm.to_string + circuit_hash" 5. (fun c _ _ ->
+        ignore (Protocol.circuit_hash (Qasm.to_string c)));
+    gate "Verifier.check" 5. (fun _ _ routed -> ignore (Qls_layout.Verifier.check routed));
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Cache: LRU, single-flight, stats                                    *)
@@ -705,6 +796,37 @@ let test_server_end_to_end () =
       ignore fd);
   check_bool "socket unlinked after drain" false (Sys.file_exists socket)
 
+(* Inline circuits the parser or the device rejects are the client's
+   fault: bad_request, counted as such, never internal. *)
+let test_server_bad_inline_qasm () =
+  let socket = fresh_socket () in
+  with_server
+    { Server.default_config with socket_path = Some socket; jobs = 1 }
+    (fun _ ->
+      let c = connect socket in
+      (* the counters are process-wide: compare against a first read *)
+      let count key = int_of_string (field (rpc c {|{"verb":"stats"}|}) key) in
+      let bad0 = count "bad_request" and internal0 = count "internal" in
+      let route qasm =
+        rpc c
+          (Printf.sprintf {|{"verb":"route","arch":"grid3x3","trials":1,"qasm":"%s"}|}
+             (Qls_sealed.escape qasm))
+      in
+      List.iter
+        (fun (what, qasm) ->
+          check_string (what ^ " is bad_request") "bad_request" (field (route qasm) "kind"))
+        [
+          ("repeated operand", "OPENQASM 2.0;\nqreg q[4];\ncx q[1],q[1];\n");
+          ("index outside the qreg", "OPENQASM 2.0;\nqreg q[4];\ncx q[0],q[9];\n");
+          ("negative index", "OPENQASM 2.0;\nqreg q[4];\nh q[-1];\n");
+        ];
+      let wide = route "OPENQASM 2.0;\nqreg q[12];\ncx q[0],q[11];\n" in
+      check_string "wider than the device is bad_request" "bad_request" (field wide "kind");
+      check_string "names both widths"
+        "qasm: circuit on 12 qubits does not fit grid3x3 (9 qubits)" (field wide "error");
+      check_int "counted as bad_request" 4 (count "bad_request" - bad0);
+      check_int "none counted as internal" 0 (count "internal" - internal0))
+
 let test_server_overload () =
   let socket = fresh_socket () in
   with_server
@@ -902,7 +1024,9 @@ let () =
           test_case "request parsing" test_request_parse;
           test_case "deadline_ms and health parsing" test_request_parse_deadline;
           test_case "circuit hash" test_circuit_hash;
+          test_case "route key pinned, layout-independent" test_route_key_pinned;
         ] );
+      ("allocation", allocation_tests);
       ( "fd-framing",
         [
           test_case "one-byte reads reassemble" test_fd_reader_one_byte_reads;
@@ -955,5 +1079,7 @@ let () =
           test_case "hung worker is declared lost and replaced"
             test_server_worker_lost;
           test_case "health reports readiness" test_server_health;
+          test_case "bad inline circuits are bad_request"
+            test_server_bad_inline_qasm;
         ] );
     ]
