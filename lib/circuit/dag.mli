@@ -8,7 +8,21 @@
 
     Reachability in this DAG is the paper's [Prev] relation: [g'] is in
     [Prev(g)] iff there is a path [g' ->* g]. The QUBIKOS optimality
-    certificate checks Lemmas 2 and 3 with {!reachable}. *)
+    certificate checks Lemmas 2 and 3 with {!reachable}.
+
+    Each vertex has at most two successors and two predecessors (one per
+    qubit), kept in flat int arrays with two slots per vertex ([2v],
+    [2v + 1]; [-1] empty, never before a filled slot). Arc order is a
+    contract: successors ascend (the SABRE extended-set BFS, and so every
+    route, depends on it); predecessors are in link order, first operand
+    then second ([Qls_router.Olsq]'s clause order depends on it); and
+    when both operands were last touched by the same gate there is one
+    arc, not two.
+
+    A DAG is immutable once {!of_circuit} returns, so several domains may
+    share it (SABRE's parallel trials do), except for the reachability
+    memo behind {!reachable}, {!descendants} and {!serialized}, which is
+    single-domain. *)
 
 type t
 (** A dependency DAG. *)
@@ -27,11 +41,16 @@ val circuit_index : t -> int -> int
 (** [circuit_index d i] is the position of DAG vertex [i] in the original
     gate sequence (including single-qubit gates). *)
 
+val succ_slots : t -> int array
+(** The successor slots, for hot loops: [v]'s direct successors are
+    [.(2 * v)] and [.(2 * v + 1)]. Read-only, the same aliasing contract
+    as [Qls_arch.Device.distance_row]; cold callers use {!successors}. *)
+
 val successors : t -> int -> int list
-(** Direct successors. *)
+(** Direct successors, ascending (a fresh list). *)
 
 val predecessors : t -> int -> int list
-(** Direct predecessors. *)
+(** Direct predecessors in link order (a fresh list). *)
 
 val in_degree : t -> int -> int
 (** Number of direct predecessors. *)
@@ -42,7 +61,7 @@ val front_layer : t -> int list
 val reachable : t -> int -> int -> bool
 (** [reachable d i j] is [true] iff there is a (possibly empty) path
     [i ->* j]. Computed on demand with memoised descendant bitsets; cheap
-    to call repeatedly. *)
+    to call repeatedly. Writes the memo: single-domain. *)
 
 val descendants : t -> int -> bool array
 (** [descendants d i] marks every vertex reachable from [i] (including

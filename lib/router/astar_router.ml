@@ -4,9 +4,9 @@ module Dag = Qls_circuit.Dag
 module Device = Qls_arch.Device
 module Mapping = Qls_layout.Mapping
 
-type options = { node_budget : int; seed : int }
+type options = { node_budget : int }
 
-let default_options = { node_budget = 10_000; seed = 0 }
+let default_options = { node_budget = 10_000 }
 
 (* [a] extended to length [len], padded with [fill]. Growth is rare
    (amortised over a route), so the generic blit is fine here. *)
@@ -452,7 +452,8 @@ let route ?(options = default_options) ?initial device circuit =
     | Some m -> m
     | None -> Placement.identity device circuit
   in
-  let st = Route_state.create ~device ~source:circuit ~initial:start in
+  let dag = Dag.of_circuit circuit in
+  let st = Route_state.create ~device ~source:circuit ~dag ~initial:start in
   let traced = Qls_obs.enabled () in
   let pass_sp =
     if traced then Qls_obs.start ~site:"router" "astar.route" else Qls_obs.none
@@ -468,7 +469,6 @@ let route ?(options = default_options) ?initial device circuit =
       if traced then Qls_obs.start ~site:"router" "astar.layer"
       else Qls_obs.none
     in
-    let dag = Route_state.dag st in
     let layers = Route_state.remaining_layers st ~max_layers:2 in
     let target, lookahead =
       match layers with

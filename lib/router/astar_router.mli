@@ -29,7 +29,6 @@ type options = {
           five ints and its queue link), not a mapping, so the search's
           memory is the budget times six words plus one [n_prog]-int
           table per expanded node. *)
-  seed : int;  (** tie-breaking stream for the fallback *)
 }
 
 val default_options : options

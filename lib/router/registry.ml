@@ -10,7 +10,7 @@ let sabre_decay ~trials ~seed =
     ()
 
 let tket ~seed = Tket_router.router ~options:{ Tket_router.default_options with seed } ()
-let qmap ~seed = Astar_router.router ~options:{ Astar_router.default_options with seed } ()
+let qmap () = Astar_router.router ()
 
 let transition ~seed =
   Transition_router.router
@@ -31,7 +31,7 @@ let paper_tools ?(sabre_trials = 20) ?(seed = 0) () =
   [
     sabre ~trials:sabre_trials ~seed;
     mlqls ~seed;
-    qmap ~seed;
+    qmap ();
     tket ~seed;
   ]
 
@@ -44,7 +44,7 @@ let by_name ?(sabre_trials = 20) ?(seed = 0) name =
   | "sabre" | "lightsabre" -> Some (sabre ~trials:sabre_trials ~seed)
   | "sabre-decay" -> Some (sabre_decay ~trials:sabre_trials ~seed)
   | "mlqls" | "ml-qls" -> Some (mlqls ~seed)
-  | "qmap" -> Some (qmap ~seed)
+  | "qmap" -> Some (qmap ())
   | "tket" -> Some (tket ~seed)
   | "transition" -> Some (transition ~seed)
   | "exact" -> Some (Exact.router ())

@@ -11,7 +11,9 @@ val paper_tools : ?sabre_trials:int -> ?seed:int -> unit -> Router.t list
     only, matching the paper's setup. *)
 
 val by_name : ?sabre_trials:int -> ?seed:int -> string -> Router.t option
-(** Look a tool up by name (see above for the known names). *)
+(** Look a tool up by name (see above for the known names). [seed]
+    seeds the randomised tools; qmap, exact and olsq are deterministic
+    and ignore it. *)
 
 val names : string list
 (** All registered names. *)

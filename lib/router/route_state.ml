@@ -42,14 +42,20 @@ type t = {
   device : Device.t;
   source : Circuit.t;
   dag : Dag.t;
+  succ : int array;           (* the DAG's successor slots, read-only *)
   initial : Mapping.t;
   (* The current mapping, updated in place by [apply_swap]: [q2p] is
      program -> physical, [p2q] physical -> program (-1 when empty). *)
   q2p : int array;
   p2q : int array;
-  mutable ops_rev : Transpiled.op list;
+  mutable log : int array;    (* ops: gate index i >= 0, SWAP -1 - (p * n_phys + p') *)
+  mutable n_log : int;
   indeg : int array;          (* remaining unexecuted predecessors per DAG vertex *)
-  mutable front : int list;   (* vertices with indeg 0, not yet emitted *)
+  (* Vertices with indeg 0, not yet emitted: the list {!front} returns,
+     reversed, so a vertex joins at the end. Front gates share no qubit,
+     so at most n_prog / 2 of them. *)
+  front : int array;
+  mutable n_front : int;
   mutable emitted : int;      (* two-qubit gates emitted *)
   mutable n_swaps : int;
   pending_1q : int list array; (* per program qubit: 1q gate indices, ascending *)
@@ -73,12 +79,12 @@ type t = {
   mutable active_count : int;
   edge_mark : bool array;     (* per coupler index: candidate marks *)
   cand : int array;           (* candidate pairs, flat: p0; p0'; p1; p1'; ... *)
+  sorted : int array;         (* part of the front, ascending (advance, BFS head) *)
   es_seen : bool array;       (* per DAG vertex: extended-set BFS marks *)
-  es_front : int array;       (* sorted front, the head of the BFS queue *)
   es_buf : int array;         (* extended set, BFS order; also the queue's tail *)
   mutable es_count : int;
-  indeg_scratch : int array;  (* lazily-initialised indeg copy (by epoch) *)
-  indeg_epoch : int array;    (* validity epoch of indeg_scratch entries *)
+  mutable indeg_scratch : int array;  (* lazy indeg copy (by epoch), [||] until used *)
+  mutable indeg_epoch : int array;    (* validity epoch of indeg_scratch entries *)
   mutable epoch : int;        (* current remaining_layers epoch *)
   (* Front-generation caches. [front_gen] counts front-layer changes:
      it bumps exactly when {!advance} emits gates (the only path that
@@ -131,7 +137,33 @@ let remove_front t v =
   deactivate t pa;
   deactivate t pb
 
-let create ~device ~source ~initial =
+let push_front t v =
+  t.front.(t.n_front) <- v;
+  t.n_front <- t.n_front + 1;
+  add_front t v
+
+(* Insert [v] into the ascending [a.(0 .. n - 1)]: [n] is at most a
+   front's size, so insertion sort is the cheap choice. *)
+let insert_sorted a n v =
+  let i = ref n in
+  (* lint: cancel-poll-coverage — insertion step, bounded by the front size *)
+  while !i > 0 && a.(!i - 1) > v do
+    a.(!i) <- a.(!i - 1);
+    decr i
+  done;
+  a.(!i) <- v
+
+(* Append one op code to the log, doubling it when full. *)
+let log_op t code =
+  if t.n_log = Array.length t.log then begin
+    let bigger = Array.make (2 * t.n_log) 0 in
+    Array.blit t.log 0 bigger 0 t.n_log;
+    t.log <- bigger
+  end;
+  t.log.(t.n_log) <- code;
+  t.n_log <- t.n_log + 1
+
+let create ~device ~source ~dag ~initial =
   if Mapping.n_program initial <> Circuit.n_qubits source then
     invalid_arg "Route_state.create: mapping size mismatch";
   if Mapping.n_physical initial <> Device.n_qubits device then
@@ -148,30 +180,31 @@ let create ~device ~source ~initial =
          "Route_state.create: device %S has a disconnected coupling graph \
           (routing cannot bring cross-component qubits adjacent)"
          (Device.name device));
-  let dag = Dag.of_circuit source in
   let n = Dag.n_gates dag in
-  let indeg = Array.init n (fun v -> Dag.in_degree dag v) in
-  let front = Dag.front_layer dag in
-  let pending_1q = Array.make (max 1 (Circuit.n_qubits source)) [] in
-  Array.iteri
-    (fun i g ->
-      match g with
-      | Gate.G1 { q; _ } -> pending_1q.(q) <- i :: pending_1q.(q)
-      | Gate.G2 _ -> ())
-    (Circuit.gates source);
-  Array.iteri (fun q l -> pending_1q.(q) <- List.rev l) pending_1q;
+  let n_prog = Circuit.n_qubits source in
+  let n_ops = Circuit.length source in
+  let pending_1q = Array.make (max 1 n_prog) [] in
+  for i = n_ops - 1 downto 0 do
+    match Circuit.gate source i with
+    | Gate.G1 { q; _ } -> pending_1q.(q) <- i :: pending_1q.(q)
+    | Gate.G2 _ -> ()
+  done;
   let n_phys = Device.n_qubits device in
+  let max_front = max 1 (n_prog / 2) in
   let t =
     {
       device;
       source;
       dag;
+      succ = Dag.succ_slots dag;
       initial;
       q2p = Mapping.to_array initial;
       p2q = Array.init n_phys (Mapping.occupant initial);
-      ops_rev = [];
-      indeg;
-      front;
+      log = Array.make (n_ops + (n_ops / 2) + 16) 0;  (* gates, then SWAPs *)
+      n_log = 0;
+      indeg = Array.init n (Dag.in_degree dag);
+      front = Array.make max_front 0;
+      n_front = 0;
       emitted = 0;
       n_swaps = 0;
       pending_1q;
@@ -181,12 +214,12 @@ let create ~device ~source ~initial =
       active_count = 0;
       edge_mark = Array.make (Device.n_edges device) false;
       cand = Array.make (2 * Device.n_edges device) 0;
+      sorted = Array.make max_front 0;
       es_seen = Array.make n false;
-      es_front = Array.make n 0;
       es_buf = Array.make n 0;
       es_count = 0;
-      indeg_scratch = Array.make n 0;
-      indeg_epoch = Array.make n 0;
+      indeg_scratch = [||];
+      indeg_epoch = [||];
       epoch = 0;
       front_gen = 0;
       es_gen = -1;
@@ -194,7 +227,9 @@ let create ~device ~source ~initial =
       rl_cache = None;
     }
   in
-  List.iter (fun v -> add_front t v) t.front;
+  for v = n - 1 downto 0 do
+    if t.indeg.(v) = 0 then push_front t v
+  done;
   t
 
 let device t = t.device
@@ -203,7 +238,9 @@ let mapping t = Mapping.of_array ~n_physical:(Array.length t.p2q) t.q2p
 let phys_table t = t.q2p
 let occupant_table t = t.p2q
 let front_partner t = t.partner
-let front t = t.front
+let front t = List.init t.n_front (fun i -> t.front.(t.n_front - 1 - i))
+let front_count t = t.n_front
+let front_buffer t = t.front
 let front_generation t = t.front_gen
 let done_count t = t.emitted
 let remaining t = Dag.n_gates t.dag - t.emitted
@@ -215,62 +252,69 @@ let gate_distance t v =
 
 let executable t v = gate_distance t v = 1
 
-(* lint: cancel-poll-coverage — walks the front list once *)
-let rec any_executable t = function
-  | [] -> false
-  | v :: rest -> executable t v || any_executable t rest
-
-(* Emit the pending single-qubit gates on qubit [q] that precede source
-   position [before]. *)
-let flush_1q t q ~before =
-  let rec go = function
-    | i :: rest when i < before ->
-        t.ops_rev <- Transpiled.Gate i :: t.ops_rev;
-        go rest
-    | rest -> rest
-  in
-  t.pending_1q.(q) <- go t.pending_1q.(q)
+(* Emit the pending single-qubit gates at the head of [pending] that
+   precede source position [before]; returns the rest. *)
+(* lint: cancel-poll-coverage — walks one qubit's pending list *)
+let rec flush_1q t before = function
+  | i :: rest when i < before ->
+      log_op t i;
+      flush_1q t before rest
+  | rest -> rest
 
 let emit_gate t v =
   let a, b = Dag.pair t.dag v in
   let ci = Dag.circuit_index t.dag v in
-  flush_1q t a ~before:ci;
-  flush_1q t b ~before:ci;
-  t.ops_rev <- Transpiled.Gate ci :: t.ops_rev;
+  t.pending_1q.(a) <- flush_1q t ci t.pending_1q.(a);
+  t.pending_1q.(b) <- flush_1q t ci t.pending_1q.(b);
+  log_op t ci;
   t.emitted <- t.emitted + 1;
-  List.iter
-    (fun w ->
+  for s = 2 * v to (2 * v) + 1 do
+    let w = t.succ.(s) in
+    if w >= 0 then begin
       t.indeg.(w) <- t.indeg.(w) - 1;
-      if t.indeg.(w) = 0 then begin
-        t.front <- w :: t.front;
-        add_front t w
-      end)
-    (Dag.successors t.dag v)
+      if t.indeg.(w) = 0 then push_front t w
+    end
+  done
+
+(* Move the executable front gates into [sorted], ascending, and close
+   the gap they leave, keeping the blocked gates in order; returns how
+   many moved. *)
+let take_executable t =
+  let kept = ref 0 and n = ref 0 in
+  for i = 0 to t.n_front - 1 do
+    let v = t.front.(i) in
+    if executable t v then begin
+      insert_sorted t.sorted !n v;
+      incr n
+    end
+    else begin
+      t.front.(!kept) <- v;
+      incr kept
+    end
+  done;
+  t.n_front <- !kept;
+  !n
 
 let advance t =
-  (* A blocked round (the common case while a router searches for a
-     SWAP) is answered by one scan of the front, without allocating. *)
-  if not (any_executable t t.front) then 0
-  else begin
-    let emitted_total = ref 0 in
-    let progress = ref true in
-    (* lint: cancel-poll-coverage — each pass emits at least one gate or exits; bounded by gate count *)
-    while !progress do
-      progress := false;
-      let exec, blocked = List.partition (fun v -> executable t v) t.front in
-      if not (List.is_empty exec) then begin
-        (* Keep deterministic order: lower DAG index first. *)
-        let exec = List.sort Int.compare exec in
-        List.iter (fun v -> remove_front t v) exec;
-        t.front <- blocked;
-        List.iter (fun v -> emit_gate t v) exec;
-        emitted_total := !emitted_total + List.length exec;
-        progress := true
-      end
+  (* Emit in rounds: the executable gates of the front, lower DAG index
+     first, then those their emission released. A blocked front (the
+     common case while a router searches for a SWAP) is answered by one
+     scan. *)
+  let total = ref 0 in
+  let n = ref (take_executable t) in
+  (* lint: cancel-poll-coverage — each pass emits at least one gate or exits; bounded by gate count *)
+  while !n > 0 do
+    for i = 0 to !n - 1 do
+      remove_front t t.sorted.(i)
     done;
-    t.front_gen <- t.front_gen + 1;
-    !emitted_total
-  end
+    for i = 0 to !n - 1 do
+      emit_gate t t.sorted.(i)
+    done;
+    total := !total + !n;
+    n := take_executable t
+  done;
+  if !total > 0 then t.front_gen <- t.front_gen + 1;
+  !total
 
 let apply_swap t p p' =
   if not (Device.coupled t.device p p') then
@@ -294,12 +338,12 @@ let apply_swap t p p' =
     if x >= 0 then activate t p' else deactivate t p'
   end;
   t.n_swaps <- t.n_swaps + 1;
-  t.ops_rev <- Transpiled.Swap (p, p') :: t.ops_rev
+  log_op t (-1 - ((p * Array.length t.p2q) + p'))
 
 let swap_count t = t.n_swaps
 
 let force_route_first t =
-  match List.sort Int.compare t.front with
+  match List.sort Int.compare (front t) with
   | [] -> ()
   | v :: _ -> (
       let a, b = Dag.pair t.dag v in
@@ -350,35 +394,17 @@ let swap_candidates t =
 
 let candidate_pairs t = t.cand
 
-(* Queue the unseen successors of one vertex onto [es_buf] while the
-   window has room. *)
-(* lint: cancel-poll-coverage — walks one successor list *)
-let rec es_visit t size = function
-  | [] -> ()
-  | w :: rest ->
-      if t.es_count < size && not t.es_seen.(w) then begin
-        t.es_seen.(w) <- true;
-        t.es_buf.(t.es_count) <- w;
-        t.es_count <- t.es_count + 1
-      end;
-      es_visit t size rest
-
-(* Write the front into [es_front], ascending; returns its length. Front
-   gates share no qubit, so the front is at most half the qubit count and
-   insertion sort is the cheap choice. *)
-let fill_sorted_front t =
-  let a = t.es_front in
-  List.iteri
-    (fun n v ->
-      let i = ref n in
-      (* lint: cancel-poll-coverage — insertion step, bounded by the front size *)
-      while !i > 0 && a.(!i - 1) > v do
-        a.(!i) <- a.(!i - 1);
-        decr i
-      done;
-      a.(!i) <- v)
-    t.front;
-  List.length t.front
+(* Queue the unseen successors of [v] onto [es_buf] while the window has
+   room. *)
+let es_visit t size v =
+  for s = 2 * v to (2 * v) + 1 do
+    let w = t.succ.(s) in
+    if w >= 0 && t.es_count < size && not t.es_seen.(w) then begin
+      t.es_seen.(w) <- true;
+      t.es_buf.(t.es_count) <- w;
+      t.es_count <- t.es_count + 1
+    end
+  done
 
 let build_extended_set t ~size =
   Atomic.incr Debug.es_builds;
@@ -388,23 +414,24 @@ let build_extended_set t ~size =
      discovered vertex is both a result and a later queue entry. Visited
      marks are cleared on the way out (only front + result vertices were
      ever marked). *)
-  let seen = t.es_seen in
-  let n_front = fill_sorted_front t in
+  let seen = t.es_seen and head = t.sorted in
+  let n_front = t.n_front in
   for i = 0 to n_front - 1 do
-    seen.(t.es_front.(i)) <- true
+    insert_sorted head i t.front.(i);
+    seen.(t.front.(i)) <- true
   done;
   t.es_count <- 0;
   for i = 0 to n_front - 1 do
-    es_visit t size (Dag.successors t.dag t.es_front.(i))
+    es_visit t size head.(i)
   done;
-  let head = ref 0 in
+  let next = ref 0 in
   (* lint: cancel-poll-coverage — BFS capped by [size]; each DAG node is queued once *)
-  while t.es_count < size && !head < t.es_count do
-    es_visit t size (Dag.successors t.dag t.es_buf.(!head));
-    incr head
+  while t.es_count < size && !next < t.es_count do
+    es_visit t size t.es_buf.(!next);
+    incr next
   done;
   for i = 0 to n_front - 1 do
-    seen.(t.es_front.(i)) <- false
+    seen.(head.(i)) <- false
   done;
   for i = 0 to t.es_count - 1 do
     seen.(t.es_buf.(i)) <- false
@@ -461,10 +488,14 @@ let build_remaining_layers t ~max_layers =
      initialised lazily from [indeg] the first time this epoch touches
      them, so a call costs O(gates reached), never O(all gates) — the old
      implementation paid an [Array.copy] of the whole array per call. *)
+  if Array.length t.indeg_epoch = 0 then begin
+    t.indeg_scratch <- Array.make (Array.length t.indeg) 0;
+    t.indeg_epoch <- Array.make (Array.length t.indeg) 0
+  end;
   t.epoch <- t.epoch + 1;
   let ep = t.epoch in
   let layers = ref [] in
-  let current = ref (List.sort Int.compare t.front) in
+  let current = ref (List.sort Int.compare (front t)) in
   let n_layers = ref 0 in
   (* lint: cancel-poll-coverage — bounded by max_layers *)
   while not (List.is_empty !current) && !n_layers < max_layers do
@@ -473,15 +504,17 @@ let build_remaining_layers t ~max_layers =
     let next = ref [] in
     List.iter
       (fun v ->
-        List.iter
-          (fun w ->
+        for s = 2 * v to (2 * v) + 1 do
+          let w = t.succ.(s) in
+          if w >= 0 then begin
             if t.indeg_epoch.(w) <> ep then begin
               t.indeg_scratch.(w) <- t.indeg.(w);
               t.indeg_epoch.(w) <- ep
             end;
             t.indeg_scratch.(w) <- t.indeg_scratch.(w) - 1;
-            if t.indeg_scratch.(w) = 0 then next := w :: !next)
-          (Dag.successors t.dag v))
+            if t.indeg_scratch.(w) = 0 then next := w :: !next
+          end
+        done)
       !current;
     current := List.sort Int.compare !next
   done;
@@ -498,23 +531,22 @@ let remaining_layers t ~max_layers =
       t.rl_cache <- Some (t.front_gen, max_layers, result);
       result
 
-let front_pairs_physical t =
-  List.map
-    (fun v ->
-      let a, b = Dag.pair t.dag v in
-      (t.q2p.(a), t.q2p.(b)))
-    t.front
-
-let ops_so_far t = List.rev t.ops_rev
-
 let finish t =
   if not (finished t) then
     invalid_arg "Route_state.finish: two-qubit gates remain";
   Array.iteri
     (fun q pending ->
-      ignore q;
-      List.iter (fun i -> t.ops_rev <- Transpiled.Gate i :: t.ops_rev) pending)
+      List.iter (log_op t) pending;
+      t.pending_1q.(q) <- [])
     t.pending_1q;
-  Array.iteri (fun q _ -> t.pending_1q.(q) <- []) t.pending_1q;
-  Transpiled.create ~source:t.source ~device:t.device ~initial:t.initial
-    (List.rev t.ops_rev)
+  let n_phys = Array.length t.p2q in
+  let ops = ref [] in
+  for i = t.n_log - 1 downto 0 do
+    let c = t.log.(i) in
+    let op =
+      if c >= 0 then Transpiled.Gate c
+      else Transpiled.Swap ((-1 - c) / n_phys, (-1 - c) mod n_phys)
+    in
+    ops := op :: !ops
+  done;
+  Transpiled.create ~source:t.source ~device:t.device ~initial:t.initial !ops

@@ -28,8 +28,9 @@
 
     The round queries write into int buffers owned by the state
     ({!candidate_pairs}, {!extended_buffer}) and return how many entries
-    they wrote; {!phys_table}, {!occupant_table} and {!front_partner}
-    are the state's own tables. All of them are read-only for callers
+    they wrote; {!phys_table}, {!occupant_table}, {!front_partner} and
+    {!front_buffer} are the state's own tables. All of them are
+    read-only for callers
     (same aliasing contract as {!Qls_arch.Device.distance_row}) and stay
     valid until the next {!advance}, {!apply_swap} or
     {!force_route_first}, which update them in place. Callers that keep a
@@ -76,9 +77,14 @@ end
 val create :
   device:Qls_arch.Device.t ->
   source:Qls_circuit.Circuit.t ->
+  dag:Qls_circuit.Dag.t ->
   initial:Qls_layout.Mapping.t ->
   t
-(** Fresh state; no gates are emitted yet (call {!advance}).
+(** Fresh state; no gates are emitted yet (call {!advance}). [dag] must
+    be [Dag.of_circuit source]. The state only reads it, so one DAG can
+    serve any number of states, on any number of domains (SABRE builds
+    one per direction per route and shares it with every trial and
+    pass).
     @raise Invalid_argument if the mapping sizes disagree with the circuit
     or device, or if the device's coupling graph is disconnected — routing
     across components is ill-posed, and failing here (typed, at the
@@ -120,7 +126,17 @@ val front_generation : t -> int
 
 val front : t -> int list
 (** DAG vertices whose predecessors have all executed — the SABRE
-    "front layer" [F]. *)
+    "front layer" [F] — as a fresh list. Its order is deterministic: the
+    vertices that joined the front last come first. Per-round loops read
+    {!front_buffer} instead. *)
+
+val front_count : t -> int
+(** Number of front-layer vertices. *)
+
+val front_buffer : t -> int array
+(** The live front: entries [0 .. front_count t - 1] are the vertices of
+    {!front}, in reverse order. Read-only; valid until the next
+    mutation. *)
 
 val done_count : t -> int
 (** Number of two-qubit gates already emitted. *)
@@ -143,7 +159,8 @@ val advance : t -> int
 (** Emit every currently executable front gate, transitively; returns how
     many two-qubit gates were emitted. After [advance t = 0] and
     [not (finished t)], the front layer is blocked and a SWAP is needed.
-    A call that emits nothing allocates nothing. *)
+    Allocates nothing unless the op log is full (it starts at one and a
+    half times the source's gate count and doubles). *)
 
 val apply_swap : t -> int -> int -> unit
 (** [apply_swap t p p'] records a SWAP on the coupled physical pair and
@@ -209,12 +226,8 @@ val remaining_layers : t -> max_layers:int -> int list list
     round. Cached across SWAP-only rounds exactly like {!extended_set},
     keyed on ({!front_generation}, [max_layers]). *)
 
-val front_pairs_physical : t -> (int * int) list
-(** Physical qubit pairs of the front-layer gates. *)
-
 val finish : t -> Qls_layout.Transpiled.t
-(** Emit the trailing single-qubit gates and package the result.
+(** Emit the trailing single-qubit gates and package the result. The
+    op sequence is logged as ints while routing and decoded into
+    {!Qls_layout.Transpiled.op}s only here.
     @raise Invalid_argument if two-qubit gates remain. *)
-
-val ops_so_far : t -> Qls_layout.Transpiled.op list
-(** The op sequence accumulated so far (earliest first). *)

@@ -120,12 +120,14 @@ let refresh_window w st ~size =
   end
 
 (* Sum of the current physical distances over the front layer. *)
-(* lint: cancel-poll-coverage — walks the front list once *)
-let rec front_sum dmat q2p dag acc = function
-  | [] -> acc
-  | v :: rest ->
-      let a, b = Dag.pair dag v in
-      front_sum dmat q2p dag (acc + dmat.(q2p.(a)).(q2p.(b))) rest
+let front_sum dmat q2p st =
+  let dag = Route_state.dag st and front = Route_state.front_buffer st in
+  let acc = ref 0 in
+  for i = 0 to Route_state.front_count st - 1 do
+    let a, b = Dag.pair dag front.(i) in
+    acc := !acc + dmat.(q2p.(a)).(q2p.(b))
+  done;
+  !acc
 
 (* Change of the window's distance sum when program qubit [q] moves from
    [p] to [p'] (rows [rp]/[rp'] of the distance matrix): the gates on
@@ -161,9 +163,8 @@ let score_round ~opts ~dmat ~decay ~weights ~wsums ~scores w st n_cands =
   let q2p = Route_state.phys_table st and p2q = Route_state.occupant_table st in
   let partner = Route_state.front_partner st in
   let cands = Route_state.candidate_pairs st in
-  let front = Route_state.front st in
-  let n_front = float_of_int (max 1 (List.length front)) in
-  let front_total = front_sum dmat q2p (Route_state.dag st) 0 front in
+  let n_front = float_of_int (max 1 (Route_state.front_count st)) in
+  let front_total = front_sum dmat q2p st in
   let n_ext = w.n_ext in
   let ext_total = ref 0 in
   for k = 0 to n_ext - 1 do
@@ -220,14 +221,14 @@ let score_round ~opts ~dmat ~decay ~weights ~wsums ~scores w st n_cands =
 let obs_rounds = Qls_obs.counter "router.rounds"
 let obs_gates = Qls_obs.counter "router.gates"
 
-(* One routing pass. Returns the finished state — the output pass
-   packages it with [Route_state.finish], a refinement pass only reads
-   its final mapping — and the decisions recorded when [trace] is set. *)
-let routing_pass ~opts ~rng ~trace ~device ~initial circuit =
-  let st = Route_state.create ~device ~source:circuit ~initial in
+(* One routing pass over [circuit], whose DAG is [dag]. Returns the
+   finished state — the output pass packages it with
+   [Route_state.finish], a refinement pass only reads its final
+   mapping — and the decisions recorded when [trace] is set. *)
+let routing_pass ~opts ~rng ~trace ~device ~initial (circuit, dag) =
+  let st = Route_state.create ~device ~source:circuit ~dag ~initial in
   let n_phys = Device.n_qubits device in
   let dmat = Device.distance_matrix device in
-  let dag = Route_state.dag st in
   let decay = Array.make n_phys 1.0 in
   let size = opts.extended_set_size in
   let window = make_window ~size ~n_prog:(Circuit.n_qubits circuit) in
@@ -331,27 +332,31 @@ let routing_pass ~opts ~rng ~trace ~device ~initial circuit =
         ];
   (st, List.rev !decisions)
 
-let reverse_circuit circuit =
-  let gates = Circuit.gates circuit in
-  let n = Array.length gates in
-  Circuit.of_array ~n_qubits:(Circuit.n_qubits circuit)
-    (Array.init n (fun i -> gates.(n - 1 - i)))
+(* A circuit with its DAG. A route builds one for each direction, before
+   any trial, and every trial and pass shares them read-only. *)
+let with_dag c = (c, Dag.of_circuit c)
+
+let directions circuit =
+  let n = Circuit.length circuit in
+  ( with_dag circuit,
+    with_dag
+      (Circuit.of_array ~n_qubits:(Circuit.n_qubits circuit)
+         (Array.init n (fun i -> Circuit.gate circuit (n - 1 - i)))) )
 
 (* One SABRE trial: refine the initial mapping with alternating
    forward/backward passes, then run the output pass. *)
-let run_trial ~opts ~rng ~trace ~device ~initial circuit =
-  let reversed = reverse_circuit circuit in
+let run_trial ~opts ~rng ~trace ~device ~initial (forward, backward) =
   let refine_rng = Rng.split rng in
   let mapping = ref initial in
   for pass = 0 to opts.bidirectional_passes - 1 do
-    let c = if pass mod 2 = 0 then circuit else reversed in
     let st, _ =
-      routing_pass ~opts ~rng:refine_rng ~trace:false ~device ~initial:!mapping c
+      routing_pass ~opts ~rng:refine_rng ~trace:false ~device ~initial:!mapping
+        (if pass mod 2 = 0 then forward else backward)
     in
     mapping := Route_state.mapping st
   done;
   let st, decisions =
-    routing_pass ~opts ~rng ~trace ~device ~initial:!mapping circuit
+    routing_pass ~opts ~rng ~trace ~device ~initial:!mapping forward
   in
   (Route_state.finish st, decisions)
 
@@ -360,7 +365,7 @@ let run_trial ~opts ~rng ~trace ~device ~initial circuit =
    trial's result is a pure function of its index — the property that
    lets the parallel path below reproduce the sequential loop bit for
    bit. *)
-let run_one ~opts ~traced ~device ~initial circuit trial =
+let run_one ~opts ~traced ~device ~initial (((circuit, _), _) as dirs) trial =
   let rng = Rng.create ((opts.seed * 1_000_003) + trial) in
   let start =
     match initial with
@@ -370,7 +375,7 @@ let run_one ~opts ~traced ~device ~initial circuit trial =
   let sp =
     if traced then Qls_obs.start ~site:"router" "sabre.trial" else Qls_obs.none
   in
-  let result, _ = run_trial ~opts ~rng ~trace:false ~device ~initial:start circuit in
+  let result, _ = run_trial ~opts ~rng ~trace:false ~device ~initial:start dirs in
   let swaps = Transpiled.swap_count result in
   if traced then
     Qls_obs.stop sp
@@ -382,11 +387,12 @@ let route ?(options = default_options) ?jobs ?initial device circuit =
   validate_options opts;
   let n_trials = max 1 opts.trials in
   let traced = Qls_obs.enabled () in
+  let dirs = directions circuit in
   let results =
     if n_trials = 1 then
       (* Single trial runs inline: no domains, no tokens — the
          bench/serve hot path is unchanged. *)
-      [| run_one ~opts ~traced ~device ~initial circuit 0 |]
+      [| run_one ~opts ~traced ~device ~initial dirs 0 |]
     else begin
       (* Trials are independent, so they fan out across domains
          ([Pool.run ~jobs:1] degenerates to the historical inline loop —
@@ -406,7 +412,7 @@ let route ?(options = default_options) ?jobs ?initial device circuit =
       Qls_harness.Pool.run ~jobs
         ~f:(fun trial () ->
           Qls_cancel.with_token (Qls_cancel.child parent) (fun () ->
-              run_one ~opts ~traced ~device ~initial circuit trial))
+              run_one ~opts ~traced ~device ~initial dirs trial))
         (Array.make n_trials ())
     end
   in
@@ -434,7 +440,7 @@ let route_traced ?(options = default_options) ?initial device circuit =
     | Some m -> m
     | None -> Placement.random rng device circuit
   in
-  run_trial ~opts ~rng ~trace:true ~device ~initial:start circuit
+  run_trial ~opts ~rng ~trace:true ~device ~initial:start (directions circuit)
 
 let router ?(options = default_options) () =
   let name =

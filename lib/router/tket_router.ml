@@ -64,9 +64,9 @@ let route ?(options = default_options) ?initial device circuit =
         | Some m -> m
         | None -> Placement.degree_greedy rng device circuit)
   in
-  let st = Route_state.create ~device ~source:circuit ~initial:start in
+  let dag = Dag.of_circuit circuit in
+  let st = Route_state.create ~device ~source:circuit ~dag ~initial:start in
   let dmat = Device.distance_matrix device in
-  let dag = Route_state.dag st in
   let q2p = Route_state.phys_table st in
   let scores = Array.make (Device.n_edges device) 0.0 in
   let n_slices = max 0 opts.lookahead_slices in

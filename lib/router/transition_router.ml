@@ -64,11 +64,11 @@ let route ?(options = default_options) ?initial device circuit =
         | Some m -> m
         | None -> Placement.degree_greedy rng device circuit)
   in
-  let st = Route_state.create ~device ~source:circuit ~initial:start in
+  let dag = Dag.of_circuit circuit in
+  let st = Route_state.create ~device ~source:circuit ~dag ~initial:start in
   ignore (Route_state.advance st);
   while not (Route_state.finished st) do
     Qls_cancel.poll ();
-    let dag = Route_state.dag st in
     let front_pairs = List.map (Dag.pair dag) (Route_state.front st) in
     let mapping = Route_state.mapping st in
     let assignments = choose_targets rng device mapping front_pairs in

@@ -243,8 +243,51 @@ let circuit_arb =
           let* pairs = list_size (return m) gate in
           return (n, List.filter (fun (a, b) -> a <> b) pairs)))
 
+(* Circuits with single-qubit gates mixed in and two-qubit gates that
+   often repeat the previous pair, in either orientation: the cases where
+   the one-arc rule and the slot order matter. *)
+let mixed_circuit_arb =
+  QCheck.make ~print:Qasm.to_string
+    QCheck.Gen.(
+      let* n = int_range 2 8 in
+      let* m = int_bound 60 in
+      let step =
+        let* kind = int_bound 5 in
+        let* a = int_bound (n - 1) in
+        let* d = int_range 1 (n - 1) in
+        let* flip = bool in
+        return (kind, a, (a + d) mod n, flip)
+      in
+      let+ steps = list_size (return m) step in
+      (* kind 0: a single-qubit gate; 1-2: the previous pair again;
+         3-5: a fresh pair *)
+      let last = ref (0, 1) in
+      let gate (kind, a, b, flip) =
+        if kind = 0 then Gate.h a
+        else begin
+          let x, y = if kind <= 2 then !last else (a, b) in
+          last := (x, y);
+          if flip then Gate.cx y x else Gate.cx x y
+        end
+      in
+      Circuit.create ~n_qubits:n (List.map gate steps))
+
 let dag_props =
   [
+    QCheck.Test.make ~name:"flat DAG matches the frozen list-based builder"
+      ~count:500 mixed_circuit_arb (fun c ->
+        let d = Dag.of_circuit c and o = Dag_oracle.of_circuit c in
+        let n = Dag.n_gates d in
+        n = Dag_oracle.n_gates o
+        && Dag.front_layer d = Dag_oracle.front_layer o
+        && List.for_all
+             (fun v ->
+               Dag.successors d v = Dag_oracle.successors o v
+               && Dag.predecessors d v = Dag_oracle.predecessors o v
+               && Dag.in_degree d v = Dag_oracle.in_degree o v
+               && Dag.pair d v = Dag_oracle.pair o v
+               && Dag.circuit_index d v = Dag_oracle.circuit_index o v)
+             (List.init n Fun.id));
     QCheck.Test.make ~name:"program order is a topological order" ~count:200
       circuit_arb (fun (n, pairs) ->
         let c = Circuit.create ~n_qubits:n (List.map (fun (a, b) -> Gate.cx a b) pairs) in

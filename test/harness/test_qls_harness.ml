@@ -1014,12 +1014,14 @@ let concurrency_tests =
     test_case "stderr_report meters exactly total/20 lines from N domains"
       (fun () ->
         let total = 200 and domains = 4 in
-        let emitted = Atomic.make 0 in
+        let emitted = Atomic.make 0 and malformed = Atomic.make 0 in
+        (* [emit] runs on the worker domains, so it only counts; Alcotest's
+           checks are not domain-safe and run after the joins. *)
         let report =
           Campaign.stderr_report ~tty:false
             ~emit:(fun line ->
-              check_bool "non-tty lines end in newline" true
-                (String.length line > 0 && line.[String.length line - 1] = '\n');
+              if not (String.length line > 0 && line.[String.length line - 1] = '\n')
+              then Atomic.incr malformed;
               Atomic.incr emitted)
             ~total
         in
@@ -1035,7 +1037,8 @@ let concurrency_tests =
            multiple of 10 up to 200 — exactly 20 emissions. The pre-fix
            [int ref] lost increments across domains, skipping multiples
            and emitting a wrong, run-dependent number of lines. *)
-        check_int "exactly 20 metered lines" 20 (Atomic.get emitted));
+        check_int "exactly 20 metered lines" 20 (Atomic.get emitted);
+        check_int "non-tty lines end in newline" 0 (Atomic.get malformed));
     test_case "stderr_report in tty mode rewrites every line in place"
       (fun () ->
         let calls = ref [] in
