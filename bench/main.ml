@@ -11,18 +11,14 @@
      E4  (§IV-C)    LightSABRE case study: lookahead vs decayed lookahead
      E5  (§I/III-C) QUEKO contrast: solved by VF2, unlike QUBIKOS
 
-   plus one Bechamel timing bench per experiment on a small representative
-   instance.
+   Timing lives in the checked benches (router_bench, sat_bench,
+   serve_bench); this harness writes no BENCH_*.json file.
 
    Usage:
      dune exec bench/main.exe                 scaled-down experiments (minutes)
      dune exec bench/main.exe -- --quick      smoke-test scale (seconds)
      dune exec bench/main.exe -- --full       paper-scale parameters (hours)
-     dune exec bench/main.exe -- --no-timing  skip the Bechamel section
      dune exec bench/main.exe -- -j N         worker domains for E2a-E2d *)
-
-open Bechamel
-open Toolkit
 
 module Device = Qls_arch.Device
 module Topologies = Qls_arch.Topologies
@@ -40,14 +36,12 @@ module Queko = Qubikos.Queko
 type scale = Quick | Default | Full
 
 let scale = ref Default
-let timing = ref true
 let jobs = ref (Qls_harness.Pool.recommended_jobs ())
 let trace = ref None
 
 let usage () =
   prerr_endline
-    "usage: main.exe [--quick | --full] [--no-timing] [-j N | --jobs N] \
-     [--trace FILE]"
+    "usage: main.exe [--quick | --full] [-j N | --jobs N] [--trace FILE]"
 
 let () =
   let argv = Sys.argv in
@@ -59,9 +53,6 @@ let () =
           parse (i + 1)
       | "--full" ->
           scale := Full;
-          parse (i + 1)
-      | "--no-timing" ->
-          timing := false;
           parse (i + 1)
       | "-j" | "--jobs" -> (
           match
@@ -95,99 +86,10 @@ let () =
 let section title =
   Printf.printf "\n%s\n%s\n%!" title (String.make (String.length title) '=')
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel timing benches: one per experiment id                      *)
-(* ------------------------------------------------------------------ *)
-
 let make_instance device ~n_swaps ~gate_budget ~seed =
   Generator.generate
     ~config:{ Generator.default_config with n_swaps; gate_budget; seed }
     device
-
-let timing_tests () =
-  let grid = Topologies.grid 3 3 in
-  let aspen = Topologies.aspen4 () in
-  let sycamore = Topologies.sycamore54 () in
-  let rochester = Topologies.rochester () in
-  let eagle = Topologies.eagle127 () in
-  let small = make_instance grid ~n_swaps:2 ~gate_budget:25 ~seed:1 in
-  let inst_aspen = make_instance aspen ~n_swaps:5 ~gate_budget:300 ~seed:1 in
-  let inst_syc = make_instance sycamore ~n_swaps:5 ~gate_budget:600 ~seed:1 in
-  let inst_roc = make_instance rochester ~n_swaps:5 ~gate_budget:600 ~seed:1 in
-  let inst_eagle = make_instance eagle ~n_swaps:5 ~gate_budget:1000 ~seed:1 in
-  let sabre1 = Sabre.router ~options:Sabre.default_options () in
-  let route inst () =
-    ignore (sabre1.Router.route inst.Benchmark_inst.device inst.Benchmark_inst.circuit)
-  in
-  let queko = Queko.generate ~seed:1 ~depth:20 grid in
-  Test.make_grouped ~name:"qubikos"
-    [
-      Test.make ~name:"E1/certificate+exact/grid3x3-n2"
-        (Staged.stage (fun () -> ignore (Certificate.check_exact small)));
-      Test.make ~name:"E2a/sabre-route/aspen4-n5-300g" (Staged.stage (route inst_aspen));
-      Test.make ~name:"E2b/sabre-route/sycamore-n5-600g" (Staged.stage (route inst_syc));
-      Test.make ~name:"E2c/sabre-route/rochester-n5-600g" (Staged.stage (route inst_roc));
-      Test.make ~name:"E2d/sabre-route/eagle-n5-1000g" (Staged.stage (route inst_eagle));
-      Test.make ~name:"E3/generate/eagle-n10-3000g"
-        (Staged.stage (fun () ->
-             ignore (make_instance eagle ~n_swaps:10 ~gate_budget:3000 ~seed:2)));
-      Test.make ~name:"E4/sabre-traced/aspen4-n5-300g"
-        (Staged.stage (fun () ->
-             ignore
-               (Sabre.route_traced
-                  ~initial:inst_aspen.Benchmark_inst.initial_mapping
-                  inst_aspen.Benchmark_inst.device inst_aspen.Benchmark_inst.circuit)));
-      Test.make ~name:"E5/queko-vf2-placement/grid3x3-d20"
-        (Staged.stage (fun () ->
-             ignore (Placement.vf2 queko.Queko.device queko.Queko.circuit)));
-    ]
-
-let run_timing () =
-  section "Timing benches (Bechamel; one per experiment)";
-  let cfg =
-    Benchmark.cfg ~limit:20 ~quota:(Time.second 2.0) ~kde:None
-      ~sampling:(`Linear 1) ~stabilize:false ()
-  in
-  let raw = Benchmark.all cfg [ Instance.monotonic_clock ] (timing_tests ()) in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold (fun name v acc -> (name, v) :: acc) results []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  List.iter
-    (fun (name, v) ->
-      match Analyze.OLS.estimates v with
-      | Some [ ns ] -> Printf.printf "%-45s %12.3f ms/run\n" name (ns /. 1e6)
-      | Some _ | None -> Printf.printf "%-45s %12s\n" name "n/a")
-    rows
-
-(* ------------------------------------------------------------------ *)
-(* Router hot-path microbenchmark (perf trajectory)                    *)
-(* ------------------------------------------------------------------ *)
-
-let run_router_bench () =
-  section "Router hot path (BENCH_router.json)";
-  Printf.printf
-    "Per-router ns/gate and swaps/second on fixed-seed QUBIKOS instances\n\
-     over the paper's four topologies at three depths, plus the\n\
-     deterministic lookahead-construction counters (a hoisted router\n\
-     builds <= 1 per round). Written to BENCH_router.json — the repo's\n\
-     perf trajectory; bench/router_bench.exe --check compares runs.\n\n";
-  let scale =
-    match !scale with
-    | Quick -> Router_bench_core.Quick
-    | Default -> Router_bench_core.Default
-    | Full -> Router_bench_core.Full
-  in
-  let runs = Router_bench_core.default_runs scale in
-  let entries = Router_bench_core.run ~progress:true ~scale ~runs () in
-  Router_bench_core.write_json ~path:"BENCH_router.json"
-    ~mode:(Router_bench_core.string_of_scale scale)
-    entries;
-  Printf.printf "  wrote BENCH_router.json (%d entries)\n" (List.length entries)
 
 (* ------------------------------------------------------------------ *)
 (* E1: optimality study (§IV-A)                                        *)
@@ -350,15 +252,15 @@ let run_trials_ablation () =
   let trials = match !scale with Quick -> [ 1; 4 ] | Default -> [ 1; 4; 16; 64 ] | Full -> [ 1; 10; 100; 1000 ] in
   List.iter
     (fun n ->
-      let t0 = Unix.gettimeofday () in
-      let t =
-        Sabre.route ~options:(Sabre.with_trials n Sabre.default_options) device
-          inst.Benchmark_inst.circuit
+      let t, seconds =
+        Bench_kit.timed (fun () ->
+            Sabre.route ~options:(Sabre.with_trials n Sabre.default_options)
+              device inst.Benchmark_inst.circuit)
       in
       Printf.printf "  trials %4d: %3d swaps (ratio %5.1fx) in %.2fs\n%!" n
         (Transpiled.swap_count t)
         (float_of_int (Transpiled.swap_count t) /. 5.0)
-        (Unix.gettimeofday () -. t0))
+        seconds)
     trials
 
 (* ------------------------------------------------------------------ *)
@@ -445,12 +347,12 @@ let () =
   Fun.protect
     ~finally:(fun () -> if Option.is_some !trace then Qls_obs.shutdown ())
     (fun () ->
-      if !timing then run_timing ();
-      run_router_bench ();
       run_optimality_study ();
       run_queko_contrast ();
       run_case_study ();
       run_trials_ablation ();
       run_fidelity_impact ();
       run_figure4 ());
-  Printf.printf "\nDone. See EXPERIMENTS.md for paper-vs-measured discussion.\n"
+  Printf.printf
+    "\nDone. See EXPERIMENTS.md for paper-vs-measured discussion; router\n\
+     timing is bench/router_bench.exe (BENCH_router.json).\n"

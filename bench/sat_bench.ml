@@ -20,8 +20,8 @@
    never gated — which configuration wins a race depends on machine
    timing.
 
-   A plain run writes BENCH_sat.fresh.json and never touches the
-   committed baseline; [--out BENCH_sat.json] regenerates it.
+   A run writes BENCH_sat.fresh.json; [--full --update] regenerates
+   the committed BENCH_sat.json.
 
    [--check BASELINE] enforces, on the fresh run:
    - correctness: every walk (fresh, incremental, raced) returns the
@@ -33,13 +33,12 @@
      are deterministic, so any increase is a search change), and every
      run entry must have a baseline entry. *)
 
+module Kit = Bench_kit
 module Device = Qls_arch.Device
 module Topologies = Qls_arch.Topologies
 module Generator = Qubikos.Generator
 module Benchmark = Qubikos.Benchmark
 module Olsq = Qls_router.Olsq
-
-type scale = Quick | Full
 
 type spec = {
   dev : string;  (** topology key, resolved by [device_of] *)
@@ -106,25 +105,22 @@ let full_specs =
       spec "ring8" 3 8;
     ]
 
-let specs = function Quick -> quick_specs | Full -> full_specs
-
-let string_of_scale = function Quick -> "quick" | Full -> "full"
+let specs = function Kit.Quick | Default -> quick_specs | Full -> full_specs
 
 let conflicts_counter = Qls_obs.counter "sat.conflicts"
 
-let timed f =
-  (* lint: nondet-source — wall-clock timing metric, never gated *)
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (* lint: nondet-source — wall-clock timing metric, never gated *)
-  (r, (Unix.gettimeofday () -. t0) *. 1e3)
+let timed_ms f =
+  let r, seconds = Kit.timed f in
+  (r, seconds *. 1e3)
 
 (* Walk the bound in [mode], returning (optimum, conflict delta, ms).
    Conflict counting by obs-counter delta works for both modes because
    every [Solver.solve] call adds its per-call conflicts on return. *)
 let measure_walk ~mode ~max_swaps device circuit =
   let c0 = Qls_obs.counter_value conflicts_counter in
-  let r, ms = timed (fun () -> Olsq.minimum_swaps ~max_swaps ~mode device circuit) in
+  let r, ms =
+    timed_ms (fun () -> Olsq.minimum_swaps ~max_swaps ~mode device circuit)
+  in
   let conflicts = Qls_obs.counter_value conflicts_counter - c0 in
   match r with
   | Olsq.Optimal { swaps; _ } -> (swaps, conflicts, ms)
@@ -164,7 +160,7 @@ let measure s =
     walk 0
   in
   let race, race_ms =
-    timed (fun () -> Olsq.race_minimum_swaps ~max_swaps device circuit)
+    timed_ms (fun () -> Olsq.race_minimum_swaps ~max_swaps device circuit)
   in
   let race_opt =
     match race.Olsq.value with
@@ -199,186 +195,93 @@ let measure s =
     cancelled = race.Olsq.cancelled;
   }
 
-let run ?(progress = false) ~scale () =
+let run scale =
   List.map
     (fun s ->
       let e = measure s in
-      if progress then
-        Printf.eprintf
-          "  %-8s swaps=%d seed=%-3d %5d vs %5d conflicts (%4.1fx)  fresh \
-           %6.1fms  incr %6.1fms  race %6.1fms (winner %d)\n\
-           %!"
-          e.device e.n_swaps e.seed e.fresh_conflicts e.incr_conflicts
-          (float_of_int e.fresh_conflicts
-          /. float_of_int (max 1 e.incr_conflicts))
-          e.fresh_ms e.incr_ms e.race_ms e.winner_seed;
+      Printf.eprintf
+        "  %-8s swaps=%d seed=%-3d %5d vs %5d conflicts (%4.1fx)  fresh \
+         %6.1fms  incr %6.1fms  race %6.1fms (winner %d)\n\
+         %!"
+        e.device e.n_swaps e.seed e.fresh_conflicts e.incr_conflicts
+        (float_of_int e.fresh_conflicts
+        /. float_of_int (max 1 e.incr_conflicts))
+        e.fresh_ms e.incr_ms e.race_ms e.winner_seed;
       e)
     (specs scale)
 
-(* JSON in/out follows the router bench convention: one entry object per
-   line, fixed key order, read back by the line scanner in
-   {!Router_bench_core}. *)
+let to_entry e =
+  Kit.
+    [
+      ("device", String e.device);
+      ("n_swaps", Int e.n_swaps);
+      ("gate_budget", Int e.gate_budget);
+      ("seed", Int e.seed);
+      ("gates", Int e.gates);
+      ("optimum", Int e.optimum);
+      ("fresh_conflicts", Int e.fresh_conflicts);
+      ("incr_conflicts", Int e.incr_conflicts);
+      ("incr_solves", Int e.incr_solves);
+      ("fresh_ms", Float (1, e.fresh_ms));
+      ("incr_ms", Float (1, e.incr_ms));
+      ("race_ms", Float (1, e.race_ms));
+      ("winner_seed", Int e.winner_seed);
+      ("raced", Int e.raced);
+      ("cancelled", Int e.cancelled);
+    ]
 
-let entry_to_json e =
-  Printf.sprintf
-    "{\"device\":%S,\"n_swaps\":%d,\"gate_budget\":%d,\"seed\":%d,\"gates\":%d,\"optimum\":%d,\"fresh_conflicts\":%d,\"incr_conflicts\":%d,\"incr_solves\":%d,\"fresh_ms\":%.1f,\"incr_ms\":%.1f,\"race_ms\":%.1f,\"winner_seed\":%d,\"raced\":%d,\"cancelled\":%d}"
-    e.device e.n_swaps e.gate_budget e.seed e.gates e.optimum
-    e.fresh_conflicts e.incr_conflicts e.incr_solves e.fresh_ms e.incr_ms
-    e.race_ms e.winner_seed e.raced e.cancelled
+let of_entry f =
+  {
+    device = Kit.string f "device";
+    n_swaps = Kit.int f "n_swaps";
+    gate_budget = Kit.int f "gate_budget";
+    seed = Kit.int f "seed";
+    gates = Kit.int f "gates";
+    optimum = Kit.int f "optimum";
+    fresh_conflicts = Kit.int f "fresh_conflicts";
+    incr_conflicts = Kit.int f "incr_conflicts";
+    incr_solves = Kit.int f "incr_solves";
+    fresh_ms = Kit.float f "fresh_ms";
+    incr_ms = Kit.float f "incr_ms";
+    race_ms = Kit.float f "race_ms";
+    winner_seed = Kit.int f "winner_seed";
+    raced = Kit.int f "raced";
+    cancelled = Kit.int f "cancelled";
+  }
 
-let write_json ~path ~mode entries =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc "{\n  \"schema\": 1,\n  \"bench\": \"sat\",\n";
-      output_string oc (Printf.sprintf "  \"mode\": %S,\n" mode);
-      output_string oc "  \"entries\": [\n";
-      List.iteri
-        (fun i e ->
-          output_string oc "    ";
-          output_string oc (entry_to_json e);
-          if i < List.length entries - 1 then output_string oc ",";
-          output_string oc "\n")
-        entries;
-      output_string oc "  ]\n}\n")
+let key e =
+  Printf.sprintf "%s/swaps=%d/%dg/seed=%d" e.device e.n_swaps e.gate_budget
+    e.seed
 
-let load_entries path =
-  let field_s = Router_bench_core.field_string in
-  let field_i = Router_bench_core.field_int in
-  let field_f = Router_bench_core.field_float in
-  let ic = open_in path in
-  let entries = ref [] in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      try
-        while true do
-          let line = input_line ic in
-          match
-            ( field_s line "device",
-              field_i line "n_swaps",
-              field_i line "fresh_conflicts",
-              field_i line "seed" )
-          with
-          | Some device, Some n_swaps, Some fresh_conflicts, Some seed ->
-              let get_i key = Option.value ~default:0 (field_i line key) in
-              let get_f key = Option.value ~default:0.0 (field_f line key) in
-              entries :=
-                {
-                  device;
-                  n_swaps;
-                  gate_budget = get_i "gate_budget";
-                  seed;
-                  gates = get_i "gates";
-                  optimum = get_i "optimum";
-                  fresh_conflicts;
-                  incr_conflicts = get_i "incr_conflicts";
-                  incr_solves = get_i "incr_solves";
-                  fresh_ms = get_f "fresh_ms";
-                  incr_ms = get_f "incr_ms";
-                  race_ms = get_f "race_ms";
-                  winner_seed = get_i "winner_seed";
-                  raced = get_i "raced";
-                  cancelled = get_i "cancelled";
-                }
-                :: !entries
-          | _ -> ()
-        done
-      with End_of_file -> ());
-  List.rev !entries
+let total f entries = List.fold_left (fun a e -> a + f e) 0 entries
 
-let key e = (e.device, e.n_swaps, e.gate_budget, e.seed)
+let ratio entries =
+  float_of_int (total (fun e -> e.fresh_conflicts) entries)
+  /. float_of_int (max 1 (total (fun e -> e.incr_conflicts) entries))
 
-let check ~baseline entries =
-  let base = load_entries baseline in
-  let problems = ref [] in
-  let note fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
+let check entries baseline =
+  let g = Kit.gate ~baseline in
   List.iter
-    (fun e ->
-      let id = Printf.sprintf "%s/swaps=%d/seed=%d" e.device e.n_swaps e.seed in
-      if e.optimum <> e.n_swaps then
-        note "%s: found optimum %d, designed %d" id e.optimum e.n_swaps;
-      match List.find_opt (fun b -> key b = key e) base with
-      | None ->
-          note "%s: no baseline entry in %s (renamed spec or damaged baseline)"
-            id baseline
-      | Some b ->
-          let gate what now was =
-            if now > was then
-              note
-                "%s: %s conflicts %d exceed baseline %d (deterministic — a \
-                 code change altered the search)"
-                id what now was
-          in
-          gate "fresh" e.fresh_conflicts b.fresh_conflicts;
-          gate "incremental" e.incr_conflicts b.incr_conflicts)
+    (fun e -> Kit.exact g (key e) "optimum" ~expected:e.n_swaps e.optimum)
     entries;
-  let total f = List.fold_left (fun a e -> a + f e) 0 entries in
-  let fresh = total (fun e -> e.fresh_conflicts)
-  and incr = total (fun e -> e.incr_conflicts) in
-  let ratio = float_of_int fresh /. float_of_int (max 1 incr) in
-  if ratio < 2.0 then
-    note
-      "headline gate: fresh/incremental conflict ratio %.2f < 2.0 (%d vs %d \
-       total conflicts)"
-      ratio fresh incr;
-  match List.rev !problems with
-  | [] -> Ok ratio
-  | ps -> Error ps
+  let pairs = Kit.pair g ~key ~base:(Kit.load baseline of_entry) entries in
+  List.iter
+    (fun (e, b) ->
+      let no_rise name now was =
+        Kit.no_rise g (key e) name ~base:(float_of_int was) (float_of_int now)
+      in
+      no_rise "fresh_conflicts" e.fresh_conflicts b.fresh_conflicts;
+      no_rise "incr_conflicts" e.incr_conflicts b.incr_conflicts)
+    pairs;
+  if ratio entries < 2.0 then
+    Kit.fail g "headline gate: fresh/incremental conflict ratio %.2f < 2.0"
+      (ratio entries);
+  Kit.problems g
 
 let () =
-  let scale = ref Quick in
-  let out = ref "BENCH_sat.fresh.json" in
-  let baseline = ref None in
-  let usage () =
-    prerr_endline
-      "usage: sat_bench.exe [--quick | --full] [--out FILE] [--check \
-       BASELINE]";
-    exit 2
-  in
-  let argv = Sys.argv in
-  let value i = if i + 1 < Array.length argv then Some argv.(i + 1) else None in
-  let rec parse i =
-    if i < Array.length argv then
-      match argv.(i) with
-      | "--quick" ->
-          scale := Quick;
-          parse (i + 1)
-      | "--full" ->
-          scale := Full;
-          parse (i + 1)
-      | "--out" -> (
-          match value i with
-          | Some f ->
-              out := f;
-              parse (i + 2)
-          | None -> usage ())
-      | "--check" -> (
-          match value i with
-          | Some f ->
-              baseline := Some f;
-              parse (i + 2)
-          | None -> usage ())
-      | _ -> usage ()
-  in
-  parse 1;
-  let mode = string_of_scale !scale in
-  Printf.eprintf "sat_bench: scale %s\n%!" mode;
-  let entries = run ~progress:true ~scale:!scale () in
-  write_json ~path:!out ~mode entries;
-  Printf.eprintf "sat_bench: wrote %s (%d entries)\n%!" !out
-    (List.length entries);
-  match !baseline with
-  | None -> ()
-  | Some b -> (
-      match check ~baseline:b entries with
-      | Ok ratio ->
-          Printf.eprintf
-            "sat_bench: fresh/incremental conflict ratio %.2fx, no \
-             regression against %s\n\
-             %!"
-            ratio b
-      | Error problems ->
-          List.iter (Printf.eprintf "sat_bench: REGRESSION: %s\n%!") problems;
-          exit 1)
+  let cli = Kit.cli ~bench:"sat" ~default:Quick () in
+  Printf.eprintf "sat_bench: scale %s\n%!" (Kit.string_of_scale cli.scale);
+  let entries = run cli.scale in
+  Printf.eprintf "sat_bench: fresh/incremental conflict ratio %.2fx\n%!"
+    (ratio entries);
+  Kit.finish ~bench:"sat" cli (List.map to_entry entries) (check entries)

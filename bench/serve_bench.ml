@@ -17,8 +17,10 @@
      the daemon's swaps/depth must equal an offline run of the same
      router on the same instance through the library.
 
-   [--out] writes BENCH_serve.json; [--check] compares a fresh run
-   against the committed baseline: deterministic fields (errors,
+   A run writes BENCH_serve.fresh.json and [--update] the committed
+   BENCH_serve.json (quick scale: 2 clients x 10 rounds; a plain run is
+   4 x 40). [--check] compares a fresh run against that baseline, which
+   must hold an entry of the same shape: deterministic fields (errors,
    bit-identity, offline match, hit rate) gate exactly, p50 latency
    gates on a geometric-mean ratio with a generous tolerance (client
    and daemon share one machine; timing noise is real).
@@ -28,6 +30,7 @@
    a whole-frame answer, and the sealed request log loads with zero
    corrupt lines. *)
 
+module Kit = Bench_kit
 module Protocol = Qls_serve.Protocol
 
 (* ------------------------------------------------------------------ *)
@@ -104,6 +107,19 @@ let rpc c payload =
   | Some resp -> resp
   | None -> failwith "connection closed mid-request"
 
+(* A response's fields ([] when it does not parse) and the ones the
+   bench reads: [ok], the error [kind], and counters ([-1] if absent). *)
+let fields resp = try Kit.entry_of_json resp with Failure _ -> []
+let ok resp = List.assoc_opt "ok" (fields resp)
+
+let kind resp =
+  match List.assoc_opt "kind" (fields resp) with
+  | Some (Kit.String k) -> Some k
+  | _ -> None
+
+let count resp key =
+  match List.assoc_opt key (fields resp) with Some (Kit.Int i) -> i | _ -> -1
+
 (* ------------------------------------------------------------------ *)
 (* Workload: a fixed set of distinct requests, repeated                 *)
 (* ------------------------------------------------------------------ *)
@@ -160,19 +176,15 @@ let run_client ~socket ~rounds ~jobs_list ~slot ~slots =
     List.iter
       (fun j ->
         let req = request_of_job j in
-        (* lint: nondet-source — latency measurement *)
-        let t0 = Unix.gettimeofday () in
-        let resp = rpc conn req in
-        (* lint: nondet-source — latency measurement *)
-        let dt = Unix.gettimeofday () -. t0 in
-        samples := { req; resp; seconds = dt } :: !samples)
+        let resp, seconds = Kit.timed (fun () -> rpc conn req) in
+        samples := { req; resp; seconds } :: !samples)
       jobs_list
   done;
   disconnect conn;
   slots.(slot) <- List.rev !samples
 
 (* ------------------------------------------------------------------ *)
-(* Result entry + JSON, mirroring router_bench's fixed-key format       *)
+(* Result entry                                                        *)
 (* ------------------------------------------------------------------ *)
 
 type entry = {
@@ -191,102 +203,40 @@ type entry = {
   p99_ms : float;
 }
 
-let entry_to_json e =
-  Printf.sprintf
-    "{\"scenario\":%S,\"clients\":%d,\"rounds\":%d,\"distinct\":%d,\"requests\":%d,\"errors\":%d,\"bit_identical\":%b,\"offline_match\":%b,\"hit_rate\":%.4f,\"throughput_rps\":%.1f,\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"p99_ms\":%.3f}"
-    e.scenario e.clients e.rounds e.distinct e.requests e.errors
-    e.bit_identical e.offline_match e.hit_rate e.throughput_rps e.p50_ms
-    e.p95_ms e.p99_ms
+let to_entry e =
+  Kit.
+    [
+      ("scenario", String e.scenario);
+      ("clients", Int e.clients);
+      ("rounds", Int e.rounds);
+      ("distinct", Int e.distinct);
+      ("requests", Int e.requests);
+      ("errors", Int e.errors);
+      ("bit_identical", Bool e.bit_identical);
+      ("offline_match", Bool e.offline_match);
+      ("hit_rate", Float (4, e.hit_rate));
+      ("throughput_rps", Float (1, e.throughput_rps));
+      ("p50_ms", Float (3, e.p50_ms));
+      ("p95_ms", Float (3, e.p95_ms));
+      ("p99_ms", Float (3, e.p99_ms));
+    ]
 
-let to_json ~mode entries =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"schema\": 1,\n  \"bench\": \"serve\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"mode\": %S,\n" mode);
-  Buffer.add_string buf "  \"entries\": [\n";
-  List.iteri
-    (fun i e ->
-      Buffer.add_string buf "    ";
-      Buffer.add_string buf (entry_to_json e);
-      if i < List.length entries - 1 then Buffer.add_char buf ',';
-      Buffer.add_char buf '\n')
-    entries;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
-
-let write_json ~path ~mode entries =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_json ~mode entries))
-
-let scan_field line key =
-  let pat = Printf.sprintf "\"%s\":" key in
-  let plen = String.length pat and n = String.length line in
-  let rec find i =
-    if i + plen > n then None
-    else if String.sub line i plen = pat then Some (i + plen)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start ->
-      let stop = ref start in
-      while
-        !stop < n && (match line.[!stop] with ',' | '}' -> false | _ -> true)
-      do
-        incr stop
-      done;
-      Some (String.sub line start (!stop - start))
-
-let field_string line key =
-  match scan_field line key with
-  | Some s when String.length s >= 2 && s.[0] = '"' ->
-      Some (String.sub s 1 (String.length s - 2))
-  | _ -> None
-
-let field_float line key = Option.bind (scan_field line key) float_of_string_opt
-let field_int line key = Option.bind (scan_field line key) int_of_string_opt
-
-let field_bool line key =
-  Option.bind (scan_field line key) bool_of_string_opt
-
-let load_entries path =
-  let ic = open_in path in
-  let entries = ref [] in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      try
-        while true do
-          let line = input_line ic in
-          match (field_string line "scenario", field_int line "requests") with
-          | Some scenario, Some requests ->
-              let get_f key = Option.value ~default:0.0 (field_float line key) in
-              let get_i key = Option.value ~default:0 (field_int line key) in
-              let get_b key =
-                Option.value ~default:false (field_bool line key)
-              in
-              entries :=
-                {
-                  scenario;
-                  clients = get_i "clients";
-                  rounds = get_i "rounds";
-                  distinct = get_i "distinct";
-                  requests;
-                  errors = get_i "errors";
-                  bit_identical = get_b "bit_identical";
-                  offline_match = get_b "offline_match";
-                  hit_rate = get_f "hit_rate";
-                  throughput_rps = get_f "throughput_rps";
-                  p50_ms = get_f "p50_ms";
-                  p95_ms = get_f "p95_ms";
-                  p99_ms = get_f "p99_ms";
-                }
-                :: !entries
-          | _ -> ()
-        done
-      with End_of_file -> ());
-  List.rev !entries
+let of_entry f =
+  {
+    scenario = Kit.string f "scenario";
+    clients = Kit.int f "clients";
+    rounds = Kit.int f "rounds";
+    distinct = Kit.int f "distinct";
+    requests = Kit.int f "requests";
+    errors = Kit.int f "errors";
+    bit_identical = Kit.bool f "bit_identical";
+    offline_match = Kit.bool f "offline_match";
+    hit_rate = Kit.float f "hit_rate";
+    throughput_rps = Kit.float f "throughput_rps";
+    p50_ms = Kit.float f "p50_ms";
+    p95_ms = Kit.float f "p95_ms";
+    p99_ms = Kit.float f "p99_ms";
+  }
 
 (* ------------------------------------------------------------------ *)
 (* The load scenario                                                   *)
@@ -297,35 +247,23 @@ let exact_quantile sorted q =
   if n = 0 then 0.0
   else sorted.(min (n - 1) (int_of_float (q *. float_of_int n)))
 
-(* Daemon-side counters worth echoing in every report: they are the
-   server's own view of the run (satellite telemetry for the chaos
-   invariants, a smoke check for plain load runs). *)
-let print_daemon_stats stats =
-  let gi key = Option.value ~default:0 (field_int stats key) in
-  let gs key = Option.value ~default:"?" (scan_field stats key) in
-  Printf.printf
-    "daemon: uptime_s %s  requests %d  ok %s  bad_request %d  overloaded %d  \
-     deadline_exceeded %d  internal %d  log_dropped %d  live_workers %d  \
-     lost_workers %d\n"
-    (gs "uptime_s") (gi "requests") (gs "completed") (gi "bad_request")
-    (gi "overloaded") (gi "deadline_exceeded") (gi "internal")
-    (gi "log_dropped") (gi "live_workers") (gi "lost_workers")
+(* The daemon's own view of the run, echoed in every report (telemetry
+   for the chaos invariants, a smoke check for plain load runs). *)
+let print_daemon_stats stats = Printf.printf "daemon: %s\n" stats
 
 let run_load ~scenario ~server ~clients ~rounds ~distinct ~jobs ~queue =
   let d = spawn_daemon ~server ~jobs ~queue () in
   let jobs_list = workload ~distinct in
   let slots = Array.make clients [] in
-  (* lint: nondet-source — wall-clock throughput measurement *)
-  let t0 = Unix.gettimeofday () in
-  let threads =
-    List.init clients (fun slot ->
-        Thread.create
-          (fun () -> run_client ~socket:d.socket ~rounds ~jobs_list ~slot ~slots)
-          ())
+  let (), elapsed =
+    Kit.timed (fun () ->
+        List.init clients (fun slot ->
+            Thread.create
+              (fun () ->
+                run_client ~socket:d.socket ~rounds ~jobs_list ~slot ~slots)
+              ())
+        |> List.iter Thread.join)
   in
-  List.iter Thread.join threads;
-  (* lint: nondet-source — wall-clock throughput measurement *)
-  let elapsed = Unix.gettimeofday () -. t0 in
   (* Cache stats from the daemon itself, then drain it. *)
   let conn = connect d.socket in
   let stats = rpc conn {|{"verb":"stats"}|} in
@@ -337,11 +275,12 @@ let run_load ~scenario ~server ~clients ~rounds ~distinct ~jobs ~queue =
   | _ -> failwith "daemon did not exit cleanly after SIGTERM");
   let samples = Array.to_list slots |> List.concat in
   let requests = List.length samples in
-  let is_ok resp =
-    match field_bool resp "ok" with Some true -> true | _ -> false
-  in
   let errors =
-    List.length (List.filter (fun s -> not (is_ok s.resp)) samples)
+    List.length
+      (List.filter
+         (fun s ->
+           match ok s.resp with Some (Kit.Bool true) -> false | _ -> true)
+         samples)
   in
   (* Bit-identity: all responses to one request text are one byte string. *)
   let by_req = Hashtbl.create 16 in
@@ -357,9 +296,6 @@ let run_load ~scenario ~server ~clients ~rounds ~distinct ~jobs ~queue =
       samples
   in
   (* Offline ground truth per distinct job. *)
-  let int_is resp key v =
-    match field_int resp key with Some x -> x = v | None -> false
-  in
   let offline_match =
     List.for_all
       (fun j ->
@@ -367,13 +303,14 @@ let run_load ~scenario ~server ~clients ~rounds ~distinct ~jobs ~queue =
         match Hashtbl.find_opt by_req (request_of_job j) with
         | None -> false
         | Some resp ->
-            int_is resp "swaps" swaps && int_is resp "depth" depth
-            && int_is resp "optimal" optimal)
+            count resp "swaps" = swaps && count resp "depth" = depth
+            && count resp "optimal" = optimal)
       jobs_list
   in
   let hit_rate =
-    match (field_int stats "route_hits", field_int stats "route_misses") with
-    | Some h, Some m when h + m > 0 -> float_of_int h /. float_of_int (h + m)
+    match (count stats "route_hits", count stats "route_misses") with
+    | h, m when h >= 0 && m >= 0 && h + m > 0 ->
+        float_of_int h /. float_of_int (h + m)
     | _ -> 0.0
   in
   let sorted =
@@ -446,13 +383,10 @@ let run_drain_test ~server =
   let whole =
     Array.for_all
       (List.for_all (fun s ->
-           match field_bool s.resp "ok" with
-           | Some true -> true
-           | Some false -> (
-               match field_string s.resp "kind" with
-               | Some "draining" | Some "overloaded" -> true
-               | _ -> false)
-           | None -> false))
+           match (ok s.resp, kind s.resp) with
+           | Some (Kit.Bool true), _ -> true
+           | Some (Kit.Bool false), Some ("draining" | "overloaded") -> true
+           | _ -> false))
       slots
   in
   (* The sealed request log must load with zero corrupt lines: the drain
@@ -519,22 +453,22 @@ let run_chaos ~server ~seed =
           match rpc conn req with
           | resp -> (
               answered.(slot) <- answered.(slot) + 1;
-              (match field_string resp "id" with
-              | Some rid when String.equal rid id -> ()
-              | Some rid -> note "%s: answered with foreign id %s" id rid
+              (match List.assoc_opt "id" (fields resp) with
+              | Some (Kit.String rid) when String.equal rid id -> ()
+              | Some _ -> note "%s: answered with a foreign id: %s" id resp
               | None -> note "%s: response carries no id" id);
               (* well-formed and typed: ok:true, or ok:false with a kind *)
-              match field_bool resp "ok" with
-              | Some true -> ()
-              | Some false -> (
-                  match field_string resp "kind" with
+              match ok resp with
+              | Some (Kit.Bool true) -> ()
+              | Some (Kit.Bool false) -> (
+                  match kind resp with
                   | Some
                       ( "bad_request" | "overloaded" | "draining"
                       | "deadline_exceeded" | "internal" ) ->
                       ()
                   | Some k -> note "%s: unknown error kind %s" id k
                   | None -> note "%s: error response without a kind" id)
-              | None -> note "%s: response lacks ok" id)
+              | _ -> note "%s: response lacks ok" id)
           | exception e ->
               note "%s: no response (%s)" id (Printexc.to_string e))
         jobs_list
@@ -567,8 +501,8 @@ let run_chaos ~server ~seed =
     incr attempts;
     match rpc conn probe_req with
     | resp -> (
-        match field_bool resp "ok" with
-        | Some true -> oks := resp :: !oks
+        match ok resp with
+        | Some (Kit.Bool true) -> oks := resp :: !oks
         | _ -> ())
     | exception _ -> ()
   done;
@@ -582,17 +516,17 @@ let run_chaos ~server ~seed =
   let stats = rpc conn {|{"verb":"stats"}|} in
   disconnect conn;
   print_daemon_stats stats;
-  let gi line key = Option.value ~default:(-1) (field_int line key) in
-  if not (match field_bool health "ready" with Some b -> b | None -> false)
-  then fail "daemon not ready after the chaos load";
-  let lost = gi stats "lost_workers" and internal = gi stats "internal" in
+  (match List.assoc_opt "ready" (fields health) with
+  | Some (Kit.Bool true) -> ()
+  | _ -> fail "daemon not ready after the chaos load");
+  let lost = count stats "lost_workers" and internal = count stats "internal" in
   if lost < 0 then fail "stats lacks lost_workers";
   if lost > internal then
     fail "lost %d workers but only %d internal responses: a loss went unanswered"
       lost internal;
-  if gi health "live_workers" <> jobs then
+  if count health "live_workers" <> jobs then
     fail "live_workers %d after the run; every lost worker must be replaced"
-      (gi health "live_workers");
+      (count health "live_workers");
   let status = stop_daemon d in
   if not (match status with Unix.WEXITED 0 -> true | _ -> false) then
     fail "daemon did not exit 0 on SIGTERM";
@@ -601,7 +535,7 @@ let run_chaos ~server ~seed =
   let lines, corrupt = Qls_sealed.Log.load ~strict:true d.log in
   if not (List.is_empty corrupt) then
     fail "%d corrupt request-log lines after chaos" (List.length corrupt);
-  let dropped = gi stats "log_dropped" in
+  let dropped = count stats "log_dropped" in
   if List.length lines + max dropped 0 < sent then
     fail "log has %d lines + %d dropped for %d requests: lines went missing"
       (List.length lines) dropped sent;
@@ -619,128 +553,75 @@ let run_chaos ~server ~seed =
       1
 
 (* ------------------------------------------------------------------ *)
-(* Check gate                                                          *)
+(* Check gate and CLI                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let check ~baseline ~tolerance entries =
-  let base = load_entries baseline in
-  let problems = ref [] in
-  let note fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  let logs = ref [] in
+let key e =
+  Printf.sprintf "%s/%dx%d/%d" e.scenario e.clients e.rounds e.distinct
+
+(* p50 geomean slack: 1.0 lets latency double before the gate trips. *)
+let p50_tolerance = 1.0
+
+let check entries baseline =
+  let g = Kit.gate ~baseline in
   List.iter
     (fun e ->
-      if e.errors > 0 then note "%s: %d failed requests" e.scenario e.errors;
+      Kit.exact g (key e) "errors" ~expected:0 e.errors;
       if not e.bit_identical then
-        note "%s: cache hits were not byte-identical to cold responses"
-          e.scenario;
+        Kit.fail g "%s: cache hits were not byte-identical to cold responses"
+          (key e);
       if not e.offline_match then
-        note "%s: served results diverged from the offline library route"
-          e.scenario;
-      (* Gate only against a baseline entry of the same workload shape;
-         an unmatched entry (e.g. a --quick run against the default
-         baseline) still gets the absolute checks above. *)
-      match
-        List.find_opt
-          (fun b ->
-            String.equal b.scenario e.scenario
-            && b.clients = e.clients && b.rounds = e.rounds
-            && b.distinct = e.distinct)
-          base
-      with
-      | None -> ()
-      | Some b ->
-          (* The hit rate is deterministic (single-flight caches, fixed
-             workload): any drop beyond the %.4f serialisation quantum
-             is a code change, not noise. *)
-          if e.hit_rate +. 1e-4 < b.hit_rate then
-            note "%s: hit rate %.4f fell below baseline %.4f" e.scenario
-              e.hit_rate b.hit_rate;
-          if b.p50_ms > 0.0 then logs := log (e.p50_ms /. b.p50_ms) :: !logs)
+        Kit.fail g "%s: served results diverged from the offline library route"
+          (key e))
     entries;
-  (match !logs with
-  | [] -> ()
-  | ls ->
-      let geomean =
-        exp (List.fold_left ( +. ) 0.0 ls /. float_of_int (List.length ls))
-      in
-      if geomean > 1.0 +. tolerance then
-        note
-          "p50 latency geomean ratio %.3f over %d scenarios exceeds baseline \
-           by more than %.0f%%"
-          geomean (List.length ls) (tolerance *. 100.0));
-  match List.rev !problems with [] -> Ok () | ps -> Error ps
-
-(* ------------------------------------------------------------------ *)
-(* CLI                                                                 *)
-(* ------------------------------------------------------------------ *)
+  let pairs = Kit.pair g ~key ~base:(Kit.load baseline of_entry) entries in
+  (* The hit rate is deterministic (single-flight caches, fixed
+     workload): a miss rate above the baseline's beyond the 4-decimal
+     quantum is a code change, not noise. *)
+  List.iter
+    (fun (e, b) ->
+      Kit.no_rise g (key e) ~quantum:1e-4 "miss rate" ~base:(1.0 -. b.hit_rate)
+        (1.0 -. e.hit_rate))
+    pairs;
+  Kit.geomean g "load" "p50_ms" ~tolerance:p50_tolerance
+    (List.map (fun (e, b) -> (e.p50_ms, b.p50_ms)) pairs);
+  Kit.problems g
 
 let () =
   (* A daemon draining mid-write must surface as an exception on the
      client thread, not kill the whole bench. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let quick = ref false in
-  let clients = ref 4 in
-  let rounds = ref 40 in
-  let distinct = ref 8 in
-  let out = ref "" in
-  let check_path = ref "" in
-  let tolerance = ref 1.0 in
   let server = ref (default_server ()) in
   let drain = ref false in
   let chaos = ref (-1) in
-  let update = ref false in
-  let args =
-    [
-      ("--quick", Arg.Set quick, " Small workload (2 clients, 10 rounds)");
-      ("--clients", Arg.Set_int clients, "N Concurrent client connections");
-      ("--rounds", Arg.Set_int rounds, "N Workload repetitions per client");
-      ("--distinct", Arg.Set_int distinct, "N Distinct requests in the mix");
-      ("--out", Arg.Set_string out, "FILE Write BENCH_serve.json here");
-      ("--check", Arg.Set_string check_path, "FILE Compare against baseline");
-      ( "--tolerance",
-        Arg.Set_float tolerance,
-        "F p50 geomean slack for --check (default 1.0 = 2x)" );
-      ("--server", Arg.Set_string server, "PATH qubikos binary to spawn");
-      ("--drain-test", Arg.Set drain, " SIGTERM mid-load, audit the drain");
-      ( "--chaos",
-        Arg.Set_int chaos,
-        "SEED Run the fault-injection scenario with this schedule seed" );
-      ( "--update",
-        Arg.Set update,
-        " Regenerate BENCH_serve.json in place from this run" );
-    ]
+  let cli =
+    Kit.cli ~bench:"serve" ~default:Default ~full:false
+      ~extra:
+        [
+          ("--server", Arg.Set_string server, "PATH qubikos binary to spawn");
+          ("--drain-test", Arg.Set drain, " SIGTERM mid-load, audit the drain");
+          ( "--chaos",
+            Arg.Set_int chaos,
+            "SEED Run the fault-injection scenario with this schedule seed" );
+        ]
+      ()
   in
-  Arg.parse (Arg.align args)
-    (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "serve_bench [options]";
   if !drain then exit (run_drain_test ~server:!server)
   else if !chaos >= 0 then exit (run_chaos ~server:!server ~seed:!chaos)
   else begin
-    let clients, rounds = if !quick then (2, 10) else (!clients, !rounds) in
-    let mode = if !quick then "quick" else "default" in
+    let clients, rounds =
+      match cli.scale with Quick -> (2, 10) | Default | Full -> (4, 40)
+    in
     let e =
       run_load ~scenario:"mixed-route" ~server:!server ~clients ~rounds
-        ~distinct:!distinct ~jobs:2 ~queue:64
+        ~distinct:8 ~jobs:2 ~queue:64
     in
     Printf.printf
       "%s: %d req (%d clients x %d rounds, %d distinct) %.0f req/s  p50 %.3fms \
        p95 %.3fms p99 %.3fms  hit_rate %.4f  errors %d  bit_identical %b  \
-       offline_match %b\n"
+       offline_match %b\n%!"
       e.scenario e.requests e.clients e.rounds e.distinct e.throughput_rps
       e.p50_ms e.p95_ms e.p99_ms e.hit_rate e.errors e.bit_identical
       e.offline_match;
-    if not (String.equal !out "") then begin
-      write_json ~path:!out ~mode [ e ];
-      Printf.printf "wrote %s\n" !out
-    end;
-    if !update then begin
-      write_json ~path:"BENCH_serve.json" ~mode [ e ];
-      Printf.printf "updated BENCH_serve.json\n"
-    end;
-    if not (String.equal !check_path "") then
-      match check ~baseline:!check_path ~tolerance:!tolerance [ e ] with
-      | Ok () -> Printf.printf "check: OK (within tolerance of %s)\n" !check_path
-      | Error problems ->
-          List.iter (fun p -> Printf.printf "check FAILED: %s\n" p) problems;
-          exit 1
+    Kit.finish ~bench:"serve" cli [ to_entry e ] (check [ e ])
   end
