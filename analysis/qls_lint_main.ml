@@ -1,7 +1,9 @@
-(* qls_lint driver: lint lib/, bin/ and bench/ (or explicit paths),
-   apply in-source suppressions and the checked-in baseline, print the
-   survivors, exit non-zero when any remain. [dune build @lint] runs
-   this over the source tree with both the Parsetree and the Typedtree
-   engines; see Qls_lint.Driver for the flags. *)
+(* qls_lint, the one lint front end: lint lib/, bin/ and bench/ (or
+   explicit paths) on the Typedtree of each file's .cmt, apply in-source
+   suppressions and the checked-in baseline, print the survivors, exit
+   non-zero when any remain or a file has no .cmt. [dune build @lint]
+   runs it over the source tree after @check; run it by hand with
+   [dune exec analysis/qls_lint_main.exe -- ...]. See Qls_lint.Driver
+   for the flags. *)
 
 let () = exit (Qls_lint.Driver.main ~prog:"qls_lint_main" Sys.argv)

@@ -893,96 +893,6 @@ let serve_cmd =
       $ io_timeout $ idle_timeout $ hang_threshold $ inject $ trace_arg)
 
 (* ------------------------------------------------------------------ *)
-(* lint                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let lint_cmd =
-  let open Cmdliner in
-  let root =
-    let doc = "Treat $(docv) as the project root (prefix stripped from paths)." in
-    Arg.(value & opt string "." & info [ "root" ] ~docv:"DIR" ~doc)
-  in
-  let paths =
-    let doc = "Files or directories to lint (default: lib bin bench)." in
-    Arg.(value & pos_all string [] & info [] ~docv:"PATH" ~doc)
-  in
-  let baseline =
-    let doc = "Waive findings recorded in the baseline file $(docv)." in
-    Arg.(value & opt (some string) None & info [ "baseline" ] ~docv:"FILE" ~doc)
-  in
-  let write_baseline =
-    let doc = "Write the current findings to $(docv) as a fresh baseline." in
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "write-baseline" ] ~docv:"FILE" ~doc)
-  in
-  let jsonl =
-    let doc = "Append machine-readable findings to $(docv) (one JSON per line)." in
-    Arg.(value & opt (some string) None & info [ "jsonl" ] ~docv:"FILE" ~doc)
-  in
-  let sarif =
-    let doc = "Write a SARIF 2.1.0 report to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "sarif" ] ~docv:"FILE" ~doc)
-  in
-  let rules =
-    let doc =
-      "Comma-separated rule subset (default: the full catalogue). See \
-       DESIGN.md \xc2\xa711 for the rule table."
-    in
-    Arg.(
-      value
-      & opt (list ~sep:',' string) []
-      & info [ "rules" ] ~docv:"RULES" ~doc)
-  in
-  let jobs =
-    let doc = "Lint files on $(docv) pool domains (deterministic merge)." in
-    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-  in
-  let check_stale =
-    let doc = "Fail when the baseline carries stale (paid-down) entries." in
-    Arg.(value & flag & info [ "check" ] ~doc)
-  in
-  let require_typed =
-    let doc =
-      "Fail when a typed rule found no .cmt for some file (run $(b,dune build \
-       @check) first)."
-    in
-    Arg.(value & flag & info [ "require-typed" ] ~doc)
-  in
-  let verbose =
-    let doc = "Print the per-file progress of the walk." in
-    Arg.(value & flag & info [ "verbose" ] ~doc)
-  in
-  let run root paths baseline write_baseline jsonl sarif rules jobs check_stale
-      require_typed verbose =
-    let paths =
-      match paths with [] -> [ "lib"; "bin"; "bench" ] | _ -> paths
-    in
-    Qls_lint.Driver.execute
-      {
-        Qls_lint.Driver.root;
-        paths;
-        baseline;
-        write_baseline;
-        jsonl;
-        sarif;
-        rules;
-        jobs;
-        check_stale;
-        require_typed;
-        quiet = not verbose;
-      }
-  in
-  let doc =
-    "Run the source lint (untyped and typed concurrency-discipline rules)."
-  in
-  Cmd.v (Cmd.info "lint" ~doc)
-    Term.(
-      const run $ root $ paths $ baseline $ write_baseline $ jsonl $ sarif
-      $ rules $ jobs $ check_stale $ require_typed $ verbose)
-
-(* ------------------------------------------------------------------ *)
 (* devices                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -1009,5 +919,5 @@ let () =
        (Cmd.group info
           [
             generate_cmd; verify_cmd; route_cmd; evaluate_cmd; campaign_cmd;
-            study_cmd; queko_cmd; serve_cmd; lint_cmd; devices_cmd;
+            study_cmd; queko_cmd; serve_cmd; devices_cmd;
           ]))

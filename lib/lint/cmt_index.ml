@@ -1,4 +1,4 @@
-(* Locate and load the build's [.cmt] files so the typed pass can map a
+(* Locate and load the build's [.cmt] files so the engine can map a
    source path ("lib/serve/cache.ml") to its Typedtree. Dune drops cmts
    under [<dir>/.<lib>.objs/byte/] (libraries) and
    [<dir>/.<name>.eobjs/byte/] (executables), with the module wrapped as
@@ -62,10 +62,6 @@ let create ~build_root =
     loaded = Hashtbl.create 64;
     resolved = Hashtbl.create 64;
   }
-
-let cmts t =
-  (* lint: nondet-source — a sum over all buckets; order cannot matter *)
-  Hashtbl.fold (fun _ ps n -> n + List.length ps) t.by_stem 0
 
 (* Must be called with [t.mutex] held: [read_cmt] unmarshals compiler
    state and the caches are shared across domains. *)

@@ -1,8 +1,8 @@
-(* The lint driver shared by [analysis/qls_lint_main.exe] and the
-   [qubikos lint] subcommand: resolve the rule subset, run the engine,
-   apply the baseline, write the optional JSONL/SARIF sinks, and turn
-   the outcome into the conventional exit code (0 clean, 1 findings,
-   2 usage/configuration error). *)
+(* The lint driver behind [analysis/qls_lint_main.exe]: resolve the
+   rule subset, run the engine, apply the baseline, write the optional
+   JSONL/SARIF sinks, and turn the outcome into the conventional exit
+   code (0 clean, 1 findings, 2 usage/configuration error — a file with
+   no .cmt included). *)
 
 type opts = {
   root : string;
@@ -15,8 +15,6 @@ type opts = {
   jobs : int;
   check_stale : bool;
       (** fail (exit 1) when the baseline carries stale entries *)
-  require_typed : bool;
-      (** fail (exit 2) when a typed rule found no cmt for some file *)
   quiet : bool;
 }
 
@@ -31,18 +29,17 @@ let default_opts =
     rules = [];
     jobs = 1;
     check_stale = false;
-    require_typed = false;
     quiet = true;
   }
 
 let resolve_rules = function
-  | [] -> Ok Registry.all
+  | [] -> Ok Typed_rules.all
   | names ->
       let unknown = ref [] in
       let rules =
         List.filter_map
           (fun n ->
-            match Registry.by_name n with
+            match Typed_rules.by_name n with
             | Some r -> Some r
             | None ->
                 unknown := n :: !unknown;
@@ -53,111 +50,110 @@ let resolve_rules = function
       | [] -> Ok rules
       | u -> Error (Printf.sprintf "unknown rule(s): %s" (String.concat ", " u)))
 
+let load_baseline = function
+  | None -> Ok []
+  | Some path ->
+      Result.map_error
+        (fun msg -> Printf.sprintf "baseline %s: %s" path msg)
+        (Baseline.load path)
+
+let check_paths paths =
+  match List.find_opt (fun p -> not (Sys.file_exists p)) paths with
+  | Some p -> Error (Printf.sprintf "%s: no such file or directory" p)
+  | None -> Ok ()
+
 let execute opts =
-  match resolve_rules opts.rules with
-  | Error msg ->
+  match (resolve_rules opts.rules, check_paths opts.paths) with
+  | Error msg, _ | _, Error msg ->
       Printf.eprintf "qls_lint: %s\n" msg;
       2
-  | Ok rules -> (
+  | Ok rules, Ok () -> (
       let report =
         Engine.run ~jobs:opts.jobs ~rules ~root:opts.root opts.paths
       in
-      if
-        opts.require_typed
-        && Registry.needs_typed rules
-        && not (List.is_empty report.Engine.typed_missing)
-      then begin
-        List.iter
-          (fun f ->
-            Printf.eprintf "qls_lint: no .cmt found for %s (build first?)\n" f)
-          report.Engine.typed_missing;
-        2
-      end
-      else
-        match opts.write_baseline with
-        | Some path ->
-            let entries = Baseline.of_findings report.Engine.findings in
-            let pruned =
-              match Baseline.load path with
-              | Ok old ->
-                  List.length
-                    (Baseline.apply old report.Engine.findings).Baseline.stale
-              | Error _ -> 0
-            in
-            let oc = open_out path in
-            output_string oc (Baseline.render entries);
-            close_out oc;
-            Printf.printf
-              "qls_lint: wrote %d baseline entr%s to %s (%d stale pruned)\n"
-              (List.length entries)
-              (match entries with [ _ ] -> "y" | _ -> "ies")
-              path pruned;
-            0
-        | None -> (
-            let applied =
-              match opts.baseline with
-              | None ->
-                  {
-                    Baseline.kept = report.Engine.findings;
-                    waived = 0;
-                    stale = [];
-                  }
-              | Some path -> (
-                  match Baseline.load path with
-                  | Ok entries ->
-                      Baseline.apply entries report.Engine.findings
-                  | Error msg ->
-                      Printf.eprintf "qls_lint: baseline %s: %s\n" path msg;
-                      exit 2)
-            in
-            List.iter
-              (fun f -> print_endline (Finding.to_human f))
-              applied.Baseline.kept;
-            List.iter
-              (fun e ->
+      match (report.Engine.typed_missing, opts.write_baseline) with
+      | _ :: _ as missing, _ ->
+          List.iter
+            (fun f ->
+              Printf.eprintf
+                "qls_lint: no .cmt found for %s (run dune build @check \
+                 first)\n"
+                f)
+            missing;
+          2
+      | [], Some path ->
+          let entries = Baseline.of_findings report.Engine.findings in
+          let pruned =
+            match Baseline.load path with
+            | Ok old ->
+                List.length
+                  (Baseline.apply old report.Engine.findings).Baseline.stale
+            | Error _ -> 0
+          in
+          let oc = open_out path in
+          output_string oc (Baseline.render entries);
+          close_out oc;
+          Printf.printf
+            "qls_lint: wrote %d baseline entr%s to %s (%d stale pruned)\n"
+            (List.length entries)
+            (match entries with [ _ ] -> "y" | _ -> "ies")
+            path pruned;
+          0
+      | [], None -> (
+          match load_baseline opts.baseline with
+          | Error msg ->
+              Printf.eprintf "qls_lint: %s\n" msg;
+              2
+          | Ok entries ->
+              let applied = Baseline.apply entries report.Engine.findings in
+              List.iter
+                (fun f -> print_endline (Finding.to_human f))
+                applied.Baseline.kept;
+              List.iter
+                (fun e ->
+                  Printf.printf
+                    "%s: stale baseline entry %s\t%s\t%d (fewer findings \
+                     remain — regenerate with --write-baseline)\n"
+                    (if opts.check_stale then "error" else "note")
+                    e.Baseline.file e.Baseline.rule e.Baseline.allowed)
+                applied.Baseline.stale;
+              (match opts.jsonl with
+              | None -> ()
+              | Some path ->
+                  let oc = open_out path in
+                  List.iter
+                    (fun f ->
+                      output_string oc (Finding.to_jsonl f);
+                      output_char oc '\n')
+                    applied.Baseline.kept;
+                  close_out oc);
+              (match opts.sarif with
+              | None -> ()
+              | Some path ->
+                  Sarif.write ~path ~rules:Typed_rules.all
+                    ~findings:applied.Baseline.kept);
+              if not opts.quiet then
                 Printf.printf
-                  "%s: stale baseline entry %s\t%s\t%d (fewer findings remain \
-                   — regenerate with --write-baseline)\n"
-                  (if opts.check_stale then "error" else "note")
-                  e.Baseline.file e.Baseline.rule e.Baseline.allowed)
-              applied.Baseline.stale;
-            (match opts.jsonl with
-            | None -> ()
-            | Some path ->
-                let oc = open_out path in
-                List.iter
-                  (fun f ->
-                    output_string oc (Finding.to_jsonl f);
-                    output_char oc '\n')
-                  applied.Baseline.kept;
-                close_out oc);
-            (match opts.sarif with
-            | None -> ()
-            | Some path ->
-                Sarif.write ~path ~rules:Registry.all
-                  ~findings:applied.Baseline.kept);
-            if not opts.quiet then
-              Printf.printf
-                "qls_lint: %d file(s), %d finding(s) (%d suppressed in \
-                 source, %d waived by baseline), typed pass covered %d \
-                 file(s)\n"
-                report.Engine.files
-                (List.length applied.Baseline.kept)
-                report.Engine.suppressed applied.Baseline.waived
-                report.Engine.typed_files;
-            match
-              ( applied.Baseline.kept,
-                opts.check_stale
-                && not (List.is_empty applied.Baseline.stale) )
-            with
-            | [], false -> 0
-            | _ -> 1))
+                  "qls_lint: %d file(s), %d finding(s) (%d suppressed in \
+                   source, %d waived by baseline)\n"
+                  report.Engine.files
+                  (List.length applied.Baseline.kept)
+                  report.Engine.suppressed applied.Baseline.waived;
+              match
+                ( applied.Baseline.kept,
+                  opts.check_stale
+                  && not (List.is_empty applied.Baseline.stale) )
+              with
+              | [], false -> 0
+              | _ -> 1))
 
 let usage prog =
   Printf.sprintf
     "%s [options] [path ...]\n\
      Lints lib/, bin/ and bench/ under --root when no paths are given.\n\
-     Exit status: 0 clean, 1 findings, 2 usage/configuration error.\n\
+     Reads each file's .cmt from the build (run dune build @check first).\n\
+     Exit status: 0 clean, 1 findings, 2 usage/configuration error or a\n\
+     file with no .cmt.\n\
      Options:"
     prog
 
@@ -171,12 +167,14 @@ let main ~prog argv =
   let rule_names = ref "" in
   let jobs = ref 1 in
   let check_stale = ref false in
-  let require_typed = ref false in
   let quiet = ref false in
   let paths = ref [] in
   let spec =
     [
-      ("--root", Arg.Set_string root, "DIR  tree root (default .)");
+      ( "--root",
+        Arg.Set_string root,
+        "DIR  tree root; reported paths and baseline entries are relative \
+         to it (default .)" );
       ( "--baseline",
         Arg.Set_string baseline_path,
         "FILE  grandfather file; findings covered by it are waived" );
@@ -199,9 +197,6 @@ let main ~prog argv =
       ( "--check",
         Arg.Set check_stale,
         " fail when the baseline carries stale entries" );
-      ( "--require-typed",
-        Arg.Set require_typed,
-        " fail when a typed rule found no .cmt for some file" );
       ("--quiet", Arg.Set quiet, " suppress the summary line");
     ]
   in
@@ -233,6 +228,5 @@ let main ~prog argv =
                |> List.filter (fun s -> s <> ""));
           jobs = !jobs;
           check_stale = !check_stale;
-          require_typed = !require_typed;
           quiet = !quiet;
         }

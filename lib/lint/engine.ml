@@ -1,26 +1,21 @@
-(* Parse → rules → suppressions for one file; directory walking for the
-   tree. The untyped pass uses compiler-libs ([Parse.implementation]) on
-   the raw source, so it sees exactly what the compiler sees — no ppx.
-   The typed pass loads the build's [.cmt] files through [Cmt_index] and
-   runs the [Registry.Typed] rules on the Typedtree; files whose cmt is
-   missing are counted, not failed (pass [require_typed] at the driver
-   to harden that). Both passes feed the same suppression filter.
+(* Typedtree → rules → suppressions for one file; directory walking for
+   the tree. Every file is linted on the Typedtree the build recorded in
+   its [.cmt] (loaded through [Cmt_index]); a file with no cmt is a file
+   nobody linted, so it is reported in [typed_missing] and the driver
+   fails the run.
 
    The walk parallelises over [Qls_harness.Pool] domains: per-file
    results land in a slot indexed by the sorted walk order and are
    merged in that order, so the report is bit-identical for every
-   [jobs]. compiler-libs parsing mutates global state (docstrings,
-   location bookkeeping), so parses and cmt loads serialise behind one
-   mutex; rule iteration — the expensive part — runs concurrently. *)
+   [jobs]. Cmt loads unmarshal compiler state and serialise behind the
+   index's mutex; rule iteration — the expensive part — runs
+   concurrently. *)
 
 type report = {
   findings : Finding.t list;  (** unsuppressed, sorted *)
   suppressed : int;           (** findings silenced by in-source comments *)
   files : int;
-  parse_failures : int;
-  typed_files : int;          (** files the typed pass actually covered *)
-  typed_missing : string list;
-      (** files typed rules wanted but no cmt was found for *)
+  typed_missing : string list;  (** files no cmt was found for *)
 }
 
 let read_file path =
@@ -29,51 +24,12 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* compiler-libs globals (Docstrings, Location) are not domain-safe. *)
-let compiler_mutex = Mutex.create ()
-
-let parse path src =
-  let lexbuf = Lexing.from_string src in
-  Location.init lexbuf path;
-  match Parse.implementation lexbuf with
-  | structure -> Ok structure
-  | exception Syntaxerr.Error err ->
-      let loc = Syntaxerr.location_of_error err in
-      Error
-        (Finding.of_location ~file:path ~rule:"parse-error"
-           ~severity:Finding.Error loc "file does not parse")
-  | exception e ->
-      Error
-        (Finding.v ~file:path ~line:1 ~col:0 ~rule:"parse-error"
-           ~severity:Finding.Error (Printexc.to_string e))
-
-(* Untyped single-source entry point, kept for the rule fixture tests. *)
-let lint_source ~rules ~file src =
-  match parse file src with
-  | Error f -> ([ f ], 0, 1)
-  | Ok structure ->
-      let ctx = { Rules.file } in
-      let raw =
-        List.concat_map (fun r -> r.Rules.check ctx structure) rules
-      in
-      let sup = Suppress.scan src in
-      let kept, silenced =
-        List.partition
-          (fun (f : Finding.t) ->
-            not (Suppress.suppressed sup ~line:f.Finding.line ~rule:f.Finding.rule))
-          raw
-      in
-      (List.sort Finding.order kept, List.length silenced, 0)
-
-let lint_file ~rules path = lint_source ~rules ~file:path (read_file path)
-
-(* Typed single-source entry point (suppressions applied), for tests
-   that drive a typed rule over a fixture's typedtree directly. *)
-let lint_typed_source ~rules ~guards ~file ~src structure =
-  let ctx = { Typed_rules.file; guards } in
-  let raw =
-    List.concat_map (fun r -> r.Typed_rules.check ctx structure) rules
-  in
+(* One file's typedtree under [rules], suppressions applied: the kept
+   findings, sorted, and the number silenced. [file] names the file in
+   findings and is what path-scoped rules test. *)
+let lint_structure ~rules ~guards ~file ~src structure =
+  let ctx = Typed_rules.context ~file ~guards structure in
+  let raw = List.concat_map (fun r -> Typed_rules.run r ctx structure) rules in
   let sup = Suppress.scan src in
   let kept, silenced =
     List.partition
@@ -117,6 +73,8 @@ let collect_paths ~root paths =
     paths
   |> List.map normalize
 
+(* Findings, baseline entries and scopes all speak root-relative paths,
+   whatever directory the linter runs from. *)
 let relativize ~root path =
   let root = normalize root in
   if root = "." || root = "" then path
@@ -131,93 +89,36 @@ let default_build_root root =
   let b = Filename.concat root (Filename.concat "_build" "default") in
   if Sys.file_exists b && Sys.is_directory b then b else root
 
-type file_result = {
-  fr_findings : Finding.t list;
-  fr_suppressed : int;
-  fr_failures : int;
-  fr_typed : bool;
-  fr_missing : string option;
-}
-
-let run ?(jobs = 1) ?build_root ~rules ~root paths =
-  let untyped, typed = Registry.split rules in
+let run ?(jobs = 1) ~rules ~root paths =
   let files = Array.of_list (collect_paths ~root paths) in
   let n = Array.length files in
   let sources = Array.map read_file files in
   let guards = Typed_rules.Guards.empty () in
-  if not (List.is_empty typed) then
-    Array.iteri
-      (fun i p -> Typed_rules.Guards.add_file guards ~file:p sources.(i))
-      files;
-  let index =
-    if List.is_empty typed then None
-    else
-      let build_root =
-        match build_root with Some b -> b | None -> default_build_root root
-      in
-      Some (Cmt_index.create ~build_root)
-  in
+  Array.iteri
+    (fun i p -> Typed_rules.Guards.add_file guards ~file:p sources.(i))
+    files;
+  let index = Cmt_index.create ~build_root:(default_build_root root) in
   let lint_one i _ =
-    let path = files.(i) and src = sources.(i) in
-    let raw_untyped, failures =
-      match untyped with
-      | [] -> ([], 0)
-      | _ -> (
-          let parsed =
-            Mutex.protect compiler_mutex (fun () -> parse path src)
-          in
-          match parsed with
-          | Error f -> ([ f ], 1)
-          | Ok structure ->
-              let ctx = { Rules.file = path } in
-              (List.concat_map (fun check -> check ctx structure) untyped, 0))
-    in
-    let raw_typed, covered, missing =
-      match index with
-      | None -> ([], false, None)
-      | Some idx -> (
-          match Cmt_index.find idx ~source:(relativize ~root path) with
-          | Cmt_index.Loaded structure ->
-              let ctx = { Typed_rules.file = path; guards } in
-              ( List.concat_map (fun check -> check ctx structure) typed,
-                true,
-                None )
-          | Cmt_index.Unavailable -> ([], false, Some path))
-    in
-    let sup = Suppress.scan src in
-    let kept, silenced =
-      List.partition
-        (fun (f : Finding.t) ->
-          not (Suppress.suppressed sup ~line:f.Finding.line ~rule:f.Finding.rule))
-        (raw_untyped @ raw_typed)
-    in
-    {
-      fr_findings = List.sort Finding.order kept;
-      fr_suppressed = List.length silenced;
-      fr_failures = failures;
-      fr_typed = covered;
-      fr_missing = missing;
-    }
+    let file = relativize ~root files.(i) in
+    match Cmt_index.find index ~source:file with
+    | Cmt_index.Loaded structure ->
+        Ok (lint_structure ~rules ~guards ~file ~src:sources.(i) structure)
+    | Cmt_index.Unavailable -> Error file
   in
   let results =
     if jobs <= 1 || n <= 1 then Array.init n (fun i -> lint_one i ())
     else Qls_harness.Pool.run ~jobs ~f:lint_one (Array.init n Fun.id)
   in
-  let findings, suppressed, failures, typed_files, missing =
+  let findings, suppressed, missing =
     Array.fold_left
-      (fun (fs, sup, fail, tf, miss) r ->
-        ( r.fr_findings :: fs,
-          sup + r.fr_suppressed,
-          fail + r.fr_failures,
-          (tf + if r.fr_typed then 1 else 0),
-          match r.fr_missing with Some m -> m :: miss | None -> miss ))
-      ([], 0, 0, 0, []) results
+      (fun (fs, sup, miss) -> function
+        | Ok (kept, silenced) -> (kept :: fs, sup + silenced, miss)
+        | Error file -> (fs, sup, file :: miss))
+      ([], 0, []) results
   in
   {
     findings = List.sort Finding.order (List.concat findings);
     suppressed;
     files = n;
-    parse_failures = failures;
-    typed_files;
     typed_missing = List.rev missing;
   }

@@ -3,7 +3,7 @@
 type severity = Error | Warning
 
 type t = {
-  file : string;  (** path as given to the engine *)
+  file : string;  (** path relative to the lint root *)
   line : int;     (** 1-based *)
   col : int;      (** 0-based *)
   rule : string;  (** rule name, e.g. ["poly-compare"] *)

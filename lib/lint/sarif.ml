@@ -1,8 +1,8 @@
 (* SARIF 2.1.0 sink: one run, the full rule catalogue under
    [tool.driver.rules], one [result] per surviving finding. The output
    is deterministic — findings arrive sorted from the engine and the
-   catalogue order is the registry order — so the artifact diffs cleanly
-   across CI runs. Columns are emitted 1-based per the SARIF spec
+   catalogue keeps [Typed_rules.all]'s order — so the artifact diffs
+   cleanly across CI runs. Columns are emitted 1-based per the SARIF spec
    (Finding.col is 0-based). *)
 
 type json =
@@ -40,13 +40,13 @@ let level_of_severity = function
   | Finding.Error -> "error"
   | Finding.Warning -> "warning"
 
-let rule_json (r : Registry.t) =
+let rule_json (r : Typed_rules.t) =
   Obj
     [
-      ("id", Str r.Registry.name);
-      ("shortDescription", Obj [ ("text", Str r.Registry.summary) ]);
+      ("id", Str r.Typed_rules.name);
+      ("shortDescription", Obj [ ("text", Str r.Typed_rules.summary) ]);
       ( "defaultConfiguration",
-        Obj [ ("level", Str (level_of_severity r.Registry.severity)) ] );
+        Obj [ ("level", Str (level_of_severity r.Typed_rules.severity)) ] );
     ]
 
 let result_json ~rule_index (f : Finding.t) =
@@ -84,8 +84,8 @@ let render ~rules ~findings =
   let rule_index name =
     let rec go i = function
       | [] -> None
-      | (r : Registry.t) :: rest ->
-          if String.equal r.Registry.name name then Some i else go (i + 1) rest
+      | (r : Typed_rules.t) :: rest ->
+          if String.equal r.Typed_rules.name name then Some i else go (i + 1) rest
     in
     go 0 rules
   in

@@ -1,13 +1,16 @@
 (* Tests for the Qls_lint static-analysis pass: per-rule fixtures with
    asserted violation counts, the suppression comment forms, baseline
-   round-tripping, and the self-check that lib/ itself is lint-clean. *)
+   round-tripping, the driver's exit codes, and the self-check that lib/
+   itself is lint-clean. The fixtures are compiled libraries under
+   typed_fixtures/ (deps of this test), so every rule runs on the
+   Typedtree the build recorded for them. *)
 
 module Finding = Qls_lint.Finding
-module Rules = Qls_lint.Rules
+module Typed_rules = Qls_lint.Typed_rules
 module Engine = Qls_lint.Engine
+module Cmt_index = Qls_lint.Cmt_index
 module Suppress = Qls_lint.Suppress
 module Baseline = Qls_lint.Baseline
-module Registry = Qls_lint.Registry
 module Driver = Qls_lint.Driver
 module Sarif = Qls_lint.Sarif
 
@@ -23,145 +26,199 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let fixture name = read_file (Filename.concat "fixtures" name)
+let rec find_root dir =
+  if
+    Sys.file_exists (Filename.concat dir "dune-project")
+    && Sys.file_exists (Filename.concat dir "lib")
+    && Sys.is_directory (Filename.concat dir "lib")
+  then Some dir
+  else
+    let parent = Filename.dirname dir in
+    if String.equal parent dir then None else find_root parent
+
+let repo_root () =
+  match find_root (Sys.getcwd ()) with
+  | Some root -> root
+  | None -> Alcotest.fail "repo root not found above the test cwd"
+
+let fixtures_dir = "test/lint/typed_fixtures"
+let fixture_path name = Filename.concat fixtures_dir name
 
 let rule name =
-  match Rules.by_name name with
+  match Typed_rules.by_name name with
   | Some r -> r
   | None -> Alcotest.failf "rule %s not registered" name
 
-(* Lint [src] under the named rules; fail the test on parse errors so a
-   broken fixture cannot silently pass as "0 findings". *)
-let lint ~rules src =
-  let findings, suppressed, failures =
-    Engine.lint_source ~rules ~file:"fixture.ml" src
+(* Lint fixture files (paths under typed_fixtures/) under [rules]. A
+   fixture with no cmt fails the test rather than reading as "0
+   findings". *)
+let lint ~rules names =
+  let root = repo_root () in
+  let report =
+    Engine.run ~rules ~root
+      (List.map (fun n -> Filename.concat root (fixture_path n)) names)
   in
-  check_int "fixture parses" 0 failures;
-  (findings, suppressed)
+  Alcotest.(check (list string))
+    "every fixture file has a cmt" [] report.Engine.typed_missing;
+  report
 
-let expect_rule name file count =
+let expect name ?(suppressed = 0) files count =
   test_case
-    (Printf.sprintf "%s fires %d time(s) on %s" name count file)
+    (Printf.sprintf "%s fires %d time(s) on %s" name count
+       (String.concat " + " files))
     (fun () ->
-      let findings, _ = lint ~rules:[ rule name ] (fixture file) in
+      let report = lint ~rules:[ rule name ] files in
       List.iter
         (fun f -> check_string "rule tag" name f.Finding.rule)
-        findings;
-      check_int "finding count" count (List.length findings))
+        report.Engine.findings;
+      check_int "finding count" count (List.length report.Engine.findings);
+      check_int "suppressed count" suppressed report.Engine.suppressed)
+
+(* One fixture's typedtree linted as if it lived at [as_file]: how the
+   tests move a path-scoped fixture in and out of its rule's scope. *)
+let index =
+  lazy
+    (Cmt_index.create
+       ~build_root:(Engine.default_build_root (repo_root ())))
+
+let lint_as name ~rule:r ~as_file =
+  let path = fixture_path name in
+  match Cmt_index.find (Lazy.force index) ~source:path with
+  | Cmt_index.Unavailable -> Alcotest.failf "no cmt for %s" path
+  | Cmt_index.Loaded structure ->
+      let src = read_file (Filename.concat (repo_root ()) path) in
+      Engine.lint_structure ~rules:[ rule r ]
+        ~guards:(Typed_rules.Guards.empty ()) ~file:as_file ~src structure
+
+let expect_scoped name ~rule:r ~as_file count =
+  test_case
+    (Printf.sprintf "%s fires %d time(s) as %s" r count as_file)
+    (fun () ->
+      let kept, _ = lint_as name ~rule:r ~as_file in
+      check_int "finding count" count (List.length kept))
+
+let lines_of report = List.map (fun f -> f.Finding.line) report.Engine.findings
 
 (* ------------------------------------------------------------------ *)
 (* Rules                                                               *)
 (* ------------------------------------------------------------------ *)
 
+let poly_fixture = "tf_r2_poly_compare.ml"
+let wait_fixture = "lib/serve/tf_r6_unbounded_wait.ml"
+let random_fixture = "lib/sat/tf_r7_seeded_randomness.ml"
+let distance_fixture = "lib/router/tf_r8_distance_in_loop.ml"
+let guard_fixtures = [ "tf_r9_state.ml"; "tf_r9_cross.ml" ]
+let poll_fixture = "lib/router/tf_r12_loops.ml"
+
 let rule_tests =
   [
-    expect_rule "domain-unsafe-capture" "r1_domain_capture.ml" 6;
-    expect_rule "poly-compare" "r2_poly_compare.ml" 5;
-    expect_rule "float-discipline" "r3_float_discipline.ml" 6;
-    expect_rule "nondet-source" "r4_nondet_source.ml" 6;
-    expect_rule "obs-discipline" "r5_obs_discipline.ml" 4;
-    test_case "unbounded-wait fires under a serving-path file name" (fun () ->
-        let findings, suppressed, failures =
-          Engine.lint_source
-            ~rules:[ rule "unbounded-wait" ]
-            ~file:"lib/serve/fixture.ml"
-            (fixture "r6_unbounded_wait.ml")
-        in
-        check_int "fixture parses" 0 failures;
-        List.iter
-          (fun f -> check_string "rule tag" "unbounded-wait" f.Finding.rule)
-          findings;
-        check_int "finding count" 4 (List.length findings);
-        check_int "justified wait suppressed" 1 suppressed);
-    test_case "unbounded-wait also covers lib/harness" (fun () ->
-        let findings, _, failures =
-          Engine.lint_source
-            ~rules:[ rule "unbounded-wait" ]
-            ~file:"lib/harness/fixture.ml"
-            (fixture "r6_unbounded_wait.ml")
-        in
-        check_int "fixture parses" 0 failures;
-        check_int "finding count" 4 (List.length findings));
-    test_case "unbounded-wait is silent outside the serving path" (fun () ->
-        let findings, _, failures =
-          Engine.lint_source
-            ~rules:[ rule "unbounded-wait" ]
-            ~file:"lib/faults/fixture.ml"
-            (fixture "r6_unbounded_wait.ml")
-        in
-        check_int "fixture parses" 0 failures;
-        check_int "deliberate sleeps elsewhere are fine" 0
-          (List.length findings));
-    test_case "seeded-randomness fires under a solver-stack file name"
-      (fun () ->
-        let findings, suppressed, failures =
-          Engine.lint_source
-            ~rules:[ rule "seeded-randomness" ]
-            ~file:"lib/sat/fixture.ml"
-            (fixture "r7_seeded_randomness.ml")
-        in
-        check_int "fixture parses" 0 failures;
-        List.iter
-          (fun f -> check_string "rule tag" "seeded-randomness" f.Finding.rule)
-          findings;
-        check_int "finding count" 3 (List.length findings);
-        check_int "justified use suppressed" 1 suppressed);
-    test_case "seeded-randomness also covers lib/router" (fun () ->
-        let findings, _, failures =
-          Engine.lint_source
-            ~rules:[ rule "seeded-randomness" ]
-            ~file:"lib/router/fixture.ml"
-            (fixture "r7_seeded_randomness.ml")
-        in
-        check_int "fixture parses" 0 failures;
-        check_int "finding count" 3 (List.length findings));
-    test_case "seeded-randomness is silent outside the solver stack"
-      (fun () ->
-        let findings, _, failures =
-          Engine.lint_source
-            ~rules:[ rule "seeded-randomness" ]
-            ~file:"bench/fixture.ml"
-            (fixture "r7_seeded_randomness.ml")
-        in
-        check_int "fixture parses" 0 failures;
-        check_int "ambient randomness elsewhere is fine" 0
-          (List.length findings));
-    test_case "distance-in-loop fires under a router file name" (fun () ->
-        let findings, suppressed, failures =
-          Engine.lint_source
-            ~rules:[ rule "distance-in-loop" ]
-            ~file:"lib/router/fixture.ml"
-            (fixture "r8_distance_in_loop.ml")
-        in
-        check_int "fixture parses" 0 failures;
-        List.iter
-          (fun f -> check_string "rule tag" "distance-in-loop" f.Finding.rule)
-          findings;
-        check_int "finding count" 5 (List.length findings);
-        check_int "justified once-per-round lookup suppressed" 1 suppressed);
-    test_case "distance-in-loop is silent outside lib/router" (fun () ->
-        let findings, _, failures =
-          Engine.lint_source
-            ~rules:[ rule "distance-in-loop" ]
-            ~file:"lib/arch/fixture.ml"
-            (fixture "r8_distance_in_loop.ml")
-        in
-        check_int "fixture parses" 0 failures;
-        check_int "lookups elsewhere are fine" 0 (List.length findings));
+    expect "domain-escape" [ "tf_r1_domain_capture.ml" ] 6;
+    expect "poly-compare" [ poly_fixture ] 5;
+    expect "float-discipline" [ "tf_r3_float_discipline.ml" ] 6;
+    expect "nondet-source" [ "tf_r4_nondet_source.ml" ] 6;
+    expect "obs-discipline" [ "tf_r5_obs_discipline.ml" ] 4;
+    expect "unbounded-wait" ~suppressed:1 [ wait_fixture ] 4;
+    expect_scoped wait_fixture ~rule:"unbounded-wait"
+      ~as_file:"lib/harness/tf_r6_unbounded_wait.ml" 4;
+    expect_scoped wait_fixture ~rule:"unbounded-wait"
+      ~as_file:"lib/faults/tf_r6_unbounded_wait.ml" 0;
+    expect "seeded-randomness" ~suppressed:1 [ random_fixture ] 3;
+    expect_scoped random_fixture ~rule:"seeded-randomness"
+      ~as_file:"lib/router/tf_r7_seeded_randomness.ml" 3;
+    expect_scoped random_fixture ~rule:"seeded-randomness"
+      ~as_file:"bench/tf_r7_seeded_randomness.ml" 0;
+    expect "distance-in-loop" ~suppressed:1 [ distance_fixture ] 5;
+    expect_scoped distance_fixture ~rule:"distance-in-loop"
+      ~as_file:"lib/arch/tf_r8_distance_in_loop.ml" 0;
     test_case "clean fixture is clean under every rule" (fun () ->
-        let findings, suppressed = lint ~rules:Rules.all (fixture "clean.ml") in
-        check_int "no findings" 0 (List.length findings);
-        check_int "no suppressions" 0 suppressed);
-    test_case "findings carry file, 1-based line and severity" (fun () ->
-        let findings, _ =
-          lint ~rules:[ rule "poly-compare" ] "let f xs = List.sort compare xs\n"
-        in
-        match findings with
-        | [ f ] ->
-            check_string "file" "fixture.ml" f.Finding.file;
-            check_int "line" 1 f.Finding.line;
+        let report = lint ~rules:Typed_rules.all [ "tf_clean.ml" ] in
+        check_int "no findings" 0 (List.length report.Engine.findings);
+        check_int "no suppressions" 0 report.Engine.suppressed);
+    test_case "findings carry the root-relative file, 1-based line and \
+               severity" (fun () ->
+        let report = lint ~rules:[ rule "poly-compare" ] [ poly_fixture ] in
+        match report.Engine.findings with
+        | f :: _ ->
+            check_string "file" (fixture_path poly_fixture) f.Finding.file;
+            check_int "line" 4 f.Finding.line;
             check_bool "severity" true (f.Finding.severity = Finding.Error)
-        | l -> Alcotest.failf "expected 1 finding, got %d" (List.length l));
+        | [] -> Alcotest.fail "expected findings");
+    test_case "catalogue names are unique" (fun () ->
+        let names =
+          List.map (fun (r : Typed_rules.t) -> r.Typed_rules.name) Typed_rules.all
+        in
+        check_int "names unique" (List.length names)
+          (List.length (List.sort_uniq String.compare names)));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Concurrency rules (R9–R12) and module aliases                       *)
+(* ------------------------------------------------------------------ *)
+
+let typed_rule_tests =
+  [
+    expect "guarded-by" ~suppressed:1 guard_fixtures 4;
+    expect "domain-escape" ~suppressed:1 [ "tf_r10_escape.ml" ] 3;
+    expect "blocking-under-mutex" ~suppressed:1 [ "tf_r11_block.ml" ] 4;
+    expect "cancel-poll-coverage" ~suppressed:1 [ poll_fixture ] 2;
+    test_case "guarded-by resolves the annotation across modules" (fun () ->
+        let report = lint ~rules:[ rule "guarded-by" ] guard_fixtures in
+        check_bool "a finding lands in tf_r9_cross.ml" true
+          (List.exists
+             (fun f ->
+               Filename.basename f.Finding.file = "tf_r9_cross.ml"
+               && f.Finding.line = 9)
+             report.Engine.findings));
+    test_case "cancel-poll-coverage credits transitive local polls" (fun () ->
+        let report = lint ~rules:[ rule "cancel-poll-coverage" ] [ poll_fixture ] in
+        Alcotest.(check (list int)) "only the two seeded sites fire" [ 7; 38 ]
+          (lines_of report));
+    test_case "module aliases resolve to the aliased module" (fun () ->
+        let escape =
+          lint ~rules:[ rule "domain-escape" ] [ "tf_r10_escape.ml" ]
+        in
+        check_bool "P.submit with module P = Qls_harness.Pool" true
+          (List.mem 42 (lines_of escape));
+        let block =
+          lint ~rules:[ rule "blocking-under-mutex" ] [ "tf_r11_block.ml" ]
+        in
+        check_bool "M.protect under let module M = Mutex" true
+          (List.mem 29 (lines_of block)));
+    test_case "every fixture module is linted and every rule fires" (fun () ->
+        let root = repo_root () in
+        let report =
+          Engine.run ~rules:Typed_rules.all ~root
+            [ Filename.concat root fixtures_dir ]
+        in
+        check_int "files walked" 15 report.Engine.files;
+        Alcotest.(check (list string)) "no file without a cmt" []
+          report.Engine.typed_missing;
+        List.iter
+          (fun (r : Typed_rules.t) ->
+            check_bool r.Typed_rules.name true
+              (List.exists
+                 (fun f -> String.equal f.Finding.rule r.Typed_rules.name)
+                 report.Engine.findings))
+          Typed_rules.all);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Parallel walk: jobs must not change the report                      *)
+(* ------------------------------------------------------------------ *)
+
+let parallel_tests =
+  [
+    test_case "jobs=4 report is bit-identical to jobs=1" (fun () ->
+        let root = repo_root () in
+        let paths = [ Filename.concat root fixtures_dir ] in
+        let run jobs = Engine.run ~jobs ~rules:Typed_rules.all ~root paths in
+        let a = run 1 and b = run 4 in
+        check_int "files" a.Engine.files b.Engine.files;
+        check_int "suppressed" a.Engine.suppressed b.Engine.suppressed;
+        Alcotest.(check (list string))
+          "findings identical and identically ordered"
+          (List.map Finding.to_human a.Engine.findings)
+          (List.map Finding.to_human b.Engine.findings));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -171,14 +228,12 @@ let rule_tests =
 let suppression_tests =
   [
     test_case "suppressed fixture keeps nothing, counts five" (fun () ->
-        let findings, suppressed =
-          lint ~rules:Rules.all (fixture "suppressed.ml")
-        in
+        let report = lint ~rules:Typed_rules.all [ "tf_suppressed.ml" ] in
         List.iter
           (fun f -> Printf.eprintf "unexpected: %s\n" (Finding.to_human f))
-          findings;
-        check_int "no findings survive" 0 (List.length findings);
-        check_int "five silenced" 5 suppressed);
+          report.Engine.findings;
+        check_int "no findings survive" 0 (List.length report.Engine.findings);
+        check_int "five silenced" 5 report.Engine.suppressed);
     test_case "scan recognizes the three comment forms" (fun () ->
         let src =
           "let x = compare (* lint: poly-compare — why *)\n\
@@ -274,227 +329,141 @@ let baseline_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Typed rules (R9–R12) over the compiled fixture libraries            *)
+(* Driver: exit codes, baseline staleness and the write/check cycle    *)
 (* ------------------------------------------------------------------ *)
 
-let rec find_root dir =
-  if
-    Sys.file_exists (Filename.concat dir "dune-project")
-    && Sys.file_exists (Filename.concat dir "lib")
-    && Sys.is_directory (Filename.concat dir "lib")
-  then Some dir
-  else
-    let parent = Filename.dirname dir in
-    if String.equal parent dir then None else find_root parent
-
-let repo_root () =
-  match find_root (Sys.getcwd ()) with
-  | Some root -> root
-  | None -> Alcotest.fail "repo root not found above the test cwd"
-
-let typed_registry name =
-  match Registry.by_name name with
-  | Some r -> r
-  | None -> Alcotest.failf "rule %s not registered" name
-
-(* Run the engine over the compiled typed_fixtures tree under one rule;
-   the fixture libraries are build deps of this test, so their cmts are
-   guaranteed to exist. *)
-let run_typed_fixtures rule_name =
-  let root = repo_root () in
-  let report =
-    Engine.run
-      ~rules:[ typed_registry rule_name ]
-      ~root
-      [ Filename.concat root "test/lint/typed_fixtures" ]
-  in
-  check_int "every fixture file has a cmt" 0
-    (List.length report.Engine.typed_missing);
-  report
-
-let expect_typed rule_name ~findings ~suppressed:sup =
-  test_case
-    (Printf.sprintf "%s fires %d time(s) on the typed fixtures" rule_name
-       findings)
-    (fun () ->
-      let report = run_typed_fixtures rule_name in
-      List.iter
-        (fun f -> check_string "rule tag" rule_name f.Finding.rule)
-        report.Engine.findings;
-      check_int "finding count" findings (List.length report.Engine.findings);
-      check_int "suppressed count" sup report.Engine.suppressed)
-
-let typed_rule_tests =
-  [
-    expect_typed "guarded-by" ~findings:4 ~suppressed:1;
-    expect_typed "domain-escape" ~findings:2 ~suppressed:1;
-    expect_typed "blocking-under-mutex" ~findings:3 ~suppressed:1;
-    expect_typed "cancel-poll-coverage" ~findings:2 ~suppressed:1;
-    test_case "guarded-by resolves the annotation across modules" (fun () ->
-        let report = run_typed_fixtures "guarded-by" in
-        check_bool "a finding lands in tf_r9_cross.ml" true
-          (List.exists
-             (fun f ->
-               Filename.basename f.Finding.file = "tf_r9_cross.ml"
-               && f.Finding.line = 9)
-             report.Engine.findings));
-    test_case "cancel-poll-coverage credits transitive local polls" (fun () ->
-        let report = run_typed_fixtures "cancel-poll-coverage" in
-        List.iter
-          (fun f ->
-            check_bool "only the two seeded sites fire" true
-              (List.mem f.Finding.line [ 7; 38 ]))
-          report.Engine.findings);
-    test_case "typed pass covers all five fixture modules" (fun () ->
-        let report = run_typed_fixtures "guarded-by" in
-        check_int "files walked" 5 report.Engine.files;
-        check_int "typed coverage" 5 report.Engine.typed_files);
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* Registry: the untyped rules behave identically through the new      *)
-(* engine pipeline (typed/untyped parity on the R1–R8 fixtures)        *)
-(* ------------------------------------------------------------------ *)
-
-let parity_tests =
-  [
-    test_case "registry wraps every rule exactly once" (fun () ->
-        check_int "catalogue size" 12 (List.length Registry.all);
-        let names = List.map (fun (r : Registry.t) -> r.Registry.name) Registry.all in
-        check_int "names unique" 12
-          (List.length (List.sort_uniq String.compare names)));
-    test_case "untyped rules give identical findings through the registry"
-      (fun () ->
-        (* Same fixture sources, two pipelines: the historical per-source
-           untyped path vs the registry-driven engine walk. The reports
-           must agree finding-for-finding, order included. *)
-        let untyped =
-          List.filter
-            (fun (r : Registry.t) ->
-              match r.Registry.repr with
-              | Registry.Untyped _ -> true
-              | Registry.Typed _ -> false)
-            Registry.all
-        in
-        check_int "eight untyped rules" 8 (List.length untyped);
-        let report = Engine.run ~rules:untyped ~root:"." [ "fixtures" ] in
-        check_int "fixtures all parse" 0 report.Engine.parse_failures;
-        let files =
-          Sys.readdir "fixtures" |> Array.to_list |> List.sort String.compare
-          |> List.filter (fun f -> Filename.check_suffix f ".ml")
-        in
-        let direct_findings, direct_suppressed =
-          List.fold_left
-            (fun (acc, sup) name ->
-              let path = Filename.concat "fixtures" name in
-              let findings, silenced, failures =
-                Engine.lint_source ~rules:Rules.all ~file:path (fixture name)
-              in
-              check_int (name ^ " parses") 0 failures;
-              (acc @ findings, sup + silenced))
-            ([], 0) files
-        in
-        check_int "suppression parity" direct_suppressed
-          report.Engine.suppressed;
-        Alcotest.(check (list string))
-          "finding parity"
-          (List.map Finding.to_human direct_findings)
-          (List.map Finding.to_human report.Engine.findings));
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* Parallel walk: jobs must not change the report                      *)
-(* ------------------------------------------------------------------ *)
-
-let parallel_tests =
-  [
-    test_case "jobs=4 report is bit-identical to jobs=1" (fun () ->
-        let root = repo_root () in
-        let paths = [ Filename.concat root "test/lint/typed_fixtures" ] in
-        let run jobs = Engine.run ~jobs ~rules:Registry.all ~root paths in
-        let a = run 1 and b = run 4 in
-        check_int "files" a.Engine.files b.Engine.files;
-        check_int "suppressed" a.Engine.suppressed b.Engine.suppressed;
-        check_int "typed files" a.Engine.typed_files b.Engine.typed_files;
-        Alcotest.(check (list string))
-          "findings identical and identically ordered"
-          (List.map Finding.to_human a.Engine.findings)
-          (List.map Finding.to_human b.Engine.findings));
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* Driver: baseline staleness and the write/check cycle                *)
-(* ------------------------------------------------------------------ *)
-
-let with_temp_baseline f =
-  let tmp = Filename.temp_file "qls_lint_test" ".baseline" in
+let with_temp suffix f =
+  let tmp = Filename.temp_file "qls_lint_test" suffix in
   Fun.protect ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ()) (fun () -> f tmp)
 
-(* Drive the real driver over the on-disk parsetree fixtures (violations
-   guaranteed), untyped rules only so no cmts are needed. *)
-let driver_opts =
+let with_temp_baseline f = with_temp ".baseline" f
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+(* Drive the real driver over the fixture tree (violations guaranteed). *)
+let driver_opts () =
+  let root = repo_root () in
   {
     Driver.default_opts with
-    Driver.paths = [ "fixtures" ];
+    Driver.root;
+    paths = [ Filename.concat root fixtures_dir ];
     rules = [ "poly-compare"; "nondet-source"; "float-discipline" ];
   }
+
+(* [repo_root] spelled relative to the test's cwd, which lies below it. *)
+let relative_root () =
+  let root = repo_root () in
+  let rec up dir acc =
+    if String.equal dir root then acc
+    else up (Filename.dirname dir) (Filename.parent_dir_name :: acc)
+  in
+  match up (Sys.getcwd ()) [] with
+  | [] -> Filename.current_dir_name
+  | ups -> String.concat "/" ups
 
 let driver_tests =
   [
     test_case "findings exit 1; a fresh baseline waives them to exit 0"
       (fun () ->
+        let opts = driver_opts () in
         with_temp_baseline (fun tmp ->
-            check_int "violations found" 1 (Driver.execute driver_opts);
+            check_int "violations found" 1 (Driver.execute opts);
             check_int "write-baseline exits 0" 0
-              (Driver.execute
-                 { driver_opts with Driver.write_baseline = Some tmp });
+              (Driver.execute { opts with Driver.write_baseline = Some tmp });
             check_int "baselined run is clean" 0
               (Driver.execute
-                 {
-                   driver_opts with
-                   Driver.baseline = Some tmp;
-                   check_stale = true;
-                 })));
+                 { opts with Driver.baseline = Some tmp; check_stale = true })));
     test_case "--check fails on a stale entry; --write-baseline prunes it"
       (fun () ->
+        let opts = driver_opts () in
+        let gone = fixture_path "gone.ml" in
         with_temp_baseline (fun tmp ->
             check_int "seed the baseline" 0
-              (Driver.execute
-                 { driver_opts with Driver.write_baseline = Some tmp });
+              (Driver.execute { opts with Driver.write_baseline = Some tmp });
             (* Append an entry no finding pays down any more. *)
             let oc = open_out_gen [ Open_append ] 0o644 tmp in
             output_string oc
               (Baseline.render
-                 [
-                   {
-                     Baseline.file = "fixtures/gone.ml";
-                     rule = "poly-compare";
-                     allowed = 3;
-                   };
-                 ]);
+                 [ { Baseline.file = gone; rule = "poly-compare"; allowed = 3 } ]);
             close_out oc;
             check_int "stale is a note without --check" 0
-              (Driver.execute { driver_opts with Driver.baseline = Some tmp });
+              (Driver.execute { opts with Driver.baseline = Some tmp });
             check_int "stale fails with --check" 1
               (Driver.execute
-                 {
-                   driver_opts with
-                   Driver.baseline = Some tmp;
-                   check_stale = true;
-                 });
+                 { opts with Driver.baseline = Some tmp; check_stale = true });
             check_int "rewrite prunes" 0
-              (Driver.execute
-                 { driver_opts with Driver.write_baseline = Some tmp });
+              (Driver.execute { opts with Driver.write_baseline = Some tmp });
             match Baseline.load tmp with
             | Error e -> Alcotest.fail e
             | Ok entries ->
                 check_bool "stale entry pruned" false
                   (List.exists
-                     (fun e -> String.equal e.Baseline.file "fixtures/gone.ml")
+                     (fun e -> String.equal e.Baseline.file gone)
                      entries)));
     test_case "unknown rule names exit 2" (fun () ->
         check_int "usage error" 2
-          (Driver.execute { driver_opts with Driver.rules = [ "no-such-rule" ] }));
+          (Driver.execute
+             { (driver_opts ()) with Driver.rules = [ "no-such-rule" ] }));
+    test_case "a malformed baseline exits 2" (fun () ->
+        with_temp_baseline (fun tmp ->
+            let oc = open_out tmp in
+            output_string oc "lib/a.ml\tpoly-compare\tmany\n";
+            close_out oc;
+            check_int "configuration error" 2
+              (Driver.execute
+                 { (driver_opts ()) with Driver.baseline = Some tmp })));
+    test_case "a path that does not exist exits 2" (fun () ->
+        check_int "usage error" 2
+          (Driver.execute
+             { (driver_opts ()) with Driver.paths = [ "no/such/dir" ] }));
+    test_case "a file with no .cmt exits 2" (fun () ->
+        with_temp ".ml" (fun tmp ->
+            check_int "nobody linted it" 2
+              (Driver.execute { (driver_opts ()) with Driver.paths = [ tmp ] })));
+    test_case "a relative and an absolute --root report the same findings"
+      (fun () ->
+        (* The baseline waives one file's findings by its root-relative
+           path; the other fixtures' findings survive. *)
+        with_temp_baseline (fun baseline ->
+            let oc = open_out baseline in
+            output_string oc
+              (Baseline.render
+                 [
+                   {
+                     Baseline.file = fixture_path "tf_r2_poly_compare.ml";
+                     rule = "poly-compare";
+                     allowed = 5;
+                   };
+                 ]);
+            close_out oc;
+            let run root =
+              with_temp ".jsonl" (fun jsonl ->
+                  let code =
+                    Driver.execute
+                      {
+                        (driver_opts ()) with
+                        Driver.root;
+                        paths = [ Filename.concat root fixtures_dir ];
+                        baseline = Some baseline;
+                        check_stale = true;
+                        jsonl = Some jsonl;
+                      }
+                  in
+                  (code, read_file jsonl))
+            in
+            let abs_code, abs_findings = run (repo_root ()) in
+            let rel_code, rel_findings = run (relative_root ()) in
+            check_int "findings beyond the baseline" 1 abs_code;
+            check_int "same exit code" abs_code rel_code;
+            check_string "same findings" abs_findings rel_findings;
+            check_bool "the waived file is absent" false
+              (contains abs_findings "tf_r2_poly_compare");
+            check_bool "paths are root-relative" true
+              (contains abs_findings
+                 ("\"file\":\"" ^ fixtures_dir))));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -640,7 +609,7 @@ let sarif_tests =
               ~severity:Finding.Error "whole-file finding";
           ]
         in
-        let doc = Json.parse (Sarif.render ~rules:Registry.all ~findings) in
+        let doc = Json.parse (Sarif.render ~rules:Typed_rules.all ~findings) in
         check_bool "$schema names 2.1.0" true
           (let s = Json.(str (member "$schema" doc)) in
            let suffix = "sarif-schema-2.1.0.json" in
@@ -653,13 +622,13 @@ let sarif_tests =
         check_bool "semanticVersion present" true
           (String.length Json.(str (member "semanticVersion" driver)) > 0);
         let rules = Json.(arr (member "rules" driver)) in
-        check_int "full catalogue" (List.length Registry.all) (List.length rules);
+        check_int "full catalogue" (List.length Typed_rules.all) (List.length rules);
         let rule_ids = List.map (fun r -> Json.(str (member "id" r))) rules in
         List.iter
-          (fun (r : Registry.t) ->
-            check_bool (r.Registry.name ^ " catalogued") true
-              (List.mem r.Registry.name rule_ids))
-          Registry.all;
+          (fun (r : Typed_rules.t) ->
+            check_bool (r.Typed_rules.name ^ " catalogued") true
+              (List.mem r.Typed_rules.name rule_ids))
+          Typed_rules.all;
         let results = Json.(arr (member "results" run)) in
         check_int "one result per finding" 2 (List.length results);
         List.iter
@@ -691,12 +660,13 @@ let sarif_tests =
           ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
           (fun () ->
             check_int "findings exit 1" 1
-              (Driver.execute { driver_opts with Driver.sarif = Some tmp });
+              (Driver.execute { (driver_opts ()) with Driver.sarif = Some tmp });
             let doc = Json.parse (read_file tmp) in
             let run = List.hd Json.(arr (member "runs" doc)) in
             check_bool "results recorded" true
               (not (List.is_empty Json.(arr (member "results" run))))));
   ]
+
 
 (* ------------------------------------------------------------------ *)
 (* Self-check: the library tree must stay lint-clean                   *)
@@ -707,10 +677,11 @@ let self_check_tests =
     test_case "lib/ is lint-clean modulo in-source suppressions" (fun () ->
         let root = repo_root () in
         let report =
-          Engine.run ~rules:Registry.all ~root [ Filename.concat root "lib" ]
+          Engine.run ~rules:Typed_rules.all ~root [ Filename.concat root "lib" ]
         in
         check_bool "linted a non-trivial tree" true (report.Engine.files > 20);
-        check_int "every file parses" 0 report.Engine.parse_failures;
+        Alcotest.(check (list string))
+          "every lib/ file has a cmt" [] report.Engine.typed_missing;
         List.iter
           (fun f -> Printf.eprintf "%s\n" (Finding.to_human f))
           report.Engine.findings;
@@ -723,7 +694,6 @@ let () =
     [
       ("rules", rule_tests);
       ("typed-rules", typed_rule_tests);
-      ("registry-parity", parity_tests);
       ("parallel-walk", parallel_tests);
       ("suppression", suppression_tests);
       ("baseline", baseline_tests);

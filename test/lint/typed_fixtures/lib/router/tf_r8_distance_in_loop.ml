@@ -2,7 +2,11 @@
    loops. Only meaningful when linted under a lib/router path — the
    rule is scoped to the router layer and must stay silent elsewhere.
    Expected findings: 5 (closure to List.fold_left, sort comparator,
-   Graph.fold_edges closure, while body, for body). *)
+   Graph.fold_edges closure, while condition, for body). *)
+
+module Device = Qls_arch.Device
+module Graph = Qls_graph.Graph
+module Mapping = Qls_layout.Mapping
 
 (* 1. per-candidate lookup in an iteration closure *)
 let score device mapping partners p =
@@ -10,17 +14,18 @@ let score device mapping partners p =
 
 (* 2. sort comparator runs O(n log n) times *)
 let order device pairs =
-  List.sort (fun (a, b) (a', b') -> Int.compare (Device.distance device a b) (Device.distance' device a' b')) pairs
+  List.sort (fun (a, b) (_, d) -> Int.compare (Device.distance device a b) d) pairs
 
 (* 3. module-local fold iterates too *)
-let spread device mapping inter =
+let spread device inter =
   Graph.fold_edges (fun q q' acc -> acc + Device.distance device q q') inter 0
 
-(* 4. while body *)
+(* 4. while condition (the body polls, so cancel-poll-coverage is quiet) *)
 let walk device src dst =
   let p = ref src in
   while Device.distance device !p dst > 0 do
-    p := Device.step device !p dst
+    Qls_cancel.poll ();
+    p := List.hd (Device.neighbors device !p)
   done;
   !p
 

@@ -1,6 +1,8 @@
 (* Lint-clean reference: the idiomatic spelling of everything the rules
    flag. Expected findings: 0 under every rule. *)
 
+module Pool = Qls_harness.Pool
+
 let sorted xs = List.sort Int.compare xs
 
 let pairs_sorted xs = List.sort (fun (a, _) (b, _) -> Int.compare a b) xs

@@ -1,5 +1,6 @@
 (* R10 fixture: mutable state captured by closures that cross a domain
-   boundary via Pool.submit / Domain.spawn. *)
+   boundary via Pool.submit / Domain.spawn, also through a renamed pool
+   module. Expected findings: 3. *)
 
 module Pool = Qls_harness.Pool
 
@@ -32,3 +33,10 @@ let scratch_ok p buf =
          (* lint: domain-escape — scratch handed off wholesale, never reused here *)
          Buffer.add_char buf 'x')
        ~complete:(fun _ -> ()))
+
+(* bad: a renamed pool module is still the pool *)
+module P = Qls_harness.Pool
+
+let alias_bad p =
+  let counter = ref 0 in
+  ignore (P.submit p ~work:(fun () -> incr counter) ~complete:(fun _ -> ()))

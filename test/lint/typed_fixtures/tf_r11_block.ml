@@ -1,4 +1,5 @@
-(* R11 fixture: blocking calls inside Mutex.protect bodies. *)
+(* R11 fixture: blocking calls inside Mutex.protect bodies, also under a
+   locally renamed Mutex. Expected findings: 4. *)
 
 type t = { m : Mutex.t; m2 : Mutex.t; cond : Condition.t }
 
@@ -21,3 +22,8 @@ let sup_sleep t =
   Mutex.protect t.m (fun () ->
       (* lint: blocking-under-mutex — fixture: deliberate, nothing contends *)
       Unix.sleepf 0.001)
+
+(* bad: a locally renamed Mutex still takes the lock *)
+let alias_bad t =
+  let module M = Mutex in
+  M.protect t.m (fun () -> Unix.sleepf 0.1)

@@ -1,10 +1,13 @@
-(* R1 fixture: mutable containers captured and mutated inside closures
-   handed to the domain pool. Expected findings: 6. Parsed by the lint
-   tests, never compiled — the Pool/Thread references need no deps. *)
+(* domain-escape fixture, capture-and-mutate shapes: mutable containers
+   captured and mutated inside closures handed to the domain pool, a
+   domain or a thread, and a field assignment on a captured record.
+   Expected findings: 6. *)
+
+module Pool = Qls_harness.Pool
 
 let bad_ref tasks =
   let counter = ref 0 in
-  Pool.run ~jobs:2 ~f:(fun _i _t -> counter := !counter + 1) tasks;
+  ignore (Pool.run ~jobs:2 ~f:(fun _i _t -> counter := !counter + 1) tasks);
   !counter
 
 let bad_incr () =
@@ -13,9 +16,12 @@ let bad_incr () =
   Domain.join d;
   !hits
 
-let bad_hashtbl tasks =
+let bad_hashtbl p key =
   let seen = Hashtbl.create 8 in
-  Pool.submit (fun key -> Hashtbl.replace seen key true) tasks;
+  ignore
+    (Pool.submit p
+       ~work:(fun () -> Hashtbl.replace seen key true)
+       ~complete:(fun _ -> ()));
   seen
 
 let bad_buffer () =
