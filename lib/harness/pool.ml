@@ -88,8 +88,7 @@ type wjob = {
 
 type worker = {
   w_id : int;
-  mutable w_domain : unit Domain.t option;
-      (* guarded_by: mutex — None only mid-spawn *)
+  mutable w_domain : unit Domain.t option; (* guarded_by: mutex — None only mid-spawn *)
   w_current : wjob option Atomic.t;
   w_lost : bool Atomic.t;  (* replaced; exit after the current job *)
 }

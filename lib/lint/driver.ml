@@ -14,7 +14,8 @@ type opts = {
   rules : string list;  (** [] = the full catalogue *)
   jobs : int;
   check_stale : bool;
-      (** fail (exit 1) when the baseline carries stale entries *)
+      (** fail (exit 1) when the baseline carries stale entries or a
+          suppression comment silences nothing *)
   quiet : bool;
 }
 
@@ -117,6 +118,14 @@ let execute opts =
                     (if opts.check_stale then "error" else "note")
                     e.Baseline.file e.Baseline.rule e.Baseline.allowed)
                 applied.Baseline.stale;
+              List.iter
+                (fun (file, line, rule) ->
+                  Printf.printf
+                    "%s: %s:%d: suppression of %s silences no finding (remove \
+                     the comment)\n"
+                    (if opts.check_stale then "error" else "note")
+                    file line rule)
+                report.Engine.unused;
               (match opts.jsonl with
               | None -> ()
               | Some path ->
@@ -142,7 +151,9 @@ let execute opts =
               match
                 ( applied.Baseline.kept,
                   opts.check_stale
-                  && not (List.is_empty applied.Baseline.stale) )
+                  && not
+                       (List.is_empty applied.Baseline.stale
+                       && List.is_empty report.Engine.unused) )
               with
               | [], false -> 0
               | _ -> 1))
@@ -196,7 +207,8 @@ let main ~prog argv =
         "N  lint N files in parallel on pool domains (default 1)" );
       ( "--check",
         Arg.Set check_stale,
-        " fail when the baseline carries stale entries" );
+        " fail when the baseline carries stale entries or a suppression \
+         comment silences nothing" );
       ("--quiet", Arg.Set quiet, " suppress the summary line");
     ]
   in

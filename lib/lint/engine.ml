@@ -14,6 +14,9 @@
 type report = {
   findings : Finding.t list;  (** unsuppressed, sorted *)
   suppressed : int;           (** findings silenced by in-source comments *)
+  unused : (string * int * string) list;
+      (** (file, line, rule) of each suppression comment's rule that
+          silenced nothing, in walk then line order *)
   files : int;
   typed_missing : string list;  (** files no cmt was found for *)
 }
@@ -24,9 +27,20 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* Which suppression rules a run of [rules] can judge: the rules that
+   ran, and [all] only when the whole catalogue did. *)
+let ran rules r =
+  let ran_rule name =
+    List.exists (fun (x : Typed_rules.t) -> String.equal x.Typed_rules.name name) rules
+  in
+  if String.equal r "all" then
+    List.for_all (fun (x : Typed_rules.t) -> ran_rule x.Typed_rules.name) Typed_rules.all
+  else ran_rule r
+
 (* One file's typedtree under [rules], suppressions applied: the kept
-   findings, sorted, and the number silenced. [file] names the file in
-   findings and is what path-scoped rules test. *)
+   findings, sorted, the number silenced, and the (line, rule) of each
+   suppression that silenced nothing. [file] names the file in findings
+   and is what path-scoped rules test. *)
 let lint_structure ~rules ~guards ~file ~src structure =
   let ctx = Typed_rules.context ~file ~guards structure in
   let raw = List.concat_map (fun r -> Typed_rules.run r ctx structure) rules in
@@ -37,7 +51,11 @@ let lint_structure ~rules ~guards ~file ~src structure =
         not (Suppress.suppressed sup ~line:f.Finding.line ~rule:f.Finding.rule))
       raw
   in
-  (List.sort Finding.order kept, List.length silenced)
+  let unused =
+    Suppress.unused sup ~ran:(ran rules)
+      ~raw:(List.map (fun (f : Finding.t) -> (f.Finding.line, f.Finding.rule)) raw)
+  in
+  (List.sort Finding.order kept, List.length silenced, unused)
 
 (* Deterministic walk: directory entries sorted with [String.compare],
    [_build] and dotfiles skipped. *)
@@ -102,23 +120,28 @@ let run ?(jobs = 1) ~rules ~root paths =
     let file = relativize ~root files.(i) in
     match Cmt_index.find index ~source:file with
     | Cmt_index.Loaded structure ->
-        Ok (lint_structure ~rules ~guards ~file ~src:sources.(i) structure)
+        let kept, silenced, unused =
+          lint_structure ~rules ~guards ~file ~src:sources.(i) structure
+        in
+        Ok (kept, silenced, List.map (fun (line, rule) -> (file, line, rule)) unused)
     | Cmt_index.Unavailable -> Error file
   in
   let results =
     if jobs <= 1 || n <= 1 then Array.init n (fun i -> lint_one i ())
     else Qls_harness.Pool.run ~jobs ~f:lint_one (Array.init n Fun.id)
   in
-  let findings, suppressed, missing =
+  let findings, suppressed, unused, missing =
     Array.fold_left
-      (fun (fs, sup, miss) -> function
-        | Ok (kept, silenced) -> (kept :: fs, sup + silenced, miss)
-        | Error file -> (fs, sup, file :: miss))
-      ([], 0, []) results
+      (fun (fs, sup, un, miss) -> function
+        | Ok (kept, silenced, unused) ->
+            (kept :: fs, sup + silenced, unused :: un, miss)
+        | Error file -> (fs, sup, un, file :: miss))
+      ([], 0, [], []) results
   in
   {
     findings = List.sort Finding.order (List.concat findings);
     suppressed;
+    unused = List.concat (List.rev unused);
     files = n;
     typed_missing = List.rev missing;
   }

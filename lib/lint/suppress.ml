@@ -71,11 +71,26 @@ let scan src =
 let matches entry rule =
   List.exists (fun r -> r = "all" || String.equal r rule) entry.rules
 
+(* Does the comment at [l] cover findings on [line]: its own line, or
+   the next one when it stands alone? *)
+let covers (l, e) ~line = l = line || (l = line - 1 && e.standalone)
+
 let suppressed t ~line ~rule =
-  List.exists
-    (fun (l, e) ->
-      (l = line && matches e rule)
-      || (l = line - 1 && e.standalone && matches e rule))
+  List.exists (fun ((_, e) as c) -> covers c ~line && matches e rule) t
+
+let unused t ~raw ~ran =
+  List.concat_map
+    (fun ((l, e) as c) ->
+      List.filter_map
+        (fun r ->
+          let used =
+            List.exists
+              (fun (line, rule) ->
+                covers c ~line && (String.equal r "all" || String.equal r rule))
+              raw
+          in
+          if ran r && not used then Some (l, r) else None)
+        e.rules)
     t
 
 let count t = List.length t

@@ -18,5 +18,14 @@ val suppressed : t -> line:int -> rule:string -> bool
 (** Is [rule] suppressed at [line] — by a same-line comment, or by a
     comment-only line directly above? *)
 
+val unused :
+  t -> raw:(int * string) list -> ran:(string -> bool) -> (int * string) list
+(** [unused t ~raw ~ran] is the [(line, rule)] of every rule named by a
+    comment of [t] that covers none of [raw], the file's findings as
+    [(line, rule)] before suppression, in line order. Only rules for
+    which [ran] holds count, so a run of a rule subset does not call
+    the other rules' comments unused; [ran "all"] says whether [all]
+    counts. *)
+
 val count : t -> int
 (** Number of suppression comments found (for reporting). *)

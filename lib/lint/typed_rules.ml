@@ -522,7 +522,7 @@ let obs_discipline ctx ~report structure =
    drain, watchdog, and reader threads must all make progress under a
    deadline, so every blocking wait needs either a bound (select with a
    timeout, a condition re-checked against a deadline) or a one-line
-   [(* lint: unbounded-wait — why this terminates *)] justification.
+   [unbounded-wait] suppression saying why it terminates.
    The watchdog exists precisely because a single quiet join can pin
    the whole process. Elsewhere in the tree sleeps are fine (fault
    injection's [Delay] is one on purpose), so the rule keys off the

@@ -15,7 +15,7 @@ let extend a len fill =
   Array.blit a 0 b 0 (Array.length a);
   b
 
-(* Collision-free closed set over flat mapping slots.
+(* Collision-free closed set over diff slots.
 
    The historical key encoded each physical index as one byte
    ([Char.chr (p land 0xff)]): on any device with more than 256 physical
@@ -23,22 +23,37 @@ let extend a len fill =
    the search and corrupting results. Keys are a Zobrist hash — one fixed
    pseudo-random integer per (program qubit, physical position),
    XOR-combined over the occupied positions, maintained incrementally
-   across SWAPs (two XOR pairs) — verified against the stored tables on
+   across SWAPs (two XOR pairs) — verified against the stored diff on
    every hash match, so membership is exact at every device size.
 
-   Each expanded mapping is one slot: its program→physical table stored
-   flat in [maps] at [s * n_prog], its key in [keys.(s)]. The table is
-   open-addressed (linear probing) over slot ids; an entry is live only
-   while its stamp equals the current generation, so {!clear} empties
-   the set between layers in O(1) and every array is reused for the
-   whole route. *)
+   A layer search's mappings all sit a few SWAPs from the mapping the
+   layer started from, its root. So a slot stores only where its mapping
+   differs from the root: (program qubit, position) pairs, at most two
+   per SWAP of depth, appended to one pair arena. The set also holds one
+   work mapping, the root plus the diff of one slot; {!focus} moves it
+   from slot to slot by taking one diff off and putting the other on.
+   A probe reads a filed diff against the work mapping with a candidate
+   SWAP applied. Two mappings whose diffs have equal lengths, one
+   agreeing with every pair of the other's diff, are equal; and a
+   candidate's diff length follows from its two moving qubits
+   ({!moved}), so no candidate is ever built.
+
+   The table is open-addressed (linear probing) over slot ids; an entry
+   is live only while its stamp equals the current generation, so
+   {!reset} empties the set between layers with one increment and every
+   array is reused for the whole route. *)
 module Closed = struct
   type t = {
     n_prog : int;
     z : int array; (* (physical p, program q) -> z.(p * n_prog + q) *)
-    mutable maps : int array; (* slot s: q2p at [s * n_prog, (s + 1) * n_prog) *)
+    root : int array; (* program -> physical of the root mapping *)
+    q2p : int array; (* the work mapping: the root plus slot [cur]'s diff *)
+    p2q : int array; (* its inverse, -1 on an empty position *)
+    mutable cur : int; (* -1: the work mapping is the root *)
+    mutable pairs : int array; (* pair k: program qubit at 2k, position at 2k + 1 *)
+    mutable bounds : int array; (* slot s: pairs [bounds.(s), bounds.(s + 1)) *)
     mutable keys : int array; (* Zobrist key per slot *)
-    mutable slots : int; (* slots in use, all filed but one being added *)
+    mutable slots : int; (* slots filed, always below [Array.length keys] *)
     mutable table : int array; (* slot id per entry *)
     mutable stamp : int array; (* entry live iff stamp = gen *)
     mutable mask : int; (* capacity - 1, capacity a power of two *)
@@ -47,7 +62,8 @@ module Closed = struct
 
   (* The Zobrist table is a pure function of the state-space dimensions:
      every search on a device of the same shape derives the same keys, so
-     searches stay replayable from their inputs alone. *)
+     searches stay replayable from their inputs alone. A fresh set's root
+     is the identity placement. *)
   let create ~n_prog ~n_phys =
     let rng = Rng.create ((n_prog * 0x9e3779b9) lxor n_phys) in
     let z =
@@ -58,7 +74,12 @@ module Closed = struct
     {
       n_prog;
       z;
-      maps = Array.make (n_slots * n_prog) 0;
+      root = Array.init n_prog Fun.id;
+      q2p = Array.init n_prog Fun.id;
+      p2q = Array.init n_phys (fun p -> if p < n_prog then p else -1);
+      cur = -1;
+      pairs = Array.make (8 * n_slots) 0;
+      bounds = Array.make (n_slots + 1) 0;
       keys = Array.make n_slots 0;
       slots = 0;
       table = Array.make cap 0;
@@ -67,46 +88,30 @@ module Closed = struct
       gen = 0;
     }
 
-  let clear t =
+  (* Empty the set and make [m] its root and its work mapping. *)
+  let reset t m =
+    let q2p = Mapping.phys_table m in
     t.gen <- t.gen + 1;
-    t.slots <- 0
-
-  let alloc t =
-    let s = t.slots in
-    if s = Array.length t.keys then begin
-      t.maps <- extend t.maps (2 * s * t.n_prog) 0;
-      t.keys <- extend t.keys (2 * s) 0
-    end;
-    t.slots <- s + 1;
-    s
-
-  (* A fresh slot holding [m]'s table. *)
-  let load t m =
-    let s = alloc t in
-    let q2p = Mapping.phys_table m and off = s * t.n_prog in
-    for q = 0 to t.n_prog - 1 do
-      t.maps.(off + q) <- q2p.(q)
+    t.slots <- 0;
+    t.cur <- -1;
+    for p = 0 to Array.length t.p2q - 1 do
+      t.p2q.(p) <- -1
     done;
-    s
-
-  (* A fresh slot holding slot [src] with positions [p] and [p']
-     exchanged: one typed pass, where [Array.blit] plus a fix-up would
-     pay [caml_modify] per element on the major-heap [maps]. *)
-  let load_swapped t ~src ~p ~p' =
-    let s = alloc t in
-    let maps = t.maps and a = src * t.n_prog and b = s * t.n_prog in
     for q = 0 to t.n_prog - 1 do
-      let pq = maps.(a + q) in
-      maps.(b + q) <- (if pq = p then p' else if pq = p' then p else pq)
-    done;
-    s
+      let p = q2p.(q) in
+      t.root.(q) <- p;
+      t.q2p.(q) <- p;
+      t.p2q.(p) <- q
+    done
 
-  let hash t s =
+  (* Zobrist key of the work mapping, over its occupied positions: once
+     per layer for the root, and on the path of {!add} and {!mem}. *)
+  let hash t =
     let n = t.n_prog in
-    let off = s * n in
     let h = ref 0 in
-    for q = 0 to n - 1 do
-      h := !h lxor t.z.((t.maps.(off + q) * n) + q)
+    for p = 0 to Array.length t.p2q - 1 do
+      let q = t.p2q.(p) in
+      if q >= 0 then h := !h lxor t.z.((p * n) + q)
     done;
     !h
 
@@ -118,41 +123,90 @@ module Closed = struct
     let h = if a < 0 then h else h lxor t.z.((p * n) + a) lxor t.z.((p' * n) + a) in
     if b < 0 then h else h lxor t.z.((p' * n) + b) lxor t.z.((p * n) + b)
 
-  (* Slot [s] equals slot [src] with positions [p] and [p'] exchanged
-     ([-1] for both: [src] itself). The candidate is compared, never
-     materialised. *)
-  let equal_swapped t s ~src ~p ~p' =
-    let n = t.n_prog and a = src * t.n_prog and b = s * t.n_prog in
-    let q = ref 0 in
-    (* lint: cancel-poll-coverage — table compare, at most n_prog steps *)
-    while
-      !q < n
-      &&
-      let pq = t.maps.(a + !q) in
-      (if pq = p then p' else if pq = p' then p else pq) = t.maps.(b + !q)
-    do
-      incr q
-    done;
-    !q = n
+  (* Diff length of slot [s] ([-1]: the root). *)
+  let length t s = if s < 0 then 0 else t.bounds.(s + 1) - t.bounds.(s)
 
-  (* Table index of the live entry under key [h] equal to slot [src]
-     with [p] and [p'] exchanged, or of the empty entry ending the probe
-     chain. The A* asks this once per candidate push, and one stamp load
-     almost always answers "absent". *)
-  let find t h ~src ~p ~p' =
+  (* Move the work mapping from the root to slot [s]'s mapping: vacate
+     the root positions of the qubits that moved, then place them. *)
+  let enter t s =
+    for k = t.bounds.(s) to t.bounds.(s + 1) - 1 do
+      t.p2q.(t.root.(t.pairs.(2 * k))) <- -1
+    done;
+    for k = t.bounds.(s) to t.bounds.(s + 1) - 1 do
+      let q = t.pairs.(2 * k) and p = t.pairs.((2 * k) + 1) in
+      t.q2p.(q) <- p;
+      t.p2q.(p) <- q
+    done
+
+  (* And back: vacate the diff's positions, then put its qubits home. *)
+  let leave t s =
+    for k = t.bounds.(s) to t.bounds.(s + 1) - 1 do
+      t.p2q.(t.pairs.((2 * k) + 1)) <- -1
+    done;
+    for k = t.bounds.(s) to t.bounds.(s + 1) - 1 do
+      let q = t.pairs.(2 * k) in
+      let p = t.root.(q) in
+      t.q2p.(q) <- p;
+      t.p2q.(p) <- q
+    done
+
+  (* Put the work mapping on slot [s] ([-1]: the root), in the length of
+     the two diffs; nothing to do when it is there already. *)
+  let focus t s =
+    if s <> t.cur then begin
+      if t.cur >= 0 then leave t t.cur;
+      if s >= 0 then enter t s;
+      t.cur <- s
+    end
+
+  (* Change in a mapping's diff length when qubit [q] ([-1]: none) moves
+     from [p] to [p']. *)
+  let moved t q ~p ~p' =
+    if q < 0 then 0
+    else
+      let r = t.root.(q) in
+      if r = p then 1 else if r = p' then -1 else 0
+
+  (* Slot [s] holds the work mapping, whose diff has [len] pairs, with
+     [x] moved from [p] to [p'] and [y] from [p'] to [p] ([-1]: no such
+     qubit, and no move at all for [p] = [p'] = -1): equal diff lengths,
+     and every filed pair's qubit sits on its position. *)
+  let holds t s ~len ~x ~p ~y ~p' =
+    let hi = t.bounds.(s + 1) in
+    let k = ref t.bounds.(s) in
+    hi - !k = len + moved t x ~p ~p' + moved t y ~p:p' ~p':p
+    &&
+    begin
+      (* lint: cancel-poll-coverage — diff compare, at most two steps per SWAP of depth *)
+      while
+        !k < hi
+        &&
+        let q = t.pairs.(2 * !k) in
+        (if q = x then p' else if q = y then p else t.q2p.(q))
+        = t.pairs.((2 * !k) + 1)
+      do
+        incr k
+      done;
+      !k = hi
+    end
+
+  (* Table index of the live entry under key [h] that {!holds} the
+     probed mapping, or of the empty entry ending the probe chain. The
+     A* asks this once per candidate push and once per pop, and one
+     stamp load almost always answers "absent": the probed mapping's
+     diff length is only worked out on a key match. *)
+  let find t h ~len ~x ~p ~y ~p' =
     let i = ref (h land t.mask) in
     (* lint: cancel-poll-coverage — probe chain, bounded by table capacity (load factor <= 1/2) *)
     while
       t.stamp.(!i) = t.gen
-      && not
-           (t.keys.(t.table.(!i)) = h
-           && equal_swapped t t.table.(!i) ~src ~p ~p')
+      && not (t.keys.(t.table.(!i)) = h && holds t t.table.(!i) ~len ~x ~p ~y ~p')
     do
       i := (!i + 1) land t.mask
     done;
     !i
 
-  let mem_swapped t h ~src ~p ~p' = t.stamp.(find t h ~src ~p ~p') = t.gen
+  let live t i = t.stamp.(i) = t.gen
 
   let grow_table t =
     let old_table = t.table and old_stamp = t.stamp in
@@ -173,33 +227,91 @@ module Closed = struct
       end
     done
 
-  (* File the most recently allocated slot under key [h]. If an equal
-     mapping is already filed, the slot is released instead and the
-     answer is [false]. *)
-  let add_last t h =
-    let s = t.slots - 1 in
+  (* Room for [n] more pairs past the last slot's. *)
+  let reserve t n =
+    let need = 2 * (t.bounds.(t.slots) + n) in
+    if need > Array.length t.pairs then
+      t.pairs <- extend t.pairs (max need (2 * Array.length t.pairs)) 0
+
+  let put t k q p =
+    t.pairs.(2 * k) <- q;
+    t.pairs.((2 * k) + 1) <- p
+
+  (* File the pairs from the last slot's end to [top] as slot [slots]
+     under key [h], at the empty table entry [i] that {!find} returned. *)
+  let file t i h ~top =
+    let s = t.slots in
     t.keys.(s) <- h;
-    if 2 * t.slots > t.mask + 1 then grow_table t;
-    let i = find t h ~src:s ~p:(-1) ~p':(-1) in
-    if t.stamp.(i) = t.gen then begin
-      t.slots <- s;
-      false
-    end
-    else begin
-      t.table.(i) <- s;
-      t.stamp.(i) <- t.gen;
-      true
-    end
+    t.bounds.(s + 1) <- top;
+    t.slots <- s + 1;
+    if t.slots = Array.length t.keys then begin
+      t.keys <- extend t.keys (2 * t.slots) 0;
+      t.bounds <- extend t.bounds ((2 * t.slots) + 1) 0
+    end;
+    t.table.(i) <- s;
+    t.stamp.(i) <- t.gen;
+    if 2 * t.slots > t.mask + 1 then grow_table t
+
+  (* File the work mapping with [x] moved from [p] to [p'] and [y] from
+     [p'] to [p] under key [h] at entry [i], and apply that SWAP to the
+     work mapping, which then holds the new slot. The diff is the work
+     slot's less [x] and [y], then each of them if it now sits off its
+     root position. For [p] = [p'] = [-1] nothing moves. *)
+  let file_swapped t i h ~x ~p ~y ~p' =
+    let lo = if t.cur < 0 then 0 else t.bounds.(t.cur) in
+    let hi = if t.cur < 0 then 0 else t.bounds.(t.cur + 1) in
+    reserve t (hi - lo + 2);
+    let top = ref t.bounds.(t.slots) in
+    for k = lo to hi - 1 do
+      let q = t.pairs.(2 * k) in
+      if q <> x && q <> y then begin
+        put t !top q t.pairs.((2 * k) + 1);
+        incr top
+      end
+    done;
+    if x >= 0 && t.root.(x) <> p' then begin
+      put t !top x p';
+      incr top
+    end;
+    if y >= 0 && t.root.(y) <> p then begin
+      put t !top y p;
+      incr top
+    end;
+    t.cur <- t.slots;
+    file t i h ~top:!top;
+    if p >= 0 then Mapping.swap_tables ~q2p:t.q2p ~p2q:t.p2q p p'
+
+  (* Stage [m]'s diff from the root past the last slot, read against
+     the work mapping once {!focus} has put it on the root, then focus
+     on the staged diff and probe: the path of {!add} and {!mem}, one
+     pass over [m]'s table where the search pays the diff's length. *)
+  let stage t m =
+    let q2p = Mapping.phys_table m in
+    focus t (-1);
+    reserve t t.n_prog;
+    let s = t.slots in
+    let top = ref t.bounds.(s) in
+    for q = 0 to t.n_prog - 1 do
+      if q2p.(q) <> t.q2p.(q) then begin
+        put t !top q q2p.(q);
+        incr top
+      end
+    done;
+    t.bounds.(s + 1) <- !top;
+    focus t s;
+    let h = hash t in
+    (h, find t h ~len:(length t s) ~x:(-1) ~p:(-1) ~y:(-1) ~p':(-1))
 
   let add t m =
-    let s = load t m in
-    add_last t (hash t s)
+    let h, i = stage t m in
+    let fresh = not (live t i) in
+    if fresh then file t i h ~top:t.bounds.(t.slots + 1) else focus t (-1);
+    fresh
 
   let mem t m =
-    let s = load t m in
-    let found = mem_swapped t (hash t s) ~src:s ~p:(-1) ~p':(-1) in
-    t.slots <- s;
-    found
+    let _, i = stage t m in
+    focus t (-1);
+    live t i
 end
 
 (* Distance excess of a gate set under a mapping. *)
@@ -211,26 +323,28 @@ let excess dmat mapping pairs =
    per route and reused by every layer.
 
    Node [u] is row [u] of [nodes], [node_width] ints: parent node,
-   pending swap code ([p * n_phys + p'], [-1] at the root), packed
+   the coupler of the pending swap ([-1] at the root), packed
    scalars (g, layer excess, lookahead excess at 21 bits each — g is
    capped by the node budget and the excesses by the layer's total
    distance, all far below [2^21]), Zobrist key, and the closed-set slot
-   of the base mapping the pending swap applies to. Node ids count up
-   from 0 in push order every layer, and {!Pqueue} pops FIFO among equal
-   keys, so the queue's order is (f, id): the historical (priority, FIFO
-   stamp) order exactly. *)
+   of the base mapping the pending swap applies to ([-1]: the root).
+   Node ids count up from 0 in push order every layer, and {!Pqueue}
+   pops FIFO among equal keys, so the queue's order is (f, id): the
+   historical (priority, FIFO stamp) order exactly. *)
 type arena = {
   closed : Closed.t;
   queue : Pqueue.t;
   mutable nodes : int array;
   mutable n_nodes : int;
-  occ : int array; (* physical -> program of the expanded mapping; -1 at rest *)
-  pmark : bool array; (* positions of target qubits; false at rest *)
   target : int array; (* program qubit -> its target-layer partner; -1 at rest *)
   ahead : int array; (* program qubit -> its lookahead-layer partner; -1 at rest *)
-  edges : (int * int) array;
+  movers : int array; (* the target layer's qubits, [n_movers] of them *)
+  mutable n_movers : int;
+  cands : int array; (* one expansion's candidate couplers, sorted *)
+  eu : int array; (* coupler -> its first endpoint, *)
+  ev : int array; (* and its second, in canonical orientation *)
+  incident : int array array; (* position -> its couplers, ascending *)
   dmat : int array array;
-  n_phys : int;
   mutable pushes : int; (* search work over the route: queue insertions, *)
   mutable pops : int; (* queue pops *)
   mutable exhausted : int; (* and layers that used up the node budget *)
@@ -239,19 +353,22 @@ type arena = {
 let node_width = 5
 
 let create_arena device ~n_prog =
-  let n_phys = Device.n_qubits device in
+  let n_phys = Device.n_qubits device and n_edges = Device.n_edges device in
   {
     closed = Closed.create ~n_prog ~n_phys;
     queue = Pqueue.create ();
     nodes = Array.make (1024 * node_width) 0;
     n_nodes = 0;
-    occ = Array.make n_phys (-1);
-    pmark = Array.make n_phys false;
     target = Array.make n_prog (-1);
     ahead = Array.make n_prog (-1);
-    edges = Array.of_list (Device.edges device);
+    movers = Array.make n_prog 0;
+    n_movers = 0;
+    (* a coupler is listed once per endpoint at most *)
+    cands = Array.make (2 * n_edges) 0;
+    eu = Array.init n_edges (fun e -> fst (Device.edge_at device e));
+    ev = Array.init n_edges (fun e -> snd (Device.edge_at device e));
+    incident = Array.init n_phys (Device.incident_edges device);
     dmat = Device.distance_matrix device;
-    n_phys;
     pushes = 0;
     pops = 0;
     exhausted = 0;
@@ -285,26 +402,50 @@ let link partner pairs ~on =
 
 (* Excess change of a layer when the program qubits [x] on [p] and [y]
    on [p'] ([-1] = empty position) trade places; [dp]/[dp'] are the
-   distance rows of [p]/[p'], [maps] at [off] the pre-swap table. Only
-   the pairs at [x] and [y] move: x's partner z stays put while x goes
-   from p to p', and likewise for y. A pair on both keeps its distance
-   and is skipped. *)
-let delta partner dp dp' maps off x y =
+   distance rows of [p]/[p'], [q2p] the pre-swap table. Only the pairs
+   at [x] and [y] move: x's partner z stays put while x goes from p to
+   p', and likewise for y. A pair on both keeps its distance and is
+   skipped. *)
+let delta partner dp dp' q2p x y =
   let z = if x < 0 then -1 else partner.(x) in
   let w = if y < 0 then -1 else partner.(y) in
-  let pz = if z < 0 || z = y then -1 else maps.(off + z) in
-  let pw = if w < 0 || w = x then -1 else maps.(off + w) in
+  let pz = if z < 0 || z = y then -1 else q2p.(z) in
+  let pw = if w < 0 || w = x then -1 else q2p.(w) in
   (if pz < 0 then 0 else dp'.(pz) - dp.(pz))
   + if pw < 0 then 0 else dp.(pw) - dp'.(pw)
 
 (* The SWAP sequence from the root to node [u], first SWAP first. *)
 (* lint: cancel-poll-coverage — parent walk, bounded by the node's depth g *)
-let rec trail nodes n_phys u acc =
-  let pend = nodes.((u * node_width) + 1) in
+let rec trail a u acc =
+  let pend = a.nodes.((u * node_width) + 1) in
   if pend < 0 then acc
-  else
-    trail nodes n_phys nodes.(u * node_width)
-      ((pend / n_phys, pend mod n_phys) :: acc)
+  else trail a a.nodes.(u * node_width) ((a.eu.(pend), a.ev.(pend)) :: acc)
+
+(* Merge the couplers at the target qubits' positions in the work
+   mapping into [a.cands], ascending; a coupler between two target
+   qubits appears twice, side by side. Each position's list is already
+   ascending, so it is merged in from the back, moving each larger
+   coupler once. Returns the count. *)
+let candidates a q2p =
+  let cands = a.cands in
+  let n = ref 0 in
+  for i = 0 to a.n_movers - 1 do
+    let inc = a.incident.(q2p.(a.movers.(i))) in
+    let k = ref (!n - 1) and j = ref (Array.length inc - 1) in
+    n := !n + Array.length inc;
+    (* lint: cancel-poll-coverage — one merge, bounded by the candidate count *)
+    while !j >= 0 do
+      if !k >= 0 && cands.(!k) > inc.(!j) then begin
+        cands.(!k + !j + 1) <- cands.(!k);
+        decr k
+      end
+      else begin
+        cands.(!k + !j + 1) <- inc.(!j);
+        decr j
+      end
+    done
+  done;
+  !n
 
 (* A* from [mapping] to a mapping making every pair in [target_pairs]
    adjacent. Returns the SWAP sequence, or [None] when the node budget is
@@ -314,26 +455,36 @@ let rec trail nodes n_phys u acc =
    all maintained by O(1) deltas through the layers' partner tables, so
    neither the heuristic nor the goal test nor the closed-set key ever
    re-walks the whole layer or mapping. A node is (base slot, pending
-   swap): its mapping is materialised into a closed-set slot only when
-   it is popped and not already closed, so a push costs a node row and a
-   bucket append. Expansion order, heuristic values and budget accounting
-   are exactly those of the historical recompute-everything search (the
-   deltas are integer-exact); the qmap goldens pin this. Transposition
-   detection falls out of the closed-set probe at push time: a state
-   reachable by several SWAP orders is expanded once. *)
+   swap), so a push costs a node row and a bucket append. A pop moves
+   the closed set's work mapping to the base slot's mapping (in the
+   length of the two diffs involved; consecutive pops often share a
+   base, and then it stays put), probes the pending swap on top of it
+   and, when the mapping is new, files it and applies the swap, so the
+   expansion reads the node's mapping from the work tables. Expansion
+   order, heuristic values and budget accounting are exactly those of
+   the historical recompute-everything search (the deltas are
+   integer-exact); the qmap goldens pin this. Transposition detection
+   falls out of the closed-set probe at push time: a state reachable by
+   several SWAP orders is expanded once. *)
 let search a ~opts mapping ~target_pairs ~lookahead_pairs =
-  let c = a.closed and n_phys = a.n_phys and dmat = a.dmat in
-  let n_prog = c.Closed.n_prog in
-  Closed.clear c;
+  let c = a.closed and dmat = a.dmat in
+  let q2p = c.Closed.q2p and p2q = c.Closed.p2q in
+  Closed.reset c mapping;
   Pqueue.clear a.queue;
   a.n_nodes <- 0;
   link a.target target_pairs ~on:true;
   link a.ahead lookahead_pairs ~on:true;
-  let root = Closed.load c mapping in
+  a.n_movers <- 0;
+  List.iter
+    (fun (x, y) ->
+      a.movers.(a.n_movers) <- x;
+      a.movers.(a.n_movers + 1) <- y;
+      a.n_movers <- a.n_movers + 2)
+    target_pairs;
   push a ~parent:(-1) ~pend:(-1) ~g:0
     ~lex:(excess dmat mapping target_pairs)
     ~kex:(excess dmat mapping lookahead_pairs)
-    ~zob:(Closed.hash c root) ~base:root;
+    ~zob:(Closed.hash c) ~base:(-1);
   let mask21 = (1 lsl 21) - 1 in
   (* The budget counts queue insertions. *)
   let pushed = ref 0 in
@@ -351,58 +502,52 @@ let search a ~opts mapping ~target_pairs ~lookahead_pairs =
     let pend = a.nodes.(row + 1) and scalars = a.nodes.(row + 2) in
     let zob = a.nodes.(row + 3) and base = a.nodes.(row + 4) in
     (* A popped node whose mapping is already closed is dropped on a probe
-       of (base slot, pending swap), before the mapping is copied out. *)
-    let p = pend / n_phys and p' = pend mod n_phys in
-    let s =
-      if pend < 0 then base
-      else if Closed.mem_swapped c zob ~src:base ~p ~p' then -1
-      else Closed.load_swapped c ~src:base ~p ~p'
-    in
-    if s >= 0 && Closed.add_last c zob then begin
+       of its base mapping with the pending swap applied. *)
+    Closed.focus c base;
+    let p = if pend < 0 then -1 else a.eu.(pend) in
+    let p' = if pend < 0 then -1 else a.ev.(pend) in
+    let x = if pend < 0 then -1 else p2q.(p) in
+    let y = if pend < 0 then -1 else p2q.(p') in
+    let i = Closed.find c zob ~len:(Closed.length c base) ~x ~p ~y ~p' in
+    if not (Closed.live c i) then begin
+      Closed.file_swapped c i zob ~x ~p ~y ~p';
+      let s = c.Closed.cur in
+      let len = Closed.length c s in
       let g = scalars land mask21 in
       let layer_ex = (scalars lsr 21) land mask21 in
       let look_ex = (scalars lsr 42) land mask21 in
-      if layer_ex = 0 then result := Some (trail a.nodes n_phys u [])
+      if layer_ex = 0 then result := Some (trail a u [])
       else begin
         (* Expansion candidates: couplers touching a physical qubit that
            holds a target-layer qubit, in ascending coupler index — the
-           canonical order of the historical collect-and-sort. The
-           expansion allocates no slot, so [maps] stays current. *)
-        let maps = c.Closed.maps and off = s * n_prog in
-        for q = 0 to n_prog - 1 do
-          let p = maps.(off + q) in
-          a.occ.(p) <- q;
-          if a.target.(q) >= 0 then a.pmark.(p) <- true
-        done;
-        for e = 0 to Array.length a.edges - 1 do
-          let p, p' = a.edges.(e) in
-          if (a.pmark.(p) || a.pmark.(p')) && not !budget_hit then begin
-            let code = (p * n_phys) + p' in
+           canonical order of the historical collect-and-sort. *)
+        let n = candidates a q2p in
+        for j = 0 to n - 1 do
+          let e = a.cands.(j) in
+          if (j = 0 || a.cands.(j - 1) <> e) && not !budget_hit then begin
+            let p = a.eu.(e) and p' = a.ev.(e) in
             (* Undoing the pending swap recreates this node's parent,
                which was filed when it was expanded: that probe always
                answers "present", so it is skipped outright — same
                outcome (no push, no budget charge), none of the probe
                cost, every pop. *)
-            let x = a.occ.(p) and y = a.occ.(p') in
+            let x = p2q.(p) and y = p2q.(p') in
             let zob' = Closed.hash_after_swap c zob ~p ~p' ~a:x ~b:y in
-            if code <> pend && not (Closed.mem_swapped c zob' ~src:s ~p ~p')
+            if
+              e <> pend
+              && not (Closed.live c (Closed.find c zob' ~len ~x ~p ~y ~p'))
             then begin
               incr pushed;
               if !pushed > opts.node_budget then budget_hit := true
               else begin
                 let dp = dmat.(p) and dp' = dmat.(p') in
-                push a ~parent:u ~pend:code ~g:(g + 1)
-                  ~lex:(layer_ex + delta a.target dp dp' maps off x y)
-                  ~kex:(look_ex + delta a.ahead dp dp' maps off x y)
+                push a ~parent:u ~pend:e ~g:(g + 1)
+                  ~lex:(layer_ex + delta a.target dp dp' q2p x y)
+                  ~kex:(look_ex + delta a.ahead dp dp' q2p x y)
                   ~zob:zob' ~base:s
               end
             end
           end
-        done;
-        for q = 0 to n_prog - 1 do
-          let p = maps.(off + q) in
-          a.occ.(p) <- -1;
-          a.pmark.(p) <- false
         done
       end
     end

@@ -27,8 +27,9 @@ type options = {
       (** A* queue insertions allowed per layer, default 10_000. Bounds
           time {e and} memory: a queued node costs six words (a row of
           five ints and its queue link), not a mapping, so the search's
-          memory is the budget times six words plus one [n_prog]-int
-          table per expanded node. *)
+          memory is the budget times six words plus, per expanded node
+          [g] SWAPs deep, at most [2g] (program qubit, position) pairs
+          where its mapping differs from the layer's start mapping. *)
 }
 
 val default_options : options
@@ -39,25 +40,32 @@ val default_options : options
     devices with more than 256 physical qubits distinct mappings
     collided and live search states were silently pruned. Keys are an
     incrementally-maintained Zobrist hash, and every key match is
-    verified against the stored table. Expanded mappings are stored
-    flat, one slot of [n_prog] ints each, in an open-addressed table
-    that a generation stamp empties between layers, so one set serves a
-    whole route. Exposed so the >256-qubit collision regression test can
-    probe the key discipline directly. *)
+    verified against the stored mapping. A mapping is stored as its
+    diff from a root mapping (the layer's start mapping in a search):
+    the (program qubit, position) pairs where the two differ, at most
+    two per SWAP of depth. One work mapping, the root plus one stored
+    diff, is what probes read, so a search's probe costs the length of
+    a diff, not the width of the device. Slots sit in an open-addressed
+    table that a generation stamp empties between layers, so one set
+    serves a whole route. Exposed so the >256-qubit collision
+    regression test and the property against the frozen flat-slot set
+    can probe the key discipline directly. *)
 module Closed : sig
   type t
 
   val create : n_prog:int -> n_phys:int -> t
   (** Empty closed set for mappings of [n_prog] program qubits onto
-      [n_phys] physical qubits. Deterministic: same dimensions, same
-      keys. *)
+      [n_phys >= n_prog] physical qubits, rooted at the identity
+      placement. Deterministic: same dimensions, same keys. *)
 
   val add : t -> Qls_layout.Mapping.t -> bool
   (** [add t m] inserts [m]; [true] iff it was not already present.
-      Distinct mappings are never conflated, whatever the device size. *)
+      Distinct mappings are never conflated, whatever the device size
+      or [m]'s distance from the root: a mapping far from the root is
+      just a long diff. O([n_prog]). *)
 
   val mem : t -> Qls_layout.Mapping.t -> bool
-  (** Membership, exact. *)
+  (** Membership, exact. O([n_prog]). *)
 end
 
 val route :

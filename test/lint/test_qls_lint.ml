@@ -94,7 +94,7 @@ let expect_scoped name ~rule:r ~as_file count =
   test_case
     (Printf.sprintf "%s fires %d time(s) as %s" r count as_file)
     (fun () ->
-      let kept, _ = lint_as name ~rule:r ~as_file in
+      let kept, _, _ = lint_as name ~rule:r ~as_file in
       check_int "finding count" count (List.length kept))
 
 let lines_of report = List.map (fun f -> f.Finding.line) report.Engine.findings
@@ -190,7 +190,7 @@ let typed_rule_tests =
           Engine.run ~rules:Typed_rules.all ~root
             [ Filename.concat root fixtures_dir ]
         in
-        check_int "files walked" 15 report.Engine.files;
+        check_int "files walked" 16 report.Engine.files;
         Alcotest.(check (list string)) "no file without a cmt" []
           report.Engine.typed_missing;
         List.iter
@@ -215,6 +215,8 @@ let parallel_tests =
         let a = run 1 and b = run 4 in
         check_int "files" a.Engine.files b.Engine.files;
         check_int "suppressed" a.Engine.suppressed b.Engine.suppressed;
+        check_bool "unused suppressions identical" true
+          (a.Engine.unused = b.Engine.unused);
         Alcotest.(check (list string))
           "findings identical and identically ordered"
           (List.map Finding.to_human a.Engine.findings)
@@ -233,7 +235,32 @@ let suppression_tests =
           (fun f -> Printf.eprintf "unexpected: %s\n" (Finding.to_human f))
           report.Engine.findings;
         check_int "no findings survive" 0 (List.length report.Engine.findings);
-        check_int "five silenced" 5 report.Engine.suppressed);
+        check_int "five silenced" 5 report.Engine.suppressed;
+        check_int "every comment silences something" 0
+          (List.length report.Engine.unused));
+    test_case "a comment that silences nothing is reported, by rule"
+      (fun () ->
+        let name = "tf_unused_suppression.ml" in
+        let report = lint ~rules:Typed_rules.all [ name ] in
+        check_int "the live one silences" 1 report.Engine.suppressed;
+        Alcotest.(check (list (triple string int string)))
+          "the unused one" [ (fixture_path name, 8, "domain-escape") ]
+          report.Engine.unused;
+        let subset = lint ~rules:[ rule "poly-compare" ] [ name ] in
+        Alcotest.(check (list (triple string int string)))
+          "not judged when its rule did not run" [] subset.Engine.unused);
+    test_case "a wildcard is judged only when every rule ran" (fun () ->
+        let t = Suppress.scan "(* lint: all — why *)\nlet x = 1\n" in
+        Alcotest.(check (list (pair int string)))
+          "unused under the full catalogue" [ (1, "all") ]
+          (Suppress.unused t ~raw:[] ~ran:(fun _ -> true));
+        Alcotest.(check (list (pair int string)))
+          "used by any rule's finding on the next line" []
+          (Suppress.unused t ~raw:[ (2, "poly-compare") ] ~ran:(fun _ -> true));
+        Alcotest.(check (list (pair int string)))
+          "not judged under a subset" []
+          (Suppress.unused t ~raw:[]
+             ~ran:(fun r -> not (String.equal r "all"))));
     test_case "scan recognizes the three comment forms" (fun () ->
         let src =
           "let x = compare (* lint: poly-compare — why *)\n\
@@ -403,6 +430,24 @@ let driver_tests =
                   (List.exists
                      (fun e -> String.equal e.Baseline.file gone)
                      entries)));
+    test_case "--check fails on a suppression that silences nothing"
+      (fun () ->
+        let root = repo_root () in
+        let opts =
+          {
+            Driver.default_opts with
+            Driver.root;
+            paths =
+              [ Filename.concat root (fixture_path "tf_unused_suppression.ml") ];
+            rules = [ "poly-compare"; "domain-escape" ];
+          }
+        in
+        check_int "a note without --check" 0 (Driver.execute opts);
+        check_int "fails with --check" 1
+          (Driver.execute { opts with Driver.check_stale = true });
+        check_int "not judged when its rule did not run" 0
+          (Driver.execute
+             { opts with Driver.rules = [ "poly-compare" ]; check_stale = true }));
     test_case "unknown rule names exit 2" (fun () ->
         check_int "usage error" 2
           (Driver.execute

@@ -93,6 +93,12 @@ let all_specs =
         ~devices:
           [ ("aspen4", 300); ("sycamore54", 1500); ("rochester", 1500) ]
         ~n_swaps:20 ~seeds:[ 1 ] ~routers:[ "qmap" ] ~router_seed:0;
+      (* qmap on Eagle at its paper budget (3,000 gates), which Fig. 4
+         leaves out: the largest device, so the one where per-node work
+         that scales with the device would show most. *)
+      specs
+        ~devices:[ ("eagle", 3000) ]
+        ~n_swaps:10 ~seeds:[ 1 ] ~routers:[ "qmap" ] ~router_seed:0;
     ]
 
 let route spec device circuit =

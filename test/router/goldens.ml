@@ -8,8 +8,10 @@
    rounds moved onto delta scoring over an in-place routing state; the
    qmap cases at the Fig. 4 gate budgets (300 and 1,500 gates) were
    recorded with the binary-heap open set and float f-costs, before the
-   bucket queue. Any further hot-path work must reproduce all of them
-   bit-identically. *)
+   bucket queue; the qmap case on Eagle at 3,000 gates was recorded
+   with the flat-slot closed set, before the closed set stored diffs
+   from the layer's root mapping. Any further hot-path work must
+   reproduce all of them bit-identically. *)
 
 type case = {
   device : string;
@@ -152,4 +154,7 @@ let cases =
     { device = "rochester"; gate_budget = 1500; n_swaps = 20; seed = 1;
       router = "qmap"; router_seed = 0;
       swaps = 3370; digest = "8698a349c9c32cbdf8df60b7082049a6" };
+    { device = "eagle"; gate_budget = 3000; n_swaps = 10; seed = 1;
+      router = "qmap"; router_seed = 0;
+      swaps = 12489; digest = "8442b3cdb434e06a9d468d3a3cc29b85" };
   ]

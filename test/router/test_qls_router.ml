@@ -601,6 +601,45 @@ let closed_set_props =
             && Astar_router.Closed.mem closed probe
                = Hashtbl.mem model (Mapping.to_array probe))
           (List.init 1500 Fun.id));
+    (* The diff-slot set against the frozen flat-slot set. SWAP walks
+       that restart from the identity (the set's root outside a search)
+       give short diffs that recur; random mappings give long ones. The
+       shapes cover a full device, devices wider than the program, and
+       one above 256 qubits. *)
+    QCheck.Test.make ~name:"closed set answers as the frozen flat-slot set"
+      ~count:40
+      QCheck.(
+        pair (int_range 0 100_000)
+          (oneofl [ (5, 5); (4, 9); (6, 16); (10, 300) ]))
+      (fun (seed, (n_prog, n_phys)) ->
+        let rng = Rng.create seed in
+        let closed = Astar_router.Closed.create ~n_prog ~n_phys in
+        let oracle = Closed_oracle.create ~n_prog ~n_phys in
+        let identity = Mapping.identity ~n_program:n_prog ~n_physical:n_phys in
+        let walk = ref identity in
+        (* [m] with the position of a random program qubit exchanged
+           with another position, occupied or not. *)
+        let step m =
+          let p = Mapping.phys m (Rng.int rng n_prog) in
+          let p' = (p + 1 + Rng.int rng (n_phys - 1)) mod n_phys in
+          Mapping.swap_physical m p p'
+        in
+        let random () = Mapping.random rng ~n_program:n_prog ~n_physical:n_phys in
+        List.for_all
+          (fun i ->
+            if i mod 20 = 0 then walk := identity;
+            let m =
+              if i mod 7 = 6 then random ()
+              else begin
+                walk := step !walk;
+                !walk
+              end
+            in
+            let probe = if Rng.bool rng then step !walk else random () in
+            Astar_router.Closed.add closed m = Closed_oracle.add oracle m
+            && Astar_router.Closed.mem closed probe
+               = Closed_oracle.mem oracle probe)
+          (List.init 2000 Fun.id));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1120,41 +1159,93 @@ let astar_effort f =
     f
 
 (* Two of the Fig. 4-budget qmap goldens (1,500 gates, generator seed 1)
-   with their search work pinned as (pushes, pops, exhausted). Recorded
-   from the binary-heap search with float f-costs; a rewrite of the
-   queue or the arena that keeps the search keeps every count. *)
+   and the Eagle golden at its paper budget (3,000 gates), with their
+   search work pinned as (pushes, pops, exhausted). The first two were
+   recorded from the binary-heap search with float f-costs, the Eagle
+   one from the flat-slot closed set; a rewrite of the queue or the
+   arena that keeps the search keeps every count. *)
 let qmap_pins =
   [
-    ("sycamore54", 5, (1_905_319, 108_899, 176));
-    ("rochester", 20, (1_444_467, 305_763, 111));
+    ("sycamore54", 1500, 5, (1_905_319, 108_899, 176));
+    ("rochester", 1500, 20, (1_444_467, 305_763, 111));
+    ("eagle", 3000, 10, (3_237_008, 404_099, 305));
   ]
 
-let qmap_pin_instance name ~n_swaps =
+let qmap_pin_instance name ~gate_budget ~n_swaps =
   let device = Option.get (Topologies.by_name name) in
   let config =
     {
       Qubikos.Generator.default_config with
       n_swaps;
-      gate_budget = 1500;
+      gate_budget;
       seed = 1;
     }
   in
   (device, (Qubikos.Generator.generate ~config device).Qubikos.Benchmark.circuit)
 
+(* qmap on random circuits narrower than the device, 300 two-qubit
+   gates and about 90 single-qubit ones, under the identity placement
+   and a random one:
+   the case where a SWAP can move a qubit onto an empty position, which
+   no generated instance (they fill the device) reaches. Pinned as
+   (swaps, digest) and (pushes, pops, exhausted), recorded from the
+   flat-slot closed set. *)
+let qmap_narrow_pins =
+  [
+    ( "rochester", 40, 1, false,
+      (1739, "00cbd1f60b3d625fb7a46a907d318f79"), (543_148, 54_061, 54) );
+    ( "sycamore54", 30, 2, true,
+      (831, "f8b214d7182f2cb72f9ddcd809438a0a"), (576_159, 34_095, 49) );
+    ( "eagle", 100, 3, true,
+      (2941, "b0db8502b1a75a82ffd04f1a95ebbd05"), (360_036, 19_838, 36) );
+  ]
+
+let qmap_narrow_instance name ~n_qubits ~seed ~random_placement =
+  let device = Option.get (Topologies.by_name name) in
+  let rng = Rng.create seed in
+  let circuit =
+    Random_circuit.uniform rng ~n_qubits ~n_two_qubit:300 ~single_ratio:0.3
+  in
+  let initial =
+    if random_placement then
+      Some
+        (Mapping.random rng ~n_program:n_qubits
+           ~n_physical:(Device.n_qubits device))
+    else None
+  in
+  (device, circuit, initial)
+
 let qmap_pin_tests =
   [
+    test_case "narrower circuits take the pinned routes and searches"
+      (fun () ->
+        List.iter
+          (fun (name, n_qubits, seed, random_placement, (swaps, digest), expected) ->
+            let device, circuit, initial =
+              qmap_narrow_instance name ~n_qubits ~seed ~random_placement
+            in
+            let t, effort =
+              astar_effort (fun () -> Astar_router.route ?initial device circuit)
+            in
+            let what = Printf.sprintf "%s q=%d seed=%d" name n_qubits seed in
+            check_int (what ^ " swaps") swaps (Transpiled.swap_count t);
+            Alcotest.(check string) (what ^ " digest") digest (fingerprint t);
+            check_effort what expected effort)
+          qmap_narrow_pins);
     test_case "paper-budget routes take the pinned searches" (fun () ->
         List.iter
-          (fun (name, n_swaps, expected) ->
-            let device, circuit = qmap_pin_instance name ~n_swaps in
+          (fun (name, gate_budget, n_swaps, expected) ->
+            let device, circuit =
+              qmap_pin_instance name ~gate_budget ~n_swaps
+            in
             let _, effort =
               astar_effort (fun () -> Astar_router.route device circuit)
             in
             check_effort (Printf.sprintf "%s n=%d" name n_swaps) expected effort)
           qmap_pins);
     test_case "a traced route reports the pinned counts on its span" (fun () ->
-        let name, n_swaps, expected = List.nth qmap_pins 1 in
-        let device, circuit = qmap_pin_instance name ~n_swaps in
+        let name, gate_budget, n_swaps, expected = List.nth qmap_pins 1 in
+        let device, circuit = qmap_pin_instance name ~gate_budget ~n_swaps in
         let path = Filename.temp_file "qls_qmap_trace" ".jsonl" in
         Qls_obs.tracing_to path;
         let _, effort =
