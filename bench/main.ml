@@ -25,7 +25,6 @@ module Topologies = Qls_arch.Topologies
 module Transpiled = Qls_layout.Transpiled
 module Router = Qls_router.Router
 module Sabre = Qls_router.Sabre
-module Registry = Qls_router.Registry
 module Placement = Qls_router.Placement
 module Generator = Qubikos.Generator
 module Benchmark_inst = Qubikos.Benchmark
@@ -204,9 +203,7 @@ let run_case_study () =
   (* One traced decision, Fig.-5 style. *)
   let inst = make_instance device ~n_swaps ~gate_budget:300 ~seed:1 in
   let _, decisions =
-    Sabre.route_traced
-      ~options:{ Sabre.default_options with bidirectional_passes = 2 }
-      inst.Benchmark_inst.device inst.Benchmark_inst.circuit
+    Sabre.route_traced inst.Benchmark_inst.device inst.Benchmark_inst.circuit
   in
   (match decisions with
   | d :: _ ->
@@ -310,35 +307,6 @@ let run_queko_contrast () =
     (Queko.generate_suite ~seed:1 Queko.Tfl device)
 
 (* ------------------------------------------------------------------ *)
-(* A3: extra baseline + fidelity impact                                *)
-(* ------------------------------------------------------------------ *)
-
-let run_fidelity_impact () =
-  section "A3 — Extension: fidelity impact of the SWAP optimality gap";
-  Printf.printf
-    "The paper's motivation made quantitative: estimated success\n\
-     probability under a uniform error model (2q error 7e-3, SWAP = 3\n\
-     CNOTs) for the designed-optimal schedule vs real tools, plus the\n\
-     transition-router extra baseline (token-swapping per slice).\n\n";
-  let device = Topologies.aspen4 () in
-  let inst = make_instance device ~n_swaps:5 ~gate_budget:300 ~seed:5 in
-  let noise = Qls_arch.Noise.uniform device in
-  let describe name t =
-    let swaps = Transpiled.swap_count t in
-    Printf.printf "  %-12s %4d swaps   success probability %.3e\n%!" name swaps
-      (Qls_layout.Fidelity.success_probability noise t)
-  in
-  describe "designed" inst.Benchmark_inst.designed;
-  List.iter
-    (fun name ->
-      match Registry.by_name ~sabre_trials:5 name with
-      | None -> ()
-      | Some tool ->
-          let t, _ = Router.run_verified tool device inst.Benchmark_inst.circuit in
-          describe name t)
-    [ "sabre"; "mlqls"; "tket"; "qmap"; "transition" ]
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Printf.printf "QUBIKOS benchmark & experiment harness (scale: %s)\n"
@@ -351,7 +319,6 @@ let () =
       run_queko_contrast ();
       run_case_study ();
       run_trials_ablation ();
-      run_fidelity_impact ();
       run_figure4 ());
   Printf.printf
     "\nDone. See EXPERIMENTS.md for paper-vs-measured discussion; router\n\

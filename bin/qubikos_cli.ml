@@ -244,9 +244,7 @@ let route_cmd =
     Arg.(
       value & opt string "sabre"
       & info [ "t"; "tool" ] ~docv:"TOOL"
-          ~doc:
-            "QLS tool: sabre, sabre-decay, mlqls, qmap, tket, transition, \
-             exact, olsq.")
+          ~doc:("QLS tool: " ^ String.concat ", " Registry.names ^ "."))
   in
   let trials =
     Arg.(

@@ -57,7 +57,7 @@ let default_tool_names = [ "sabre"; "mlqls"; "qmap"; "tket" ]
 let default_fallback = function
   | "exact" | "olsq" -> Some "sabre"
   | "qmap" -> Some "tket"
-  | "tket" | "mlqls" | "sabre-decay" | "transition" -> Some "sabre"
+  | "tket" | "mlqls" | "sabre-decay" -> Some "sabre"
   | _ -> None
 
 (* [names] (plain registry names, e.g. ["sabre"; "olsq"]) overrides the
@@ -304,20 +304,9 @@ let run_campaign ?tools ?names ?(jobs = 1) ?timeout ?(retries = 0) ?backoff ?sto
   in
   Campaign.run campaign_config ~exec:(campaign_exec ?tools ~device) tasks
 
-let run_figure ?tools ?names ?jobs ?timeout ?retries ?backoff ?store ?resume
-    ?failure_budget ?degrade ?progress ~config device =
-  let rows =
-    run_campaign ?tools ?names ?jobs ?timeout ?retries ?backoff ?store ?resume
-      ?failure_budget ?degrade ?progress ~config device
-  in
-  aggregate_campaign ?tools ?names ~config ~device rows
-
-let run_point ?tools ?jobs ?timeout ?retries ?backoff ?store ?resume
-    ?failure_budget ?degrade ?progress ~config ~n_swaps device =
-  run_figure ?tools ?jobs ?timeout ?retries ?backoff ?store ?resume
-    ?failure_budget ?degrade ?progress
-    ~config:{ config with swap_counts = [ n_swaps ] }
-    device
+let run_figure ?tools ?jobs ~config device =
+  aggregate_campaign ?tools ~config ~device
+    (run_campaign ?tools ?jobs ~config device)
 
 let tool_gap_summary points =
   let tbl = Hashtbl.create 8 in

@@ -137,43 +137,15 @@ val run_campaign :
     [degrade] to enable the {!default_fallback} chain, and a live
     [progress] line. *)
 
-val run_point :
-  ?tools:Qls_router.Router.t list ->
-  ?jobs:int ->
-  ?timeout:float ->
-  ?retries:int ->
-  ?backoff:float ->
-  ?store:string ->
-  ?resume:bool ->
-  ?failure_budget:float ->
-  ?degrade:bool ->
-  ?progress:bool ->
-  config:figure_config ->
-  n_swaps:int ->
-  Qls_arch.Device.t ->
-  tool_point list
-(** Evaluate every tool on fresh instances with the given designed SWAP
-    count. Instances are shared across tools (paired comparison). Every
-    routed result is re-verified; a verification failure marks that task
-    failed. Thin wrapper: {!run_campaign} + {!aggregate_campaign} over a
-    single-point config. *)
-
 val run_figure :
   ?tools:Qls_router.Router.t list ->
-  ?names:string list ->
   ?jobs:int ->
-  ?timeout:float ->
-  ?retries:int ->
-  ?backoff:float ->
-  ?store:string ->
-  ?resume:bool ->
-  ?failure_budget:float ->
-  ?degrade:bool ->
-  ?progress:bool ->
   config:figure_config ->
   Qls_arch.Device.t ->
   tool_point list
-(** One full Fig.-4 panel: a campaign over every configured SWAP count.
+(** One full Fig.-4 panel: {!run_campaign} over every configured SWAP
+    count, then {!aggregate_campaign}. Instances are shared across tools
+    (paired comparison), and every routed result is re-verified.
     Results are bit-identical for a fixed config seed whatever [jobs]
     is. *)
 

@@ -42,26 +42,6 @@ let multi_source_distances g srcs =
   done;
   dist
 
-let order g src =
-  let n = Graph.n_vertices g in
-  let seen = Array.make n false in
-  let queue = Queue.create () in
-  seen.(src) <- true;
-  Queue.add src queue;
-  let out = ref [] in
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    out := v :: !out;
-    Array.iter
-      (fun w ->
-        if not seen.(w) then begin
-          seen.(w) <- true;
-          Queue.add w queue
-        end)
-      (Graph.neighbors_array g v)
-  done;
-  List.rev !out
-
 let edge_order g ~sources ~skip =
   let n = Graph.n_vertices g in
   let visited = Array.make n false in

@@ -15,10 +15,6 @@ val multi_source_distances : Graph.t -> int list -> int array
     {!distances} over the sources. Unreachable vertices get [max_int].
     @raise Invalid_argument if [srcs] is empty. *)
 
-val order : Graph.t -> int -> int list
-(** [order g src] is the list of vertices in BFS visit order from [src]
-    (only the reachable ones). *)
-
 val edge_order : Graph.t -> sources:int list -> skip:(int -> int -> bool) -> (int * int) list
 (** [edge_order g ~sources ~skip] visits every edge of [g] not excluded by
     [skip] in multi-source BFS order: an edge is emitted (oriented

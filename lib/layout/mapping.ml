@@ -72,9 +72,8 @@ let swap_physical m p p' =
 let apply_swaps m swaps =
   List.fold_left (fun m (p, p') -> swap_physical m p p') m swaps
 
-(* Explicit int-array walk: the A* closed set calls this on every hash
-   hit, and the polymorphic compare it replaces paid a generic-compare
-   dispatch per element. *)
+(* No library code calls this: the layout, router, core and integration
+   tests use it as their reference equality on mappings. *)
 let equal m m' =
   m.n_physical = m'.n_physical
   && Array.length m.q2p = Array.length m'.q2p

@@ -3,20 +3,14 @@ module Circuit = Qls_circuit.Circuit
 module Device = Qls_arch.Device
 module Mapping = Qls_layout.Mapping
 
-type options = {
-  coarsen_to : int;
-  refine_sweeps : int;
-  seed : int;
-  routing : Sabre.options;
-}
+type options = { seed : int }
 
-let default_options =
-  {
-    coarsen_to = 8;
-    refine_sweeps = 4;
-    seed = 0;
-    routing = { Sabre.default_options with bidirectional_passes = 0 };
-  }
+let default_options = { seed = 0 }
+
+(* Coarsening stops at this many clusters; each level gets this many
+   local-search sweeps. *)
+let coarsen_to = 8
+let refine_sweeps = 4
 
 (* Weighted interaction graphs as hash tables keyed by canonical pairs. *)
 module Wgraph = struct
@@ -180,7 +174,7 @@ let greedy_place rng device (g : Wgraph.t) =
 
 (* Pairwise-exchange refinement on anchors (occupied<->occupied and
    occupied<->free), first-improvement sweeps. *)
-let refine device (g : Wgraph.t) anchor taken ~sweeps =
+let refine device (g : Wgraph.t) anchor taken =
   let n_phys = Device.n_qubits device in
   let holder = Array.make n_phys (-1) in
   Array.iteri (fun v p -> holder.(p) <- v) anchor;
@@ -195,7 +189,7 @@ let refine device (g : Wgraph.t) anchor taken ~sweeps =
         else acc + (w * (row_new.(anchor.(u)) - row_old.(anchor.(u)))))
       0 (Wgraph.neighbors g v)
   in
-  for _ = 1 to sweeps do
+  for _ = 1 to refine_sweeps do
     for p = 0 to n_phys - 1 do
       let v = holder.(p) in
       if v >= 0 then
@@ -256,7 +250,7 @@ let place ?(options = default_options) device circuit =
   let finest = Wgraph.of_pairs n_prog (Circuit.two_qubit_pairs circuit) in
   (* Coarsen. *)
   let rec build g levels =
-    if g.Wgraph.n <= opts.coarsen_to then (g, levels)
+    if g.Wgraph.n <= coarsen_to then (g, levels)
     else begin
       let coarse, level = coarsen_once rng g in
       if coarse.Wgraph.n = g.Wgraph.n then (g, levels)
@@ -266,7 +260,7 @@ let place ?(options = default_options) device circuit =
   let coarsest, levels = build finest [] in
   (* Place coarsest, then uncoarsen with refinement. *)
   let anchor, taken = greedy_place rng device coarsest in
-  refine device coarsest anchor taken ~sweeps:opts.refine_sweeps;
+  refine device coarsest anchor taken;
   let current_anchor = ref anchor in
   let current_taken = ref taken in
   List.iter
@@ -306,7 +300,7 @@ let place ?(options = default_options) device circuit =
                   taken'.(!best) <- true)
                 rest)
         level.children;
-      refine device fine_graph fine_anchor taken' ~sweeps:opts.refine_sweeps;
+      refine device fine_graph fine_anchor taken';
       current_anchor := fine_anchor;
       current_taken := taken')
     levels;
@@ -325,7 +319,10 @@ let route ?(options = default_options) ?initial device circuit =
         Qls_obs.with_span ~site:"router" "mlqls.place" (fun () ->
             place ~options device circuit)
   in
-  Sabre.route ~options:opts.routing ~initial:start device circuit
+  let routing =
+    { Sabre.default_options with bidirectional_passes = 0; seed = opts.seed }
+  in
+  Sabre.route ~options:routing ~initial:start device circuit
 
 let router ?(options = default_options) () =
   {

@@ -20,18 +20,17 @@
     LightSABRE on small and mid devices, weaker on the 127-qubit Eagle. *)
 
 type options = {
-  coarsen_to : int;  (** stop coarsening at this many clusters, default 8 *)
-  refine_sweeps : int;  (** local-search sweeps per level, default 4 *)
-  seed : int;  (** RNG stream *)
-  routing : Sabre.options;  (** options for the final routing pass *)
+  seed : int;  (** RNG stream of the placement and of the routing pass *)
 }
+(** The rest is fixed: coarsening stops at 8 clusters, each level gets 4
+    local-search sweeps, and the routing pass is one trial of stock
+    SABRE with no refinement passes. *)
 
 val default_options : options
-(** Coarsen to 8, 4 sweeps, single-trial stock SABRE routing pass. *)
+(** Seed 0. *)
 
 val place : ?options:options -> Qls_arch.Device.t -> Qls_circuit.Circuit.t -> Qls_layout.Mapping.t
-(** The multilevel placement alone (no routing) — exposed for tests and
-    for the placement-quality ablation bench. *)
+(** The multilevel placement alone (no routing), exposed for tests. *)
 
 val weighted_cost :
   Qls_arch.Device.t ->

@@ -9,23 +9,9 @@ let sabre_decay ~trials ~seed =
       { Sabre.default_options with trials; seed; lookahead_decay = Some 0.8 }
     ()
 
-let tket ~seed = Tket_router.router ~options:{ Tket_router.default_options with seed } ()
+let tket ~seed = Tket_router.router ~options:{ Tket_router.seed } ()
 let qmap () = Astar_router.router ()
-
-let transition ~seed =
-  Transition_router.router
-    ~options:{ Transition_router.default_options with seed }
-    ()
-
-let mlqls ~seed =
-  Mlqls.router
-    ~options:
-      {
-        Mlqls.default_options with
-        seed;
-        routing = { (Mlqls.default_options.Mlqls.routing) with seed };
-      }
-    ()
+let mlqls ~seed = Mlqls.router ~options:{ Mlqls.seed } ()
 
 let paper_tools ?(sabre_trials = 20) ?(seed = 0) () =
   [
@@ -35,9 +21,7 @@ let paper_tools ?(sabre_trials = 20) ?(seed = 0) () =
     tket ~seed;
   ]
 
-let names =
-  [ "sabre"; "sabre-decay"; "mlqls"; "qmap"; "tket"; "transition"; "exact";
-    "olsq" ]
+let names = [ "sabre"; "sabre-decay"; "mlqls"; "qmap"; "tket"; "exact"; "olsq" ]
 
 let by_name ?(sabre_trials = 20) ?(seed = 0) name =
   match name with
@@ -46,7 +30,6 @@ let by_name ?(sabre_trials = 20) ?(seed = 0) name =
   | "mlqls" | "ml-qls" -> Some (mlqls ~seed)
   | "qmap" -> Some (qmap ())
   | "tket" -> Some (tket ~seed)
-  | "transition" -> Some (transition ~seed)
   | "exact" -> Some (Exact.router ())
   | "olsq" ->
       Some

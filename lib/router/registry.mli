@@ -2,8 +2,9 @@
 
     The four evaluated tools (paper §IV-B) are ["sabre"] (LightSABRE),
     ["tket"], ["qmap"] and ["mlqls"]; ["sabre-decay"] is the case-study
-    variant (§IV-C), ["transition"] a Childs-style token-swapping router
-    (an extra baseline), and ["exact"] the optimality prover (§IV-A). *)
+    variant (§IV-C), and ["exact"] and ["olsq"] are the optimality provers
+    (§IV-A): the search over the transition encoding, and the same
+    encoding as CNF. *)
 
 val paper_tools : ?sabre_trials:int -> ?seed:int -> unit -> Router.t list
 (** The four heuristic tools in paper order: SABRE, ML-QLS, QMAP, t|ket⟩.

@@ -450,25 +450,17 @@ let extended_set t ~size =
 
 let extended_buffer t = t.es_buf
 
-(* The historical tie window is an absolute [1e-12], which silently
-   widens relative to the scores themselves on large devices (front sums
-   grow with device diameter and front size). The relative mode fixes the
-   window at 1e-9 of the best score; it changes which candidates count
-   as tied, so it sits behind the routers' [relative_tie_break] option
-   and the goldens pin the default. *)
-let[@inline] tied ~relative ~best ~tol ~cap s =
-  if relative then Float.abs (s -. best) <= tol else s <= cap
-
-let pick_tied ~rng ~relative scores n =
+(* Candidates within an absolute [1e-12] of the best score tie; the
+   goldens pin this window. *)
+let pick_tied ~rng scores n =
   let best = ref infinity in
   for i = 0 to n - 1 do
     best := Float.min !best scores.(i)
   done;
-  let best = !best in
-  let tol = 1e-9 *. Float.max 1.0 best and cap = best +. 1e-12 in
+  let cap = !best +. 1e-12 in
   let count = ref 0 in
   for i = 0 to n - 1 do
-    if tied ~relative ~best ~tol ~cap scores.(i) then incr count
+    if scores.(i) <= cap then incr count
   done;
   if !count = 0 then -1
   else begin
@@ -476,7 +468,7 @@ let pick_tied ~rng ~relative scores n =
        drew from the list of ties, with the same single draw. *)
     let k = ref (Qls_graph.Rng.int rng !count) and chosen = ref (-1) in
     for i = 0 to n - 1 do
-      if !chosen < 0 && tied ~relative ~best ~tol ~cap scores.(i) then
+      if !chosen < 0 && scores.(i) <= cap then
         if !k = 0 then chosen := i else decr k
     done;
     !chosen

@@ -209,14 +209,12 @@ val extended_buffer : t -> int array
 (** The buffer {!extended_set} writes, in BFS order. Read-only; valid
     until the next mutation. *)
 
-val pick_tied :
-  rng:Qls_graph.Rng.t -> relative:bool -> float array -> int -> int
-(** [pick_tied ~rng ~relative scores n] draws the SWAP among the [n]
-    candidates scored in [scores.(0 .. n-1)] (buffer order): the
-    candidates tied with the lowest score, under an absolute [1e-12]
-    window, or with [relative] a window of [1e-9 * max 1 best], and one
-    [Rng.int] draw over them, in order. Returns the candidate's index, or
-    [-1] when none ties (a NaN score). Allocates nothing. *)
+val pick_tied : rng:Qls_graph.Rng.t -> float array -> int -> int
+(** [pick_tied ~rng scores n] draws the SWAP among the [n] candidates
+    scored in [scores.(0 .. n-1)] (buffer order): the candidates within
+    an absolute [1e-12] of the lowest score, and one [Rng.int] draw over
+    them, in order. Returns the candidate's index, or [-1] when none ties
+    (a NaN score). Allocates nothing. *)
 
 val remaining_layers : t -> max_layers:int -> int list list
 (** ASAP timeslices of the not-yet-emitted two-qubit gates, starting from

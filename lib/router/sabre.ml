@@ -8,29 +8,22 @@ module Transpiled = Qls_layout.Transpiled
 type options = {
   trials : int;
   seed : int;
-  extended_set_size : int;
-  extended_set_weight : float;
-  decay_increment : float;
-  decay_reset_interval : int;
   lookahead_decay : float option;
   bidirectional_passes : int;
-  release_valve_after : int;
-  relative_tie_break : bool;
 }
 
 let default_options =
-  {
-    trials = 1;
-    seed = 0;
-    extended_set_size = 20;
-    extended_set_weight = 0.5;
-    decay_increment = 0.001;
-    decay_reset_interval = 5;
-    lookahead_decay = None;
-    bidirectional_passes = 2;
-    release_valve_after = 32;
-    relative_tie_break = false;
-  }
+  { trials = 1; seed = 0; lookahead_decay = None; bidirectional_passes = 2 }
+
+(* Qiskit's SABRE constants: the extended set's size and weight, the
+   per-use decay bump and the rounds between decay resets; and
+   LightSABRE's release valve, the non-progressing SWAPs tolerated before
+   it fires. *)
+let extended_set_size = 20
+let extended_set_weight = 0.5
+let decay_increment = 0.001
+let decay_reset_interval = 5
+let release_valve_after = 32
 
 let with_trials trials opts = { opts with trials }
 
@@ -40,25 +33,13 @@ let with_trials trials opts = { opts with trials }
    plausible-looking but garbage routing. Rejecting up front turns that
    class of misconfiguration into a typed error at the call site. *)
 let validate_options opts =
-  let check_weight name v =
-    if Float.is_nan v then
-      invalid_arg (Printf.sprintf "Sabre.route: %s is NaN" name);
-    if v < 0.0 then
-      invalid_arg (Printf.sprintf "Sabre.route: %s is negative (%g)" name v)
-  in
-  check_weight "extended_set_weight" opts.extended_set_weight;
-  check_weight "decay_increment" opts.decay_increment;
-  (match opts.lookahead_decay with
-  | Some gamma -> check_weight "lookahead_decay" gamma
-  | None -> ());
-  if opts.decay_reset_interval < 1 then
-    invalid_arg
-      (Printf.sprintf "Sabre.route: decay_reset_interval %d < 1 (decay would never reset)"
-         opts.decay_reset_interval);
-  if opts.extended_set_size < 0 then
-    invalid_arg
-      (Printf.sprintf "Sabre.route: extended_set_size %d < 0"
-         opts.extended_set_size)
+  match opts.lookahead_decay with
+  | Some gamma when Float.is_nan gamma ->
+      invalid_arg "Sabre.route: lookahead_decay is NaN"
+  | Some gamma when gamma < 0.0 ->
+      invalid_arg
+        (Printf.sprintf "Sabre.route: lookahead_decay is negative (%g)" gamma)
+  | Some _ | None -> ()
 
 type decision = {
   front_gates : (int * int) list;
@@ -213,7 +194,7 @@ let score_round ~opts ~dmat ~decay ~weights ~wsums ~scores w st n_cands =
     let basic = float_of_int basic_sum /. n_front in
     scores.(i) <-
       Float.max decay.(p) decay.(p')
-      *. (basic +. (opts.extended_set_weight *. lookahead))
+      *. (basic +. (extended_set_weight *. lookahead))
   done
 
 (* Pass-level aggregates feed the post-campaign summary even with span
@@ -230,7 +211,7 @@ let routing_pass ~opts ~rng ~trace ~device ~initial (circuit, dag) =
   let n_phys = Device.n_qubits device in
   let dmat = Device.distance_matrix device in
   let decay = Array.make n_phys 1.0 in
-  let size = opts.extended_set_size in
+  let size = extended_set_size in
   let window = make_window ~size ~n_prog:(Circuit.n_qubits circuit) in
   let scores = Array.make (Device.n_edges device) 0.0 in
   (* gamma^k and its prefix sums, once per pass. *)
@@ -264,7 +245,7 @@ let routing_pass ~opts ~rng ~trace ~device ~initial (circuit, dag) =
       if traced then Qls_obs.start ~site:"router" "sabre.round"
       else Qls_obs.none
     in
-    if !stuck > opts.release_valve_after then begin
+    if !stuck > release_valve_after then begin
       Route_state.force_route_first st;
       stuck := 0;
       Array.fill decay 0 n_phys 1.0
@@ -273,9 +254,7 @@ let routing_pass ~opts ~rng ~trace ~device ~initial (circuit, dag) =
       let n = Route_state.swap_candidates st in
       refresh_window window st ~size;
       score_round ~opts ~dmat ~decay ~weights ~wsums ~scores window st n;
-      let i =
-        Route_state.pick_tied ~rng ~relative:opts.relative_tie_break scores n
-      in
+      let i = Route_state.pick_tied ~rng scores n in
       if i < 0 then
         (* Unreachable on a validated (connected) device — every front
            qubit has at least one coupler, so the candidate set is never
@@ -301,10 +280,10 @@ let routing_pass ~opts ~rng ~trace ~device ~initial (circuit, dag) =
             { front_gates; candidates = sorted; chosen = (p, p') } :: !decisions
         end;
         Route_state.apply_swap st p p';
-        decay.(p) <- decay.(p) +. opts.decay_increment;
-        decay.(p') <- decay.(p') +. opts.decay_increment;
+        decay.(p) <- decay.(p) +. decay_increment;
+        decay.(p') <- decay.(p') +. decay_increment;
         incr rounds_since_reset;
-        if !rounds_since_reset >= opts.decay_reset_interval then begin
+        if !rounds_since_reset >= decay_reset_interval then begin
           Array.fill decay 0 n_phys 1.0;
           rounds_since_reset := 0
         end

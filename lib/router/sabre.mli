@@ -10,13 +10,13 @@
 
     where [basic] sums post-SWAP physical distances over the front layer
     [F], [lookahead] sums them over the {e extended set} [E] (the next
-    [extended_set_size = 20] two-qubit gates, each weighted equally,
-    [w = 0.5]), and [decay] penalises recently swapped qubits
-    ([+0.001] per use, reset every [5] rounds and on progress). The paper
-    shows this equal weighting of near and far lookahead gates produces
-    provably suboptimal routing on QUBIKOS circuits and suggests decaying
-    the lookahead with distance-from-execution; [lookahead_decay]
-    implements that fix and is exercised by the case-study experiment.
+    20 two-qubit gates, each weighted equally, [w = 0.5]), and [decay]
+    penalises recently swapped qubits ([+0.001] per use, reset every [5]
+    rounds and on progress). The paper shows this equal weighting of near
+    and far lookahead gates produces provably suboptimal routing on
+    QUBIKOS circuits and suggests decaying the lookahead with
+    distance-from-execution; [lookahead_decay] implements that fix and is
+    exercised by the case-study experiment.
 
     LightSABRE refinements implemented: best-of-N randomised trials and a
     release valve that escapes oscillation by routing the oldest blocked
@@ -30,30 +30,21 @@
 type options = {
   trials : int;  (** independent randomised trials, best SWAP count wins *)
   seed : int;  (** base RNG seed; trial [i] uses an independent stream *)
-  extended_set_size : int;  (** lookahead window, Qiskit default 20 *)
-  extended_set_weight : float;  (** lookahead weight [w], Qiskit default 0.5 *)
-  decay_increment : float;  (** per-use decay bump, Qiskit default 0.001 *)
-  decay_reset_interval : int;  (** rounds between decay resets, default 5 *)
   lookahead_decay : float option;
       (** [None] = stock equal weighting; [Some gamma] weights the [k]-th
           extended-set gate by [gamma^k] (paper §IV-C's proposed fix) *)
   bidirectional_passes : int;
       (** mapping-refinement passes before the final forward pass;
           [2] gives the classic forward-backward-forward SABRE *)
-  release_valve_after : int;
-      (** consecutive non-progressing SWAPs tolerated before the release
-          valve fires *)
-  relative_tie_break : bool;
-      (** [false] (default, golden-pinned): candidates within an absolute
-          [1e-12] of the best score count as tied — scale-dependent on
-          large devices, where scores grow with the front. [true]:
-          the window is relative,
-          [|s - best| <= 1e-9 * max 1.0 best]. *)
 }
+(** The cost model's other parameters are constants at the Qiskit values
+    above: extended set 20 at weight 0.5, decay [+0.001] reset every 5
+    rounds. The release valve tolerates 32 consecutive non-progressing
+    SWAPs before it fires, and candidates within an absolute [1e-12] of
+    the best score count as tied. *)
 
 val default_options : options
-(** Qiskit-flavoured defaults: 1 trial, extended set 20 @ 0.5, decay
-    0.001/5, no lookahead decay, 2 refinement passes, valve after 32. *)
+(** 1 trial, seed 0, no lookahead decay, 2 refinement passes. *)
 
 val with_trials : int -> options -> options
 (** Functional update of {!field-trials}. *)
@@ -80,11 +71,9 @@ val route :
     caller's ambient token: deadlines and cancellation propagate into the
     fan-out, and trial heartbeats keep the parent token live.
 
-    Options are validated on entry: NaN or negative
-    [extended_set_weight] / [decay_increment] / [lookahead_decay], a
-    [decay_reset_interval < 1] or a negative [extended_set_size] raise
-    [Invalid_argument] instead of silently corrupting SWAP scoring (a NaN
-    weight makes every comparison false, degrading selection to
+    Options are validated on entry: a NaN or negative [lookahead_decay]
+    raises [Invalid_argument] instead of silently corrupting SWAP scoring
+    (a NaN weight makes every comparison false, degrading selection to
     first-candidate with no error anywhere).
 
     @raise Invalid_argument on invalid [options]. *)

@@ -2,24 +2,17 @@ module Rng = Qls_graph.Rng
 module Dag = Qls_circuit.Dag
 module Device = Qls_arch.Device
 
-type options = {
-  lookahead_slices : int;
-  slice_discount : float;
-  seed : int;
-  vf2_node_limit : int;
-  release_valve_after : int;
-  relative_tie_break : bool;
-}
+type options = { seed : int }
 
-let default_options =
-  {
-    lookahead_slices = 4;
-    slice_discount = 0.7;
-    seed = 0;
-    vf2_node_limit = 200_000;
-    release_valve_after = 32;
-    relative_tie_break = false;
-  }
+let default_options = { seed = 0 }
+
+(* Slices scored per decision and their geometric weight, the node
+   budget of the placement's monomorphism try, and the non-progressing
+   SWAPs tolerated before the release valve fires. *)
+let lookahead_slices = 4
+let slice_discount = 0.7
+let vf2_node_limit = 200_000
+let release_valve_after = 32
 
 (* Score every candidate of the round into [scores]. [pairs] holds the
    round's slice lookahead as flat physical pairs, slice [k] ending at
@@ -60,7 +53,7 @@ let route ?(options = default_options) ?initial device circuit =
     match initial with
     | Some m -> m
     | None -> (
-        match Placement.vf2 ~node_limit:opts.vf2_node_limit device circuit with
+        match Placement.vf2 ~node_limit:vf2_node_limit device circuit with
         | Some m -> m
         | None -> Placement.degree_greedy rng device circuit)
   in
@@ -69,12 +62,11 @@ let route ?(options = default_options) ?initial device circuit =
   let dmat = Device.distance_matrix device in
   let q2p = Route_state.phys_table st in
   let scores = Array.make (Device.n_edges device) 0.0 in
-  let n_slices = max 0 opts.lookahead_slices in
   let weights =
-    Array.init n_slices (fun k -> opts.slice_discount ** float_of_int k)
+    Array.init lookahead_slices (fun k -> slice_discount ** float_of_int k)
   in
   let pairs = Array.make (2 * Dag.n_gates dag) 0 in
-  let ends = Array.make n_slices 0 in
+  let ends = Array.make lookahead_slices 0 in
   let stuck = ref 0 in
   let traced = Qls_obs.enabled () in
   let pass_sp =
@@ -89,14 +81,14 @@ let route ?(options = default_options) ?initial device circuit =
     let round_sp =
       if traced then Qls_obs.start ~site:"router" "tket.round" else Qls_obs.none
     in
-    if !stuck > opts.release_valve_after then begin
+    if !stuck > release_valve_after then begin
       Route_state.force_route_first st;
       stuck := 0
     end
     else begin
       let n = Route_state.swap_candidates st in
       let layers =
-        Route_state.remaining_layers st ~max_layers:opts.lookahead_slices
+        Route_state.remaining_layers st ~max_layers:lookahead_slices
       in
       let fill = ref 0 in
       List.iteri
@@ -113,9 +105,7 @@ let route ?(options = default_options) ?initial device circuit =
       let cands = Route_state.candidate_pairs st in
       score_round ~dmat ~weights ~pairs ~ends ~n_layers:(List.length layers)
         ~scores cands n;
-      let i =
-        Route_state.pick_tied ~rng ~relative:opts.relative_tie_break scores n
-      in
+      let i = Route_state.pick_tied ~rng scores n in
       if i < 0 then
         (* Unreachable on a validated (connected) device; kept total. *)
         Route_state.force_route_first st

@@ -54,6 +54,76 @@ let device_tests =
     test_case "pp mentions the name" (fun () ->
         let s = Format.asprintf "%a" Device.pp (Topologies.line 3) in
         check_bool "has name" true (String.length s > 0 && String.sub s 0 5 = "line3"));
+    test_case "distance_matrix and distance_row agree with distance" (fun () ->
+        List.iter
+          (fun d ->
+            let m = Device.distance_matrix d in
+            let n = Device.n_qubits d in
+            check_int (Device.name d ^ " rows") n (Array.length m);
+            for p = 0 to n - 1 do
+              let row = Device.distance_row d p in
+              for p' = 0 to n - 1 do
+                let dist = Device.distance d p p' in
+                if m.(p).(p') <> dist || row.(p') <> dist then
+                  Alcotest.failf "%s: (%d, %d) is %d, matrix %d, row %d"
+                    (Device.name d) p p' dist m.(p).(p') row.(p')
+              done
+            done)
+          (Topologies.all_paper_devices ()));
+    test_case "diameter is the largest pairwise distance" (fun () ->
+        List.iter
+          (fun d ->
+            let m = Device.distance_matrix d in
+            let largest =
+              Array.fold_left (Array.fold_left max) 0 m
+            in
+            check_int (Device.name d) largest (Device.diameter d))
+          (Topologies.ring 7 :: Topologies.all_paper_devices ()));
+    test_case "every coupler is listed under both of its qubits" (fun () ->
+        (* The routers' SWAP-candidate scan reads incident_edges and
+           resolves ids through edge_at; both must describe edges. *)
+        List.iter
+          (fun d ->
+            let seen = Array.make (Device.n_edges d) 0 in
+            for p = 0 to Device.n_qubits d - 1 do
+              let ids = Device.incident_edges d p in
+              check_int "one id per neighbour" (Device.degree d p)
+                (Array.length ids);
+              Array.iter
+                (fun i ->
+                  let a, b = Device.edge_at d i in
+                  check_bool "touches p" true (a = p || b = p);
+                  check_bool "coupled" true (Device.coupled d a b);
+                  seen.(i) <- seen.(i) + 1)
+                ids
+            done;
+            check_bool (Device.name d ^ ": each coupler twice") true
+              (Array.for_all (( = ) 2) seen))
+          (Topologies.all_paper_devices ()));
+    test_case "allow_disconnected keeps cross-component pairs unreachable"
+      (fun () ->
+        let d =
+          Device.create ~allow_disconnected:true ~name:"split"
+            (Graph.create 5 [ (0, 1); (1, 2); (3, 4) ])
+        in
+        check_int "within" 2 (Device.distance d 0 2);
+        check_int "across" Qls_graph.Apsp.unreachable (Device.distance d 0 4);
+        check_int "across, reversed" Qls_graph.Apsp.unreachable
+          (Device.distance d 3 1);
+        check_bool "diameter refuses" true
+          (try
+             ignore (Device.diameter d);
+             false
+           with Invalid_argument _ -> true));
+    test_case "line distance is the index gap, ring distance wraps" (fun () ->
+        let line = Topologies.line 6 and ring = Topologies.ring 6 in
+        for p = 0 to 5 do
+          for p' = 0 to 5 do
+            let gap = abs (p - p') in
+            check_int "line" gap (Device.distance line p p');
+            check_int "ring" (min gap (6 - gap)) (Device.distance ring p p')
+          done
+        done);
   ]
 
 let device_props =
@@ -170,55 +240,10 @@ let topology_tests =
         check_bool "no 0-2" false (Device.coupled d 0 2));
   ]
 
-let noise_tests =
-  [
-    test_case "uniform model assigns the same rates everywhere" (fun () ->
-        let d = Topologies.grid 3 3 in
-        let n = Qls_arch.Noise.uniform ~q1:1e-4 ~q2:5e-3 ~readout:1e-2 d in
-        Alcotest.(check (float 1e-12)) "q1" 1e-4 (Qls_arch.Noise.q1_error n 4);
-        Alcotest.(check (float 1e-12)) "q2" 5e-3 (Qls_arch.Noise.q2_error n 0 1);
-        Alcotest.(check (float 1e-12)) "q2 symmetric" 5e-3 (Qls_arch.Noise.q2_error n 1 0);
-        Alcotest.(check (float 1e-12)) "readout" 1e-2 (Qls_arch.Noise.readout_error n 8));
-    test_case "uniform rejects out-of-range rates" (fun () ->
-        check_bool "raises" true
-          (try
-             ignore (Qls_arch.Noise.uniform ~q2:1.5 (Topologies.line 3));
-             false
-           with Invalid_argument _ -> true));
-    test_case "q2_error rejects non-couplers" (fun () ->
-        let n = Qls_arch.Noise.uniform (Topologies.line 4) in
-        check_bool "raises" true
-          (try
-             ignore (Qls_arch.Noise.q2_error n 0 2);
-             false
-           with Invalid_argument _ -> true));
-    test_case "random model stays within the spread" (fun () ->
-        let rng = Rng.create 5 in
-        let d = Topologies.aspen4 () in
-        let n = Qls_arch.Noise.random rng ~q2:7e-3 ~spread:3.0 d in
-        List.iter
-          (fun (p, p') ->
-            let e = Qls_arch.Noise.q2_error n p p' in
-            check_bool "bounded" true (e >= 7e-3 /. 3.0 && e <= 7e-3 *. 3.0))
-          (Device.edges d));
-    test_case "best and worst couplers bracket the rest" (fun () ->
-        let rng = Rng.create 9 in
-        let d = Topologies.grid 3 3 in
-        let n = Qls_arch.Noise.random rng d in
-        let _, best = Qls_arch.Noise.best_coupler n in
-        let _, worst = Qls_arch.Noise.worst_coupler n in
-        List.iter
-          (fun (p, p') ->
-            let e = Qls_arch.Noise.q2_error n p p' in
-            check_bool "in range" true (best <= e && e <= worst))
-          (Device.edges d));
-  ]
-
 let () =
   Alcotest.run "qls_arch"
     [
       ("device", device_tests);
       ("device-properties", List.map QCheck_alcotest.to_alcotest device_props);
       ("topologies", topology_tests);
-      ("noise", noise_tests);
     ]

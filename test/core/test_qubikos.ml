@@ -423,18 +423,19 @@ let evaluation_tests =
         check_int "sycamore" 1500 (Evaluation.paper_gate_budget (Topologies.sycamore54 ()));
         check_int "rochester" 1500 (Evaluation.paper_gate_budget (Topologies.rochester ()));
         check_int "eagle" 3000 (Evaluation.paper_gate_budget (Topologies.eagle127 ())));
-    test_case "run_point produces sane ratios" (fun () ->
+    test_case "run_figure produces sane ratios" (fun () ->
         let device = Topologies.grid 3 3 in
         let config =
           {
             (Evaluation.default_figure_config device) with
+            swap_counts = [ 2 ];
             circuits_per_point = 2;
             gate_budget = 40;
             sabre_trials = 2;
           }
         in
         let tools = [ Sabre.router ~options:(Sabre.with_trials 2 Sabre.default_options) () ] in
-        let points = Evaluation.run_point ~tools ~config ~n_swaps:2 device in
+        let points = Evaluation.run_figure ~tools ~config device in
         check_int "one tool" 1 (List.length points);
         let p = List.hd points in
         check_bool "ratio >= 1" true (p.Evaluation.ratio >= 1.0 -. 1e-9);
@@ -524,6 +525,46 @@ let evaluation_tests =
         in
         let s = Format.asprintf "@[<v>%a@]" Evaluation.pp_points points in
         check_bool "has header" true (String.length s > 40));
+    test_case "run_figure gives the same points on one worker and on two"
+      (fun () ->
+        let device = Topologies.grid 3 3 in
+        let config =
+          {
+            (Evaluation.default_figure_config device) with
+            swap_counts = [ 1; 3 ];
+            circuits_per_point = 2;
+            gate_budget = 30;
+            sabre_trials = 2;
+          }
+        in
+        (* Everything but the wall-clock column. *)
+        let run jobs =
+          List.map
+            (fun p -> { p with Evaluation.mean_seconds = 0.0 })
+            (Evaluation.run_figure ~jobs ~config device)
+        in
+        let sequential = run 1 in
+        check_int "four tools, two counts" 8 (List.length sequential);
+        check_bool "identical" true (sequential = run 2));
+    test_case "default_fallback chains through registered tools to sabre"
+      (fun () ->
+        List.iter
+          (fun name ->
+            let rec chain seen name =
+              match Evaluation.default_fallback name with
+              | None -> List.rev (name :: seen)
+              | Some next ->
+                  check_bool (name ^ " -> " ^ next ^ " is registered") true
+                    (List.mem next Qls_router.Registry.names);
+                  check_bool (next ^ " not revisited") false
+                    (List.mem next (name :: seen));
+                  chain (name :: seen) next
+            in
+            match List.rev (chain [] name) with
+            | last :: _ ->
+                Alcotest.(check string) (name ^ " ends at sabre") "sabre" last
+            | [] -> Alcotest.fail "empty chain")
+          Qls_router.Registry.names);
   ]
 
 let serialize_tests =

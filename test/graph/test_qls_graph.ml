@@ -203,6 +203,42 @@ let graph_tests =
         check_bool "header" true (contains dot "graph t {");
         check_bool "edge 0-1" true (contains dot "0 -- 1");
         check_bool "edge 1-2" true (contains dot "1 -- 2"));
+    test_case "edge_at indexes the canonical edge list" (fun () ->
+        let g = Graph.create 5 [ (3, 1); (0, 4); (2, 1); (4, 3) ] in
+        let n = Graph.n_edges g in
+        Alcotest.(check (list (pair int int))) "in order" (Graph.edges g)
+          (List.init n (Graph.edge_at g));
+        Alcotest.(check (array (pair int int))) "edge_array" (Array.init n (Graph.edge_at g))
+          (Graph.edge_array g);
+        List.iter
+          (fun i ->
+            check_bool (Printf.sprintf "index %d rejected" i) true
+              (try
+                 ignore (Graph.edge_at g i);
+                 false
+               with Invalid_argument _ -> true))
+          [ -1; n ]);
+    test_case "incident_edges are the ascending ids of the edges at v"
+      (fun () ->
+        List.iter
+          (fun seed ->
+            let g =
+              Generators.random_connected (Rng.create seed) ~n:12 ~extra_edges:10
+            in
+            for v = 0 to 11 do
+              let expected =
+                List.filter
+                  (fun i ->
+                    let a, b = Graph.edge_at g i in
+                    a = v || b = v)
+                  (List.init (Graph.n_edges g) Fun.id)
+              in
+              Alcotest.(check (list int)) "ids" expected
+                (Array.to_list (Graph.incident_edges g v));
+              Alcotest.(check (list int)) "neighbors_array" (Graph.neighbors g v)
+                (Array.to_list (Graph.neighbors_array g v))
+            done)
+          [ 1; 2; 3 ]);
   ]
 
 (* Property tests for Graph. *)
@@ -275,10 +311,6 @@ let bfs_tests =
         Alcotest.check_raises "empty"
           (Invalid_argument "Bfs.multi_source_distances: no sources") (fun () ->
             ignore (Bfs.multi_source_distances (Generators.path 3) [])));
-    test_case "order starts at source and covers component" (fun () ->
-        let order = Bfs.order (Generators.cycle 5) 2 in
-        check_int "head" 2 (List.hd order);
-        check_int "length" 5 (List.length order));
     test_case "edge_order covers all reachable edges once" (fun () ->
         let g = Generators.grid 3 3 in
         let eo = Bfs.edge_order g ~sources:[ 0 ] ~skip:(fun _ _ -> false) in

@@ -8,7 +8,6 @@ module Mapping = Qls_layout.Mapping
 module Transpiled = Qls_layout.Transpiled
 module Verifier = Qls_layout.Verifier
 module Metrics = Qls_layout.Metrics
-module Fidelity = Qls_layout.Fidelity
 module Rng = Qls_graph.Rng
 
 let check_bool = Alcotest.(check bool)
@@ -80,6 +79,57 @@ let mapping_tests =
         let a = Mapping.to_array m in
         a.(0) <- 99;
         check_int "unchanged" 0 (Mapping.phys m 0));
+    test_case "occupant is prog without the option, -1 when empty" (fun () ->
+        let m = Mapping.random (Rng.create 3) ~n_program:5 ~n_physical:8 in
+        check_int "n_physical" 8 (Mapping.n_physical m);
+        for p = 0 to 7 do
+          check_int "occupant"
+            (Option.value ~default:(-1) (Mapping.prog m p))
+            (Mapping.occupant m p)
+        done;
+        check_bool "range checked" true
+          (try
+             ignore (Mapping.occupant m 8);
+             false
+           with Invalid_argument _ -> true));
+    test_case "swap_tables acts as swap_physical on raw tables" (fun () ->
+        let rng = Rng.create 17 in
+        let m = ref (Mapping.random rng ~n_program:6 ~n_physical:9) in
+        let q2p = Mapping.to_array !m in
+        let p2q = Array.init 9 (Mapping.occupant !m) in
+        for _ = 1 to 40 do
+          let p = Rng.int rng 9 in
+          let p' = (p + 1 + Rng.int rng 8) mod 9 in
+          Mapping.swap_tables ~q2p ~p2q p p';
+          m := Mapping.swap_physical !m p p';
+          Alcotest.(check (array int)) "q2p" (Mapping.to_array !m) q2p;
+          Alcotest.(check (array int)) "p2q"
+            (Array.init 9 (Mapping.occupant !m))
+            p2q
+        done);
+    test_case "swap_tables rejects what swap_physical rejects" (fun () ->
+        let q2p = [| 0; 1 |] and p2q = [| 0; 1; -1 |] in
+        List.iter
+          (fun (p, p') ->
+            check_bool (Printf.sprintf "(%d, %d)" p p') true
+              (try
+                 Mapping.swap_tables ~q2p ~p2q p p';
+                 false
+               with Invalid_argument _ -> true))
+          [ (1, 1); (-1, 0); (0, 3) ];
+        Alcotest.(check (array int)) "q2p untouched" [| 0; 1 |] q2p;
+        Alcotest.(check (array int)) "p2q untouched" [| 0; 1; -1 |] p2q);
+    test_case "equal compares contents and the physical size" (fun () ->
+        let m = Mapping.of_array ~n_physical:4 [| 2; 0 |] in
+        check_bool "same contents" true
+          (Mapping.equal m (Mapping.of_array ~n_physical:4 [| 2; 0 |]));
+        check_bool "swapped back" true
+          (Mapping.equal m (Mapping.apply_swaps m [ (0, 3); (0, 3) ]));
+        check_bool "moved" false (Mapping.equal m (Mapping.swap_physical m 0 1));
+        check_bool "larger device" false
+          (Mapping.equal m (Mapping.of_array ~n_physical:5 [| 2; 0 |]));
+        check_bool "more program qubits" false
+          (Mapping.equal m (Mapping.of_array ~n_physical:4 [| 2; 0; 1 |])));
   ]
 
 let mapping_props =
@@ -164,6 +214,45 @@ let transpiled_tests =
           (Gate.equal (Gate.cx 0 1) (Circuit.gate pc 5)));
     test_case "depth computed on the physical circuit" (fun () ->
         check_bool "positive" true (Transpiled.depth (fig1e ()) > 0));
+    test_case "iter_mapped hands each op the mapping it leaves" (fun () ->
+        let t = fig1e () in
+        let visited = ref 0 in
+        Transpiled.iter_mapped t (fun k op q2p ->
+            check_int "in order" !visited k;
+            check_bool "the op itself" true (List.nth (Transpiled.ops t) k = op);
+            Alcotest.(check (array int)) (Printf.sprintf "after op %d" k)
+              (Mapping.to_array (Transpiled.mapping_at t (k + 1)))
+              q2p;
+            incr visited);
+        check_int "every op" 6 !visited);
+    test_case "depth equals the physical circuit's depth" (fun () ->
+        (* Arbitrary SWAPs between the gates: depth counts them whether or
+           not the result verifies. *)
+        let device = Topologies.grid 3 3 in
+        let edges = Array.of_list (Qls_arch.Device.edges device) in
+        for seed = 0 to 19 do
+          let rng = Rng.create seed in
+          let source =
+            Qls_circuit.Random_circuit.uniform rng ~n_qubits:7 ~n_two_qubit:15
+              ~single_ratio:0.4
+          in
+          let ops =
+            List.concat
+              (List.init (Circuit.length source) (fun i ->
+                   if Rng.int rng 3 = 0 then
+                     let p, p' = Rng.pick_array rng edges in
+                     [ Transpiled.Swap (p, p'); Transpiled.Gate i ]
+                   else [ Transpiled.Gate i ]))
+          in
+          let t =
+            Transpiled.create ~source ~device
+              ~initial:(Mapping.random rng ~n_program:7 ~n_physical:9)
+              ops
+          in
+          check_int (Printf.sprintf "seed %d" seed)
+            (Circuit.depth (Transpiled.to_physical_circuit t))
+            (Transpiled.depth t)
+        done);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -346,64 +435,6 @@ let metrics_tests =
             Metrics.stddev [ Float.nan; 2. ]));
   ]
 
-let fidelity_tests =
-  let noise_for t = Qls_arch.Noise.uniform ~q1:1e-3 ~q2:1e-2 (Transpiled.device t) in
-  [
-    test_case "swap-free circuit pays only gate errors" (fun () ->
-        let source = Circuit.create ~n_qubits:2 [ Gate.cx 0 1 ] in
-        let device = Topologies.line 2 in
-        let t =
-          Transpiled.create ~source ~device
-            ~initial:(Mapping.identity ~n_program:2 ~n_physical:2)
-            [ Transpiled.Gate 0 ]
-        in
-        let noise = noise_for t in
-        check_float "one cx" (log (1.0 -. 1e-2)) (Fidelity.log_success noise t);
-        check_float "no swap overhead" 0.0 (Fidelity.swap_overhead_cost noise t));
-    test_case "each swap costs three CNOTs of fidelity" (fun () ->
-        let t = fig1e () in
-        let noise = Qls_arch.Noise.uniform ~q1:0.0 ~q2:1e-2 (Transpiled.device t) in
-        check_float "3 cx per swap"
-          (3.0 *. log (1.0 -. 1e-2))
-          (Fidelity.swap_overhead_cost noise t));
-    test_case "success probability multiplies out" (fun () ->
-        let t = fig1e () in
-        let noise = Qls_arch.Noise.uniform ~q1:1e-3 ~q2:1e-2 (Transpiled.device t) in
-        (* 2 h gates, 3 cnots, 1 swap (= 3 cnots) *)
-        let expected = ((1.0 -. 1e-3) ** 2.0) *. ((1.0 -. 1e-2) ** 6.0) in
-        check_float "product" expected (Fidelity.success_probability noise t));
-    test_case "readout adds one factor per program qubit" (fun () ->
-        let t = fig1e () in
-        let noise =
-          Qls_arch.Noise.uniform ~q1:0.0 ~q2:0.0 ~readout:1e-2 (Transpiled.device t)
-        in
-        check_float "3 readouts"
-          (3.0 *. log (1.0 -. 1e-2))
-          (Fidelity.log_success ~with_readout:true noise t));
-    test_case "mismatched device rejected" (fun () ->
-        let t = fig1e () in
-        let noise = Qls_arch.Noise.uniform (Topologies.grid 3 3) in
-        check_bool "raises" true
-          (try
-             ignore (Fidelity.log_success noise t);
-             false
-           with Invalid_argument _ -> true));
-    test_case "more swaps, lower fidelity" (fun () ->
-        let source = Circuit.create ~n_qubits:2 [ Gate.cx 0 1 ] in
-        let device = Topologies.line 3 in
-        let initial = Mapping.identity ~n_program:2 ~n_physical:3 in
-        let direct =
-          Transpiled.create ~source ~device ~initial [ Transpiled.Gate 0 ]
-        in
-        let wasteful =
-          Transpiled.create ~source ~device ~initial
-            [ Transpiled.Swap (1, 2); Transpiled.Swap (1, 2); Transpiled.Gate 0 ]
-        in
-        let noise = Qls_arch.Noise.uniform device in
-        check_bool "monotone" true
-          (Fidelity.log_success noise wasteful < Fidelity.log_success noise direct));
-  ]
-
 let () =
   Alcotest.run "qls_layout"
     [
@@ -412,5 +443,4 @@ let () =
       ("transpiled", transpiled_tests);
       ("verifier", verifier_tests);
       ("metrics", metrics_tests);
-      ("fidelity", fidelity_tests);
     ]

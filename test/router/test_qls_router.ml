@@ -19,9 +19,7 @@ module Tket_router = Qls_router.Tket_router
 module Astar_router = Qls_router.Astar_router
 module Mlqls = Qls_router.Mlqls
 module Exact = Qls_router.Exact
-module Token_swap = Qls_router.Token_swap
 module Olsq = Qls_router.Olsq
-module Transition_router = Qls_router.Transition_router
 module Registry = Qls_router.Registry
 module Rng = Qls_graph.Rng
 
@@ -277,6 +275,45 @@ let route_state_tests =
         let t = Route_state.finish st in
         check_int "valid, no swaps" 0 (Verifier.check_exn t).Verifier.swap_count;
         check_int "all gates present" 6 (List.length (Transpiled.ops t)));
+    test_case "pick_tied: a unique minimum wins whatever the draw" (fun () ->
+        let scores = [| 3.0; 0.5; 2.0; 0.5 +. 1e-6 |] in
+        for seed = 0 to 31 do
+          check_int "lowest" 1
+            (Route_state.pick_tied ~rng:(Rng.create seed) scores 4)
+        done);
+    test_case "pick_tied: one draw over the scores within 1e-12 of the lowest"
+      (fun () ->
+        (* Indices 1, 2 and 4 tie; 3 is 2e-12 above the lowest. The pick
+           must be the element Rng.pick draws from the tied indices in
+           buffer order, with the same single draw — SABRE and tket routes
+           depend on it byte for byte. *)
+        let scores = [| 3.0; 1.0; 1.0 +. 5e-13; 1.0 +. 2e-12; 1.0 |] in
+        let seen = Array.make 5 false in
+        for seed = 0 to 63 do
+          let i = Route_state.pick_tied ~rng:(Rng.create seed) scores 5 in
+          check_int "as Rng.pick" (Rng.pick (Rng.create seed) [ 1; 2; 4 ]) i;
+          seen.(i) <- true
+        done;
+        Alcotest.(check (array bool)) "every tie drawn, nothing else"
+          [| false; true; true; false; true |] seen);
+    test_case "pick_tied: the window is absolute at any magnitude" (fun () ->
+        (* 1e-6 apart at 1e9 is 1e-15 relative: a relative window would
+           tie them, the absolute one does not. *)
+        let scores = [| 1e9 +. 1e-6; 1e9 |] in
+        for seed = 0 to 31 do
+          check_int "strictly lower wins" 1
+            (Route_state.pick_tied ~rng:(Rng.create seed) scores 2)
+        done);
+    test_case "pick_tied: -1 on no candidates or a NaN score; reads only n"
+      (fun () ->
+        let rng = Rng.create 0 in
+        check_int "empty" (-1) (Route_state.pick_tied ~rng [||] 0);
+        check_int "NaN" (-1)
+          (Route_state.pick_tied ~rng [| 1.0; Float.nan; 0.5 |] 3);
+        (* Stale entries past [n] are ignored, as the routers reuse one
+           score buffer across rounds. *)
+        check_int "prefix" 1
+          (Route_state.pick_tied ~rng [| 2.0; 1.0; 0.0; Float.nan |] 2));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -332,7 +369,6 @@ let all_tools =
     Tket_router.router ();
     Astar_router.router ();
     Mlqls.router ();
-    Transition_router.router ();
   ]
 
 let router_props =
@@ -431,33 +467,16 @@ let sabre_tests =
                false
              with Invalid_argument _ -> true)
         in
-        rejects "NaN extended_set_weight"
-          { Sabre.default_options with Sabre.extended_set_weight = Float.nan };
-        rejects "negative extended_set_weight"
-          { Sabre.default_options with Sabre.extended_set_weight = -0.5 };
-        rejects "NaN decay_increment"
-          { Sabre.default_options with Sabre.decay_increment = Float.nan };
-        rejects "negative decay_increment"
-          { Sabre.default_options with Sabre.decay_increment = -1e-3 };
-        rejects "NaN lookahead_decay"
-          { Sabre.default_options with Sabre.lookahead_decay = Some Float.nan };
+        let nan_decay =
+          { Sabre.default_options with Sabre.lookahead_decay = Some Float.nan }
+        in
+        rejects "NaN lookahead_decay" nan_decay;
         rejects "negative lookahead_decay"
           { Sabre.default_options with Sabre.lookahead_decay = Some (-0.7) };
-        rejects "zero decay_reset_interval"
-          { Sabre.default_options with Sabre.decay_reset_interval = 0 };
-        rejects "negative extended_set_size"
-          { Sabre.default_options with Sabre.extended_set_size = -1 };
         (* route_traced shares the validation. *)
         check_bool "route_traced rejects too" true
           (try
-             ignore
-               (Sabre.route_traced
-                  ~options:
-                    {
-                      Sabre.default_options with
-                      Sabre.extended_set_weight = Float.nan;
-                    }
-                  device c);
+             ignore (Sabre.route_traced ~options:nan_decay device c);
              false
            with Invalid_argument _ -> true);
         (* And the defaults still route. *)
@@ -701,6 +720,29 @@ let tool_tests =
         let ml = Mlqls.weighted_cost device c (Mlqls.place device c) in
         let rnd = Mlqls.weighted_cost device c (Placement.random rng device c) in
         check_bool "not worse" true (ml <= rnd));
+    test_case "mlqls routes its placement with one SABRE pass at its seed"
+      (fun () ->
+        let device = Topologies.grid 3 4 in
+        let rng = Rng.create 31 in
+        let c =
+          Random_circuit.uniform rng ~n_qubits:10 ~n_two_qubit:40
+            ~single_ratio:0.2
+        in
+        List.iter
+          (fun seed ->
+            let options = { Mlqls.seed } in
+            let expected =
+              Sabre.route
+                ~options:
+                  { Sabre.default_options with bidirectional_passes = 0; seed }
+                ~initial:(Mlqls.place ~options device c)
+                device c
+            in
+            Alcotest.(check string)
+              (Printf.sprintf "seed %d" seed)
+              (fingerprint expected)
+              (fingerprint (Mlqls.route ~options device c)))
+          [ 0; 3; 8 ]);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1270,92 +1312,6 @@ let qmap_pin_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Token swapping                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let token_swap_tests =
-  [
-    test_case "already satisfied targets need no swaps" (fun () ->
-        let device = Topologies.grid 3 3 in
-        let m = Mapping.identity ~n_program:9 ~n_physical:9 in
-        let target q = Token_swap.Fixed q in
-        Alcotest.(check (list (pair int int))) "empty" []
-          (Token_swap.route device ~current:m ~target));
-    test_case "routes a transposition on a line" (fun () ->
-        let device = Topologies.line 4 in
-        let m = Mapping.identity ~n_program:4 ~n_physical:4 in
-        let target q =
-          if q = 0 then Token_swap.Fixed 1
-          else if q = 1 then Token_swap.Fixed 0
-          else Token_swap.Free
-        in
-        let swaps = Token_swap.route device ~current:m ~target in
-        let m' = Token_swap.apply device m swaps in
-        check_int "q0" 1 (Mapping.phys m' 0);
-        check_int "q1" 0 (Mapping.phys m' 1);
-        check_int "one swap" 1 (List.length swaps));
-    test_case "routes across empty slots" (fun () ->
-        let device = Topologies.line 5 in
-        let m = Mapping.of_array ~n_physical:5 [| 0; 1 |] in
-        let target q = if q = 0 then Token_swap.Fixed 4 else Token_swap.Free in
-        let swaps = Token_swap.route device ~current:m ~target in
-        let m' = Token_swap.apply device m swaps in
-        check_int "q0 at the end" 4 (Mapping.phys m' 0));
-    test_case "rejects colliding targets" (fun () ->
-        let device = Topologies.line 3 in
-        let m = Mapping.identity ~n_program:3 ~n_physical:3 in
-        check_bool "raises" true
-          (try
-             ignore
-               (Token_swap.route device ~current:m ~target:(fun _ ->
-                    Token_swap.Fixed 1));
-             false
-           with Invalid_argument _ -> true));
-    test_case "optimal finds the 3-cycle rotation on a triangle" (fun () ->
-        let device = Topologies.ring 3 in
-        let m = Mapping.identity ~n_program:3 ~n_physical:3 in
-        let target q = Token_swap.Fixed ((q + 1) mod 3) in
-        match Token_swap.optimal device ~current:m ~target with
-        | None -> Alcotest.fail "solvable"
-        | Some swaps -> check_int "two swaps" 2 (List.length swaps));
-  ]
-
-let token_swap_props =
-  [
-    QCheck.Test.make ~name:"token swapping always reaches the target" ~count:100
-      QCheck.(pair (int_range 0 10_000) (int_range 0 2))
-      (fun (seed, dev_choice) ->
-        let device =
-          match dev_choice with
-          | 0 -> Topologies.grid 3 3
-          | 1 -> Topologies.line 7
-          | _ -> Topologies.aspen4 ()
-        in
-        let n = Device.n_qubits device in
-        let rng = Rng.create seed in
-        let n_prog = max 1 (n - Rng.int rng 3) in
-        let current = Mapping.random rng ~n_program:n_prog ~n_physical:n in
-        (* a random injective partial target *)
-        let perm = Rng.permutation rng n in
-        let target q = if q mod 2 = 0 then Token_swap.Fixed perm.(q) else Token_swap.Free in
-        let swaps = Token_swap.route device ~current ~target in
-        let final = Token_swap.apply device current swaps in
-        Token_swap.count_misplaced final ~target = 0);
-    QCheck.Test.make ~name:"greedy is never better than optimal" ~count:30
-      QCheck.(int_range 0 10_000)
-      (fun seed ->
-        let device = Topologies.line 5 in
-        let rng = Rng.create seed in
-        let current = Mapping.random rng ~n_program:5 ~n_physical:5 in
-        let perm = Rng.permutation rng 5 in
-        let target q = Token_swap.Fixed perm.(q) in
-        let greedy = Token_swap.route device ~current ~target in
-        match Token_swap.optimal ~max_swaps:12 device ~current ~target with
-        | None -> false
-        | Some best -> List.length best <= List.length greedy);
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* Goldens: routed outputs bit-identical to the pre-refactor recordings *)
 (* ------------------------------------------------------------------ *)
 
@@ -1686,72 +1642,26 @@ let hot_path_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Tie-break epsilon modes                                             *)
+(* Tie-break: the absolute 1e-12 window gives whole-route determinism  *)
 (* ------------------------------------------------------------------ *)
 
 let tie_break_tests =
-  [
-    test_case "sabre: both tie-break modes deterministic, default absolute"
-      (fun () ->
-        check_bool "default is absolute" true
-          (not Sabre.default_options.Sabre.relative_tie_break);
-        let device = Topologies.grid 3 3 in
-        let rng = Rng.create 11 in
-        let c =
-          Random_circuit.uniform rng ~n_qubits:9 ~n_two_qubit:40
-            ~single_ratio:0.0
-        in
-        let route opts = Sabre.route ~options:opts device c in
-        let abs1 = route Sabre.default_options
-        and abs2 = route Sabre.default_options in
-        let rel_opts =
-          { Sabre.default_options with Sabre.relative_tie_break = true }
-        in
-        let rel1 = route rel_opts and rel2 = route rel_opts in
-        check_bool "absolute mode deterministic" true
-          (Transpiled.ops abs1 = Transpiled.ops abs2);
-        check_bool "relative mode deterministic" true
-          (Transpiled.ops rel1 = Transpiled.ops rel2);
-        check_bool "absolute verifies" true (Verifier.is_valid abs1);
-        check_bool "relative verifies" true (Verifier.is_valid rel1));
-    test_case "sabre: both modes solve Fig. 1 optimally" (fun () ->
-        let device = Topologies.line 4 in
-        let swaps opts =
-          (Verifier.check_exn
-             (Sabre.route ~options:(Sabre.with_trials 8 opts) device
-                (triangle ())))
-            .Verifier.swap_count
-        in
-        check_int "absolute" 1 (swaps Sabre.default_options);
-        check_int "relative" 1
-          (swaps { Sabre.default_options with Sabre.relative_tie_break = true }));
-    test_case "tket: both tie-break modes deterministic, default absolute"
-      (fun () ->
-        check_bool "default is absolute" true
-          (not Tket_router.default_options.Tket_router.relative_tie_break);
-        let device = Topologies.grid 3 3 in
-        let rng = Rng.create 13 in
-        let c =
-          Random_circuit.uniform rng ~n_qubits:9 ~n_two_qubit:40
-            ~single_ratio:0.0
-        in
-        let route opts = Tket_router.route ~options:opts device c in
-        let abs1 = route Tket_router.default_options
-        and abs2 = route Tket_router.default_options in
-        let rel_opts =
-          {
-            Tket_router.default_options with
-            Tket_router.relative_tie_break = true;
-          }
-        in
-        let rel1 = route rel_opts and rel2 = route rel_opts in
-        check_bool "absolute mode deterministic" true
-          (Transpiled.ops abs1 = Transpiled.ops abs2);
-        check_bool "relative mode deterministic" true
-          (Transpiled.ops rel1 = Transpiled.ops rel2);
-        check_bool "absolute verifies" true (Verifier.is_valid abs1);
-        check_bool "relative verifies" true (Verifier.is_valid rel1));
-  ]
+  List.map
+    (fun (name, seed, route) ->
+      test_case (name ^ ": absolute tie-break deterministic") (fun () ->
+          let device = Topologies.grid 3 3 in
+          let rng = Rng.create seed in
+          let c =
+            Random_circuit.uniform rng ~n_qubits:9 ~n_two_qubit:40
+              ~single_ratio:0.0
+          in
+          let t1 = route device c and t2 = route device c in
+          check_bool "same ops" true (Transpiled.ops t1 = Transpiled.ops t2);
+          check_bool "verifies" true (Verifier.is_valid t1)))
+    [
+      ("sabre", 11, fun device c -> Sabre.route device c);
+      ("tket", 13, fun device c -> Tket_router.route device c);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Registry                                                            *)
@@ -1773,7 +1683,51 @@ let registry_tests =
         check_bool "ml-qls" true (Option.is_some (Registry.by_name "ml-qls")));
     test_case "by_name rejects unknown" (fun () ->
         check_bool "none" true (Registry.by_name "quantum-magic" = None));
+    test_case "registered names" (fun () ->
+        Alcotest.(check (list string)) "names"
+          [ "sabre"; "sabre-decay"; "mlqls"; "qmap"; "tket"; "exact"; "olsq" ]
+          Registry.names);
   ]
+  (* A campaign seeds every task through [by_name]; the seed must reach
+     the same route a direct call at that seed gives. *)
+  @ List.map
+      (fun (name, direct) ->
+        test_case (Printf.sprintf "by_name carries the seed into %s" name)
+          (fun () ->
+            let device = Topologies.grid 3 3 in
+            let rng = Rng.create 21 in
+            let c =
+              Random_circuit.uniform rng ~n_qubits:8 ~n_two_qubit:30
+                ~single_ratio:0.2
+            in
+            let routes =
+              List.map
+                (fun seed ->
+                  match Registry.by_name ~sabre_trials:2 ~seed name with
+                  | None -> Alcotest.failf "%s not registered" name
+                  | Some r ->
+                      let fp = fingerprint (r.Router.route device c) in
+                      Alcotest.(check string)
+                        (Printf.sprintf "seed %d" seed)
+                        (fingerprint (direct seed device c))
+                        fp;
+                      fp)
+                [ 0; 5; 9 ]
+            in
+            (* Otherwise a dropped seed would pass unnoticed. *)
+            check_bool "the seed changes the route" true
+              (List.length (List.sort_uniq compare routes) > 1)))
+      [
+        ( "sabre",
+          fun seed device c ->
+            Sabre.route
+              ~options:{ (Sabre.with_trials 2 Sabre.default_options) with seed }
+              device c );
+        ( "tket",
+          fun seed device c ->
+            Tket_router.route ~options:{ Tket_router.seed } device c );
+        ("mlqls", fun seed device c -> Mlqls.route ~options:{ Mlqls.seed } device c);
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* Tracing transparency: arming Qls_obs must not change routed output  *)
@@ -1822,45 +1776,35 @@ let tracing_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Cancellation: round loops must poll the ambient token. Regression   *)
-(* for the transition router, whose routing loop had no checkpoint —   *)
-(* an expired deadline was silently ignored until the route finished.  *)
+(* Cancellation: every round loop polls the ambient token, so an       *)
+(* expired deadline stops the route instead of being ignored until it  *)
+(* finishes. SABRE's is in "parallel trials honour an expired ambient  *)
+(* deadline".                                                          *)
 (* ------------------------------------------------------------------ *)
 
 let cancellation_tests =
-  [
-    test_case "transition router honours an expired ambient deadline"
-      (fun () ->
-        let device = Topologies.grid 3 3 in
-        let rng = Rng.create 77 in
-        let c =
-          Random_circuit.uniform rng ~n_qubits:9 ~n_two_qubit:60
-            ~single_ratio:0.0
-        in
-        let token = Qls_cancel.make ~deadline_ms:1 () in
-        Unix.sleepf 0.005;
-        check_bool "Expired raised from the round loop" true
-          (try
-             Qls_cancel.with_token token (fun () ->
-                 ignore (Transition_router.route device c);
-                 false)
-           with Qls_cancel.Expired _ -> true));
-    test_case "qmap honours an expired deadline mid-search" (fun () ->
-        let device = Topologies.grid 3 3 in
-        let rng = Rng.create 78 in
-        let c =
-          Random_circuit.uniform rng ~n_qubits:9 ~n_two_qubit:60
-            ~single_ratio:0.0
-        in
-        let token = Qls_cancel.make ~deadline_ms:1 () in
-        Unix.sleepf 0.005;
-        check_bool "Expired raised" true
-          (try
-             Qls_cancel.with_token token (fun () ->
-                 ignore (Astar_router.route device c);
-                 false)
-           with Qls_cancel.Expired _ -> true));
-  ]
+  List.map
+    (fun (name, route) ->
+      test_case (name ^ " honours an expired ambient deadline") (fun () ->
+          let device = Topologies.grid 3 3 in
+          let rng = Rng.create 78 in
+          let c =
+            Random_circuit.uniform rng ~n_qubits:9 ~n_two_qubit:60
+              ~single_ratio:0.0
+          in
+          let token = Qls_cancel.make ~deadline_ms:1 () in
+          Unix.sleepf 0.005;
+          check_bool "Expired raised" true
+            (try
+               Qls_cancel.with_token token (fun () ->
+                   ignore (route device c);
+                   false)
+             with Qls_cancel.Expired _ -> true)))
+    [
+      ("qmap", fun device c -> Astar_router.route device c);
+      ("tket", fun device c -> Tket_router.route device c);
+      ("mlqls", fun device c -> Mlqls.route device c);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* The one-pass verifier against the frozen one (verifier_oracle.ml).  *)
@@ -2023,8 +1967,6 @@ let () =
         List.map QCheck_alcotest.to_alcotest olsq_incremental_props );
       ("olsq-pins", olsq_pin_tests);
       ("qmap-pins", qmap_pin_tests);
-      ("token-swap", token_swap_tests);
-      ("token-swap-properties", List.map QCheck_alcotest.to_alcotest token_swap_props);
       ("goldens", golden_tests);
       ("allocation", allocation_tests);
       ("hot-path", hot_path_tests);
