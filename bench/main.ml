@@ -12,7 +12,10 @@
      E5  (§I/III-C) QUEKO contrast: solved by VF2, unlike QUBIKOS
 
    Timing lives in the checked benches (router_bench, sat_bench,
-   serve_bench); this harness writes no BENCH_*.json file.
+   serve_bench); this harness writes no BENCH_*.json file. It exits 1
+   after E1 when an instance fails its certificate or the exact solver
+   refutes it, and a Fig. 4 task that fails (an uncertified instance, an
+   unverified route) raises.
 
    Usage:
      dune exec bench/main.exe                 scaled-down experiments (minutes)
@@ -107,15 +110,37 @@ let run_optimality_study () =
      the structural certificate, then confirm with the SAT-based exact\n\
      solver (OLSQ2's formulation; refuting n-1 SWAPs). Paper: 100 circuits\n\
      per count, all confirmed.\n\n";
+  let rows =
+    List.concat_map
+      (fun device ->
+        let rows =
+          Evaluation.run_optimality_study ~circuits_per_count:circuits
+            ~swap_counts:counts ~gate_budget:budget ~saturation_cap:1 ~seed:7
+            device
+        in
+        Format.printf "@[<v>%a@]@." Evaluation.pp_optimality rows;
+        rows)
+      [ Topologies.aspen4 (); Topologies.grid 3 3 ]
+  in
+  (* An instance that fails its certificate, or that the exact solver
+     refutes, is a bug in the generator or the certificate. *)
+  let refuted r =
+    r.Evaluation.o_circuits - r.Evaluation.o_exact_confirmed
+    - r.Evaluation.o_exact_unknown
+  in
+  let bad =
+    List.filter
+      (fun r -> r.Evaluation.o_certified < r.Evaluation.o_circuits || refuted r > 0)
+      rows
+  in
   List.iter
-    (fun device ->
-      let rows =
-        Evaluation.run_optimality_study ~circuits_per_count:circuits
-          ~swap_counts:counts ~gate_budget:budget ~saturation_cap:1 ~seed:7
-          device
-      in
-      Format.printf "@[<v>%a@]@." Evaluation.pp_optimality rows)
-    [ Topologies.aspen4 (); Topologies.grid 3 3 ]
+    (fun r ->
+      Printf.eprintf
+        "E1: %s, %d swaps: %d of %d certified, %d refuted by the exact solver\n"
+        r.Evaluation.o_device r.Evaluation.o_swaps r.Evaluation.o_certified
+        r.Evaluation.o_circuits (refuted r))
+    bad;
+  List.is_empty bad
 
 (* ------------------------------------------------------------------ *)
 (* E2a-E2d: Fig. 4 panels + E3 headline summary                        *)
@@ -312,14 +337,20 @@ let () =
   Printf.printf "QUBIKOS benchmark & experiment harness (scale: %s)\n"
     (match !scale with Quick -> "quick" | Default -> "default" | Full -> "full/paper");
   Option.iter Qls_obs.tracing_to !trace;
-  Fun.protect
-    ~finally:(fun () -> if Option.is_some !trace then Qls_obs.shutdown ())
-    (fun () ->
-      run_optimality_study ();
-      run_queko_contrast ();
-      run_case_study ();
-      run_trials_ablation ();
-      run_figure4 ());
+  let e1_ok =
+    Fun.protect
+      ~finally:(fun () -> if Option.is_some !trace then Qls_obs.shutdown ())
+      (fun () ->
+        let e1_ok = run_optimality_study () in
+        if e1_ok then begin
+          run_queko_contrast ();
+          run_case_study ();
+          run_trials_ablation ();
+          run_figure4 ()
+        end;
+        e1_ok)
+  in
+  if not e1_ok then exit 1;
   Printf.printf
     "\nDone. See EXPERIMENTS.md for paper-vs-measured discussion; router\n\
      timing is bench/router_bench.exe (BENCH_router.json).\n"

@@ -186,48 +186,60 @@ let verify_cmd =
   in
   let run device n_swaps gates seed exact exact_method node_budget
       conflict_budget portfolio file =
-    let bench =
-      match file with
-      | Some path -> Qubikos.Serialize.load path
-      | None ->
-          Generator.generate ~config:(config_of device ~n_swaps ~gates ~seed) device
-    in
-    Format.printf "%a@." Benchmark.pp_summary bench;
-    match Certificate.check bench with
-    | Error fs ->
-        Format.printf "certificate FAILED:@.%a@."
-          (Format.pp_print_list Certificate.pp_failure)
-          fs;
+    (* A malformed file, or a section index that names no two-qubit
+       gate, is a bad input: report it rather than crash. *)
+    match
+      let bench =
+        match file with
+        | Some path -> Qubikos.Serialize.load path
+        | None ->
+            Generator.generate ~config:(config_of device ~n_swaps ~gates ~seed) device
+      in
+      (bench, Certificate.check bench)
+    with
+    | exception (Failure msg | Invalid_argument msg | Sys_error msg) ->
+        Format.eprintf "verify: %s@." msg;
         1
-    | Ok () ->
-        Format.printf "structural certificate: OK (Lemmas 1-3 + designed schedule)@.";
-        if exact then begin
-          let portfolio_seeds =
-            if portfolio > 0 then Some (List.init portfolio Fun.id) else None
-          in
-          let r =
-            Certificate.check_exact ~solver:exact_method
-              ~node_budget ~conflict_budget ?portfolio_seeds bench
-          in
-          (match r.Certificate.winner_seed with
-          | Some seed ->
-              Format.printf
-                "portfolio: %d configurations raced, winner seed %d@."
-                portfolio seed
-          | None -> ());
-          match r.Certificate.exact_agrees with
-          | Some true ->
-              Format.printf "exact solver: confirmed (no %d-swap solution exists)@."
-                (bench.Benchmark.optimal_swaps - 1);
-              0
-          | Some false ->
-              Format.printf "exact solver: REFUTED the certificate (bug!)@.";
-              1
-          | None ->
-              Format.printf "exact solver: budget exhausted (inconclusive)@.";
-              0
-        end
-        else 0
+    | bench, verdict -> (
+        Format.printf "%a@." Benchmark.pp_summary bench;
+        match verdict with
+        | Error fs ->
+            Format.printf "certificate FAILED:@.%a@."
+              (Format.pp_print_list Certificate.pp_failure)
+              fs;
+            1
+        | Ok () ->
+            Format.printf
+              "structural certificate: OK (Lemmas 1-3 + designed schedule)@.";
+            if exact then begin
+              let portfolio_seeds =
+                if portfolio > 0 then Some (List.init portfolio Fun.id)
+                else None
+              in
+              let r =
+                Certificate.check_exact ~solver:exact_method ~node_budget
+                  ~conflict_budget ?portfolio_seeds bench
+              in
+              (match r.Certificate.winner_seed with
+              | Some seed ->
+                  Format.printf
+                    "portfolio: %d configurations raced, winner seed %d@."
+                    portfolio seed
+              | None -> ());
+              match r.Certificate.exact_agrees with
+              | Some true ->
+                  Format.printf
+                    "exact solver: confirmed (no %d-swap solution exists)@."
+                    (bench.Benchmark.optimal_swaps - 1);
+                  0
+              | Some false ->
+                  Format.printf "exact solver: REFUTED the certificate (bug!)@.";
+                  1
+              | None ->
+                  Format.printf "exact solver: budget exhausted (inconclusive)@.";
+                  0
+            end
+            else 0)
   in
   let doc = "Re-prove the optimality of a generated instance." in
   Cmd.v (Cmd.info "verify" ~doc)

@@ -29,9 +29,9 @@ let () =
   Format.printf "%a@." Benchmark.pp_summary bench;
 
   (* 3. Don't trust the generator — re-prove the optimum. The certificate
-        re-checks the paper's Lemmas 1-3 (VF2 non-embeddability of every
-        section, serialisation in the dependency DAG) and validates the
-        designed schedule. *)
+        re-checks the paper's Lemmas 1-3 on the circuit's gates (the degree
+        pigeonhole for every section, a dependency chain through the
+        special gates) and validates the designed schedule. *)
   Certificate.check_exn bench;
   Format.printf "optimality certificate: OK@.";
 

@@ -3,7 +3,6 @@ type t = {
   circuit_index : int array;          (* position in the full gate sequence *)
   succ : int array;                   (* slots 2v, 2v+1: successors, -1 = none *)
   pred : int array;                   (* slots 2v, 2v+1: predecessors, -1 = none *)
-  memo : (int, Bytes.t) Hashtbl.t;    (* vertex -> descendant bitset *)
 }
 
 (* Put [w] in the first free slot of [v]. A vertex is a two-qubit gate,
@@ -40,7 +39,7 @@ let of_circuit c =
         link !i b;
         incr i
   done;
-  { pairs; circuit_index; succ; pred; memo = Hashtbl.create 16 }
+  { pairs; circuit_index; succ; pred }
 
 let n_gates d = Array.length d.pairs
 let pair d i = d.pairs.(i)
@@ -65,40 +64,6 @@ let front_layer d =
   done;
   !acc
 
-let bit_get bs i = Char.code (Bytes.get bs (i lsr 3)) land (1 lsl (i land 7)) <> 0
-
-let bit_set bs i =
-  Bytes.set bs (i lsr 3)
-    (Char.chr (Char.code (Bytes.get bs (i lsr 3)) lor (1 lsl (i land 7))))
-
-let descendant_bits d i =
-  match Hashtbl.find_opt d.memo i with
-  | Some bs -> bs
-  | None ->
-      let n = n_gates d in
-      let bs = Bytes.make ((n + 7) / 8) '\000' in
-      let stack = Stack.create () in
-      Stack.push i stack;
-      bit_set bs i;
-      while not (Stack.is_empty stack) do
-        let v = Stack.pop stack in
-        for s = 2 * v to (2 * v) + 1 do
-          let w = d.succ.(s) in
-          if w >= 0 && not (bit_get bs w) then begin
-            bit_set bs w;
-            Stack.push w stack
-          end
-        done
-      done;
-      Hashtbl.add d.memo i bs;
-      bs
-
-let reachable d i j = bit_get (descendant_bits d i) j
-
-let descendants d i =
-  let bs = descendant_bits d i in
-  Array.init (n_gates d) (fun j -> bit_get bs j)
-
 let topological_order d =
   let n = n_gates d in
   let indeg = Array.init n (fun i -> in_degree d i) in
@@ -122,6 +87,3 @@ let topological_order d =
   if List.length order <> n then
     invalid_arg "Dag.topological_order: cycle detected (corrupt DAG)";
   order
-
-let serialized d xs ys =
-  List.for_all (fun x -> List.for_all (fun y -> reachable d x y) ys) xs

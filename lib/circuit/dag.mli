@@ -7,8 +7,7 @@
     layout synthesis).
 
     Reachability in this DAG is the paper's [Prev] relation: [g'] is in
-    [Prev(g)] iff there is a path [g' ->* g]. The QUBIKOS optimality
-    certificate checks Lemmas 2 and 3 with {!reachable}.
+    [Prev(g)] iff there is a path [g' ->* g].
 
     Each vertex has at most two successors and two predecessors (one per
     qubit), kept in flat int arrays with two slots per vertex ([2v],
@@ -20,9 +19,7 @@
     arc, not two.
 
     A DAG is immutable once {!of_circuit} returns, so several domains may
-    share it (SABRE's parallel trials do), except for the reachability
-    memo behind {!reachable}, {!descendants} and {!serialized}, which is
-    single-domain. *)
+    share it (SABRE's parallel trials do). *)
 
 type t
 (** A dependency DAG. *)
@@ -58,20 +55,6 @@ val in_degree : t -> int -> int
 val front_layer : t -> int list
 (** Vertices with no predecessors — the initially executable gates. *)
 
-val reachable : t -> int -> int -> bool
-(** [reachable d i j] is [true] iff there is a (possibly empty) path
-    [i ->* j]. Computed on demand with memoised descendant bitsets; cheap
-    to call repeatedly. Writes the memo: single-domain. *)
-
-val descendants : t -> int -> bool array
-(** [descendants d i] marks every vertex reachable from [i] (including
-    [i]). The returned array is fresh. *)
-
 val topological_order : t -> int list
 (** A topological order (program order is always one; this recomputes via
     Kahn's algorithm as a structural sanity check). *)
-
-val serialized : t -> int list -> int list -> bool
-(** [serialized d xs ys] is [true] iff every vertex in [xs] reaches every
-    vertex in [ys] — i.e. the two gate sets must execute serially
-    (Lemma 3). *)

@@ -1,13 +1,7 @@
 type section = {
   index : int;
-  swap : int * int;
-  anchor : int;
-  target : int;
   special_circuit_index : int;
   backbone_circuit_indices : int list;
-  interaction : Qls_graph.Graph.t;
-  mapping_before : Qls_layout.Mapping.t;
-  mapping_after : Qls_layout.Mapping.t;
 }
 
 type t = {

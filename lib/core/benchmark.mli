@@ -11,19 +11,12 @@
 
 type section = {
   index : int;  (** 1-based section number *)
-  swap : int * int;  (** the designed SWAP's physical coupler *)
-  anchor : int;  (** program qubit the section's star is built on *)
-  target : int;  (** program qubit the special gate reaches for *)
   special_circuit_index : int;  (** position of the special gate in the circuit *)
   backbone_circuit_indices : int list;
       (** positions of this section's backbone gates (ascending; the
           special gate is last) *)
-  interaction : Qls_graph.Graph.t;
-      (** the section's interaction graph (backbone gates only) *)
-  mapping_before : Qls_layout.Mapping.t;  (** mapping while the section runs *)
-  mapping_after : Qls_layout.Mapping.t;  (** mapping after the designed SWAP *)
 }
-(** Per-section metadata consumed by {!Certificate}. *)
+(** Where a section sits in the circuit: all {!Certificate} reads of it. *)
 
 type t = {
   device : Qls_arch.Device.t;

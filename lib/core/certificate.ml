@@ -1,107 +1,126 @@
 module Graph = Qls_graph.Graph
-module Vf2 = Qls_graph.Vf2
+module Gate = Qls_circuit.Gate
 module Circuit = Qls_circuit.Circuit
-module Dag = Qls_circuit.Dag
+module Interaction = Qls_circuit.Interaction
 module Device = Qls_arch.Device
 module Verifier = Qls_layout.Verifier
 
 type failure =
-  | Section_embeddable of int
+  | Section_degrees_fit of int
   | Dependency_broken of { section : int; gate : int }
-  | Sections_parallel of { earlier : int; later : int }
+  | Section_count of { sections : int; claimed : int }
   | Designed_invalid of string
   | Wrong_swap_count of { designed : int; claimed : int }
 
 let pp_failure ppf = function
-  | Section_embeddable i ->
+  | Section_degrees_fit i ->
       Format.fprintf ppf
-        "section %d: interaction graph embeds into the device (Lemma 1 fails)" i
+        "section %d: its degree sequence fits under the device's, so Lemma 1 \
+         is not proved"
+        i
   | Dependency_broken { section; gate } ->
       Format.fprintf ppf
         "section %d: gate %d not serialised with its special gates (Lemma 2 fails)"
         section gate
-  | Sections_parallel { earlier; later } ->
+  | Section_count { sections; claimed } ->
       Format.fprintf ppf
-        "sections %d and %d can execute in parallel (Lemma 3 fails)" earlier later
+        "%d sections prove a lower bound of %d SWAPs but %d are claimed"
+        sections sections claimed
   | Designed_invalid msg ->
       Format.fprintf ppf "designed schedule invalid: %s" msg
   | Wrong_swap_count { designed; claimed } ->
       Format.fprintf ppf "designed schedule uses %d swaps but %d are claimed"
         designed claimed
 
-(* Strip isolated vertices from an interaction graph so VF2 only matches
-   the structurally constrained part (isolated program qubits can always
-   be placed). *)
-let edge_bearing_subgraph g =
-  let keep =
-    List.filter (fun v -> Graph.degree g v > 0)
-      (List.init (Graph.n_vertices g) Fun.id)
-  in
-  let sub, _ = Graph.induced g keep in
-  sub
+(* The operands of the two-qubit gate at circuit position [ci]. *)
+let pair_at circuit ci =
+  match
+    if ci >= 0 && ci < Circuit.length circuit then Some (Circuit.gate circuit ci)
+    else None
+  with
+  | Some (Gate.G2 { a; b; _ }) -> (a, b)
+  | Some (Gate.G1 _) | None ->
+      invalid_arg "Certificate: backbone index is not a two-qubit gate"
+
+(* Edge-bearing degrees, descending. *)
+let degrees g =
+  List.init (Graph.n_vertices g) (Graph.degree g)
+  |> List.filter (fun d -> d > 0)
+  |> List.sort (fun a b -> Int.compare b a)
+
+(* Lemma 1 by the degree pigeonhole (paper §III-A). A monomorphism sends
+   the section's vertices to distinct device vertices of at least their
+   degree, so none exists when the section's k-th largest degree exceeds
+   the device's k-th largest, or when the device runs out of vertices. *)
+let rec outranks section device =
+  match (section, device) with
+  | [], _ -> false
+  | _ :: _, [] -> true
+  | d :: ds, d' :: ds' -> d > d' || outranks ds ds'
+
+(* One of Lemma 2's sweeps (paper §III-B), from position [from] to
+   [until] in steps of [step] (1 or -1). The gate at [from] flags its
+   qubits; a two-qubit gate that touches a flagged qubit is reached, flags
+   both of its own and is marked. The marked gates are then exactly the
+   window's gates with a dependency path from [from] (forward) or to it
+   (backward). Flags and marks hold [stamp], so none is ever cleared. *)
+let sweep circuit flags marks ~stamp ~from ~step ~until =
+  let a, b = pair_at circuit from in
+  flags.(a) <- stamp;
+  flags.(b) <- stamp;
+  let ci = ref from in
+  while (until - !ci) * step >= 0 do
+    (match Circuit.gate circuit !ci with
+    | Gate.G2 { a; b; _ } when flags.(a) = stamp || flags.(b) = stamp ->
+        flags.(a) <- stamp;
+        flags.(b) <- stamp;
+        marks.(!ci) <- stamp
+    | Gate.G1 _ | Gate.G2 _ -> ());
+    ci := !ci + step
+  done
 
 let check_structural bench =
   let failures = ref [] in
   let add f = failures := f :: !failures in
-  let device = bench.Benchmark.device in
-  (* Lemma 1: each section's interaction graph must NOT embed. *)
-  List.iter
-    (fun s ->
-      let pattern = edge_bearing_subgraph s.Benchmark.interaction in
-      (* A pattern with more vertices than the device is trivially
-         non-embeddable. *)
-      let embeddable =
-        Graph.n_vertices pattern <= Graph.n_vertices (Device.graph device)
-        && Vf2.exists ~pattern ~target:(Device.graph device) ()
-      in
-      if embeddable then add (Section_embeddable s.Benchmark.index))
-    bench.Benchmark.sections;
-  (* Lemmas 2 and 3 via DAG reachability on the full circuit. *)
-  let dag = Dag.of_circuit bench.Benchmark.circuit in
-  (* Map circuit index -> DAG vertex. *)
-  let vertex_of_ci = Hashtbl.create 64 in
-  for v = 0 to Dag.n_gates dag - 1 do
-    Hashtbl.add vertex_of_ci (Dag.circuit_index dag v) v
-  done;
-  let dagv ci =
-    match Hashtbl.find_opt vertex_of_ci ci with
-    | Some v -> v
-    | None -> invalid_arg "Certificate: backbone index is not a two-qubit gate"
-  in
-  let sections = Array.of_list bench.Benchmark.sections in
-  Array.iteri
+  let circuit = bench.Benchmark.circuit in
+  let device_degrees = degrees (Device.graph bench.Benchmark.device) in
+  let n_gates = Circuit.length circuit and n_qubits = Circuit.n_qubits circuit in
+  let bwd_marks = Array.make n_gates 0 and fwd_marks = Array.make n_gates 0 in
+  let bwd_flags = Array.make n_qubits 0 and fwd_flags = Array.make n_qubits 0 in
+  let prev_special = ref None in
+  List.iteri
     (fun i s ->
-      let special = dagv s.Benchmark.special_circuit_index in
-      let prev_special =
-        if i = 0 then None
-        else Some (dagv sections.(i - 1).Benchmark.special_circuit_index)
+      let stamp = i + 1 and special = s.Benchmark.special_circuit_index in
+      let backbone = s.Benchmark.backbone_circuit_indices in
+      let graph =
+        Interaction.of_pairs ~n_qubits (List.map (pair_at circuit) backbone)
       in
+      if not (outranks (degrees graph) device_degrees) then
+        add (Section_degrees_fit s.Benchmark.index);
+      (* Back from special gate i to special gate i-1 (or the circuit's
+         start), and forward from special gate i-1 to special gate i. *)
+      sweep circuit bwd_flags bwd_marks ~stamp ~from:special ~step:(-1)
+        ~until:(Option.value !prev_special ~default:0);
+      Option.iter
+        (fun prev ->
+          sweep circuit fwd_flags fwd_marks ~stamp ~from:prev ~step:1
+            ~until:special)
+        !prev_special;
+      let first = Option.is_none !prev_special in
       List.iter
         (fun ci ->
-          let v = dagv ci in
-          let after_prev =
-            match prev_special with
-            | None -> true
-            | Some pv -> Dag.reachable dag pv v
-          in
-          let before_special = Dag.reachable dag v special in
-          if not (after_prev && before_special) then
-            add (Dependency_broken { section = s.Benchmark.index; gate = ci }))
-        s.Benchmark.backbone_circuit_indices)
-    sections;
-  (* Lemma 3: full serialisation between consecutive sections. *)
-  Array.iteri
-    (fun i s ->
-      if i + 1 < Array.length sections then begin
-        let next = sections.(i + 1) in
-        let xs = List.map dagv s.Benchmark.backbone_circuit_indices in
-        let ys = List.map dagv next.Benchmark.backbone_circuit_indices in
-        if not (Dag.serialized dag xs ys) then
-          add
-            (Sections_parallel
-               { earlier = s.Benchmark.index; later = next.Benchmark.index })
-      end)
-    sections;
+          if not (bwd_marks.(ci) = stamp && (first || fwd_marks.(ci) = stamp))
+          then add (Dependency_broken { section = s.Benchmark.index; gate = ci }))
+        backbone;
+      prev_special := Some special)
+    bench.Benchmark.sections;
+  (* Each section needs its own SWAP, so the sections bound the optimum
+     from below by their number. *)
+  let n_sections = List.length bench.Benchmark.sections in
+  if n_sections <> bench.Benchmark.optimal_swaps then
+    add
+      (Section_count
+         { sections = n_sections; claimed = bench.Benchmark.optimal_swaps });
   (* Upper bound: the designed schedule. *)
   (match Verifier.check bench.Benchmark.designed with
   | Error vs ->
@@ -118,8 +137,9 @@ let check_structural bench =
              }));
   match List.rev !failures with [] -> Ok () | fs -> Error fs
 
-(* The structural certificate (Lemmas 1–3 + designed-schedule replay) is
-   pure graph work; the span separates it from the exact-solver check. *)
+(* The structural certificate (Lemmas 1–3 + designed-schedule replay)
+   reads the circuit a bounded number of times; the span separates it
+   from the exact-solver check. *)
 let check bench =
   Qls_obs.with_span ~site:"certify" "certify.structural" (fun () ->
       check_structural bench)

@@ -1,36 +1,43 @@
 (** Machine-checkable optimality certificate for QUBIKOS instances.
 
-    The paper (§III-D) proves each instance's optimal SWAP count with four
-    statements; this module re-proves all of them for any given instance,
-    so generator bugs cannot silently ship a benchmark with a wrong
-    "known" optimum:
+    The paper (§III-D) proves each instance's optimal SWAP count from how
+    it is built; this module re-proves it for any given instance, so
+    neither a generator bug nor a forged [.qbk] file can ship a wrong
+    "known" optimum. It reads only the circuit, the device, each
+    section's special and backbone indices and the designed schedule,
+    and reads the circuit a bounded number of times:
 
-    - {b Lemma 1} — each section's interaction graph admits no
-      {!Qls_graph.Vf2} monomorphism into the coupling graph (so the
-      section cannot execute under any single mapping);
-    - {b Lemma 2} — within a section, every backbone gate is reachable
-      from the previous special gate and reaches the section's own special
-      gate in the dependency DAG;
-    - {b Lemma 3} — consecutive sections are fully serialised (every gate
-      of section [i] reaches every gate of section [i+1]);
-    - {b Theorem 4 / upper bound} — the designed schedule passes the
-      {!Qls_layout.Verifier} with exactly [optimal_swaps] SWAPs.
+    - {b Lemma 1} — the degree pigeonhole (§III-A): the graph of the
+      circuit's two-qubit gates at a section's backbone indices has a
+      k-th largest degree above the device's k-th largest for some k, or
+      more edge-bearing vertices than the device has qubits, so the
+      section cannot execute under any single mapping. The test is
+      sufficient, not exact: a section it does not refute fails, embeddable
+      or not. Every generated section passes it by construction;
+    - {b Lemma 2} — a backward sweep from special gate [i] to special
+      gate [i-1] and a forward one from [i-1] to [i], with per-qubit
+      flags: each backbone gate of section [i] has a dependency path from
+      special gate [i-1] and one to special gate [i];
+    - {b Lemma 3} follows from Lemma 2 and is not checked on its own: a
+      gate of section [i] reaches special gate [i], which reaches every
+      gate of section [i+1];
+    - there are exactly [optimal_swaps] sections, and the designed
+      schedule passes the {!Qls_layout.Verifier} with exactly
+      [optimal_swaps] SWAPs (the upper bound).
 
-    Lemmas 1–3 give the lower bound: sections occupy disjoint execution
-    windows, and a window with no SWAP would execute its whole section
-    under one mapping, contradicting Lemma 1. The designed schedule gives
-    the matching upper bound.
-
-    {!check_exact} additionally confirms the lower bound with the
-    independent {!Qls_router.Exact} solver (the paper's §IV-A experiment). *)
+    Lemmas 1–2 give the lower bound: between consecutive special gates
+    the sections run in disjoint windows, and a window with no SWAP would
+    run its whole section under one mapping. {!check_exact} additionally
+    confirms it with an independent exact solver (§IV-A). *)
 
 type failure =
-  | Section_embeddable of int
-      (** Lemma 1 fails: section's interaction graph fits the device *)
+  | Section_degrees_fit of int
+      (** Lemma 1 is not proved: the section's degree sequence fits under
+          the device's *)
   | Dependency_broken of { section : int; gate : int }
       (** Lemma 2 fails for circuit-gate [gate] of [section] *)
-  | Sections_parallel of { earlier : int; later : int }
-      (** Lemma 3 fails between two sections *)
+  | Section_count of { sections : int; claimed : int }
+      (** the number of sections is not the claimed optimum *)
   | Designed_invalid of string
       (** the designed schedule does not verify *)
   | Wrong_swap_count of { designed : int; claimed : int }
@@ -41,7 +48,9 @@ val pp_failure : Format.formatter -> failure -> unit
 
 val check : Benchmark.t -> (unit, failure list) result
 (** Re-prove optimality from scratch. [Ok ()] means the instance's
-    [optimal_swaps] is certified. *)
+    [optimal_swaps] is certified.
+    @raise Invalid_argument if a backbone or special index is out of
+    range or names a single-qubit gate. *)
 
 val check_exn : Benchmark.t -> unit
 (** @raise Failure listing the problems if {!check} fails. *)

@@ -305,8 +305,16 @@ let run_campaign ?tools ?names ?(jobs = 1) ?timeout ?(retries = 0) ?backoff ?sto
   Campaign.run campaign_config ~exec:(campaign_exec ?tools ~device) tasks
 
 let run_figure ?tools ?jobs ~config device =
-  aggregate_campaign ?tools ~config ~device
-    (run_campaign ?tools ?jobs ~config device)
+  let rows = run_campaign ?tools ?jobs ~config device in
+  let failed = Campaign.failures rows in
+  if not (List.is_empty failed) then
+    Printf.ksprintf failwith "run_figure: %d task(s) failed: %s"
+      (List.length failed)
+      (String.concat "; "
+         (List.map
+            (fun (t, e) -> Task.id t ^ ": " ^ Qls_harness.Herror.to_string e)
+            failed));
+  aggregate_campaign ?tools ~config ~device rows
 
 let tool_gap_summary points =
   let tbl = Hashtbl.create 8 in

@@ -147,7 +147,9 @@ val run_figure :
     count, then {!aggregate_campaign}. Instances are shared across tools
     (paired comparison), and every routed result is re-verified.
     Results are bit-identical for a fixed config seed whatever [jobs]
-    is. *)
+    is.
+    @raise Failure naming each failed task and its error: with no
+    retries, timeout or fallback, a failed task is a bug. *)
 
 val tool_gap_summary : tool_point list -> (string * float) list
 (** Mean SWAP ratio per tool across all points — the paper's headline

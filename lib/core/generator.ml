@@ -106,7 +106,6 @@ type raw_section = {
   rs_target : int;
   rs_gates : (int * int) list; (* ordered non-special gates, pre-SWAP *)
   rs_special : int * int;
-  rs_interaction : Graph.t;
   rs_before : Mapping.t;
   rs_after : Mapping.t;
 }
@@ -234,8 +233,6 @@ let build_section rng device mapping ~cap ~prev_special =
     rs_target = target;
     rs_gates = seq;
     rs_special = special;
-    rs_interaction =
-      Graph.create n_prog (PS.elements (PS.add (canon special) edges_all));
     rs_before = mapping;
     rs_after = after;
   }
@@ -437,21 +434,12 @@ let generate ?(config = default_config) device =
   if traced then Qls_obs.stop sp;
   assert (report.Verifier.swap_count = config.n_swaps);
   let meta =
-    List.mapi
-      (fun i s ->
-        let sec = i + 1 in
+    List.init n (fun i ->
         {
-          Benchmark.index = sec;
-          swap = s.rs_swap;
-          anchor = s.rs_anchor;
-          target = s.rs_target;
-          special_circuit_index = section_special.(sec);
-          backbone_circuit_indices = List.rev section_indices.(sec);
-          interaction = s.rs_interaction;
-          mapping_before = s.rs_before;
-          mapping_after = s.rs_after;
+          Benchmark.index = i + 1;
+          special_circuit_index = section_special.(i + 1);
+          backbone_circuit_indices = List.rev section_indices.(i + 1);
         })
-      sections
   in
   {
     Benchmark.device;

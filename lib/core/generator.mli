@@ -28,7 +28,8 @@
 
     The generator asserts the designed schedule validates with exactly [n]
     SWAPs before returning; {!Certificate.check} independently re-proves
-    optimality of any instance. *)
+    optimality of any instance from its circuit, by the same degree
+    pigeonhole and dependency chain. *)
 
 type config = {
   n_swaps : int;  (** number of sections = optimal SWAP count, [>= 1] *)

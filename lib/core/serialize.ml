@@ -1,4 +1,3 @@
-module Graph = Qls_graph.Graph
 module Circuit = Qls_circuit.Circuit
 module Qasm = Qls_circuit.Qasm
 module Device = Qls_arch.Device
@@ -6,13 +5,9 @@ module Topologies = Qls_arch.Topologies
 module Mapping = Qls_layout.Mapping
 module Transpiled = Qls_layout.Transpiled
 
-let version = 1
+let version = 2
 
-let mapping_line name m =
-  let parts =
-    Array.to_list (Mapping.to_array m) |> List.map string_of_int
-  in
-  name ^ " " ^ String.concat " " parts
+let ints xs = String.concat " " (List.map string_of_int xs)
 
 let ops_line ops =
   let token = function
@@ -20,12 +15,6 @@ let ops_line ops =
     | Transpiled.Swap (p, p') -> Printf.sprintf "S%d:%d" p p'
   in
   "ops " ^ String.concat " " (List.map token ops)
-
-let graph_line g =
-  let edges =
-    List.map (fun (u, v) -> Printf.sprintf "%d:%d" u v) (Graph.edges g)
-  in
-  Printf.sprintf "interaction %d %s" (Graph.n_vertices g) (String.concat " " edges)
 
 let to_string bench =
   let device = bench.Benchmark.device in
@@ -45,20 +34,14 @@ let to_string bench =
   line "device %s" (Device.name device);
   line "seed %d" bench.Benchmark.seed;
   line "optimal_swaps %d" bench.Benchmark.optimal_swaps;
-  line "%s" (mapping_line "initial" bench.Benchmark.initial_mapping);
+  line "initial %s"
+    (ints (Array.to_list (Mapping.to_array bench.Benchmark.initial_mapping)));
   line "%s" (ops_line (Transpiled.ops bench.Benchmark.designed));
   List.iter
     (fun s ->
-      let p, p' = s.Benchmark.swap in
-      line "section %d swap %d %d anchor %d target %d special %d"
-        s.Benchmark.index p p' s.Benchmark.anchor s.Benchmark.target
+      line "section %d special %d" s.Benchmark.index
         s.Benchmark.special_circuit_index;
-      line "backbone %s"
-        (String.concat " "
-           (List.map string_of_int s.Benchmark.backbone_circuit_indices));
-      line "%s" (graph_line s.Benchmark.interaction);
-      line "%s" (mapping_line "before" s.Benchmark.mapping_before);
-      line "%s" (mapping_line "after" s.Benchmark.mapping_after))
+      line "backbone %s" (ints s.Benchmark.backbone_circuit_indices))
     bench.Benchmark.sections;
   line "BEGIN QASM";
   Buffer.add_string buf (Qasm.to_string bench.Benchmark.circuit);
@@ -105,7 +88,12 @@ let of_string text =
   let v, ln = expect_fields "QUBIKOS" in
   (match v with
   | [ n ] when parse_int ln n = version -> ()
-  | _ -> fail ln "unsupported format version");
+  | _ ->
+      fail ln
+        (Printf.sprintf
+           "format version %s is not supported (this build reads version \
+            %d); regenerate the instance with `qubikos generate --save`"
+           (String.concat " " v) version));
   let dev_fields, ln = expect_fields "device" in
   let device =
     match dev_fields with
@@ -123,13 +111,11 @@ let of_string text =
     let fields, ln = expect_fields "optimal_swaps" in
     match fields with [ s ] -> parse_int ln s | _ -> fail ln "malformed optimal_swaps"
   in
-  let n_phys = Device.n_qubits device in
-  let read_mapping key =
-    let fields, ln = expect_fields key in
-    Mapping.of_array ~n_physical:n_phys
+  let initial =
+    let fields, ln = expect_fields "initial" in
+    Mapping.of_array ~n_physical:(Device.n_qubits device)
       (Array.of_list (parse_ints ln fields))
   in
-  let initial = read_mapping "initial" in
   let ops =
     let fields, ln = expect_fields "ops" in
     List.map
@@ -152,44 +138,24 @@ let of_string text =
         ignore (next ())
     | Some _ ->
         let fields, ln = expect_fields "section" in
-        let index, swap, anchor, target, special =
+        let index, special =
           match fields with
-          | [ i; "swap"; p; p'; "anchor"; a; "target"; t; "special"; ci ] ->
-              ( parse_int ln i,
-                (parse_int ln p, parse_int ln p'),
-                parse_int ln a,
-                parse_int ln t,
-                parse_int ln ci )
+          | [ i; "special"; ci ] -> (parse_int ln i, parse_int ln ci)
           | _ -> fail ln "malformed section record"
         in
         let backbone, ln = expect_fields "backbone" in
-        let backbone = parse_ints ln backbone in
-        let inter_fields, ln = expect_fields "interaction" in
-        let interaction =
-          match inter_fields with
-          | n :: edges ->
-              Graph.create (parse_int ln n) (List.map (parse_pair ln) edges)
-          | [] -> fail ln "malformed interaction record"
-        in
-        let mapping_before = read_mapping "before" in
-        let mapping_after = read_mapping "after" in
         sections :=
           {
             Benchmark.index;
-            swap;
-            anchor;
-            target;
             special_circuit_index = special;
-            backbone_circuit_indices = backbone;
-            interaction;
-            mapping_before;
-            mapping_after;
+            backbone_circuit_indices = parse_ints ln backbone;
           }
           :: !sections;
         read_sections ()
     | None -> failwith "Serialize: missing QASM block"
   in
   read_sections ();
+  let qasm_start = !pos in
   (* QASM until END QASM *)
   let qasm = Buffer.create 1024 in
   let rec read_qasm () =
@@ -201,7 +167,11 @@ let of_string text =
     end
   in
   read_qasm ();
-  let circuit = Qasm.of_string (Buffer.contents qasm) in
+  let circuit =
+    match Qasm.of_string_result (Buffer.contents qasm) with
+    | Ok c -> c
+    | Error e -> fail (qasm_start + e.Qasm.line) e.Qasm.message
+  in
   let designed = Transpiled.create ~source:circuit ~device ~initial ops in
   {
     Benchmark.device;

@@ -9,7 +9,11 @@
     The format is a line-oriented plain-text format (versioned header,
     one record per line); circuits embed their OpenQASM 2 form, so the
     circuit part remains readable by any quantum toolchain. Devices are
-    stored by registry name ({!Qls_arch.Topologies.by_name}). *)
+    stored by registry name ({!Qls_arch.Topologies.by_name}). In version
+    2, a section is [section <i> special <ci>] plus [backbone <ci> ...]:
+    positions in the circuit, nothing the certificate could trust instead
+    of the gates (version 1 also stored copies of the section's graph,
+    SWAP and mappings, and is rejected). *)
 
 val to_string : Benchmark.t -> string
 (** Serialise an instance.
@@ -18,8 +22,9 @@ val to_string : Benchmark.t -> string
 
 val of_string : string -> Benchmark.t
 (** Parse an instance.
-    @raise Failure with a line-numbered message on malformed input, an
-    unsupported version, or an unknown device name. *)
+    @raise Failure with a line-numbered message on malformed input
+    (QASM included), an unknown device name, or a version other than 2
+    (naming both and the remedy, [qubikos generate --save]). *)
 
 val save : string -> Benchmark.t -> unit
 (** [save path bench] writes {!to_string} to [path]. *)

@@ -198,17 +198,6 @@ let dag_tests =
         let d = Dag.of_circuit c in
         Alcotest.(check (list int)) "single arc" [ 1 ] (Dag.successors d 0);
         check_int "indegree" 1 (Dag.in_degree d 1));
-    test_case "reachable is reflexive and transitive" (fun () ->
-        let d = Dag.of_circuit (fig1_circuit ()) in
-        check_bool "self" true (Dag.reachable d 1 1);
-        check_bool "0 -> 2" true (Dag.reachable d 0 2);
-        check_bool "2 -> 0" false (Dag.reachable d 2 0));
-    test_case "descendants" (fun () ->
-        let d = Dag.of_circuit (fig1_circuit ()) in
-        Alcotest.(check (array bool)) "from g3" [| true; true; true |]
-          (Dag.descendants d 0);
-        Alcotest.(check (array bool)) "from g5" [| false; false; true |]
-          (Dag.descendants d 2));
     test_case "topological order is a permutation respecting edges" (fun () ->
         let rng = Rng.create 3 in
         let c = Random_circuit.uniform rng ~n_qubits:6 ~n_two_qubit:40 ~single_ratio:0.5 in
@@ -222,10 +211,6 @@ let dag_tests =
             (fun w -> check_bool "edge order" true (pos.(v) < pos.(w)))
             (Dag.successors d v)
         done);
-    test_case "serialized" (fun () ->
-        let d = Dag.of_circuit (fig1_circuit ()) in
-        check_bool "0 before 2" true (Dag.serialized d [ 0 ] [ 2 ]);
-        check_bool "not 2 before 0" false (Dag.serialized d [ 2 ] [ 0 ]));
   ]
 
 let circuit_arb =

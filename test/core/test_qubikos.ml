@@ -14,6 +14,7 @@ module Sabre = Qls_router.Sabre
 module Exact = Qls_router.Exact
 module Graph = Qls_graph.Graph
 module Vf2 = Qls_graph.Vf2
+module Dag = Qls_circuit.Dag
 module Benchmark = Qubikos.Benchmark
 module Generator = Qubikos.Generator
 module Certificate = Qubikos.Certificate
@@ -36,6 +37,43 @@ let gen ?(device = Topologies.grid 3 3) ?(n_swaps = 2) ?(gate_budget = 0)
         seed;
       }
     device
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s
+    && (String.equal (String.sub s i n) sub || go (i + 1))
+  in
+  go 0
+
+(* The graph of a section's backbone gates, read off the circuit, with
+   isolated vertices stripped so VF2 matches only the constrained part. *)
+let backbone_pattern b s =
+  let c = b.Benchmark.circuit in
+  let g =
+    Interaction.of_pairs ~n_qubits:(Circuit.n_qubits c)
+      (List.map
+         (fun ci -> Gate.pair (Circuit.gate c ci))
+         s.Benchmark.backbone_circuit_indices)
+  in
+  let keep =
+    List.filter (fun v -> Graph.degree g v > 0)
+      (List.init (Graph.n_vertices g) Fun.id)
+  in
+  fst (Graph.induced g keep)
+
+let degrees_fit = function
+  | Certificate.Section_degrees_fit _ -> true
+  | _ -> false
+
+let broken_gates = function
+  | Ok () -> []
+  | Error fs ->
+      List.filter_map
+        (function
+          | Certificate.Dependency_broken { section; gate } -> Some (section, gate)
+          | _ -> None)
+        fs
 
 (* ------------------------------------------------------------------ *)
 (* Generator                                                           *)
@@ -107,14 +145,9 @@ let generator_tests =
         let b = gen ~device:(Topologies.aspen4 ()) ~n_swaps:3 ~seed:13 () in
         List.iter
           (fun s ->
-            let keep =
-              List.filter
-                (fun v -> Graph.degree s.Benchmark.interaction v > 0)
-                (List.init (Graph.n_vertices s.Benchmark.interaction) Fun.id)
-            in
-            let pattern, _ = Graph.induced s.Benchmark.interaction keep in
             check_bool "not embeddable" false
-              (Vf2.exists ~pattern ~target:(Device.graph b.Benchmark.device) ()))
+              (Vf2.exists ~pattern:(backbone_pattern b s)
+                 ~target:(Device.graph b.Benchmark.device) ()))
           b.Benchmark.sections);
     test_case "works on every paper device" (fun () ->
         List.iter
@@ -129,16 +162,34 @@ let generator_tests =
 
 let generator_props =
   [
-    QCheck.Test.make ~name:"random instances pass the full certificate" ~count:30
-      QCheck.(pair (int_range 1 4) (int_range 0 10_000))
-      (fun (n_swaps, seed) ->
+    (* Completeness: the pigeonhole refutes every section the generator
+       builds, and the sweeps chain it through its special gates. *)
+    QCheck.Test.make ~name:"random instances pass the full certificate" ~count:60
+      QCheck.(quad (int_range 0 9) (int_range 1 4) bool (int_range 0 10_000))
+      (fun (shape, n_swaps, capped, seed) ->
         let device =
-          match seed mod 3 with
+          match shape with
           | 0 -> Topologies.grid 3 3
-          | 1 -> Topologies.aspen4 ()
-          | _ -> Topologies.ring 8
+          | 1 -> Topologies.line 6
+          | 2 -> Topologies.ring 8
+          | 3 -> Topologies.aspen4 ()
+          | 4 -> Topologies.sycamore54 ()
+          | 5 -> Topologies.rochester ()
+          | 6 -> Topologies.eagle127 ()
+          | 7 -> Topologies.heavy_hex ~distance:3
+          | 8 -> Topologies.falcon27 ()
+          | _ ->
+              Device.create ~name:"random"
+                (Qls_graph.Generators.random_connected
+                   (Qls_graph.Rng.create seed) ~n:(5 + (seed mod 8))
+                   ~extra_edges:(seed mod 5))
         in
-        let b = gen ~device ~n_swaps ~gate_budget:(20 * n_swaps) ~seed () in
+        let b =
+          gen ~device ~n_swaps ~gate_budget:(20 * n_swaps)
+            ~single_qubit_ratio:0.3
+            ~saturation_cap:(if capped then 1 else max_int)
+            ~seed ()
+        in
         Result.is_ok (Certificate.check b));
     QCheck.Test.make ~name:"fillers never reduce the designed swap count"
       ~count:20
@@ -182,24 +233,84 @@ let certificate_tests =
                  (function Certificate.Wrong_swap_count _ -> true | _ -> false)
                  fs));
     test_case "detects an embeddable section graph" (fun () ->
+        (* Cut the section to its special gate: one edge embeds anywhere. *)
         let b = gen ~n_swaps:1 () in
         let tampered_sections =
           List.map
             (fun s ->
               {
                 s with
-                Benchmark.interaction =
-                  Qls_graph.Generators.path (Device.n_qubits b.Benchmark.device);
+                Benchmark.backbone_circuit_indices =
+                  [ s.Benchmark.special_circuit_index ];
               })
             b.Benchmark.sections
         in
         match Certificate.check { b with Benchmark.sections = tampered_sections } with
         | Ok () -> Alcotest.fail "expected failure"
-        | Error fs ->
-            check_bool "embeddable" true
-              (List.exists
-                 (function Certificate.Section_embeddable _ -> true | _ -> false)
-                 fs));
+        | Error fs -> check_bool "degrees fit" true (List.exists degrees_fit fs));
+    test_case "refutes a forged instance from its circuit (Lemma 1)" (fun () ->
+        (* One cx on line 3 claims an optimum of 1; the true optimum is 0.
+           The designed schedule and the dependency chain are valid, so
+           only reading the section's graph off the circuit refutes it. *)
+        let device = Topologies.line 3 in
+        let circuit = Circuit.create ~n_qubits:3 [ Gate.cx 0 1 ] in
+        let initial = Mapping.identity ~n_program:3 ~n_physical:3 in
+        let forged =
+          {
+            Benchmark.device;
+            circuit;
+            optimal_swaps = 1;
+            initial_mapping = initial;
+            designed =
+              Transpiled.create ~source:circuit ~device ~initial
+                [ Transpiled.Gate 0; Transpiled.Swap (1, 2) ];
+            sections =
+              [
+                {
+                  Benchmark.index = 1;
+                  special_circuit_index = 0;
+                  backbone_circuit_indices = [ 0 ];
+                };
+              ];
+            seed = 0;
+          }
+        in
+        check_bool "exactly Lemma 1" true
+          (Certificate.check forged = Error [ Certificate.Section_degrees_fit 1 ]));
+    test_case "detects a missing section" (fun () ->
+        (* Two SWAPs claimed and designed, but one section proves only one. *)
+        let b = gen ~n_swaps:2 () in
+        let first = List.hd b.Benchmark.sections in
+        check_bool "section count" true
+          (Certificate.check { b with Benchmark.sections = [ first ] }
+          = Error [ Certificate.Section_count { sections = 1; claimed = 2 } ]));
+    test_case "rejects an index that names no two-qubit gate" (fun () ->
+        let b = gen ~n_swaps:1 ~gate_budget:20 ~single_qubit_ratio:0.5 () in
+        let c = b.Benchmark.circuit in
+        let one_qubit =
+          List.find
+            (fun ci -> not (Gate.is_two_qubit (Circuit.gate c ci)))
+            (List.init (Circuit.length c) Fun.id)
+        in
+        List.iter
+          (fun ci ->
+            let sections =
+              List.map
+                (fun s ->
+                  {
+                    s with
+                    Benchmark.backbone_circuit_indices =
+                      ci :: s.Benchmark.backbone_circuit_indices;
+                  })
+                b.Benchmark.sections
+            in
+            check_bool "invalid_arg" true
+              (match Certificate.check { b with Benchmark.sections } with
+              | _ -> false
+              | exception Invalid_argument msg ->
+                  String.equal msg
+                    "Certificate: backbone index is not a two-qubit gate"))
+          [ one_qubit; -1; Circuit.length c ]);
     test_case "detects a broken designed schedule" (fun () ->
         let b = gen ~n_swaps:1 () in
         let designed =
@@ -221,30 +332,23 @@ let certificate_tests =
                    | _ -> false)
                  fs));
     test_case "detects broken section serialisation" (fun () ->
-        (* Hand-build a fake 2-section benchmark whose sections are fully
-           parallel: two disjoint adjacent pairs. *)
-        let device = Topologies.line 4 in
+        (* Two sections that each pass Lemma 1 (a degree-3 star on a line)
+           but touch disjoint qubits, so nothing orders section 2 after
+           special gate 1. *)
+        let device = Topologies.line 8 in
         let circuit =
-          Circuit.create ~n_qubits:4 [ Gate.cx 0 1; Gate.cx 2 3 ]
+          Circuit.create ~n_qubits:8
+            [
+              Gate.cx 0 1; Gate.cx 0 2; Gate.cx 0 3;
+              Gate.cx 4 5; Gate.cx 4 6; Gate.cx 4 7;
+            ]
         in
-        let initial = Mapping.identity ~n_program:4 ~n_physical:4 in
-        let designed =
-          Transpiled.create ~source:circuit ~device ~initial
-            [ Transpiled.Gate 0; Transpiled.Swap (0, 1); Transpiled.Gate 1;
-              Transpiled.Swap (2, 3) ]
-        in
-        let star5 = Qls_graph.Generators.star 5 in
-        let section index special_ci swap =
+        let initial = Mapping.identity ~n_program:8 ~n_physical:8 in
+        let section index backbone_circuit_indices =
           {
             Benchmark.index;
-            swap;
-            anchor = 0;
-            target = 3;
-            special_circuit_index = special_ci;
-            backbone_circuit_indices = [ special_ci ];
-            interaction = star5;
-            mapping_before = initial;
-            mapping_after = Mapping.swap_physical initial (fst swap) (snd swap);
+            special_circuit_index = List.nth backbone_circuit_indices 2;
+            backbone_circuit_indices;
           }
         in
         let fake =
@@ -253,21 +357,18 @@ let certificate_tests =
             circuit;
             optimal_swaps = 2;
             initial_mapping = initial;
-            designed;
-            sections = [ section 1 0 (0, 1); section 2 1 (2, 3) ];
+            designed = Transpiled.create ~source:circuit ~device ~initial [];
+            sections = [ section 1 [ 0; 1; 2 ]; section 2 [ 3; 4; 5 ] ];
             seed = 0;
           }
         in
-        match Certificate.check fake with
-        | Ok () -> Alcotest.fail "expected failure"
-        | Error fs ->
-            check_bool "parallel sections caught" true
-              (List.exists
-                 (function
-                   | Certificate.Sections_parallel _ | Certificate.Dependency_broken _ ->
-                       true
-                   | _ -> false)
-                 fs));
+        let r = Certificate.check fake in
+        Alcotest.(check (list (pair int int)))
+          "section 2 is not after special gate 1"
+          [ (2, 3); (2, 4); (2, 5) ]
+          (broken_gates r);
+        check_bool "Lemma 1 holds" false
+          (match r with Ok () -> false | Error fs -> List.exists degrees_fit fs));
     test_case "check_exact confirms small instances" (fun () ->
         let b = gen ~n_swaps:2 ~saturation_cap:1 ~seed:4 () in
         let r = Certificate.check_exact b in
@@ -304,12 +405,150 @@ let certificate_tests =
             check_bool "non-empty" true
               (String.length (Format.asprintf "%a" Certificate.pp_failure f) > 0))
           [
-            Certificate.Section_embeddable 1;
+            Certificate.Section_degrees_fit 1;
             Certificate.Dependency_broken { section = 1; gate = 2 };
-            Certificate.Sections_parallel { earlier = 1; later = 2 };
+            Certificate.Section_count { sections = 1; claimed = 2 };
             Certificate.Designed_invalid "x";
             Certificate.Wrong_swap_count { designed = 1; claimed = 2 };
           ]);
+  ]
+
+(* Test-local oracle for Lemma 2: the (section, gate) pairs of backbone
+   gates without a DAG path from the previous special gate or to their
+   own, by BFS over [Dag.successors] and [Dag.predecessors]. *)
+let dag_broken b =
+  let dag = Dag.of_circuit b.Benchmark.circuit in
+  let vertex = Hashtbl.create 64 in
+  for v = 0 to Dag.n_gates dag - 1 do
+    Hashtbl.replace vertex (Dag.circuit_index dag v) v
+  done;
+  let reach next ci =
+    let seen = Array.make (Dag.n_gates dag) false in
+    let queue = Queue.create () in
+    Queue.add (Hashtbl.find vertex ci) queue;
+    while not (Queue.is_empty queue) do
+      let v = Queue.pop queue in
+      if not seen.(v) then begin
+        seen.(v) <- true;
+        List.iter (fun w -> Queue.add w queue) (next dag v)
+      end
+    done;
+    fun ci -> seen.(Hashtbl.find vertex ci)
+  in
+  let _, broken =
+    List.fold_left
+      (fun (prev, acc) s ->
+        let to_special = reach Dag.predecessors s.Benchmark.special_circuit_index in
+        let from_prev =
+          match prev with
+          | None -> fun _ -> true
+          | Some p -> reach Dag.successors p
+        in
+        ( Some s.Benchmark.special_circuit_index,
+          List.rev_append
+            (List.filter_map
+               (fun ci ->
+                 if to_special ci && from_prev ci then None
+                 else Some (s.Benchmark.index, ci))
+               s.Benchmark.backbone_circuit_indices)
+            acc ))
+      (None, []) b.Benchmark.sections
+  in
+  List.rev broken
+
+let certificate_props =
+  [
+    (* Soundness: the pigeonhole only refutes sections VF2 cannot embed. *)
+    QCheck.Test.make ~name:"a section the pigeonhole refutes has no VF2 embedding"
+      ~count:300
+      QCheck.(triple (int_range 0 3) (int_range 2 9) (int_range 0 100_000))
+      (fun (shape, n, seed) ->
+        let device =
+          match shape with
+          | 0 -> Topologies.grid 3 3
+          | 1 -> Topologies.line 6
+          | 2 -> Topologies.ring 8
+          | _ -> Topologies.aspen4 ()
+        in
+        let n = min n (Device.n_qubits device) in
+        let rng = Qls_graph.Rng.create seed in
+        let p = 0.2 +. (0.1 *. float_of_int (seed mod 5)) in
+        let g = Qls_graph.Generators.gnp rng ~n ~p in
+        let gates = List.map (fun (u, v) -> Gate.cx u v) (Graph.edges g) in
+        let m = List.length gates in
+        QCheck.assume (m > 0);
+        let n_phys = Device.n_qubits device in
+        let circuit = Circuit.create ~n_qubits:n_phys gates in
+        let initial = Mapping.identity ~n_program:n_phys ~n_physical:n_phys in
+        let section =
+          {
+            Benchmark.index = 1;
+            special_circuit_index = m - 1;
+            backbone_circuit_indices = List.init m Fun.id;
+          }
+        in
+        let bench =
+          {
+            Benchmark.device;
+            circuit;
+            optimal_swaps = 1;
+            initial_mapping = initial;
+            designed = Transpiled.create ~source:circuit ~device ~initial [];
+            sections = [ section ];
+            seed;
+          }
+        in
+        let refuted =
+          match Certificate.check bench with
+          | Ok () -> true
+          | Error fs -> not (List.exists degrees_fit fs)
+        in
+        (not refuted)
+        || not
+             (Vf2.exists ~pattern:(backbone_pattern bench section)
+                ~target:(Device.graph device) ()));
+    (* Lemma 2's sweeps against DAG reachability, after pointing one
+       backbone index at a random two-qubit gate. *)
+    QCheck.Test.make ~name:"Lemma 2's sweeps agree with DAG reachability"
+      ~count:80
+      QCheck.(
+        quad (int_range 1 3) (int_range 0 10_000) (int_range 0 999)
+          (int_range 0 9_999))
+      (fun (n_swaps, seed, slot, target) ->
+        let device =
+          match seed mod 3 with
+          | 0 -> Topologies.grid 3 3
+          | 1 -> Topologies.aspen4 ()
+          | _ -> Topologies.ring 8
+        in
+        let b =
+          gen ~device ~n_swaps ~gate_budget:(20 * n_swaps)
+            ~single_qubit_ratio:0.3 ~seed ()
+        in
+        let c = b.Benchmark.circuit in
+        let two_qubit =
+          List.filter
+            (fun ci -> Gate.is_two_qubit (Circuit.gate c ci))
+            (List.init (Circuit.length c) Fun.id)
+        in
+        let replacement = List.nth two_qubit (target mod List.length two_qubit) in
+        let section = slot mod n_swaps in
+        let sections =
+          List.mapi
+            (fun i s ->
+              if i <> section then s
+              else
+                let bb = s.Benchmark.backbone_circuit_indices in
+                let j = slot mod List.length bb in
+                {
+                  s with
+                  Benchmark.backbone_circuit_indices =
+                    List.mapi (fun k ci -> if k = j then replacement else ci) bb;
+                })
+            b.Benchmark.sections
+        in
+        let b' = { b with Benchmark.sections } in
+        broken_gates (Certificate.check b') = dag_broken b');
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -401,14 +640,9 @@ let queko_tests =
         let b = gen ~device:(Topologies.aspen4 ()) ~n_swaps:2 ~seed:2 () in
         match b.Benchmark.sections with
         | [ s1; _ ] ->
-            let keep =
-              List.filter
-                (fun v -> Graph.degree s1.Benchmark.interaction v > 0)
-                (List.init (Graph.n_vertices s1.Benchmark.interaction) Fun.id)
-            in
-            let pattern, _ = Graph.induced s1.Benchmark.interaction keep in
             check_bool "section 1 not embeddable" false
-              (Vf2.exists ~pattern ~target:(Device.graph b.Benchmark.device) ())
+              (Vf2.exists ~pattern:(backbone_pattern b s1)
+                 ~target:(Device.graph b.Benchmark.device) ())
         | _ -> Alcotest.fail "expected two sections");
   ]
 
@@ -546,6 +780,35 @@ let evaluation_tests =
         let sequential = run 1 in
         check_int "four tools, two counts" 8 (List.length sequential);
         check_bool "identical" true (sequential = run 2));
+    test_case "run_figure raises when a route fails verification" (fun () ->
+        (* A tool named like a registered one that executes every gate in
+           place: no QUBIKOS instance routes without a SWAP, so each of its
+           results fails verification. *)
+        let device = Topologies.grid 3 3 in
+        let in_place =
+          {
+            Router.name = "sabre";
+            route =
+              (fun ?initial:_ device circuit ->
+                let n = Device.n_qubits device in
+                Transpiled.create ~source:circuit ~device
+                  ~initial:(Mapping.identity ~n_program:n ~n_physical:n)
+                  (List.init (Circuit.length circuit) (fun i -> Transpiled.Gate i)));
+          }
+        in
+        let config =
+          {
+            (Evaluation.default_figure_config device) with
+            swap_counts = [ 1 ];
+            circuits_per_point = 2;
+            gate_budget = 20;
+          }
+        in
+        match Evaluation.run_figure ~tools:[ in_place ] ~config device with
+        | _ -> Alcotest.fail "failed routes were aggregated"
+        | exception Failure msg ->
+            check_bool "names both failed tasks" true
+              (contains msg "2 task(s) failed"));
     test_case "default_fallback chains through registered tools to sabre"
       (fun () ->
         List.iter
@@ -608,16 +871,34 @@ let serialize_tests =
              ignore (Qubikos.Serialize.of_string "QUBIKOS 99\n");
              false
            with Failure _ -> true);
+        (match Qubikos.Serialize.of_string "QUBIKOS 1\ndevice grid3x3\n" with
+        | _ -> Alcotest.fail "version 1 accepted"
+        | exception Failure msg ->
+            check_bool "names both versions and the remedy" true
+              (contains msg "version 1" && contains msg "version 2"
+              && contains msg "generate --save"));
         check_bool "bad device" true
           (try
-             ignore (Qubikos.Serialize.of_string "QUBIKOS 1\ndevice nope\n");
+             ignore (Qubikos.Serialize.of_string "QUBIKOS 2\ndevice nope\n");
              false
            with Failure _ -> true);
         check_bool "garbage" true
           (try
              ignore (Qubikos.Serialize.of_string "hello world\n");
              false
-           with Failure _ -> true));
+           with Failure _ -> true);
+        let repeated_operand l =
+          if String.starts_with ~prefix:"cx " l then "cx q[0],q[0];" else l
+        in
+        let bad_qasm =
+          String.split_on_char '\n' (Qubikos.Serialize.to_string (gen ()))
+          |> List.map repeated_operand |> String.concat "\n"
+        in
+        match Qubikos.Serialize.of_string bad_qasm with
+        | _ -> Alcotest.fail "malformed QASM accepted"
+        | exception Failure msg ->
+            check_bool "QASM errors carry the file's line" true
+              (contains msg "Serialize: line "));
     test_case "tampered claims are caught by the certificate after reload"
       (fun () ->
         let b = gen ~device:(Topologies.grid 3 3) ~n_swaps:2 ~gate_budget:30 ~seed:8 () in
@@ -631,6 +912,29 @@ let serialize_tests =
         let b' = Qubikos.Serialize.of_string (Buffer.contents buf) in
         check_bool "certificate rejects" true
           (Result.is_error (Certificate.check b')));
+    test_case "a cut backbone line is refuted after reload" (fun () ->
+        (* Cut section 1 to its special gate, the last index on its line:
+           the file's metadata stays well formed, but the section's graph,
+           read off the circuit, is now one edge. *)
+        let b = gen ~device:(Topologies.grid 3 3) ~n_swaps:2 ~gate_budget:30 ~seed:8 () in
+        let cut = ref false in
+        let lines =
+          List.map
+            (fun l ->
+              match String.split_on_char ' ' l with
+              | "backbone" :: (_ :: _ as indices) when not !cut ->
+                  cut := true;
+                  "backbone " ^ List.nth indices (List.length indices - 1)
+              | _ -> l)
+            (String.split_on_char '\n' (Qubikos.Serialize.to_string b))
+        in
+        check_bool "cut" true !cut;
+        let b' = Qubikos.Serialize.of_string (String.concat "\n" lines) in
+        match Certificate.check b' with
+        | Ok () -> Alcotest.fail "a cut section still certifies"
+        | Error fs ->
+            check_bool "section 1's degrees fit" true
+              (List.mem (Certificate.Section_degrees_fit 1) fs));
   ]
 
 (* A routed count below the certified optimum is an alarm, raised as a
@@ -671,6 +975,8 @@ let () =
       ("generator", generator_tests);
       ("generator-properties", List.map QCheck_alcotest.to_alcotest generator_props);
       ("certificate", certificate_tests);
+      ( "certificate-properties",
+        List.map QCheck_alcotest.to_alcotest certificate_props );
       ("queko", queko_tests);
       ("evaluation", evaluation_tests);
       ("serialize", serialize_tests);
