@@ -122,25 +122,9 @@ let run_optimality_study () =
         rows)
       [ Topologies.aspen4 (); Topologies.grid 3 3 ]
   in
-  (* An instance that fails its certificate, or that the exact solver
-     refutes, is a bug in the generator or the certificate. *)
-  let refuted r =
-    r.Evaluation.o_circuits - r.Evaluation.o_exact_confirmed
-    - r.Evaluation.o_exact_unknown
-  in
-  let bad =
-    List.filter
-      (fun r -> r.Evaluation.o_certified < r.Evaluation.o_circuits || refuted r > 0)
-      rows
-  in
-  List.iter
-    (fun r ->
-      Printf.eprintf
-        "E1: %s, %d swaps: %d of %d certified, %d refuted by the exact solver\n"
-        r.Evaluation.o_device r.Evaluation.o_swaps r.Evaluation.o_certified
-        r.Evaluation.o_circuits (refuted r))
-    bad;
-  List.is_empty bad
+  let failures = List.filter_map Evaluation.optimality_failure rows in
+  List.iter (Printf.eprintf "E1: %s\n") failures;
+  List.is_empty failures
 
 (* ------------------------------------------------------------------ *)
 (* E2a-E2d: Fig. 4 panels + E3 headline summary                        *)

@@ -6,26 +6,23 @@
    the OLSQ k-walk twice and counts CDCL conflicts via the
    ["sat.conflicts"] obs counter:
 
-   - fresh:       [Olsq.minimum_swaps ~mode:`Fresh] — re-encode and
-                  re-solve every bound from scratch (the historical
-                  behaviour, kept as the baseline);
-   - incremental: [~mode:`Incremental] — one encoding at the maximum
+   - fresh:       [Olsq.check] at k = 0, 1, ... — re-encode and
+                  re-solve every bound from scratch (the baseline);
+   - incremental: [Olsq.minimum_swaps] — one encoding at the maximum
                   bound, each k decided under assumptions, learned
                   clauses carried across bounds.
 
    Conflict counts are bit-deterministic (no timing feedback anywhere in
    the solver), so they regression-gate exactly like the router bench's
-   structural counters. Wall-clock times and the portfolio-race numbers
-   (winner seed, workers cancelled) are recorded for the record but
-   never gated — which configuration wins a race depends on machine
-   timing.
+   structural counters. Wall-clock times are recorded for the record but
+   never gated.
 
    A run writes BENCH_sat.fresh.json; [--full --update] regenerates
    the committed BENCH_sat.json.
 
    [--check BASELINE] enforces, on the fresh run:
-   - correctness: every walk (fresh, incremental, raced) returns the
-     instance's designed optimum — QUBIKOS knows the answer;
+   - correctness: both walks return the instance's designed optimum —
+     QUBIKOS knows the answer;
    - the headline gate: total fresh conflicts >= 2x total incremental
      conflicts across the suite;
    - no per-instance regression: neither the fresh nor the incremental
@@ -60,10 +57,6 @@ type entry = {
   incr_solves : int;
   fresh_ms : float;
   incr_ms : float;
-  race_ms : float;
-  winner_seed : int;
-  raced : int;
-  cancelled : int;
 }
 
 let device_of = function
@@ -113,18 +106,32 @@ let timed_ms f =
   let r, seconds = Kit.timed f in
   (r, seconds *. 1e3)
 
-(* Walk the bound in [mode], returning (optimum, conflict delta, ms).
-   Conflict counting by obs-counter delta works for both modes because
-   every [Solver.solve] call adds its per-call conflicts on return. *)
-let measure_walk ~mode ~max_swaps device circuit =
+(* Run a walk, returning (its optimum, conflict delta, ms). Conflict
+   counting by obs-counter delta works for both walks because every
+   [Solver.solve] call adds its per-call conflicts on return. *)
+let measure_walk walk =
   let c0 = Qls_obs.counter_value conflicts_counter in
-  let r, ms =
-    timed_ms (fun () -> Olsq.minimum_swaps ~max_swaps ~mode device circuit)
+  let swaps, ms = timed_ms walk in
+  (swaps, Qls_obs.counter_value conflicts_counter - c0, ms)
+
+let exhausted () = failwith "sat_bench: walk exhausted its budget"
+
+(* The fresh baseline: a new encoding and solver for each bound. *)
+let fresh_walk ~max_swaps device circuit () =
+  let rec walk k =
+    if k > max_swaps then exhausted ()
+    else
+      match Olsq.check ~swaps:k device circuit with
+      | Olsq.Feasible witness -> Qls_layout.Transpiled.swap_count witness
+      | Olsq.Infeasible -> walk (k + 1)
+      | Olsq.Unknown -> exhausted ()
   in
-  let conflicts = Qls_obs.counter_value conflicts_counter - c0 in
-  match r with
-  | Olsq.Optimal { swaps; _ } -> (swaps, conflicts, ms)
-  | Olsq.Unknown_above _ -> failwith "sat_bench: walk exhausted its budget"
+  walk 0
+
+let incremental_walk ~max_swaps device circuit () =
+  match Olsq.minimum_swaps ~max_swaps device circuit with
+  | Olsq.Optimal { swaps; _ } -> swaps
+  | Olsq.Unknown_above _ -> exhausted ()
 
 let measure s =
   let device = device_of s.dev in
@@ -142,13 +149,13 @@ let measure s =
   let max_swaps = b.Benchmark.optimal_swaps + 1 in
   let fail fmt = Printf.ksprintf failwith fmt in
   let fresh_opt, fresh_conflicts, fresh_ms =
-    measure_walk ~mode:`Fresh ~max_swaps device circuit
+    measure_walk (fresh_walk ~max_swaps device circuit)
   in
   (* One throwaway session to read the solve count; the timed
      incremental walk below builds its own. *)
   let sess = Olsq.Incremental.create ~max_swaps device circuit in
   let incr_opt, incr_conflicts, incr_ms =
-    measure_walk ~mode:`Incremental ~max_swaps device circuit
+    measure_walk (incremental_walk ~max_swaps device circuit)
   in
   let incr_solves =
     let rec walk k =
@@ -159,14 +166,6 @@ let measure s =
     in
     walk 0
   in
-  let race, race_ms =
-    timed_ms (fun () -> Olsq.race_minimum_swaps ~max_swaps device circuit)
-  in
-  let race_opt =
-    match race.Olsq.value with
-    | Olsq.Optimal { swaps; _ } -> swaps
-    | Olsq.Unknown_above _ -> fail "sat_bench: raced walk exhausted its budget"
-  in
   let designed = b.Benchmark.optimal_swaps in
   if fresh_opt <> designed then
     fail "%s/s%d: fresh walk found %d SWAPs, designed optimum is %d" s.dev
@@ -174,9 +173,6 @@ let measure s =
   if incr_opt <> designed then
     fail "%s/s%d: incremental walk found %d SWAPs, designed optimum is %d"
       s.dev s.s_seed incr_opt designed;
-  if race_opt <> designed then
-    fail "%s/s%d: raced walk found %d SWAPs, designed optimum is %d" s.dev
-      s.s_seed race_opt designed;
   {
     device = Device.name device;
     n_swaps = s.s_n_swaps;
@@ -189,10 +185,6 @@ let measure s =
     incr_solves;
     fresh_ms;
     incr_ms;
-    race_ms;
-    winner_seed = race.Olsq.winner_seed;
-    raced = race.Olsq.raced;
-    cancelled = race.Olsq.cancelled;
   }
 
 let run scale =
@@ -201,12 +193,12 @@ let run scale =
       let e = measure s in
       Printf.eprintf
         "  %-8s swaps=%d seed=%-3d %5d vs %5d conflicts (%4.1fx)  fresh \
-         %6.1fms  incr %6.1fms  race %6.1fms (winner %d)\n\
+         %6.1fms  incr %6.1fms\n\
          %!"
         e.device e.n_swaps e.seed e.fresh_conflicts e.incr_conflicts
         (float_of_int e.fresh_conflicts
         /. float_of_int (max 1 e.incr_conflicts))
-        e.fresh_ms e.incr_ms e.race_ms e.winner_seed;
+        e.fresh_ms e.incr_ms;
       e)
     (specs scale)
 
@@ -224,10 +216,6 @@ let to_entry e =
       ("incr_solves", Int e.incr_solves);
       ("fresh_ms", Float (1, e.fresh_ms));
       ("incr_ms", Float (1, e.incr_ms));
-      ("race_ms", Float (1, e.race_ms));
-      ("winner_seed", Int e.winner_seed);
-      ("raced", Int e.raced);
-      ("cancelled", Int e.cancelled);
     ]
 
 let of_entry f =
@@ -243,10 +231,6 @@ let of_entry f =
     incr_solves = Kit.int f "incr_solves";
     fresh_ms = Kit.float f "fresh_ms";
     incr_ms = Kit.float f "incr_ms";
-    race_ms = Kit.float f "race_ms";
-    winner_seed = Kit.int f "winner_seed";
-    raced = Kit.int f "raced";
-    cancelled = Kit.int f "cancelled";
   }
 
 let key e =

@@ -169,15 +169,6 @@ let verify_cmd =
       & info [ "conflict-budget" ] ~docv:"N"
           ~doc:"SAT-method budget, in solver conflicts.")
   in
-  let portfolio =
-    Arg.(
-      value & opt int 0
-      & info [ "portfolio" ] ~docv:"N"
-          ~doc:
-            "Race $(docv) deterministically seeded SAT configurations \
-             (seeds 0..N-1) on separate domains; 0 disables. SAT method \
-             only.")
-  in
   let file =
     Arg.(
       value & opt (some Cmdliner.Arg.file) None
@@ -185,7 +176,7 @@ let verify_cmd =
           ~doc:"Re-prove a saved .qbk instance instead of regenerating one.")
   in
   let run device n_swaps gates seed exact exact_method node_budget
-      conflict_budget portfolio file =
+      conflict_budget file =
     (* A malformed file, or a section index that names no two-qubit
        gate, is a bad input: report it rather than crash. *)
     match
@@ -212,20 +203,10 @@ let verify_cmd =
             Format.printf
               "structural certificate: OK (Lemmas 1-3 + designed schedule)@.";
             if exact then begin
-              let portfolio_seeds =
-                if portfolio > 0 then Some (List.init portfolio Fun.id)
-                else None
-              in
               let r =
                 Certificate.check_exact ~solver:exact_method ~node_budget
-                  ~conflict_budget ?portfolio_seeds bench
+                  ~conflict_budget bench
               in
-              (match r.Certificate.winner_seed with
-              | Some seed ->
-                  Format.printf
-                    "portfolio: %d configurations raced, winner seed %d@."
-                    portfolio seed
-              | None -> ());
               match r.Certificate.exact_agrees with
               | Some true ->
                   Format.printf
@@ -245,7 +226,7 @@ let verify_cmd =
   Cmd.v (Cmd.info "verify" ~doc)
     Term.(
       const run $ arch $ swaps $ gates $ seed $ exact $ exact_method
-      $ node_budget $ conflict_budget $ portfolio $ file)
+      $ node_budget $ conflict_budget $ file)
 
 (* ------------------------------------------------------------------ *)
 (* route                                                               *)
@@ -674,33 +655,25 @@ let study_cmd =
       & info [ "conflict-budget" ] ~docv:"N"
           ~doc:"SAT-method budget, in solver conflicts.")
   in
-  let portfolio =
-    Arg.(
-      value & opt int 0
-      & info [ "portfolio" ] ~docv:"N"
-          ~doc:
-            "Race $(docv) deterministically seeded SAT configurations per \
-             instance; 0 disables.")
-  in
   let run device circuits counts exact_method node_budget conflict_budget
-      portfolio seed =
-    let portfolio_seeds =
-      if portfolio > 0 then Some (List.init portfolio Fun.id) else None
-    in
+      seed =
     let rows =
       Evaluation.run_optimality_study ~circuits_per_count:circuits
         ~swap_counts:counts ~gate_budget:40 ~saturation_cap:1
-        ~solver:exact_method ~node_budget ~conflict_budget ?portfolio_seeds
-        ~seed device
+        ~solver:exact_method ~node_budget ~conflict_budget ~seed device
     in
     Format.printf "@[<v>%a@]@." Evaluation.pp_optimality rows;
-    0
+    match List.filter_map Evaluation.optimality_failure rows with
+    | [] -> 0
+    | failures ->
+        List.iter (Format.eprintf "study: %s@.") failures;
+        1
   in
   let doc = "Reproduce the optimality study (paper §IV-A)." in
   Cmd.v (Cmd.info "study" ~doc)
     Term.(
       const run $ arch $ circuits $ counts $ exact_method $ node_budget
-      $ conflict_budget $ portfolio $ seed)
+      $ conflict_budget $ seed)
 
 (* ------------------------------------------------------------------ *)
 (* queko                                                               *)

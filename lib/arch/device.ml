@@ -12,6 +12,7 @@ let create ?(allow_disconnected = false) ~name g =
 
 let name d = d.name
 let graph d = d.graph
+let equal d d' = String.equal d.name d'.name && Graph.equal d.graph d'.graph
 let n_qubits d = Graph.n_vertices d.graph
 let n_edges d = Graph.n_edges d.graph
 let distance d p p' = Apsp.dist d.dist p p'

@@ -24,6 +24,9 @@ val name : t -> string
 val graph : t -> Qls_graph.Graph.t
 (** The coupling graph. *)
 
+val equal : t -> t -> bool
+(** Same name and same coupling graph. *)
+
 val n_qubits : t -> int
 (** Number of physical qubits. *)
 

@@ -7,12 +7,10 @@ type token = {
   expiry_ms : int option;  (* absolute wall-clock expiry *)
   limit_ms : int;  (* the budget [expiry_ms] encodes, for error reports *)
   hb_ms : int Atomic.t;  (* last poll; supervisors read this *)
-  halt : bool Atomic.t;  (* explicit cross-domain cancellation *)
   parent : token option;  (* linked token this one fans out for *)
 }
 
 exception Expired of { elapsed_ms : int; limit_ms : int }
-exception Cancelled
 
 let () =
   Printexc.register_printer (function
@@ -20,7 +18,6 @@ let () =
         Some
           (Printf.sprintf "Qls_cancel.Expired(elapsed=%dms, limit=%dms)"
              elapsed_ms limit_ms)
-    | Cancelled -> Some "Qls_cancel.Cancelled"
     | _ -> None)
 
 let now_ms () =
@@ -33,7 +30,6 @@ let none =
     expiry_ms = None;
     limit_ms = 0;
     hb_ms = Atomic.make 0;
-    halt = Atomic.make false;
     parent = None;
   }
 
@@ -48,16 +44,13 @@ let make ?deadline_ms () =
     expiry_ms = Option.map (fun d -> t0 + d) deadline_ms;
     limit_ms = Option.value deadline_ms ~default:0;
     hb_ms = Atomic.make t0;
-    halt = Atomic.make false;
     parent = None;
   }
 
 (* A child mirrors the parent's absolute expiry (same [t0_ms]/[limit_ms],
-   so an [Expired] report reads identically from either) and keeps its
-   own cancellation flag; polls walk the parent chain, so cancelling the
-   parent stops every child while cancelling one child leaves its
-   siblings running. [child none] is [none]: with no ambient budget there
-   is nothing to propagate. *)
+   so an [Expired] report reads identically from either), and its polls
+   walk the parent chain to heartbeat it. [child none] is [none]: with no
+   ambient budget there is nothing to propagate. *)
 let child t =
   if t == none then none
   else
@@ -66,14 +59,8 @@ let child t =
       expiry_ms = t.expiry_ms;
       limit_ms = t.limit_ms;
       hb_ms = Atomic.make (now_ms ());
-      halt = Atomic.make false;
       parent = Some t;
     }
-
-(* [none] is shared by every tokenless domain, so cancelling it would poison
-   unrelated work; treat it as uncancellable instead. *)
-let cancel t = if t != none then Atomic.set t.halt true
-let cancelled t = Atomic.get t.halt
 
 let key : token Domain.DLS.key = Domain.DLS.new_key (fun () -> none)
 
@@ -89,7 +76,6 @@ let expire_check t =
        fanned-out children still making progress. *)
     let rec stamp u =
       Atomic.set u.hb_ms now;
-      if Atomic.get u.halt then raise Cancelled;
       match u.parent with Some p -> stamp p | None -> ()
     in
     stamp t;
@@ -103,4 +89,3 @@ let poll () = expire_check (Domain.DLS.get key)
 let current () = Domain.DLS.get key
 let last_poll_ms t = Atomic.get t.hb_ms
 let created_ms t = t.t0_ms
-let deadline_ms t = if t.limit_ms = 0 then None else Some t.limit_ms

@@ -29,12 +29,6 @@ type token
     wait), and is always [>= limit_ms]. *)
 exception Expired of { elapsed_ms : int; limit_ms : int }
 
-(** Raised by {!poll} / {!expire_check} once {!cancel} has been called on the
-    installed token. Unlike {!Expired} this carries no timing payload: it
-    means another domain decided this work is no longer needed (e.g. a
-    portfolio race already has its verdict), not that a budget ran out. *)
-exception Cancelled
-
 val make : ?deadline_ms:int -> unit -> token
 (** A fresh token. With [?deadline_ms] (must be [>= 1]), {!poll} raises
     {!Expired} once that many milliseconds have elapsed since [make].
@@ -62,21 +56,12 @@ val child : token -> token
     behalf, typically on another domain. It mirrors [t]'s absolute
     deadline (an expired parent budget expires every child, with the same
     [elapsed]/[limit] report), and every {!poll} on the child also
-    heartbeats [t] and honours a {!cancel} of [t] — while {!cancel} on
-    the child stops that shard alone. [child none] is {!none}. *)
-
-val cancel : token -> unit
-(** Flag [t] as cancelled from any domain: the next {!poll} /
-    {!expire_check} on it raises {!Cancelled}. Idempotent, never blocks,
-    and a no-op on {!none} (which is shared by every tokenless domain). *)
-
-val cancelled : token -> bool
-(** Whether {!cancel} has been called on [t]. *)
+    heartbeats [t]. [child none] is {!none}. *)
 
 val poll : unit -> unit
 (** Checkpoint. Reads the ambient token; if it is {!none} this is a no-op.
-    Otherwise stamps the heartbeat, raises {!Cancelled} if the token was
-    cancelled, then {!Expired} if the deadline (when any) has passed. *)
+    Otherwise stamps the heartbeat, then raises {!Expired} if the deadline
+    (when any) has passed. *)
 
 val expire_check : token -> unit
 (** Like {!poll} but on an explicit token — used by the pool to reject a job
@@ -90,9 +75,6 @@ val last_poll_ms : token -> int
 
 val created_ms : token -> int
 (** Wall-clock milliseconds (Unix epoch) at token creation. [0] for {!none}. *)
-
-val deadline_ms : token -> int option
-(** The deadline budget this token was created with, if any. *)
 
 val now_ms : unit -> int
 (** Current wall clock in whole milliseconds since the Unix epoch — the same

@@ -3,6 +3,7 @@ module Gate = Qls_circuit.Gate
 module Circuit = Qls_circuit.Circuit
 module Interaction = Qls_circuit.Interaction
 module Device = Qls_arch.Device
+module Transpiled = Qls_layout.Transpiled
 module Verifier = Qls_layout.Verifier
 
 type failure =
@@ -121,20 +122,32 @@ let check_structural bench =
     add
       (Section_count
          { sections = n_sections; claimed = bench.Benchmark.optimal_swaps });
-  (* Upper bound: the designed schedule. *)
-  (match Verifier.check bench.Benchmark.designed with
-  | Error vs ->
-      add
-        (Designed_invalid
-           (Format.asprintf "%a" (Format.pp_print_list Verifier.pp_violation) vs))
-  | Ok report ->
-      if report.Verifier.swap_count <> bench.Benchmark.optimal_swaps then
+  (* Upper bound: the designed schedule. The verifier checks a schedule
+     against its own source circuit and device, so pin both to the
+     instance first. *)
+  let designed = bench.Benchmark.designed in
+  if not (Circuit.equal (Transpiled.source designed) bench.Benchmark.circuit)
+  then add (Designed_invalid "it routes another circuit")
+  else if
+    not (Device.equal (Transpiled.device designed) bench.Benchmark.device)
+  then add (Designed_invalid "it routes on another device")
+  else begin
+    match Verifier.check designed with
+    | Error vs ->
         add
-          (Wrong_swap_count
-             {
-               designed = report.Verifier.swap_count;
-               claimed = bench.Benchmark.optimal_swaps;
-             }));
+          (Designed_invalid
+             (Format.asprintf "%a"
+                (Format.pp_print_list Verifier.pp_violation)
+                vs))
+    | Ok report ->
+        if report.Verifier.swap_count <> bench.Benchmark.optimal_swaps then
+          add
+            (Wrong_swap_count
+               {
+                 designed = report.Verifier.swap_count;
+                 claimed = bench.Benchmark.optimal_swaps;
+               })
+  end;
   match List.rev !failures with [] -> Ok () | fs -> Error fs
 
 (* The structural certificate (Lemmas 1–3 + designed-schedule replay)
@@ -168,11 +181,7 @@ let () =
 let check_routed ~tool ~optimum swaps =
   if swaps < optimum then raise (Optimality_violated { tool; swaps; optimum })
 
-type exact_result = {
-  certified : bool;
-  exact_agrees : bool option;
-  winner_seed : int option;
-}
+type exact_result = { certified : bool; exact_agrees : bool option }
 
 type exact_method = Sat | Search
 
@@ -180,19 +189,13 @@ type exact_method = Sat | Search
    [conflict_budget] bounds the SAT solver's conflicts — two different
    units, so they are separate parameters and neither is rescaled into the
    other. *)
-let check_exact ?(solver = Sat) ?node_budget ?conflict_budget ?portfolio_seeds
-    bench =
+let check_exact ?(solver = Sat) ?node_budget ?conflict_budget bench =
   let certified = Result.is_ok (check bench) in
   let swaps = bench.Benchmark.optimal_swaps - 1 in
   let device = bench.Benchmark.device in
   let circuit = bench.Benchmark.circuit in
-  let sat_agrees = function
-    | Qls_router.Olsq.Infeasible -> Some true
-    | Qls_router.Olsq.Feasible _ -> Some false
-    | Qls_router.Olsq.Unknown -> None
-  in
-  let exact_agrees, winner_seed =
-    if bench.Benchmark.optimal_swaps = 0 then (Some true, None)
+  let exact_agrees =
+    if bench.Benchmark.optimal_swaps = 0 then Some true
     else
       Qls_obs.with_span ~site:"certify" "certify.exact"
         ~attrs:(fun () ->
@@ -201,33 +204,22 @@ let check_exact ?(solver = Sat) ?node_budget ?conflict_budget ?portfolio_seeds
               Qls_obs.Str (match solver with Sat -> "sat" | Search -> "search")
             );
             ("swaps", Qls_obs.Int swaps);
-            ( "portfolio",
-              Qls_obs.Int
-                (match portfolio_seeds with
-                | Some seeds -> List.length seeds
-                | None -> 0) );
           ])
         (fun () ->
           match solver with
           | Sat -> (
-              match portfolio_seeds with
-              | Some seeds ->
-                  let r =
-                    Qls_router.Olsq.race_check ~seeds ?conflict_budget ~swaps
-                      device circuit
-                  in
-                  (sat_agrees r.Qls_router.Olsq.value, Some r.winner_seed)
-              | None ->
-                  ( sat_agrees
-                      (Qls_router.Olsq.check ?conflict_budget ~swaps device
-                         circuit),
-                    None ))
+              match
+                Qls_router.Olsq.check ?conflict_budget ~swaps device circuit
+              with
+              | Qls_router.Olsq.Infeasible -> Some true
+              | Qls_router.Olsq.Feasible _ -> Some false
+              | Qls_router.Olsq.Unknown -> None)
           | Search -> (
               match
                 Qls_router.Exact.check ?node_budget ~swaps device circuit
               with
-              | Qls_router.Exact.Infeasible -> (Some true, None)
-              | Qls_router.Exact.Feasible _ -> (Some false, None)
-              | Qls_router.Exact.Unknown -> (None, None)))
+              | Qls_router.Exact.Infeasible -> Some true
+              | Qls_router.Exact.Feasible _ -> Some false
+              | Qls_router.Exact.Unknown -> None))
   in
-  { certified; exact_agrees; winner_seed }
+  { certified; exact_agrees }

@@ -22,8 +22,9 @@
       gate of section [i] reaches special gate [i], which reaches every
       gate of section [i+1];
     - there are exactly [optimal_swaps] sections, and the designed
-      schedule passes the {!Qls_layout.Verifier} with exactly
-      [optimal_swaps] SWAPs (the upper bound).
+      schedule routes the instance's circuit on its device and passes the
+      {!Qls_layout.Verifier} with exactly [optimal_swaps] SWAPs (the
+      upper bound).
 
     Lemmas 1–2 give the lower bound: between consecutive special gates
     the sections run in disjoint windows, and a window with no SWAP would
@@ -39,7 +40,8 @@ type failure =
   | Section_count of { sections : int; claimed : int }
       (** the number of sections is not the claimed optimum *)
   | Designed_invalid of string
-      (** the designed schedule does not verify *)
+      (** the designed schedule routes another circuit, or on another
+          device, or does not verify *)
   | Wrong_swap_count of { designed : int; claimed : int }
       (** the designed schedule uses a different SWAP count than claimed *)
 
@@ -76,10 +78,6 @@ type exact_result = {
           [optimal_swaps - 1] SWAPs exists; [Some false] if it found one
           (which would disprove the certificate); [None] if its budget ran
           out *)
-  winner_seed : int option;
-      (** with [portfolio_seeds]: the seed of the configuration that won
-          the race, recorded so the run can be replayed deterministically;
-          [None] otherwise *)
 }
 
 type exact_method =
@@ -91,7 +89,6 @@ val check_exact :
   ?solver:exact_method ->
   ?node_budget:int ->
   ?conflict_budget:int ->
-  ?portfolio_seeds:int list ->
   Benchmark.t ->
   exact_result
 (** Full §IV-A-style verification: structural certificate plus
@@ -99,6 +96,4 @@ val check_exact :
     its own budget in its own unit — [node_budget] bounds the [Search]
     solver's search-tree nodes (default 5e7) and [conflict_budget] bounds
     the [Sat] solver's conflicts (default 2e6); neither is rescaled into
-    the other. [portfolio_seeds] (Sat only) races one deterministically
-    derived solver configuration per seed and records the winner in
-    {!exact_result.winner_seed}. *)
+    the other. *)

@@ -343,13 +343,22 @@ type optimality_row = {
   o_circuits : int;
   o_certified : int;
   o_exact_confirmed : int;
+  o_exact_refuted : int;
   o_exact_unknown : int;
   o_mean_gates : float;
 }
 
+let optimality_failure r =
+  if r.o_certified < r.o_circuits || r.o_exact_refuted > 0 then
+    Some
+      (Printf.sprintf
+         "%s, %d swaps: %d of %d certified, %d refuted by the exact solver"
+         r.o_device r.o_swaps r.o_certified r.o_circuits r.o_exact_refuted)
+  else None
+
 let run_optimality_study ?(circuits_per_count = 10) ?(swap_counts = [ 1; 2; 3; 4 ])
     ?(gate_budget = 30) ?(saturation_cap = 1) ?solver ?node_budget
-    ?conflict_budget ?portfolio_seeds ?(seed = 0) device =
+    ?conflict_budget ?(seed = 0) device =
   List.map
     (fun n_swaps ->
       let config =
@@ -366,19 +375,19 @@ let run_optimality_study ?(circuits_per_count = 10) ?(swap_counts = [ 1; 2; 3; 4
       in
       let certified = ref 0
       and confirmed = ref 0
+      and refuted = ref 0
       and unknown = ref 0
       and gates = ref [] in
       List.iter
         (fun bench ->
           gates := float_of_int (Benchmark.two_qubit_count bench) :: !gates;
           let r =
-            Certificate.check_exact ?solver ?node_budget ?conflict_budget
-              ?portfolio_seeds bench
+            Certificate.check_exact ?solver ?node_budget ?conflict_budget bench
           in
           if r.Certificate.certified then incr certified;
           match r.Certificate.exact_agrees with
           | Some true -> incr confirmed
-          | Some false -> ()
+          | Some false -> incr refuted
           | None -> incr unknown)
         instances;
       {
@@ -387,6 +396,7 @@ let run_optimality_study ?(circuits_per_count = 10) ?(swap_counts = [ 1; 2; 3; 4
         o_circuits = circuits_per_count;
         o_certified = !certified;
         o_exact_confirmed = !confirmed;
+        o_exact_refuted = !refuted;
         o_exact_unknown = !unknown;
         o_mean_gates = Metrics.mean !gates;
       })
@@ -479,11 +489,7 @@ let pp_summary ppf rows =
   let conflicts = v "sat.conflicts" in
   if conflicts > 0 then
     Format.fprintf ppf "sat: %d conflicts, %d learned, %d restarts@," conflicts
-      (v "sat.learned") (v "sat.restarts");
-  let races = v "sat.portfolio.races" in
-  if races > 0 then
-    Format.fprintf ppf "sat portfolio: %d races, %d workers cancelled@," races
-      (v "sat.portfolio.cancelled")
+      (v "sat.learned") (v "sat.restarts")
 
 let pp_optimality ppf rows =
   Format.fprintf ppf "%-10s %6s %9s %10s %16s %14s %11s@,"
@@ -494,11 +500,4 @@ let pp_optimality ppf rows =
       Format.fprintf ppf "%-10s %6d %9d %10d %16d %14d %11.1f@,"
         r.o_device r.o_swaps r.o_circuits r.o_certified r.o_exact_confirmed
         r.o_exact_unknown r.o_mean_gates)
-    rows;
-  let v name =
-    Option.value ~default:0 (List.assoc_opt name (Qls_obs.counters ()))
-  in
-  let races = v "sat.portfolio.races" in
-  if races > 0 then
-    Format.fprintf ppf "sat portfolio: %d races, %d workers cancelled@," races
-      (v "sat.portfolio.cancelled")
+    rows

@@ -186,10 +186,18 @@ type optimality_row = {
   o_circuits : int;
   o_certified : int;  (** structural certificate passed *)
   o_exact_confirmed : int;  (** exact solver refuted [n - 1] swaps *)
+  o_exact_refuted : int;
+      (** exact solver found an [n - 1]-swap solution, disproving the
+          certified optimum *)
   o_exact_unknown : int;  (** exact solver budget ran out *)
   o_mean_gates : float;  (** two-qubit gates per instance *)
 }
 (** One row of the §IV-A study. *)
+
+val optimality_failure : optimality_row -> string option
+(** [Some line] naming the row if an instance failed its structural
+    certificate or the exact solver refuted it (a generator or
+    certificate bug); [None] otherwise, also when a budget ran out. *)
 
 val run_optimality_study :
   ?circuits_per_count:int ->
@@ -199,7 +207,6 @@ val run_optimality_study :
   ?solver:Certificate.exact_method ->
   ?node_budget:int ->
   ?conflict_budget:int ->
-  ?portfolio_seeds:int list ->
   ?seed:int ->
   Qls_arch.Device.t ->
   optimality_row list
@@ -207,9 +214,8 @@ val run_optimality_study :
     gate budget 30, saturation cap 1), each re-proved structurally and by
     the exact solver (the SAT formulation by default, like the paper's
     OLSQ2). [node_budget] bounds the [Search] method's nodes;
-    [conflict_budget] bounds the [Sat] method's conflicts;
-    [portfolio_seeds] races seeded SAT configurations per instance (see
-    {!Certificate.check_exact}). The paper uses 100 circuits per count. *)
+    [conflict_budget] bounds the [Sat] method's conflicts. The paper uses
+    100 circuits per count. *)
 
 val pp_optimality : Format.formatter -> optimality_row list -> unit
 (** Render the study as an aligned text table. *)

@@ -111,24 +111,23 @@ let of_string text =
     let fields, ln = expect_fields "optimal_swaps" in
     match fields with [ s ] -> parse_int ln s | _ -> fail ln "malformed optimal_swaps"
   in
-  let initial =
+  let positions, initial_ln =
     let fields, ln = expect_fields "initial" in
-    Mapping.of_array ~n_physical:(Device.n_qubits device)
-      (Array.of_list (parse_ints ln fields))
+    (Array.of_list (parse_ints ln fields), ln)
   in
-  let ops =
+  let ops, ops_ln =
     let fields, ln = expect_fields "ops" in
-    List.map
-      (fun tok ->
-        if String.length tok < 2 then fail ln (Printf.sprintf "bad op %S" tok)
-        else if tok.[0] = 'G' then
-          Transpiled.Gate (parse_int ln (String.sub tok 1 (String.length tok - 1)))
-        else if tok.[0] = 'S' then begin
-          let p, p' = parse_pair ln (String.sub tok 1 (String.length tok - 1)) in
-          Transpiled.Swap (p, p')
-        end
-        else fail ln (Printf.sprintf "bad op %S" tok))
-      fields
+    let op tok =
+      if String.length tok < 2 then fail ln (Printf.sprintf "bad op %S" tok)
+      else if tok.[0] = 'G' then
+        Transpiled.Gate (parse_int ln (String.sub tok 1 (String.length tok - 1)))
+      else if tok.[0] = 'S' then begin
+        let p, p' = parse_pair ln (String.sub tok 1 (String.length tok - 1)) in
+        Transpiled.Swap (p, p')
+      end
+      else fail ln (Printf.sprintf "bad op %S" tok)
+    in
+    (List.map op fields, ln)
   in
   (* sections until BEGIN QASM *)
   let sections = ref [] in
@@ -172,6 +171,26 @@ let of_string text =
     | Ok c -> c
     | Error e -> fail (qasm_start + e.Qasm.line) e.Qasm.message
   in
+  (* The initial mapping and the ops index into the circuit and the
+     device, so they are checked once both are known. *)
+  let n_physical = Device.n_qubits device in
+  let initial =
+    match Mapping.of_array ~n_physical positions with
+    | m when Mapping.n_program m = Circuit.n_qubits circuit -> m
+    | _ -> fail initial_ln "expected one position per program qubit"
+    | exception Invalid_argument msg -> fail initial_ln msg
+  in
+  let n_gates = Circuit.length circuit in
+  let off_device p = p < 0 || p >= n_physical in
+  List.iter
+    (function
+      | Transpiled.Gate i when i < 0 || i >= n_gates ->
+          fail ops_ln (Printf.sprintf "G%d names no gate of the circuit" i)
+      | Transpiled.Swap (p, p') when p = p' || off_device p || off_device p' ->
+          fail ops_ln
+            (Printf.sprintf "S%d:%d must swap two distinct device qubits" p p')
+      | Transpiled.Gate _ | Transpiled.Swap _ -> ())
+    ops;
   let designed = Transpiled.create ~source:circuit ~device ~initial ops in
   {
     Benchmark.device;

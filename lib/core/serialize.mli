@@ -23,8 +23,11 @@ val to_string : Benchmark.t -> string
 val of_string : string -> Benchmark.t
 (** Parse an instance.
     @raise Failure with a line-numbered message on malformed input
-    (QASM included), an unknown device name, or a version other than 2
-    (naming both and the remedy, [qubikos generate --save]). *)
+    (QASM included; an [initial] record that is not one distinct device
+    qubit per program qubit; an [ops] gate outside the circuit or SWAP
+    not of two distinct device qubits), an unknown device name, or a
+    version other than 2 (naming both and the remedy,
+    [qubikos generate --save]). *)
 
 val save : string -> Benchmark.t -> unit
 (** [save path bench] writes {!to_string} to [path]. *)

@@ -33,7 +33,9 @@ type report = { swap_count : int; depth : int }
 
 val check : Transpiled.t -> (report, violation list) result
 (** Full check; collects every violation rather than stopping at the
-    first. *)
+    first.
+    @raise Invalid_argument on a gate index outside the source circuit
+    or a SWAP that does not name two distinct device qubits. *)
 
 val is_valid : Transpiled.t -> bool
 (** [is_valid t] is [true] iff {!check} returns [Ok _]. *)

@@ -552,15 +552,14 @@ let unbounded_wait ctx ~report structure =
 
 (* ------------------------------------------------------------------ *)
 (* R7 — seeded-randomness                                              *)
-(* Scoped to the solver stack (lib/sat, lib/router): portfolio racing
-   records the winning configuration's seed so a race can be replayed
-   bit-for-bit, which only works if every source of variation is a pure
-   function of an explicit seed ([Solver.config_of_seed], [Rng.create]).
-   Ambient [Random] state — seeded once per process, advanced by whoever
-   calls it first — breaks that contract silently, so in these
-   directories any [Stdlib.Random] value is an error. Elsewhere (e.g. a
-   bench warmup) ambient randomness is merely suspicious, not
-   forbidden. *)
+(* Scoped to the solver stack (lib/sat, lib/router): the search pins,
+   the routed goldens and the committed bench baselines replay a solve
+   or a route bit-for-bit, which only works if every source of variation
+   is a pure function of an explicit seed ([Rng.create]). Ambient
+   [Random] state — seeded once per process, advanced by whoever calls
+   it first — breaks that contract silently, so in these directories any
+   [Stdlib.Random] value is an error. Elsewhere (e.g. a bench warmup)
+   ambient randomness is merely suspicious, not forbidden. *)
 
 let seeded_randomness ctx ~report structure =
   if in_scope ctx [ "lib/sat"; "lib/router" ] then
@@ -569,8 +568,8 @@ let seeded_randomness ctx ~report structure =
         | Some ("stdlib" :: "random" :: _ :: _) ->
             report e.exp_loc
               "the solver and router layers must derive all variation from \
-               an explicit seed (Solver.config_of_seed, Rng.create); ambient \
-               Random state breaks portfolio winner-seed replay"
+               an explicit seed (Rng.create); ambient Random state breaks \
+               bit-for-bit replay of a solve or a route"
         | _ -> ())
 
 (* ------------------------------------------------------------------ *)

@@ -6,7 +6,6 @@ module Device = Qls_arch.Device
 module Mapping = Qls_layout.Mapping
 module Transpiled = Qls_layout.Transpiled
 module Verifier = Qls_layout.Verifier
-module Pool = Qls_harness.Pool
 
 type verdict = Feasible of Transpiled.t | Infeasible | Unknown
 
@@ -227,14 +226,14 @@ let validate_instance ~fn ~swaps device circuit =
   if Circuit.n_qubits circuit > Device.n_qubits device then
     invalid_arg (fn ^ ": circuit larger than device")
 
-let check ?(conflict_budget = 2_000_000) ?config ~swaps device circuit =
+let check ?(conflict_budget = 2_000_000) ~swaps device circuit =
   validate_instance ~fn:"Olsq.check" ~swaps device circuit;
   let dag = Dag.of_circuit circuit in
   let vars = make_vars device circuit dag ~k:swaps in
   if vars.n_gates = 0 then Feasible (gate_free_witness ~vars ~device circuit)
   else if vars.n_prog = 0 then Infeasible
   else begin
-    let solver = Solver.create ?config (total_vars vars) in
+    let solver = Solver.create (total_vars vars) in
     encode_span ~vars (fun () -> encode ~vars ~device ~dag solver);
     match Solver.solve ~conflict_budget solver with
     | Solver.Sat -> Feasible (decode ~vars ~device ~dag ~circuit solver)
@@ -258,7 +257,7 @@ module Incremental = struct
     solver : Solver.t option;  (* None: trivial instance, no SAT needed *)
   }
 
-  let create ?config ?(max_swaps = 8) device circuit =
+  let create ?(max_swaps = 8) device circuit =
     validate_instance ~fn:"Olsq.Incremental.create" ~swaps:max_swaps device
       circuit;
     let dag = Dag.of_circuit circuit in
@@ -266,7 +265,7 @@ module Incremental = struct
     let solver =
       if vars.n_gates = 0 || vars.n_prog = 0 then None
       else begin
-        let solver = Solver.create ?config (total_vars vars) in
+        let solver = Solver.create (total_vars vars) in
         encode_span ~vars (fun () ->
             encode ~vars ~device ~dag solver;
             encode_earliest_block ~vars ~dag solver);
@@ -311,109 +310,17 @@ module Incremental = struct
 
   let solves sess =
     match sess.solver with None -> 0 | Some solver -> Solver.solves solver
-
-  let total_conflicts sess =
-    match sess.solver with
-    | None -> 0
-    | Some solver ->
-        let c, _, _, _ = Solver.total_stats solver in
-        c
 end
 
-let walk ~max_swaps ~check_bound =
-  let rec go k =
+let minimum_swaps ?(max_swaps = 8) ?conflict_budget device circuit =
+  let session = Incremental.create ~max_swaps device circuit in
+  let rec walk k =
     if k > max_swaps then Unknown_above { refuted_below = k }
     else
-      match check_bound k with
+      match Incremental.check ?conflict_budget session ~swaps:k with
       | Feasible witness ->
           Optimal { swaps = Transpiled.swap_count witness; witness }
-      | Infeasible -> go (k + 1)
+      | Infeasible -> walk (k + 1)
       | Unknown -> Unknown_above { refuted_below = k }
   in
-  go 0
-
-let minimum_swaps ?(max_swaps = 8) ?conflict_budget ?config
-    ?(mode = `Incremental) device circuit =
-  match mode with
-  | `Fresh ->
-      walk ~max_swaps ~check_bound:(fun k ->
-          check ?conflict_budget ?config ~swaps:k device circuit)
-  | `Incremental ->
-      let session = Incremental.create ?config ~max_swaps device circuit in
-      walk ~max_swaps ~check_bound:(fun k ->
-          Incremental.check ?conflict_budget session ~swaps:k)
-
-(* Portfolio racing: run one solver configuration per seed on its own
-   domain; the first worker to finish publishes its result and cancels the
-   rest through their Qls_cancel tokens. The set of configurations is a
-   pure function of the seed list (Solver.config_of_seed), so recording the
-   winner seed makes any race replayable bit-for-bit by re-running that
-   single configuration. *)
-type 'a raced = {
-  value : 'a;
-  winner_seed : int;
-  raced : int;
-  cancelled : int;
-}
-
-let default_seeds = [ 0; 1; 2; 3 ]
-
-let obs_races = Qls_obs.counter "sat.portfolio.races"
-let obs_race_cancelled = Qls_obs.counter "sat.portfolio.cancelled"
-
-let race ?jobs ~seeds ~f () =
-  let seeds = Array.of_list seeds in
-  let n = Array.length seeds in
-  if n = 0 then invalid_arg "Olsq.race: empty seed list";
-  let jobs =
-    match jobs with
-    | Some j -> max 1 j
-    | None -> min n (Pool.recommended_jobs ())
-  in
-  let tokens = Array.init n (fun _ -> Qls_cancel.make ()) in
-  let winner = Atomic.make (-1) in
-  let results =
-    Pool.run ~jobs
-      ~f:(fun i seed ->
-        match Qls_cancel.with_token tokens.(i) (fun () -> f seed) with
-        | v ->
-            if Atomic.compare_and_set winner (-1) i then
-              Array.iteri
-                (fun j tok -> if j <> i then Qls_cancel.cancel tok)
-                tokens;
-            Some v
-        | exception Qls_cancel.Cancelled -> None)
-      seeds
-  in
-  let w = Atomic.get winner in
-  if w < 0 then invalid_arg "Olsq.race: no worker finished";
-  let value =
-    match results.(w) with Some v -> v | None -> assert false
-  in
-  let cancelled =
-    Array.fold_left
-      (fun acc r -> match r with None -> acc + 1 | Some _ -> acc)
-      0 results
-  in
-  Qls_obs.incr obs_races;
-  Qls_obs.add obs_race_cancelled cancelled;
-  { value; winner_seed = seeds.(w); raced = n; cancelled }
-
-let race_check ?jobs ?(seeds = default_seeds) ?conflict_budget ~swaps device
-    circuit =
-  validate_instance ~fn:"Olsq.race_check" ~swaps device circuit;
-  race ?jobs ~seeds
-    ~f:(fun seed ->
-      check ?conflict_budget
-        ~config:(Solver.config_of_seed seed)
-        ~swaps device circuit)
-    ()
-
-let race_minimum_swaps ?jobs ?(seeds = default_seeds) ?max_swaps
-    ?conflict_budget device circuit =
-  race ?jobs ~seeds
-    ~f:(fun seed ->
-      minimum_swaps ?max_swaps ?conflict_budget
-        ~config:(Solver.config_of_seed seed)
-        ~mode:`Incremental device circuit)
-    ()
+  walk 0

@@ -18,14 +18,11 @@
       distinguished "no swap" option (exactly-one per [t]); frame clauses
       carry every qubit's position from block [t] to [t+1] accordingly.
 
-    Two ways to walk the bound: {!minimum_swaps} in [`Fresh] mode
-    re-encodes per bound (the historical behaviour); the default
-    [`Incremental] mode encodes once at the maximum bound and decides
-    each [k] under assumptions forcing the trailing transitions to the
-    "no swap" option, so clauses learned refuting bound [k] carry into
-    the attempt at [k+1] (see {!Incremental}). {!race_check} /
-    {!race_minimum_swaps} additionally race deterministically seeded
-    solver configurations on OCaml 5 domains.
+    {!check} encodes and solves one bound. {!minimum_swaps} walks the
+    bound through one {!Incremental} session: it encodes once at the
+    maximum bound and decides each [k] under assumptions forcing the
+    trailing transitions to the "no swap" option, so clauses learned
+    refuting bound [k] carry into the attempt at [k+1].
 
     Exponential like every complete method — intended for the §IV-A
     regime, and cross-validated in the test suite against
@@ -39,14 +36,12 @@ type verdict =
 
 val check :
   ?conflict_budget:int ->
-  ?config:Qls_sat.Solver.config ->
   swaps:int ->
   Qls_arch.Device.t ->
   Qls_circuit.Circuit.t ->
   verdict
 (** Decide "executable with at most [swaps] SWAPs" by a fresh SAT solve
-    (default budget: 2 million conflicts; default configuration:
-    {!Qls_sat.Solver.default_config}).
+    (default budget: 2 million conflicts).
     @raise Invalid_argument if [swaps < 0] or the circuit has more
     qubits than the device. *)
 
@@ -57,18 +52,12 @@ type optimum =
 val minimum_swaps :
   ?max_swaps:int ->
   ?conflict_budget:int ->
-  ?config:Qls_sat.Solver.config ->
-  ?mode:[ `Incremental | `Fresh ] ->
   Qls_arch.Device.t ->
   Qls_circuit.Circuit.t ->
   optimum
-(** Iterative deepening over the SWAP bound (default [max_swaps] 8).
-    [`Incremental] (the default) runs the walk through one
-    {!Incremental.session}; [`Fresh] re-encodes and re-solves each bound
-    from scratch. Both modes decide the same bounds in the same order and
-    return equal verdicts — [`Fresh] exists as the baseline the SAT bench
-    measures the incremental path against. [conflict_budget] is
-    {e per bound} in both modes. *)
+(** Iterative deepening over the SWAP bound (default [max_swaps] 8),
+    deciding [k = 0, 1, …] in one {!Incremental.session}.
+    [conflict_budget] is {e per bound}. *)
 
 (** One encoding, many bounds: a session holds a single incremental
     {!Qls_sat.Solver} over the bound-[max_swaps] transition encoding plus
@@ -82,7 +71,6 @@ module Incremental : sig
   type session
 
   val create :
-    ?config:Qls_sat.Solver.config ->
     ?max_swaps:int ->
     Qls_arch.Device.t ->
     Qls_circuit.Circuit.t ->
@@ -103,59 +91,4 @@ module Incremental : sig
 
   val solves : session -> int
   (** SAT solve calls made through this session. *)
-
-  val total_conflicts : session -> int
-  (** Conflicts summed over all solve calls of this session — the number
-      the SAT bench compares against the fresh-solve baseline. *)
 end
-
-(** {1 Portfolio racing}
-
-    Race one solver configuration per seed (derived via
-    {!Qls_sat.Solver.config_of_seed} — never ambient randomness) on OCaml
-    5 domains through {!Qls_harness.Pool}; the first finished verdict
-    cancels the others via {!Qls_cancel.cancel}. Which configuration wins
-    depends on machine timing, but the {e set} of configurations raced is
-    a pure function of [seeds], and the recorded [winner_seed] makes any
-    race replayable deterministically: re-run the winning configuration
-    alone ([check ~config:(config_of_seed winner_seed)]) and it produces
-    the same verdict it produced in the race. Worker domains run under
-    fresh cancellation tokens, so an ambient deadline on the calling
-    domain is not consulted while the race runs. *)
-
-type 'a raced = {
-  value : 'a;  (** the winning worker's result *)
-  winner_seed : int;  (** seed of the configuration that finished first *)
-  raced : int;  (** number of configurations raced *)
-  cancelled : int;  (** workers that observed cancellation and stopped *)
-}
-
-val default_seeds : int list
-(** [[0; 1; 2; 3]] — seed 0 is the canonical default configuration, so
-    the portfolio always contains the single-config behaviour. *)
-
-val race_check :
-  ?jobs:int ->
-  ?seeds:int list ->
-  ?conflict_budget:int ->
-  swaps:int ->
-  Qls_arch.Device.t ->
-  Qls_circuit.Circuit.t ->
-  verdict raced
-(** {!check} raced across configurations. [jobs] caps the worker domains
-    (default: [min (length seeds) (Pool.recommended_jobs ())]).
-    @raise Invalid_argument on an empty [seeds], [swaps < 0], or a
-    circuit larger than the device. *)
-
-val race_minimum_swaps :
-  ?jobs:int ->
-  ?seeds:int list ->
-  ?max_swaps:int ->
-  ?conflict_budget:int ->
-  Qls_arch.Device.t ->
-  Qls_circuit.Circuit.t ->
-  optimum raced
-(** The incremental k-walk raced across configurations: each worker runs
-    its own {!Incremental.session}; the first to complete the whole walk
-    wins.
-    @raise Invalid_argument on an empty [seeds]. *)

@@ -10,10 +10,6 @@ type t = {
     Qls_layout.Transpiled.t;
 }
 
-let same_device d d' =
-  String.equal (Device.name d) (Device.name d')
-  && Qls_graph.Graph.equal (Device.graph d) (Device.graph d')
-
 (* The verifier checks a result against its own source circuit and
    device, so a router that answered a different question — routed a
    rewritten circuit, or on another device — would verify clean. Pin both
@@ -24,7 +20,7 @@ let run_verified r ?initial device circuit =
     failwith
       (Printf.sprintf "%s: routed a circuit other than the one it was given"
          r.name);
-  if not (same_device (Transpiled.device transpiled) device) then
+  if not (Device.equal (Transpiled.device transpiled) device) then
     failwith
       (Printf.sprintf "%s: routed on device %S, not the requested %S" r.name
          (Device.name (Transpiled.device transpiled))

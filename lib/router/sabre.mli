@@ -68,7 +68,7 @@ val route :
     result is selected by a fold in trial order (earlier trial wins
     SWAP-count ties), so the routed circuit is byte-identical to the
     historical sequential loop at any parallelism. Each trial runs under a {!Qls_cancel.child} of the
-    caller's ambient token: deadlines and cancellation propagate into the
+    caller's ambient token: the caller's deadline propagates into the
     fan-out, and trial heartbeats keep the parent token live.
 
     Options are validated on entry: a NaN or negative [lookahead_decay]

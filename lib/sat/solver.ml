@@ -1,6 +1,6 @@
 (* CDCL with two-watched literals, 1UIP learning, VSIDS-style activities,
-   phase saving, geometric restarts, incremental solving under assumptions
-   and deterministically seeded configuration diversification.
+   phase saving, geometric restarts and incremental solving under
+   assumptions.
 
    Data layout: every clause lives in one growable int arena (a length
    word, then the literals) and is named by its offset; each literal has
@@ -10,51 +10,14 @@
 
 type result = Sat | Unsat | Unknown
 
-type config = {
-  seed : int;
-  decay : float;  (* VSIDS activity decay factor, in (0, 1) *)
-  restart_base : int;  (* conflicts before the first restart *)
-  restart_growth : float;  (* geometric restart-interval multiplier *)
-  init_phase : bool;  (* initial saved phase for every variable *)
-  scramble_activity : bool;  (* seed-derived initial activity jitter *)
-}
-
-let default_config =
-  {
-    seed = 0;
-    decay = 0.95;
-    restart_base = 100;
-    restart_growth = 1.5;
-    init_phase = false;
-    scramble_activity = false;
-  }
-
-(* Deterministic integer mix (xxhash-style avalanche over 32-bit constants,
-   so the result is identical on every 64-bit platform). This is the only
-   randomness source in the solver: portfolio replay depends on
-   [config_of_seed] being a pure function of the seed. *)
-let mix a b =
-  let h = ref ((a * 0x9E3779B1) lxor ((b + 0x165667B1) * 0x85EBCA77)) in
-  h := !h lxor (!h lsr 13);
-  h := !h * 0xC2B2AE3D;
-  h := !h lxor (!h lsr 16);
-  !h land 0x3FFFFFFF
-
-let config_of_seed seed =
-  if seed = 0 then default_config
-  else
-    {
-      seed;
-      decay = [| 0.95; 0.90; 0.85; 0.99; 0.92 |].(mix seed 1 mod 5);
-      restart_base = [| 100; 50; 150; 200 |].(mix seed 2 mod 4);
-      restart_growth = [| 1.5; 2.0; 1.3 |].(mix seed 3 mod 3);
-      init_phase = mix seed 4 land 1 = 1;
-      scramble_activity = true;
-    }
+(* VSIDS activity decay factor, and geometric restarts: the first after
+   [restart_base] conflicts, each interval [restart_growth] times the last. *)
+let activity_decay = 0.95
+let restart_base = 100
+let restart_growth = 1.5
 
 type t = {
   nv : int;
-  cfg : config;
   (* clause arena: clause [c] is [arena.(c)] = n, then n literals *)
   mutable arena : int array;
   mutable arena_top : int;
@@ -77,7 +40,7 @@ type t = {
   mutable n_learnt : int;
   activity : float array;
   mutable var_inc : float;
-  phase : bool array;
+  phase : bool array; (* saved phases; every variable starts negative *)
   seen : bool array;
   (* activity-ordered binary max-heap of candidate branch variables *)
   heap : int array;
@@ -125,7 +88,7 @@ let grown a ~used need =
 
 (* Heap ordering: higher activity first; on equal activity the lower
    variable index wins, which reproduces the argmax of the linear scan this
-   heap replaced — default-config behaviour stays bit-identical. *)
+   heap replaced — the search stays bit-identical. *)
 let heap_before t v w =
   match Float.compare t.activity.(v) t.activity.(w) with
   | 0 -> v < w
@@ -186,12 +149,11 @@ let heap_pop t =
 (* After [t.activity.(v)] increased: restore the heap invariant. *)
 let heap_bumped t v = if t.heap_pos.(v) >= 0 then heap_sift_up t t.heap_pos.(v)
 
-let create ?(config = default_config) nv =
+let create nv =
   if nv < 0 then invalid_arg "Solver.create: negative variable count";
   let t =
     {
       nv;
-      cfg = config;
       arena = Array.make 1024 0;
       arena_top = 0;
       watches = Array.make (max 2 (2 * nv)) [||];
@@ -209,7 +171,7 @@ let create ?(config = default_config) nv =
       n_learnt = 0;
       activity = Array.make (max 1 nv) 0.0;
       var_inc = 1.0;
-      phase = Array.make (max 1 nv) config.init_phase;
+      phase = Array.make (max 1 nv) false;
       seen = Array.make (max 1 nv) false;
       heap = Array.make (max 1 nv) 0;
       heap_pos = Array.make (max 1 nv) (-1);
@@ -229,17 +191,10 @@ let create ?(config = default_config) nv =
       total_learned = 0;
     }
   in
-  if config.scramble_activity then
-    for v = 0 to nv - 1 do
-      t.activity.(v) <- float_of_int (mix config.seed (v + 7) land 0x3FF) *. 1e-8
-    done;
   for v = 0 to nv - 1 do
     heap_insert t v
   done;
   t
-
-let n_vars t = t.nv
-let solver_config t = t.cfg
 
 (* Append the clause [lits.(0 .. n-1)] to the arena; returns its offset. *)
 let push_clause t lits n =
@@ -432,7 +387,7 @@ let bump t v =
   end;
   heap_bumped t v
 
-let decay t = t.var_inc <- t.var_inc /. t.cfg.decay
+let decay t = t.var_inc <- t.var_inc /. activity_decay
 
 (* First-UIP conflict analysis. Leaves the learnt clause in
    [t.learnt.(0 .. t.n_learnt - 1)] — the asserting literal first, then
@@ -551,7 +506,7 @@ let solve_raw ~conflict_budget ~assumps t =
     backtrack t 0;
     let n_assumps = Array.length assumps in
     let result = ref Unknown in
-    let restart_limit = ref t.cfg.restart_base in
+    let restart_limit = ref restart_base in
     let since_restart = ref 0 in
     (try
        while true do
@@ -588,7 +543,7 @@ let solve_raw ~conflict_budget ~assumps t =
            since_restart := 0;
            restart_limit :=
              max (!restart_limit + 1)
-               (int_of_float (float_of_int !restart_limit *. t.cfg.restart_growth));
+               (int_of_float (float_of_int !restart_limit *. restart_growth));
            t.restarts <- t.restarts + 1;
            (* Deadline/heartbeat checkpoint: once per restart. The
               restart interval grows geometrically, so a fixed-stride

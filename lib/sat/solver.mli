@@ -29,38 +29,11 @@ type result = Sat | Unsat | Unknown
 (** [Unknown] is returned only when a conflict budget is exhausted, in
     which case {!budget_exhausted} is also set. *)
 
-(** Search-behaviour knobs, diversified per portfolio seed. All fields
-    are consumed at {!create} time. *)
-type config = {
-  seed : int;  (** identity; [0] is the canonical default solver *)
-  decay : float;  (** VSIDS activity decay factor, in (0, 1) *)
-  restart_base : int;  (** conflicts before the first restart *)
-  restart_growth : float;  (** geometric restart-interval multiplier *)
-  init_phase : bool;  (** initial saved phase for every variable *)
-  scramble_activity : bool;
-      (** start activities at small seed-derived values instead of zero,
-          diversifying early branching order *)
-}
-
-val default_config : config
-(** Seed 0: decay 0.95, restarts 100 × 1.5ⁿ, negative initial phase, no
-    activity scramble — the historical behaviour of this solver. *)
-
-val config_of_seed : int -> config
-(** Deterministic seed → configuration derivation: a pure function (an
-    integer avalanche hash over the seed, no ambient randomness), so a
-    portfolio replay with a recorded winner seed rebuilds the winning
-    solver exactly. [config_of_seed 0 = default_config]. *)
-
-val create : ?config:config -> int -> t
-(** [create n_vars] makes a solver over variables [1 .. n_vars]
-    (default configuration: {!default_config}). *)
-
-val n_vars : t -> int
-(** The number of variables. *)
-
-val solver_config : t -> config
-(** The configuration this solver was created with. *)
+val create : int -> t
+(** [create n_vars] makes a solver over variables [1 .. n_vars]. Its
+    search is fixed: VSIDS activity decay 0.95, a restart every
+    100 × 1.5ⁿ conflicts, and a negative initial phase for every
+    variable. *)
 
 val add_clause : t -> int list -> unit
 (** Add a clause (a disjunction of literals) — at any time, including
@@ -99,9 +72,9 @@ val unsat_core : t -> int list
 val budget_exhausted : t -> bool
 (** True iff the last {!solve} returned [Unknown] because it ran out of
     conflict budget. This is the explicit signal distinguishing budget
-    exhaustion from a cancellation-raised exit ({!Qls_cancel.Cancelled} /
-    {!Qls_cancel.Expired} propagate as exceptions and never return
-    [Unknown]); callers must not infer it from counter values. *)
+    exhaustion from a deadline-raised exit ({!Qls_cancel.Expired}
+    propagates as an exception and never returns [Unknown]); callers
+    must not infer it from counter values. *)
 
 val stats : t -> int * int
 (** [(conflicts, decisions)] of the last solve. *)

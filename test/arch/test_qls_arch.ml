@@ -32,6 +32,17 @@ let device_tests =
         check_int "edges" 4 (Device.n_edges d);
         check_int "diameter" 4 (Device.diameter d);
         check_int "max degree" 2 (Device.max_degree d));
+    test_case "equal compares name and coupling graph" (fun () ->
+        let grid = Topologies.grid 3 3 in
+        check_bool "rebuilt device" true
+          (Device.equal grid (Topologies.grid 3 3));
+        check_bool "renamed copy" false
+          (Device.equal grid
+             (Device.create ~name:"grid3x3-copy" (Device.graph grid)));
+        check_bool "same name, another graph" false
+          (Device.equal grid
+             (Device.create ~name:(Device.name grid)
+                (Device.graph (Topologies.ring 9)))));
     test_case "distance and coupled agree" (fun () ->
         let d = Topologies.grid 3 3 in
         for u = 0 to 8 do

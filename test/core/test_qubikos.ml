@@ -331,6 +331,27 @@ let certificate_tests =
                        true
                    | _ -> false)
                  fs));
+    test_case "rejects a designed schedule of another instance" (fun () ->
+        (* The verifier checks a schedule against its own source circuit
+           and device, so seed 2's schedule verifies clean on its own. *)
+        let b = gen ~n_swaps:2 ~gate_budget:24 ~seed:1 () in
+        let other = gen ~n_swaps:2 ~gate_budget:24 ~seed:2 () in
+        check_bool "another circuit" true
+          (Certificate.check
+             { b with Benchmark.designed = other.Benchmark.designed }
+          = Error [ Certificate.Designed_invalid "it routes another circuit" ]);
+        let renamed =
+          Device.create ~name:"grid3x3-copy" (Device.graph b.Benchmark.device)
+        in
+        let designed =
+          Transpiled.create ~source:b.Benchmark.circuit ~device:renamed
+            ~initial:b.Benchmark.initial_mapping
+            (Transpiled.ops b.Benchmark.designed)
+        in
+        check_bool "another device" true
+          (Certificate.check { b with Benchmark.designed }
+          = Error
+              [ Certificate.Designed_invalid "it routes on another device" ]));
     test_case "detects broken section serialisation" (fun () ->
         (* Two sections that each pass Lemma 1 (a degree-3 star on a line)
            but touch disjoint qubits, so nothing orders section 2 after
@@ -391,14 +412,6 @@ let certificate_tests =
         let r = Certificate.check_exact ~node_budget:1 b in
         check_bool "still confirmed" true
           (r.Certificate.exact_agrees = Some true));
-    test_case "check_exact portfolio records a winner seed" (fun () ->
-        let b = gen ~n_swaps:2 ~saturation_cap:1 ~seed:4 () in
-        let r = Certificate.check_exact ~portfolio_seeds:[ 0; 1 ] b in
-        check_bool "confirmed" true (r.Certificate.exact_agrees = Some true);
-        check_bool "winner recorded" true
-          (match r.Certificate.winner_seed with
-          | Some s -> List.mem s [ 0; 1 ]
-          | None -> false));
     test_case "pp_failure output is non-empty for all cases" (fun () ->
         List.iter
           (fun f ->
@@ -720,8 +733,36 @@ let evaluation_tests =
           (fun r ->
             check_int "all certified" r.Evaluation.o_circuits r.Evaluation.o_certified;
             check_int "all exact-confirmed" r.Evaluation.o_circuits
-              r.Evaluation.o_exact_confirmed)
+              r.Evaluation.o_exact_confirmed;
+            check_int "none refuted" 0 r.Evaluation.o_exact_refuted;
+            check_bool "row passes" true
+              (Evaluation.optimality_failure r = None))
           rows);
+    test_case "a refuted or uncertified instance fails its row" (fun () ->
+        let row =
+          {
+            Evaluation.o_device = "grid3x3";
+            o_swaps = 2;
+            o_circuits = 3;
+            o_certified = 3;
+            o_exact_confirmed = 2;
+            o_exact_refuted = 0;
+            o_exact_unknown = 1;
+            o_mean_gates = 20.0;
+          }
+        in
+        let failure = Alcotest.(check (option string)) in
+        failure "confirmed or inconclusive passes" None
+          (Evaluation.optimality_failure row);
+        failure "refuted fails"
+          (Some
+             "grid3x3, 2 swaps: 3 of 3 certified, 1 refuted by the exact solver")
+          (Evaluation.optimality_failure
+             { row with o_exact_unknown = 0; o_exact_refuted = 1 });
+        failure "uncertified fails"
+          (Some
+             "grid3x3, 2 swaps: 2 of 3 certified, 0 refuted by the exact solver")
+          (Evaluation.optimality_failure { row with o_certified = 2 }));
     test_case "the campaign instance cache keeps the 16 most recent"
       (fun () ->
         (* 20 instances, one sabre task each: the cache stays at its bound
@@ -894,11 +935,37 @@ let serialize_tests =
           String.split_on_char '\n' (Qubikos.Serialize.to_string (gen ()))
           |> List.map repeated_operand |> String.concat "\n"
         in
-        match Qubikos.Serialize.of_string bad_qasm with
+        (match Qubikos.Serialize.of_string bad_qasm with
         | _ -> Alcotest.fail "malformed QASM accepted"
         | exception Failure msg ->
             check_bool "QASM errors carry the file's line" true
               (contains msg "Serialize: line "));
+        (* An initial position used twice, a SWAP of a qubit with itself
+           and a gate index past the circuit are failures of their own
+           line (5 and 6), not exceptions of the mapping or verifier. *)
+        let edited ~record f =
+          String.split_on_char '\n' (Qubikos.Serialize.to_string (gen ()))
+          |> List.map (fun l ->
+                 if String.starts_with ~prefix:(record ^ " ") l then f l else l)
+          |> String.concat "\n"
+        in
+        let repeat_first l =
+          match String.split_on_char ' ' l with
+          | k :: p :: _ :: rest -> String.concat " " (k :: p :: p :: rest)
+          | _ -> Alcotest.fail "initial record too short"
+        in
+        List.iter
+          (fun (what, text, line) ->
+            match Qubikos.Serialize.of_string text with
+            | _ -> Alcotest.fail (what ^ " accepted")
+            | exception Failure msg ->
+                check_bool what true
+                  (contains msg (Printf.sprintf "Serialize: line %d: " line)))
+          [
+            ("repeated position", edited ~record:"initial" repeat_first, 5);
+            ("self swap", edited ~record:"ops" (fun l -> l ^ " S0:0"), 6);
+            ("gate past the circuit", edited ~record:"ops" (fun l -> l ^ " G999"), 6);
+          ]);
     test_case "tampered claims are caught by the certificate after reload"
       (fun () ->
         let b = gen ~device:(Topologies.grid 3 3) ~n_swaps:2 ~gate_budget:30 ~seed:8 () in

@@ -1,7 +1,7 @@
 (* R7 fixture: ambient Random use. Only meaningful when linted under a
    lib/sat or lib/router path — the rule is scoped to the solver stack
-   (where portfolio winner-seed replay demands seed-pure variation) and
-   must stay silent elsewhere. *)
+   (where bit-for-bit replay demands seed-pure variation) and must stay
+   silent elsewhere. *)
 
 let roll () = Random.int 6
 let jitter () = Random.float 1.0

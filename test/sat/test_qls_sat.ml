@@ -62,6 +62,15 @@ let basic_tests =
         check_bool "v1" true (Solver.value s 1);
         check_bool "v2" false (Solver.value s 2);
         check_bool "v3" true (Solver.value s 3));
+    test_case "free variables take the negative initial phase" (fun () ->
+        (* Every decision branches negative first, so nothing but the
+           unit's variable comes out true, and without a conflict. *)
+        let s, r = solve_clauses 4 [ [ 3 ] ] in
+        check_bool "sat" true (is_sat r);
+        Alcotest.(check (list bool))
+          "model" [ false; false; true; false ]
+          (List.map (Solver.value s) [ 1; 2; 3; 4 ]);
+        Alcotest.(check int) "conflicts" 0 (fst (Solver.stats s)));
     test_case "contradicting units are unsat" (fun () ->
         let _, r = solve_clauses 2 [ [ 1 ]; [ -1 ] ] in
         check_bool "unsat" true (is_unsat r));
@@ -255,20 +264,6 @@ let incremental_tests =
         check_bool "solves counted" true (Solver.solves s = 3);
         check_bool "totals are the per-call sums" true
           (Solver.total_stats s = (!sum_c, !sum_d, !sum_r, !sum_l)));
-    test_case "config_of_seed is deterministic with seed 0 as default"
-      (fun () ->
-        check_bool "seed 0 is the default" true
-          (Solver.config_of_seed 0 = Solver.default_config);
-        List.iter
-          (fun seed ->
-            let a = Solver.config_of_seed seed in
-            check_bool "pure function" true (a = Solver.config_of_seed seed);
-            check_bool "seed recorded" true (a.Solver.seed = seed);
-            check_bool "decay sane" true
-              (a.Solver.decay > 0.0 && a.Solver.decay < 1.0);
-            check_bool "restart base sane" true (a.Solver.restart_base > 0);
-            check_bool "growth sane" true (a.Solver.restart_growth > 1.0))
-          [ 1; 2; 3; 4; 17; 12345 ]);
   ]
 
 (* Brute-force evaluator for cross-checking. *)
@@ -341,21 +336,6 @@ let random_props =
               && List.for_all
                    (fun l -> List.mem l assumptions)
                    (Solver.unsat_core s)));
-    QCheck.Test.make
-      ~name:"diversified portfolio configs agree with brute force"
-      ~count:150
-      QCheck.(pair (int_range 0 50_000) (int_range 1 8))
-      (fun (seed, cfg_seed) ->
-        let rng = Rng.create seed in
-        let nv = 4 + Rng.int rng 6 in
-        let n_clauses = 2 + Rng.int rng (4 * nv) in
-        let clauses = random_3sat rng ~nv ~n_clauses in
-        let s = Solver.create ~config:(Solver.config_of_seed cfg_seed) nv in
-        List.iter (Solver.add_clause s) clauses;
-        match Solver.solve s with
-        | Solver.Sat -> model_satisfies s clauses && brute_sat nv clauses
-        | Solver.Unsat -> not (brute_sat nv clauses)
-        | Solver.Unknown -> false);
   ]
 
 (* Search pins: the exact (result, conflicts, decisions, restarts,
@@ -407,12 +387,6 @@ let pin_tests =
         let nv, clauses = pigeonhole 5 in
         check_search "php 6->5" (Solver.Unsat, 153, 194, 1, 146)
           (solve_clauses nv clauses));
-    test_case "config_of_seed 3 takes its pinned search" (fun () ->
-        let nv, clauses = pigeonhole 5 in
-        let s = Solver.create ~config:(Solver.config_of_seed 3) nv in
-        List.iter (Solver.add_clause s) clauses;
-        check_search "php 6->5, seed 3" (Solver.Unsat, 155, 189, 0, 151)
-          (s, Solver.solve s));
     test_case "threshold random 3-SAT takes the pinned searches" (fun () ->
         List.iter
           (fun (seed, expected) ->

@@ -595,6 +595,38 @@ let test_cancel_token () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "deadline_ms < 1 must be rejected"
 
+let test_cancel_child_deadline () =
+  (* A child keeps its parent's absolute expiry, so a shard started after
+     part of the budget is spent expires with the parent's report. *)
+  let parent = Qls_cancel.make ~deadline_ms:20 () in
+  let child = Qls_cancel.child parent in
+  check_int "parent's start" (Qls_cancel.created_ms parent)
+    (Qls_cancel.created_ms child);
+  Thread.delay 0.03;
+  (match Qls_cancel.with_token child Qls_cancel.poll with
+  | exception Qls_cancel.Expired { elapsed_ms; limit_ms } ->
+      check_int "parent's limit" 20 limit_ms;
+      check_bool "elapsed >= limit" true (elapsed_ms >= limit_ms)
+  | () -> Alcotest.fail "a child must expire with its parent's budget");
+  Qls_cancel.with_token
+    (Qls_cancel.child (Qls_cancel.make ~deadline_ms:60_000 ()))
+    Qls_cancel.poll;
+  check_bool "child none is none" true
+    (Qls_cancel.child Qls_cancel.none == Qls_cancel.none)
+
+let test_cancel_child_heartbeat () =
+  (* A shard polling on another domain keeps its parent's heartbeat
+     fresh, so the watchdog sees the fanned-out job make progress. *)
+  let parent = Qls_cancel.make () in
+  let child = Qls_cancel.child parent in
+  Thread.delay 0.01;
+  let before = Qls_cancel.now_ms () in
+  Domain.join
+    (Domain.spawn (fun () -> Qls_cancel.with_token child Qls_cancel.poll));
+  check_bool "child stamped" true (Qls_cancel.last_poll_ms child >= before);
+  check_bool "parent stamped through the child" true
+    (Qls_cancel.last_poll_ms parent >= before)
+
 let test_pool_deadline_expires () =
   let p = Pool.start ~jobs:1 () in
   let got = Atomic.make None in
@@ -1058,6 +1090,10 @@ let () =
       ( "deadlines-watchdog",
         [
           test_case "token expiry semantics" test_cancel_token;
+          test_case "a child token mirrors its parent's deadline"
+            test_cancel_child_deadline;
+          test_case "a child's polls heartbeat its parent"
+            test_cancel_child_heartbeat;
           test_case "pooled job deadline expires" test_pool_deadline_expires;
           test_case "watchdog replaces a lost worker"
             test_pool_watchdog_replaces_lost_worker;
