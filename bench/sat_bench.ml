@@ -101,18 +101,24 @@ let full_specs =
 let specs = function Kit.Quick | Default -> quick_specs | Full -> full_specs
 
 let conflicts_counter = Qls_obs.counter "sat.conflicts"
+let solves_counter = Qls_obs.counter "sat.solves"
 
 let timed_ms f =
   let r, seconds = Kit.timed f in
   (r, seconds *. 1e3)
 
-(* Run a walk, returning (its optimum, conflict delta, ms). Conflict
-   counting by obs-counter delta works for both walks because every
-   [Solver.solve] call adds its per-call conflicts on return. *)
+(* Run a walk, returning (its optimum, conflict delta, solve delta, ms).
+   Counting by obs-counter delta works for both walks because every
+   [Solver.solve] call adds its per-call conflicts and one solve on
+   return. *)
 let measure_walk walk =
   let c0 = Qls_obs.counter_value conflicts_counter in
+  let s0 = Qls_obs.counter_value solves_counter in
   let swaps, ms = timed_ms walk in
-  (swaps, Qls_obs.counter_value conflicts_counter - c0, ms)
+  ( swaps,
+    Qls_obs.counter_value conflicts_counter - c0,
+    Qls_obs.counter_value solves_counter - s0,
+    ms )
 
 let exhausted () = failwith "sat_bench: walk exhausted its budget"
 
@@ -148,23 +154,11 @@ let measure s =
   let circuit = b.Benchmark.circuit in
   let max_swaps = b.Benchmark.optimal_swaps + 1 in
   let fail fmt = Printf.ksprintf failwith fmt in
-  let fresh_opt, fresh_conflicts, fresh_ms =
+  let fresh_opt, fresh_conflicts, _, fresh_ms =
     measure_walk (fresh_walk ~max_swaps device circuit)
   in
-  (* One throwaway session to read the solve count; the timed
-     incremental walk below builds its own. *)
-  let sess = Olsq.Incremental.create ~max_swaps device circuit in
-  let incr_opt, incr_conflicts, incr_ms =
+  let incr_opt, incr_conflicts, incr_solves, incr_ms =
     measure_walk (incremental_walk ~max_swaps device circuit)
-  in
-  let incr_solves =
-    let rec walk k =
-      match Olsq.Incremental.check sess ~swaps:k with
-      | Olsq.Feasible _ -> Olsq.Incremental.solves sess
-      | Olsq.Infeasible -> walk (k + 1)
-      | Olsq.Unknown -> fail "sat_bench: session walk exhausted its budget"
-    in
-    walk 0
   in
   let designed = b.Benchmark.optimal_swaps in
   if fresh_opt <> designed then

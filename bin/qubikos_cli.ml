@@ -284,8 +284,10 @@ let route_cmd =
             Format.eprintf "route: %s@." msg;
             2
         | Ok (circuit, optimal) ->
+            (* lint: nondet-source — wall-clock feeds the printed elapsed time only *)
             let t0 = Unix.gettimeofday () in
             let _, report = Router.run_verified router device circuit in
+            (* lint: nondet-source — wall-clock feeds the printed elapsed time only *)
             let dt = Unix.gettimeofday () -. t0 in
             Format.printf "%s: %d swaps, depth %d, %.2fs (result verified)@." tool
               report.Verifier.swap_count report.Verifier.depth dt;
@@ -552,6 +554,7 @@ let campaign_cmd =
               seed;
             }
         in
+        (* lint: nondet-source — wall-clock feeds the printed elapsed time only *)
         let t0 = Unix.gettimeofday () in
         let rows =
           Evaluation.run_campaign ?names ~jobs ?timeout ~retries ?backoff
@@ -559,6 +562,7 @@ let campaign_cmd =
             ~degrade ~progress:true ~config device
         in
         Qls_faults.clear ();
+        (* lint: nondet-source — wall-clock feeds the printed elapsed time only *)
         let elapsed = Unix.gettimeofday () -. t0 in
         let failures = Qls_harness.Campaign.failures rows in
         let degraded_rows = Qls_harness.Campaign.degraded rows in

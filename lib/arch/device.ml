@@ -1,6 +1,5 @@
 module Graph = Qls_graph.Graph
 module Apsp = Qls_graph.Apsp
-module Vf2 = Qls_graph.Vf2
 
 type t = { name : string; graph : Graph.t; dist : Apsp.t }
 
@@ -26,9 +25,6 @@ let max_degree d = Graph.max_degree d.graph
 let edges d = Graph.edges d.graph
 let edge_at d i = Graph.edge_at d.graph i
 let incident_edges d p = Graph.incident_edges d.graph p
-
-let automorphisms ?(limit = 10_000) d =
-  Vf2.count ~limit ~pattern:d.graph ~target:d.graph ()
 
 let pp ppf d =
   Format.fprintf ppf "%s(%d qubits, %d couplers)" d.name (n_qubits d) (n_edges d)

@@ -83,11 +83,5 @@ val incident_edges : t -> int -> int array
     {!edges}, so a routing round costs O(front couplers), not
     O(all couplers). *)
 
-val automorphisms : ?limit:int -> t -> int
-(** Number of coupling-graph automorphisms, counted up to [limit]
-    (default 10_000). The paper attributes part of IBM Rochester's large
-    optimality gap to its "fewer axes of symmetry"; this makes that
-    quantitative. *)
-
 val pp : Format.formatter -> t -> unit
 (** Prints name, qubit and coupler counts. *)

@@ -63,14 +63,9 @@ val poll : unit -> unit
     Otherwise stamps the heartbeat, then raises {!Expired} if the deadline
     (when any) has passed. *)
 
-val expire_check : token -> unit
-(** Like {!poll} but on an explicit token — used by the pool to reject a job
-    whose deadline already passed while it sat in the queue. Also stamps the
-    heartbeat. *)
-
 val last_poll_ms : token -> int
-(** Wall-clock milliseconds (Unix epoch) of the most recent {!poll} /
-    {!expire_check} on this token; its creation time if never polled.
+(** Wall-clock milliseconds (Unix epoch) of the most recent {!poll} on
+    this token or a {!child} of it; its creation time if never polled.
     Returns [0] for {!none}. *)
 
 val created_ms : token -> int

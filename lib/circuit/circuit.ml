@@ -35,25 +35,8 @@ let two_qubit_gates c =
 
 let two_qubit_pairs c = List.map snd (two_qubit_gates c)
 
-let append c g =
-  check_gate c.n_qubits g;
-  { c with gates = Array.append c.gates [| g |] }
-
-let concat c d =
-  {
-    n_qubits = max c.n_qubits d.n_qubits;
-    gates = Array.append c.gates d.gates;
-  }
-
 let map_qubits f c ~n_qubits =
   of_array ~n_qubits (Array.map (Gate.map_qubits f) c.gates)
-
-let used_qubits c =
-  let module IS = Set.Make (Int) in
-  Array.fold_left
-    (fun acc g -> List.fold_left (fun acc q -> IS.add q acc) acc (Gate.qubits g))
-    IS.empty c.gates
-  |> IS.elements
 
 let depth_with ~count c =
   let avail = Array.make (max 1 c.n_qubits) 0 in
@@ -77,9 +60,3 @@ let equal c d =
   c.n_qubits = d.n_qubits
   && Array.length c.gates = Array.length d.gates
   && Array.for_all2 Gate.equal c.gates d.gates
-
-let pp ppf c =
-  Format.fprintf ppf "@[<v>circuit on %d qubits, %d gates:@," c.n_qubits
-    (Array.length c.gates);
-  Array.iteri (fun i g -> Format.fprintf ppf "  %3d: %a@," i Gate.pp g) c.gates;
-  Format.fprintf ppf "@]"

@@ -37,18 +37,8 @@ val two_qubit_gates : t -> (int * (int * int)) list
 val two_qubit_pairs : t -> (int * int) list
 (** Qubit pairs of the two-qubit gates, in program order. *)
 
-val append : t -> Gate.t -> t
-(** [append c g] adds [g] at the end. *)
-
-val concat : t -> t -> t
-(** [concat c d] runs [c] then [d]; qubit counts are maxed.
-    Both circuits must address qubits consistently (shared namespace). *)
-
 val map_qubits : (int -> int) -> t -> n_qubits:int -> t
 (** Renames all qubits; the result has [n_qubits] qubits. *)
-
-val used_qubits : t -> int list
-(** Sorted list of qubits touched by at least one gate. *)
 
 val depth : t -> int
 (** Circuit depth counting all gates, via ASAP scheduling. *)
@@ -58,6 +48,3 @@ val two_qubit_depth : t -> int
 
 val equal : t -> t -> bool
 (** Structural equality: same qubit count and same gate sequence. *)
-
-val pp : Format.formatter -> t -> unit
-(** Multi-line printer. *)

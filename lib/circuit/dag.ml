@@ -57,13 +57,6 @@ let predecessors d i = slot_list d.pred i
 let in_degree d i =
   if d.pred.(2 * i) < 0 then 0 else if d.pred.((2 * i) + 1) < 0 then 1 else 2
 
-let front_layer d =
-  let acc = ref [] in
-  for i = n_gates d - 1 downto 0 do
-    if d.pred.(2 * i) < 0 then acc := i :: !acc
-  done;
-  !acc
-
 let topological_order d =
   let n = n_gates d in
   let indeg = Array.init n (fun i -> in_degree d i) in

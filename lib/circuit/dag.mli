@@ -52,9 +52,6 @@ val predecessors : t -> int -> int list
 val in_degree : t -> int -> int
 (** Number of direct predecessors. *)
 
-val front_layer : t -> int list
-(** Vertices with no predecessors — the initially executable gates. *)
-
 val topological_order : t -> int list
 (** A topological order (program order is always one; this recomputes via
     Kahn's algorithm as a structural sanity check). *)

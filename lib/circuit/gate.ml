@@ -13,7 +13,6 @@ let g2 name a b =
 
 let h q = g1 "h" q
 let x q = g1 "x" q
-let t_gate q = g1 "t" q
 let cx a b = g2 "cx" a b
 let cz a b = g2 "cz" a b
 let swap a b = g2 "swap" a b
@@ -46,8 +45,6 @@ let equal g g' =
       name = name' && a = a' && b = b'
   | G1 _, G2 _ | G2 _, G1 _ -> false
 
-let pp ppf = function
-  | G1 { name; q } -> Format.fprintf ppf "%s(%d)" name q
-  | G2 { name; a; b } -> Format.fprintf ppf "%s(%d,%d)" name a b
-
-let to_string g = Format.asprintf "%a" pp g
+let to_string = function
+  | G1 { name; q } -> Printf.sprintf "%s(%d)" name q
+  | G2 { name; a; b } -> Printf.sprintf "%s(%d,%d)" name a b

@@ -22,9 +22,6 @@ val h : int -> t
 val x : int -> t
 (** Pauli-X. *)
 
-val t_gate : int -> t
-(** T gate. *)
-
 val cx : int -> int -> t
 (** CNOT with control [a], target [b]. *)
 
@@ -60,8 +57,5 @@ val map_qubits : (int -> int) -> t -> t
 val equal : t -> t -> bool
 (** Structural equality. *)
 
-val pp : Format.formatter -> t -> unit
-(** [pp] prints e.g. [cx(3,7)] or [h(2)]. *)
-
 val to_string : t -> string
-(** String form of {!pp}. *)
+(** [to_string g] is e.g. [cx(3,7)] or [h(2)]. *)

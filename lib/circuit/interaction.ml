@@ -3,17 +3,5 @@ let of_pairs ~n_qubits pairs = Qls_graph.Graph.create n_qubits pairs
 let of_circuit c =
   of_pairs ~n_qubits:(Circuit.n_qubits c) (Circuit.two_qubit_pairs c)
 
-let of_slice c ~lo ~hi =
-  if lo < 0 || hi > Circuit.length c || lo > hi then
-    invalid_arg "Interaction.of_slice: bad range";
-  let pairs = ref [] in
-  for i = hi - 1 downto lo do
-    let g = Circuit.gate c i in
-    if Gate.is_two_qubit g then pairs := Gate.pair g :: !pairs
-  done;
-  of_pairs ~n_qubits:(Circuit.n_qubits c) !pairs
-
-let swap_free_mapping c coupling =
-  Qls_graph.Vf2.find ~pattern:(of_circuit c) ~target:coupling ()
-
-let swap_free c coupling = Option.is_some (swap_free_mapping c coupling)
+let swap_free c coupling =
+  Qls_graph.Vf2.exists ~pattern:(of_circuit c) ~target:coupling ()

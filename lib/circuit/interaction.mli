@@ -13,14 +13,6 @@ val of_circuit : Circuit.t -> Qls_graph.Graph.t
 val of_pairs : n_qubits:int -> (int * int) list -> Qls_graph.Graph.t
 (** Interaction graph straight from a list of two-qubit gate pairs. *)
 
-val of_slice : Circuit.t -> lo:int -> hi:int -> Qls_graph.Graph.t
-(** [of_slice c ~lo ~hi] is the interaction graph of gates with indices in
-    [\[lo, hi)] — used to inspect QUBIKOS sections. *)
-
 val swap_free : Circuit.t -> Qls_graph.Graph.t -> bool
 (** [swap_free c coupling] is [true] iff the circuit can be executed with
     no SWAP gates on the device (monomorphism test). *)
-
-val swap_free_mapping : Circuit.t -> Qls_graph.Graph.t -> int array option
-(** Like {!swap_free} but returns the witnessing qubit placement
-    [program -> physical] when one exists. *)

@@ -35,8 +35,6 @@ let error_to_string e =
   if e.line > 0 then Printf.sprintf "line %d: %s" e.line e.message
   else e.message
 
-let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
-
 let fail line message = raise (Parse_error { line; message })
 let failf line fmt = Printf.ksprintf (fail line) fmt
 

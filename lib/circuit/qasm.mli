@@ -26,8 +26,6 @@ exception Parse_error of error
 val error_to_string : error -> string
 (** ["line N: message"] (or just the message when [line = 0]). *)
 
-val pp_error : Format.formatter -> error -> unit
-
 val to_string : Circuit.t -> string
 (** Emit OpenQASM 2.0 in one canonical layout per circuit (the serve route
     cache keys on its hash). SWAPs are [swap]; other names are verbatim. *)

@@ -158,25 +158,10 @@ val tool_gap_summary : tool_point list -> (string * float) list
 val pp_points : Format.formatter -> tool_point list -> unit
 (** Render points as an aligned text table. *)
 
-type tool_summary = {
-  s_tool : string;
-  s_tasks : int;
-  s_ok : int;
-  s_degraded : int;
-  s_failed : int;
-  s_retries : int;  (** attempts beyond the first across ok+degraded rows *)
-  s_p50 : float;  (** median task seconds over successful rows *)
-  s_p95 : float;
-}
-(** One tool's line of the post-campaign summary. *)
-
-val summarize_campaign : Qls_harness.Campaign.row list -> tool_summary list
-(** Fold campaign rows into per-tool latency/retry/degrade summaries,
-    sorted by tool name. Resumed rows count with their recorded
-    seconds and attempts. *)
-
 val pp_summary : Format.formatter -> Qls_harness.Campaign.row list -> unit
-(** Render {!summarize_campaign} as an aligned table, followed by the
+(** Fold campaign rows into per-tool latency/retry/degrade summaries,
+    sorted by tool name (resumed rows count with their recorded seconds
+    and attempts), and render them as an aligned table, followed by the
     router rounds/gate and SAT effort footers when the {!Qls_obs}
     counters saw any work this process. *)
 

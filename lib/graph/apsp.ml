@@ -17,9 +17,6 @@ let row t u =
 
 let matrix t = t.dist
 
-let eccentricity t v =
-  Array.fold_left (fun acc d -> if d = unreachable then acc else max acc d) 0 t.dist.(v)
-
 let diameter t =
   let d = ref 0 in
   for u = 0 to t.n - 1 do
@@ -30,5 +27,3 @@ let diameter t =
     done
   done;
   !d
-
-let n t = t.n

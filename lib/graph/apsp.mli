@@ -36,9 +36,3 @@ val diameter : t -> int
 (** Largest finite pairwise distance ([0] for graphs with [<= 1]
     vertex).
     @raise Invalid_argument if the graph is disconnected. *)
-
-val eccentricity : t -> int -> int
-(** [eccentricity t v] is the largest finite distance from [v]. *)
-
-val n : t -> int
-(** Number of vertices the matrix covers. *)

@@ -16,32 +16,6 @@ let distances g src =
   done;
   dist
 
-let multi_source_distances g srcs =
-  (match srcs with
-  | [] -> invalid_arg "Bfs.multi_source_distances: no sources"
-  | _ :: _ -> ());
-  let n = Graph.n_vertices g in
-  let dist = Array.make n max_int in
-  let queue = Queue.create () in
-  List.iter
-    (fun s ->
-      if dist.(s) = max_int then begin
-        dist.(s) <- 0;
-        Queue.add s queue
-      end)
-    srcs;
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    Array.iter
-      (fun w ->
-        if dist.(w) = max_int then begin
-          dist.(w) <- dist.(v) + 1;
-          Queue.add w queue
-        end)
-      (Graph.neighbors_array g v)
-  done;
-  dist
-
 let edge_order g ~sources ~skip =
   let n = Graph.n_vertices g in
   let visited = Array.make n false in

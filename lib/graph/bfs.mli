@@ -10,11 +10,6 @@ val distances : Graph.t -> int -> int array
 (** [distances g src] is the array of BFS distances from [src];
     unreachable vertices get [max_int]. *)
 
-val multi_source_distances : Graph.t -> int list -> int array
-(** [multi_source_distances g srcs] is the pointwise minimum of
-    {!distances} over the sources. Unreachable vertices get [max_int].
-    @raise Invalid_argument if [srcs] is empty. *)
-
 val edge_order : Graph.t -> sources:int list -> skip:(int -> int -> bool) -> (int * int) list
 (** [edge_order g ~sources ~skip] visits every edge of [g] not excluded by
     [skip] in multi-source BFS order: an edge is emitted (oriented

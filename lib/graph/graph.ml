@@ -125,13 +125,6 @@ let degree_histogram g =
 
 let add_edges g es = create g.n (es @ Array.to_list g.edges)
 
-let remove_edge g u v =
-  let target = canon u v in
-  let kept =
-    Array.to_list g.edges |> List.filter (fun e -> e <> target)
-  in
-  create g.n kept
-
 let induced g vs =
   let back = Array.of_list vs in
   let k = Array.length back in
@@ -152,9 +145,6 @@ let induced g vs =
       [] g.edges
   in
   (create k es, back)
-
-let union_edges g h =
-  create (max g.n h.n) (Array.to_list g.edges @ Array.to_list h.edges)
 
 let components g =
   let seen = Array.make g.n false in
@@ -180,11 +170,6 @@ let components g =
     end
   done;
   List.rev !comps
-
-let component_ids g =
-  let ids = Array.make g.n (-1) in
-  List.iteri (fun i comp -> List.iter (fun v -> ids.(v) <- i) comp) (components g);
-  ids
 
 let is_connected g = g.n <= 1 || List.length (components g) = 1
 
@@ -216,20 +201,3 @@ let complement_edges g =
     done
   done;
   !acc
-
-let pp ppf g =
-  Format.fprintf ppf "@[<hov 2>graph(%d){%a}@]" g.n
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
-       (fun ppf (u, v) -> Format.fprintf ppf "%d-%d" u v))
-    (edges g)
-
-let to_dot ?(name = "g") g =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "graph %s {\n" name);
-  for v = 0 to g.n - 1 do
-    Buffer.add_string buf (Printf.sprintf "  %d;\n" v)
-  done;
-  iter_edges (fun u v -> Buffer.add_string buf (Printf.sprintf "  %d -- %d;\n" u v)) g;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf

@@ -72,17 +72,10 @@ val degree_histogram : t -> (int * int) list
 val add_edges : t -> edge list -> t
 (** [add_edges g es] is [g] with the extra edges (duplicates ignored). *)
 
-val remove_edge : t -> int -> int -> t
-(** [remove_edge g u v] is [g] without edge [{u, v}] (no-op if absent). *)
-
 val induced : t -> int list -> t * int array
 (** [induced g vs] is the subgraph induced by the distinct vertices [vs],
     relabelled densely in the order given, together with the array mapping
     new labels back to the original vertices. *)
-
-val union_edges : t -> t -> t
-(** [union_edges g h] is the graph on [max (n_vertices g) (n_vertices h)]
-    vertices with the union of both edge sets. *)
 
 val is_connected : t -> bool
 (** Whether the graph is connected ([true] for graphs with [<= 1]
@@ -91,10 +84,6 @@ val is_connected : t -> bool
 val components : t -> int list list
 (** Connected components as sorted vertex lists, ordered by smallest
     member. *)
-
-val component_ids : t -> int array
-(** [component_ids g] assigns each vertex the index of its component in
-    {!components}. *)
 
 val fold_edges : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 (** [fold_edges f g acc] folds [f u v] over canonical edges in sorted
@@ -114,10 +103,3 @@ val relabel : t -> int array -> t
 
 val complement_edges : t -> edge list
 (** All non-edges of [g], canonical and sorted. *)
-
-val pp : Format.formatter -> t -> unit
-(** Debug printer: vertex count and edge list. *)
-
-val to_dot : ?name:string -> t -> string
-(** Graphviz representation, for inspecting generated devices and
-    interaction graphs. *)

@@ -18,9 +18,6 @@ val create : int -> t
 (** [create seed] creates a fresh generator from an integer seed. Equal
     seeds yield equal streams. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator with the same current state. *)
-
 val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     statistically independent of the remainder of [t]'s stream. Use this to

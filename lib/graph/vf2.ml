@@ -1,5 +1,3 @@
-type stats = { nodes_visited : int }
-
 exception Budget_exhausted
 
 (* Order the positive-degree pattern vertices so that every vertex after
@@ -84,11 +82,11 @@ let candidates st h =
       List.filter (fun m -> st.core_t.(m) = -1)
         (List.init (Graph.n_vertices st.target) Fun.id)
 
-(* Depth-first search; [on_solution] returns [true] to stop the search. *)
-let rec search st depth on_solution =
+(* Depth-first search; [true] at the first complete assignment. *)
+let rec search st depth =
   st.visited <- st.visited + 1;
   if st.visited > st.node_limit then raise Budget_exhausted;
-  if depth = Array.length st.order then on_solution ()
+  if depth = Array.length st.order then true
   else begin
     let h = st.order.(depth) in
     let rec try_candidates = function
@@ -97,7 +95,7 @@ let rec search st depth on_solution =
           if feasible st h m then begin
             st.core_p.(h) <- m;
             st.core_t.(m) <- h;
-            let stop = search st (depth + 1) on_solution in
+            let stop = search st (depth + 1) in
             if stop then true
             else begin
               st.core_p.(h) <- -1;
@@ -139,75 +137,13 @@ let make_state ?(node_limit = max_int) ~pattern ~target () =
     visited = 0;
   }
 
-let find_with_stats ?node_limit ~pattern ~target () =
-  let st = make_state ?node_limit ~pattern ~target () in
-  let result =
-    try search st 0 (fun () -> true) with Budget_exhausted -> false
-  in
-  let mapping =
-    if result then begin
-      complete_isolated st;
-      Some (Array.copy st.core_p)
-    end
-    else None
-  in
-  (mapping, { nodes_visited = st.visited })
-
 let find ?node_limit ~pattern ~target () =
-  fst (find_with_stats ?node_limit ~pattern ~target ())
+  let st = make_state ?node_limit ~pattern ~target () in
+  if (try search st 0 with Budget_exhausted -> false) then begin
+    complete_isolated st;
+    Some (Array.copy st.core_p)
+  end
+  else None
 
 let exists ?node_limit ~pattern ~target () =
   Option.is_some (find ?node_limit ~pattern ~target ())
-
-let extend ~pattern ~target ~fixed =
-  let st = make_state ~pattern ~target () in
-  List.iter
-    (fun (h, m) ->
-      if h < 0 || h >= Graph.n_vertices pattern || m < 0 || m >= Graph.n_vertices target
-      then invalid_arg "Vf2.extend: fixed pair out of range";
-      if st.core_p.(h) <> -1 || st.core_t.(m) <> -1 then
-        invalid_arg "Vf2.extend: conflicting fixed assignment";
-      st.core_p.(h) <- m;
-      st.core_t.(m) <- h)
-    fixed;
-  (* The fixed part must already be edge-consistent. *)
-  let consistent =
-    Graph.fold_edges
-      (fun u v ok ->
-        ok
-        &&
-        let mu = st.core_p.(u) and mv = st.core_p.(v) in
-        mu = -1 || mv = -1 || Graph.mem_edge target mu mv)
-      pattern true
-  in
-  if not consistent then None
-  else begin
-    (* Re-order so already-fixed vertices come first (they are just
-       skipped by the candidate loop when pre-assigned). *)
-    let order =
-      Array.of_list
-        (List.filter (fun h -> st.core_p.(h) = -1) (Array.to_list st.order))
-    in
-    let st = { st with order } in
-    if (try search st 0 (fun () -> true) with Budget_exhausted -> false) then begin
-      complete_isolated st;
-      Some (Array.copy st.core_p)
-    end
-    else None
-  end
-
-let count ?(limit = max_int) ~pattern ~target () =
-  let st = make_state ~pattern ~target () in
-  let found = ref 0 in
-  (try
-     ignore
-       (search st 0 (fun () ->
-            incr found;
-            !found >= limit))
-   with Budget_exhausted -> ());
-  !found
-
-let is_isomorphic g h =
-  Graph.n_vertices g = Graph.n_vertices h
-  && Graph.n_edges g = Graph.n_edges h
-  && exists ~pattern:g ~target:h ()

@@ -5,21 +5,20 @@
     graph [G] — an injective vertex map under which every interaction edge
     lands on a coupling edge (non-induced: extra coupling edges are fine).
 
-    This module is used three ways in the reproduction:
-    - {!Qubikos.Certificate} proves Lemma 1 of the paper by checking that
-      each generated section's interaction graph has {e no} monomorphism
-      into the device;
-    - the QUEKO contrast experiment solves QUEKO benchmarks outright by
-      finding a monomorphism (which is exactly why QUEKO cannot measure
-      SWAP optimality gaps);
-    - {!Qls_router} tools use it to detect SWAP-free instances.
+    Its callers ask whether a circuit runs with no SWAP at all:
+    - {!Qls_router.Placement.vf2} places a circuit on the device when its
+      interaction graph embeds — tket's initial placement, and the QUEKO
+      contrast experiment (E5), which solves QUEKO benchmarks outright
+      (which is exactly why QUEKO cannot measure SWAP optimality gaps);
+    - {!Qls_circuit.Interaction.swap_free} answers the same question for
+      [qubikos queko].
+
+    The optimality certificate does not search: it refutes an embedding
+    of each section with a degree pigeonhole (see [Qubikos.Certificate]).
 
     The implementation is the standard VF2 state-space search with
     degree-based candidate pruning and a connectivity-first variable
     ordering. *)
-
-type stats = { nodes_visited : int }
-(** Search-effort counter for benchmarking. *)
 
 val find :
   ?node_limit:int -> pattern:Graph.t -> target:Graph.t -> unit -> int array option
@@ -35,27 +34,5 @@ val find :
     @raise Invalid_argument if the pattern has more vertices than the
     target. *)
 
-val find_with_stats :
-  ?node_limit:int -> pattern:Graph.t -> target:Graph.t -> unit -> int array option * stats
-(** Like {!find} but also reports search effort. *)
-
 val exists : ?node_limit:int -> pattern:Graph.t -> target:Graph.t -> unit -> bool
 (** [exists ~pattern ~target ()] is [true] iff a monomorphism exists. *)
-
-val extend :
-  pattern:Graph.t -> target:Graph.t -> fixed:(int * int) list -> int array option
-(** [extend ~pattern ~target ~fixed] searches for a monomorphism that
-    extends the partial assignment [fixed] (pairs [(pattern_v, target_v)]).
-    Used to test whether a partial placement obtained from one QUBIKOS
-    section can be completed for the next (paper §III-C).
-    @raise Invalid_argument on an inconsistent or out-of-range [fixed]. *)
-
-val count : ?limit:int -> pattern:Graph.t -> target:Graph.t -> unit -> int
-(** [count ~pattern ~target ()] counts monomorphisms, stopping at [limit]
-    (default [max_int]). Counting all self-monomorphisms of a graph with
-    [n_edges pattern = n_edges target] counts automorphisms — the paper's
-    "axes of symmetry" measure for devices. *)
-
-val is_isomorphic : Graph.t -> Graph.t -> bool
-(** Graph isomorphism for same-size graphs (monomorphism + equal edge
-    counts). *)

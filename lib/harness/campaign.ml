@@ -69,7 +69,7 @@ let degrade config ~exec ~guard task err =
               else Qls_obs.none
             in
             let result =
-              Runner.run_counted ~key:(Task.id fb_task)
+              Runner.run ~key:(Task.id fb_task)
                 ~seed:(Task.rng_seed fb_task) guard
                 (fun () -> exec fb_task)
             in
@@ -181,7 +181,7 @@ let run config ~exec tasks =
         in
         let status =
           match
-            Runner.run_counted ~key:(Task.id task) ~seed:(Task.rng_seed task)
+            Runner.run ~key:(Task.id task) ~seed:(Task.rng_seed task)
               guard
               (fun () -> exec task)
           with

@@ -38,8 +38,6 @@ let run ~jobs ~f tasks =
         (function Some v -> v | None -> invalid_arg "Pool.run: missing result")
         results
 
-let map ~jobs ~f tasks = run ~jobs ~f:(fun _ x -> f x) tasks
-
 (* ------------------------------------------------------------------ *)
 (* The long-lived pool: a fixed set of domains fed one job at a time   *)
 (* through a bounded queue, with per-job completion callbacks. This is *)

@@ -14,7 +14,7 @@
     whichever domain failed), and the first exception raised is then
     re-raised on the calling domain with its original backtrace.
     Task-level failures that should not abort the campaign must still be
-    caught inside [f], which is what {!Runner.guard} is for. *)
+    caught inside [f], which is what {!Runner.run} is for. *)
 
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the default [-j]. *)
@@ -24,9 +24,6 @@ val run : jobs:int -> f:(int -> 'a -> 'b) -> 'a array -> 'b array
     [min jobs (length tasks)] domains (clamped to at least 1; [jobs = 1]
     runs inline on the calling domain, spawning nothing) and returns the
     results in input order. *)
-
-val map : jobs:int -> f:('a -> 'b) -> 'a array -> 'b array
-(** {!run} without the index. *)
 
 (** {1 Long-lived pool}
 

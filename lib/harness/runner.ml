@@ -91,7 +91,7 @@ let run_once ~timeout ~site f =
 
 let attempt_hist = Qls_obs.histogram "runner.attempt_seconds"
 
-let run_counted ?(site = site_exec) ?(key = "") ?(seed = 0) config f =
+let run ?(site = site_exec) ?(key = "") ?(seed = 0) config f =
   (* The fault hook runs inside the guarded body: an injected exception
      is classified like a real one, an injected delay can trip the real
      timeout. *)
@@ -140,11 +140,3 @@ let run_counted ?(site = site_exec) ?(key = "") ?(seed = 0) config f =
     | Error e -> Error { e with Herror.attempts = n + 1 }
   in
   attempt 0
-
-let run ?site ?key ?seed config f =
-  Result.map fst (run_counted ?site ?key ?seed config f)
-
-let guard ?site ?key ?seed config f =
-  match run_counted ?site ?key ?seed config f with
-  | Ok (o, attempts) -> Task.Done { o with Task.attempts }
-  | Error e -> Task.Failed e

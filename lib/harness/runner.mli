@@ -2,11 +2,10 @@
     bounded retry with exponential backoff.
 
     A diverging or crashing router must cost the campaign one [failed]
-    line, not the run. {!guard} wraps a task body so that any exception
-    becomes {!Task.Failed} with a typed {!Herror.t} (classified by
-    {!Herror.of_exn}), and (when a timeout is configured) a task
-    overrunning its wall-clock budget is reported [Failed] with class
-    [Timeout].
+    line, not the run. {!run} wraps a task body so that any exception
+    becomes a typed {!Herror.t} (classified by {!Herror.of_exn}), and
+    (when a timeout is configured) a task overrunning its wall-clock
+    budget fails with class [Timeout].
 
     {b Retry policy.} Only {e retryable} errors ([Transient], [Timeout])
     are retried — a [Permanent] error is deterministic, so re-running it
@@ -58,37 +57,13 @@ val run :
   ?seed:int ->
   config ->
   (unit -> 'a) ->
-  ('a, Herror.t) result
+  ('a * int, Herror.t) result
 (** Run one task body under the config. [site] names the fault-injection
     and error-classification site (default ["runner.exec"]), [key]
     identifies the task to the fault plan (use {!Task.id}), [seed]
-    drives the backoff jitter (use {!Task.rng_seed}). [Error] carries
-    the classified error of the last attempt, with [attempts] set. *)
-
-val run_counted :
-  ?site:string ->
-  ?key:string ->
-  ?seed:int ->
-  config ->
-  (unit -> 'a) ->
-  ('a * int, Herror.t) result
-(** {!run}, but success also reports how many attempts it took
-    ([Ok (v, 1)] = first try). Historically the count was only recorded
-    on [Error], so a task that needed retries was indistinguishable from
-    a first-try success — the campaign uses this variant so the store
-    keeps the real count. Each attempt is traced as a
-    ["runner.attempt"] span (with a ["runner.backoff"] span for each
-    retry pause) and timed into the ["runner.attempt_seconds"]
-    histogram. *)
-
-val guard :
-  ?site:string ->
-  ?key:string ->
-  ?seed:int ->
-  config ->
-  (unit -> Task.outcome) ->
-  Task.status
-(** {!run_counted} mapped onto {!Task.status} — the worker-loop entry
-    point; the outcome's [attempts] placeholder is overwritten with the
-    runner's real count. Never yields [Degraded]; degradation is
-    campaign policy (see {!Campaign}). *)
+    drives the backoff jitter (use {!Task.rng_seed}). [Ok (v, n)] took
+    [n] attempts ([1] = first try), so the store keeps the real count;
+    [Error] carries the classified error of the last attempt, with
+    [attempts] set. Each attempt is traced as a ["runner.attempt"] span
+    (with a ["runner.backoff"] span for each retry pause) and timed into
+    the ["runner.attempt_seconds"] histogram. *)

@@ -10,7 +10,6 @@ let site_load = "store.load"
 (* The CRC framing, escape and flat-JSON codec all live in Qls_sealed
    now — this module keeps only the entry codec and the store policy
    (v1/v2/v3 compatibility, quarantine, compaction). *)
-let crc32 = Qls_sealed.crc32
 let seal = Qls_sealed.seal
 let escape = Qls_sealed.escape
 
@@ -203,4 +202,3 @@ let compact ?(fsync = false) path =
   }
 
 let close t = Qls_sealed.Log.close t.log
-let path t = Qls_sealed.Log.path t.log

@@ -81,9 +81,3 @@ val compact : ?fsync:bool -> string -> compact_stats
     leaves the original store untouched. *)
 
 val close : t -> unit
-val path : t -> string
-
-(**/**)
-
-val crc32 : string -> string
-(** 8-hex-digit IEEE CRC32 — exposed for the corruption tests. *)

@@ -82,13 +82,3 @@ let equal m m' =
      let n = Array.length m.q2p in
      let rec go i = i >= n || (m.q2p.(i) = m'.q2p.(i) && go (i + 1)) in
      go 0)
-
-let compose_program_perm m perm =
-  if Array.length perm <> Array.length m.q2p then
-    invalid_arg "Mapping.compose_program_perm: size mismatch";
-  build m.n_physical (Array.map (fun q -> m.q2p.(q)) perm)
-
-let pp ppf m =
-  Format.fprintf ppf "@[<hov 2>{";
-  Array.iteri (fun q p -> Format.fprintf ppf "%d->%d;@ " q p) m.q2p;
-  Format.fprintf ppf "}@]"

@@ -63,10 +63,3 @@ val apply_swaps : t -> (int * int) list -> t
 
 val equal : t -> t -> bool
 (** Pointwise equality. *)
-
-val compose_program_perm : t -> int array -> t
-(** [compose_program_perm m perm] relabels program qubits: the new mapping
-    sends [q] to [phys m perm.(q)]. Used by multilevel coarsening. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints [q->p] pairs. *)

@@ -8,44 +8,3 @@ let swap_ratio ~optimal ~swap_counts =
   if optimal <= 0 then invalid_arg "Metrics.swap_ratio: optimal must be positive";
   if List.is_empty swap_counts then invalid_arg "Metrics.swap_ratio: no samples";
   mean (List.map float_of_int swap_counts) /. float_of_int optimal
-
-let geometric_mean = function
-  | [] -> invalid_arg "Metrics.geometric_mean: empty"
-  | xs ->
-      List.iter
-        (fun x ->
-          if x <= 0.0 then
-            invalid_arg "Metrics.geometric_mean: non-positive value")
-        xs;
-      exp (mean (List.map log xs))
-
-exception Nan_input of string
-
-(* Aggregates over floats must not use polymorphic [compare]: it orders
-   NaN below every float, so a single NaN sample silently lands at one
-   end of the sorted array and shifts the median instead of failing.
-   Order statistics use [Float.compare] and every NaN-absorbing
-   aggregate rejects NaN inputs up front. *)
-let reject_nan fn xs =
-  if List.exists Float.is_nan xs then raise (Nan_input fn)
-
-let median = function
-  | [] -> invalid_arg "Metrics.median: empty"
-  | xs ->
-      reject_nan "Metrics.median" xs;
-      let arr = Array.of_list xs in
-      Array.sort Float.compare arr;
-      let n = Array.length arr in
-      if n mod 2 = 1 then arr.(n / 2)
-      else (arr.((n / 2) - 1) +. arr.(n / 2)) /. 2.0
-
-(* Population standard deviation (the /n variant, not Bessel's /(n-1)):
-   campaign points are complete populations of their samples, and the
-   singleton case must be 0, not undefined. *)
-let stddev = function
-  | [] -> invalid_arg "Metrics.stddev: empty"
-  | xs ->
-      reject_nan "Metrics.stddev" xs;
-      let m = mean xs in
-      let var = mean (List.map (fun x -> (x -. m) ** 2.0) xs) in
-      sqrt var

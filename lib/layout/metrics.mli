@@ -17,26 +17,3 @@ val mean_opt : float list -> float option
 (** Arithmetic mean, or [None] on empty input — for aggregation paths
     (campaign points where every task failed) that must skip rather than
     die. *)
-
-val geometric_mean : float list -> float
-(** Geometric mean of positive values — used for cross-architecture
-    summaries where ratios span orders of magnitude.
-    @raise Invalid_argument on empty input or non-positive values. *)
-
-exception Nan_input of string
-(** Raised (with the offending function's name) by order statistics and
-    deviation aggregates when any sample is NaN. Polymorphic [compare]
-    silently sorts NaN below every float, so before this check a single
-    NaN sample {e shifted} the median instead of failing — aggregation
-    paths must treat this as a data bug, not a value. *)
-
-val median : float list -> float
-(** Median, ordered with [Float.compare].
-    @raise Invalid_argument on empty input.
-    @raise Nan_input if any sample is NaN. *)
-
-val stddev : float list -> float
-(** {e Population} standard deviation (the [/n] variant, not the [/(n-1)]
-    sample estimator; [0.] for singletons).
-    @raise Invalid_argument on empty input.
-    @raise Nan_input if any sample is NaN. *)

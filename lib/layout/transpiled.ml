@@ -23,13 +23,8 @@ let device t = t.device
 let initial_mapping t = t.initial
 let ops t = t.ops
 
-let swaps t =
-  List.filter_map
-    (function Swap (p, p') -> Some (p, p') | Gate _ -> None)
-    t.ops
-
-let swap_count t = List.length (swaps t)
-let final_mapping t = Mapping.apply_swaps t.initial (swaps t)
+let swap_count t =
+  List.fold_left (fun n op -> match op with Swap _ -> n + 1 | Gate _ -> n) 0 t.ops
 
 let mapping_at t k =
   let rec go m i = function
@@ -79,14 +74,3 @@ let depth t =
           | Gate.G1 { q; _ } -> place q2p.(q) q2p.(q)
           | Gate.G2 { a; b; _ } -> place q2p.(a) q2p.(b)));
   Array.fold_left Int.max 0 front
-
-let pp ppf t =
-  let n_swap = swap_count t in
-  Format.fprintf ppf
-    "@[<v>transpiled: %d source gates + %d swaps on %s@,swaps: %a@]"
-    (Circuit.length t.source) n_swap
-    (Device.name t.device)
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
-       (fun ppf (p, p') -> Format.fprintf ppf "(%d,%d)" p p'))
-    (swaps t)

@@ -39,12 +39,6 @@ val ops : t -> op list
 val swap_count : t -> int
 (** Number of inserted SWAP gates — the paper's headline metric. *)
 
-val swaps : t -> (int * int) list
-(** The inserted SWAPs in order. *)
-
-val final_mapping : t -> Mapping.t
-(** Mapping after all SWAPs have acted. *)
-
 val mapping_at : t -> int -> Mapping.t
 (** [mapping_at t k] is the mapping in effect before op [k]. *)
 
@@ -63,6 +57,3 @@ val iter_mapped : t -> (int -> op -> int array -> unit) -> unit
 val depth : t -> int
 (** Depth of {!to_physical_circuit}, measured by one {!iter_mapped} walk
     with a frontier per physical qubit, without building the circuit. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints op counts and the SWAP positions. *)

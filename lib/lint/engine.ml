@@ -41,9 +41,9 @@ let ran rules r =
    findings, sorted, the number silenced, and the (line, rule) of each
    suppression that silenced nothing. [file] names the file in findings
    and is what path-scoped rules test. *)
-let lint_structure ~rules ~guards ~file ~src structure =
-  let ctx = Typed_rules.context ~file ~guards structure in
-  let raw = List.concat_map (fun r -> Typed_rules.run r ctx structure) rules in
+let lint_tree ~rules ~guards ~index ~file ~src tree =
+  let ctx = Typed_rules.context ~file ~guards ~index tree in
+  let raw = List.concat_map (fun r -> Typed_rules.run r ctx tree) rules in
   let sup = Suppress.scan src in
   let kept, silenced =
     List.partition
@@ -68,13 +68,15 @@ let rec ml_files dir =
          else
            let p = Filename.concat dir name in
            if Sys.is_directory p then ml_files p
-           else if Filename.check_suffix name ".ml" then [ p ]
+           else if
+             Filename.check_suffix name ".ml" || Filename.check_suffix name ".mli"
+           then [ p ]
            else [])
 
 let default_dirs = [ "lib"; "bin"; "bench" ]
 
-(* "./lib/foo.ml" and "lib/foo.ml" must be the same file as far as the
-   baseline is concerned. *)
+(* "./lib/foo.ml" and "lib/foo.ml" must be the same file to findings,
+   suppressions and path-scoped rules. *)
 let normalize p =
   if String.length p > 2 && String.sub p 0 2 = "./" then
     String.sub p 2 (String.length p - 2)
@@ -91,8 +93,8 @@ let collect_paths ~root paths =
     paths
   |> List.map normalize
 
-(* Findings, baseline entries and scopes all speak root-relative paths,
-   whatever directory the linter runs from. *)
+(* Findings and scopes speak root-relative paths, whatever directory the
+   linter runs from. *)
 let relativize ~root path =
   let root = normalize root in
   if root = "." || root = "" then path
@@ -119,9 +121,9 @@ let run ?(jobs = 1) ~rules ~root paths =
   let lint_one i _ =
     let file = relativize ~root files.(i) in
     match Cmt_index.find index ~source:file with
-    | Cmt_index.Loaded structure ->
+    | Cmt_index.Loaded tree ->
         let kept, silenced, unused =
-          lint_structure ~rules ~guards ~file ~src:sources.(i) structure
+          lint_tree ~rules ~guards ~index ~file ~src:sources.(i) tree
         in
         Ok (kept, silenced, List.map (fun (line, rule) -> (file, line, rule)) unused)
     | Cmt_index.Unavailable -> Error file

@@ -39,9 +39,9 @@ let to_human t =
   Printf.sprintf "%s:%d:%d: %s [%s] %s" t.file t.line t.col
     (severity_name t.severity) t.rule t.message
 
-(* Minimal JSON string escaping: the messages are ASCII prose assembled
-   by the rules themselves, so only quotes, backslashes and control
-   characters need care. *)
+(* Minimal JSON string escaping for the SARIF sink: the messages are
+   ASCII prose assembled by the rules themselves, so only quotes,
+   backslashes and control characters need care. *)
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in
   String.iter
@@ -56,10 +56,3 @@ let json_escape s =
       | c -> Buffer.add_char b c)
     s;
   Buffer.contents b
-
-let to_jsonl t =
-  Printf.sprintf
-    {|{"file":"%s","line":%d,"col":%d,"rule":"%s","severity":"%s","message":"%s"}|}
-    (json_escape t.file) t.line t.col (json_escape t.rule)
-    (severity_name t.severity)
-    (json_escape t.message)

@@ -26,13 +26,6 @@ val to_human : t -> string
 (** [file:line:col: severity [rule] message] — one line, no trailing
     newline. *)
 
-val to_jsonl : t -> string
-(** One JSON object per finding, keys [file]/[line]/[col]/[rule]/
-    [severity]/[message]. *)
-
-val severity_name : severity -> string
-(** ["error"] / ["warning"]. *)
-
 val json_escape : string -> string
 (** Minimal JSON string escaping (quotes, backslashes, control chars),
-    shared by the JSONL and SARIF sinks. *)
+    for the SARIF sink. *)

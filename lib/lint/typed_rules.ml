@@ -1,10 +1,10 @@
 (* The rule catalogue. Every rule runs on the Typedtree loaded from the
-   build's [.cmt] files (see [Cmt_index]), so callees are resolved
-   paths — [Mutex.protect] is [Stdlib.Mutex.protect] no matter how it
-   was spelled at the call site, [module P = Qls_harness.Pool] included
-   — operand types are known, and record labels carry the type that
-   declared them, which is what lets [guarded-by] follow a field across
-   module boundaries. Each rule is still an approximation with a
+   build's [.cmt] files, or [.cmti] for an interface rule (see
+   [Cmt_index]), so callees are resolved paths — [Mutex.protect] is
+   [Stdlib.Mutex.protect] no matter how it was spelled at the call site,
+   [module P = Qls_harness.Pool] included — operand types are known, and
+   record labels carry the type that declared them, which is what lets
+   [guarded-by] follow a field across module boundaries. Each rule is still an approximation with a
    documented envelope; the suppression comment is the escape hatch. *)
 
 open Typedtree
@@ -207,27 +207,42 @@ end
 type ctx = {
   file : string;  (** path relative to the lint root; scopes key off it *)
   guards : Guards.registry;
+  index : Cmt_index.t;
   aliases : (Ident.t * Path.t) list;
 }
 
-let context ~file ~guards structure =
-  { file; guards; aliases = module_aliases structure }
+let context ~file ~guards ~index (tree : Cmt_index.tree) =
+  let aliases =
+    match tree with Impl structure -> module_aliases structure | Intf _ -> []
+  in
+  { file; guards; index; aliases }
+
+type 'a check = ctx -> report:(Location.t -> string -> unit) -> 'a -> unit
+
+(* A rule reads implementations ([.ml]) or interfaces ([.mli]). *)
+type kind =
+  | Structure of Typedtree.structure check
+  | Signature of Typedtree.signature check
 
 type t = {
   name : string;
   summary : string;
   severity : Finding.severity;
-  check :
-    ctx -> report:(Location.t -> string -> unit) -> Typedtree.structure -> unit;
+  check : kind;
 }
 
-let run rule ctx structure =
+let run rule ctx (tree : Cmt_index.tree) =
   let acc = ref [] in
-  rule.check ctx structure ~report:(fun loc msg ->
-      acc :=
-        Finding.of_location ~file:ctx.file ~rule:rule.name
-          ~severity:rule.severity loc msg
-        :: !acc);
+  let report loc msg =
+    acc :=
+      Finding.of_location ~file:ctx.file ~rule:rule.name
+        ~severity:rule.severity loc msg
+      :: !acc
+  in
+  (match (rule.check, tree) with
+  | Structure check, Impl structure -> check ctx ~report structure
+  | Signature check, Intf signature -> check ctx ~report signature
+  | Structure _, Intf _ | Signature _, Impl _ -> ());
   !acc
 
 let run_iterator make_expr structure =
@@ -307,10 +322,10 @@ let poly_compare ctx ~report structure =
 (* R3 — float-discipline                                               *)
 (* Equality, [compare], or bare [min]/[max] applied to an operand whose
    type is [float]: float equality is representation-sensitive and
-   polymorphic min/max/compare mishandle NaN — the class of bug fixed in
-   [Metrics.median]. Ordering comparisons ([<], [>]) are left alone:
-   they are well-defined on non-NaN floats and flagging them would bury
-   the signal. Types are read as inferred, without expanding
+   polymorphic min/max/compare mishandle NaN, which once let a NaN
+   sample shift a median silently. Ordering comparisons ([<], [>]) are
+   left alone: they are well-defined on non-NaN floats and flagging them
+   would bury the signal. Types are read as inferred, without expanding
    abbreviations, so an operand typed through an alias of [float] is
    out of the envelope. *)
 
@@ -713,7 +728,7 @@ let guarded_by ctx ~report structure =
 (* A closure handed to another domain or thread must not capture a
    value whose type contains a known non-Atomic mutable cell, nor
    assign a field of a captured record. Envelope: literal [fun]-closures
-   in argument position of Pool.submit/Pool.run/Pool.map/Domain.spawn/
+   in argument position of Pool.submit/Pool.run/Domain.spawn/
    Thread.create; mutable cells are ref/Hashtbl/Buffer/Queue/Stack/bytes
    at any depth of the captured value's type. Arrays are exempt
    (disjoint-index writes are the pool's result-collection idiom), and
@@ -722,7 +737,7 @@ let guarded_by ctx ~report structure =
 
 let spawn_suffixes =
   [
-    [ "pool"; "submit" ]; [ "pool"; "run" ]; [ "pool"; "map" ];
+    [ "pool"; "submit" ]; [ "pool"; "run" ];
     [ "domain"; "spawn" ]; [ "thread"; "create" ];
   ]
 
@@ -890,14 +905,12 @@ let blocking_under_mutex ctx ~report structure =
 (* R12 — cancel-poll-coverage                                          *)
 (* Scope: lib/router and lib/sat, the hot paths request deadlines rely
    on. A [while] loop (and a structure-level recursive function) must
-   contain a reachable [Qls_cancel.poll]/[expire_check]: directly, or
-   through a call to a file-local function that transitively polls.
-   [for] loops are exempt (bounded by construction in this codebase);
-   nested [let rec] helpers are covered indirectly through the loops
-   that drive them. *)
+   contain a reachable [Qls_cancel.poll]: directly, or through a call to
+   a file-local function that transitively polls. [for] loops are exempt
+   (bounded by construction in this codebase); nested [let rec] helpers
+   are covered indirectly through the loops that drive them. *)
 
-let poll_suffixes =
-  [ [ "qls_cancel"; "poll" ]; [ "qls_cancel"; "expire_check" ] ]
+let poll_suffixes = [ [ "qls_cancel"; "poll" ] ]
 
 let polls_directly ctx e =
   let found = ref false in
@@ -1035,6 +1048,37 @@ let cancel_poll_coverage ctx ~report structure =
   end
 
 (* ------------------------------------------------------------------ *)
+(* R13 — unused-export                                                 *)
+(* A [val] of a lib/ interface, in a nested module signature too, that
+   no implementation in the build names: no [Texp_ident] of any cmt
+   under the build root resolves to its declaration. Uses inside the
+   module resolve to the [.ml]'s own binding, so they do not count;
+   uses from test/ do (DESIGN.md §11). Vals of module types are
+   contracts, not exports, and are skipped. *)
+
+let unused_export ctx ~report signature =
+  if in_scope ctx [ "lib/" ] then begin
+    let rec items (sg : signature) =
+      List.iter
+        (fun item ->
+          match item.sig_desc with
+          | Tsig_value vd ->
+              if not (Cmt_index.referenced ctx.index vd.val_val.Types.val_loc)
+              then
+                report vd.val_loc
+                  (Printf.sprintf
+                     "'%s' is exported but nothing outside its module uses \
+                      it; delete it, or drop it from the interface"
+                     vd.val_name.Location.txt)
+          | Tsig_module { md_type = { mty_desc = Tmty_signature sg; _ }; _ } ->
+              items sg
+          | _ -> ())
+        sg.sig_items
+    in
+    items signature
+  end
+
+(* ------------------------------------------------------------------ *)
 
 let all =
   [
@@ -1043,20 +1087,20 @@ let all =
       summary =
         "bare polymorphic compare, or =/<> against a structural value";
       severity = Finding.Error;
-      check = poly_compare;
+      check = Structure poly_compare;
     };
     {
       name = "float-discipline";
       summary = "float equality / polymorphic min-max-compare on floats";
       severity = Finding.Error;
-      check = float_discipline;
+      check = Structure float_discipline;
     };
     {
       name = "nondet-source";
       summary =
         "wall-clock reads and unsorted hash-order traversal reaching results";
       severity = Finding.Error;
-      check = nondet_source;
+      check = Structure nondet_source;
     };
     {
       name = "obs-discipline";
@@ -1064,7 +1108,7 @@ let all =
         "Qls_obs usage that breaks the allocation-free-when-disabled \
          contract";
       severity = Finding.Warning;
-      check = obs_discipline;
+      check = Structure obs_discipline;
     };
     {
       name = "unbounded-wait";
@@ -1072,7 +1116,7 @@ let all =
         "raw sleeps and unbounded joins in the serving path (lib/serve, \
          lib/harness)";
       severity = Finding.Error;
-      check = unbounded_wait;
+      check = Structure unbounded_wait;
     };
     {
       name = "seeded-randomness";
@@ -1080,7 +1124,7 @@ let all =
         "ambient Random use in the solver stack (lib/sat, lib/router), \
          where all variation must derive from an explicit seed";
       severity = Finding.Error;
-      check = seeded_randomness;
+      check = Structure seeded_randomness;
     };
     {
       name = "distance-in-loop";
@@ -1088,7 +1132,7 @@ let all =
         "Device.distance resolved per candidate in a router loop instead \
          of a hoisted distance_row/distance_matrix";
       severity = Finding.Error;
-      check = distance_in_loop;
+      check = Structure distance_in_loop;
     };
     {
       name = "guarded-by";
@@ -1096,7 +1140,7 @@ let all =
         "fields annotated '(* guarded_by: m *)' accessed outside a scope \
          that holds m";
       severity = Finding.Error;
-      check = guarded_by;
+      check = Structure guarded_by;
     };
     {
       name = "domain-escape";
@@ -1104,7 +1148,7 @@ let all =
         "non-Atomic mutable state captured, or a captured record's field \
          assigned, by a closure crossing a Pool/Domain/Thread boundary";
       severity = Finding.Error;
-      check = domain_escape;
+      check = Structure domain_escape;
     };
     {
       name = "blocking-under-mutex";
@@ -1112,7 +1156,7 @@ let all =
         "Unix/Thread/Pool blocking calls (or Condition.wait on another \
          mutex) inside a Mutex.protect body";
       severity = Finding.Error;
-      check = blocking_under_mutex;
+      check = Structure blocking_under_mutex;
     };
     {
       name = "cancel-poll-coverage";
@@ -1120,7 +1164,15 @@ let all =
         "router/solver hot loops with no reachable Qls_cancel poll (lib/\
          router, lib/sat)";
       severity = Finding.Error;
-      check = cancel_poll_coverage;
+      check = Structure cancel_poll_coverage;
+    };
+    {
+      name = "unused-export";
+      summary =
+        "a val in a lib/ interface that no module but its own uses (test/ \
+         counts)";
+      severity = Finding.Error;
+      check = Signature unused_export;
     };
   ]
 

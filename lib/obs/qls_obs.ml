@@ -53,7 +53,6 @@ let tid () = (Domain.self () :> int)
 (* a trace reader can apply the identical torn-line quarantine.        *)
 (* ------------------------------------------------------------------ *)
 
-let crc32 = Qls_sealed.crc32
 let seal = Qls_sealed.seal
 let unseal = Qls_sealed.unseal_ok
 let escape = Qls_sealed.escape

@@ -121,8 +121,3 @@ val load_jsonl : string -> record list * int
 (** Parse a JSONL trace in file order: [(spans, rejected)] where
     [rejected] counts lines that fail their seal or don't parse (torn
     tail after a kill). A missing file is an empty trace. *)
-
-(**/**)
-
-val crc32 : string -> string
-(** Exposed for the trace-integrity tests. *)

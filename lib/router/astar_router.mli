@@ -32,9 +32,6 @@ type options = {
           where its mapping differs from the layer's start mapping. *)
 }
 
-val default_options : options
-(** Budget 10k. *)
-
 (** The A* closed set: collision-free at every device size. The
     pre-rewrite key truncated each physical index to one byte, so on
     devices with more than 256 physical qubits distinct mappings

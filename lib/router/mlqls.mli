@@ -26,9 +26,6 @@ type options = {
     local-search sweeps, and the routing pass is one trial of stock
     SABRE with no refinement passes. *)
 
-val default_options : options
-(** Seed 0. *)
-
 val place : ?options:options -> Qls_arch.Device.t -> Qls_circuit.Circuit.t -> Qls_layout.Mapping.t
 (** The multilevel placement alone (no routing), exposed for tests. *)
 

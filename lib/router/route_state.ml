@@ -232,7 +232,6 @@ let create ~device ~source ~dag ~initial =
   done;
   t
 
-let device t = t.device
 let dag t = t.dag
 let mapping t = Mapping.of_array ~n_physical:(Array.length t.p2q) t.q2p
 let phys_table t = t.q2p

@@ -91,9 +91,6 @@ val create :
     boundary) replaces the crashes the routers used to hit mid-round
     ([failwith "no progress"], [Rng.pick] on an empty candidate list). *)
 
-val device : t -> Qls_arch.Device.t
-(** The target device. *)
-
 val dag : t -> Qls_circuit.Dag.t
 (** The two-qubit dependency DAG of the source circuit. *)
 
@@ -150,10 +147,6 @@ val finished : t -> bool
 val gate_distance : t -> int -> int
 (** [gate_distance t v] is the current physical distance between the two
     qubits of DAG vertex [v]. *)
-
-val executable : t -> int -> bool
-(** Whether DAG vertex [v] is executable under the current mapping
-    (distance 1). *)
 
 val advance : t -> int
 (** Emit every currently executable front gate, transitively; returns how

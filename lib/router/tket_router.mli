@@ -23,9 +23,6 @@ type options = { seed : int  (** tie-breaking stream *) }
     valve that tolerates 32 consecutive non-progressing SWAPs, and
     SABRE's absolute [1e-12] tie window. *)
 
-val default_options : options
-(** Seed 0. *)
-
 val route :
   ?options:options ->
   ?initial:Qls_layout.Mapping.t ->

@@ -590,6 +590,7 @@ let solve_raw ~conflict_budget ~assumps t =
 let obs_conflicts = Qls_obs.counter "sat.conflicts"
 let obs_learned = Qls_obs.counter "sat.learned"
 let obs_restarts = Qls_obs.counter "sat.restarts"
+let obs_solves = Qls_obs.counter "sat.solves"
 
 let solve ?(conflict_budget = 2_000_000) ?(assumptions = []) t =
   Qls_cancel.poll ();
@@ -616,6 +617,7 @@ let solve ?(conflict_budget = 2_000_000) ?(assumptions = []) t =
         raise e
   in
   t.solves <- t.solves + 1;
+  Qls_obs.incr obs_solves;
   t.total_conflicts <- t.total_conflicts + t.conflicts;
   t.total_decisions <- t.total_decisions + t.decisions;
   t.total_restarts <- t.total_restarts + t.restarts;

@@ -234,7 +234,6 @@ let quarantine_append ~path bad =
 
 module Log = struct
   type t = {
-    path : string;
     oc : out_channel;
     fsync : bool;
     mangle : key:string -> string -> string;
@@ -245,7 +244,7 @@ module Log = struct
     let oc =
       open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path
     in
-    { path; oc; fsync; mangle; mutex = Mutex.create () }
+    { oc; fsync; mangle; mutex = Mutex.create () }
 
   let append_sealed t ~key line =
     (* One buffered write of the whole line then a flush, under the
@@ -260,7 +259,6 @@ module Log = struct
         if t.fsync then Unix.fsync (Unix.descr_of_out_channel t.oc))
 
   let append t ~key payload = append_sealed t ~key (seal payload)
-  let path t = t.path
   let close t = close_out t.oc
 
   let load ?(strict = true) ?(mangle = fun ~line_no:_ s -> s) path =

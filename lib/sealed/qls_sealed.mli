@@ -84,7 +84,6 @@ module Log : sig
   val append_sealed : t -> key:string -> string -> unit
   (** Like {!append} for a line the caller already sealed. *)
 
-  val path : t -> string
   val close : t -> unit
 
   val load :

@@ -51,10 +51,3 @@ let circuit_index d i = d.circuit_index.(i)
 let successors d i = d.succs.(i)
 let predecessors d i = d.preds.(i)
 let in_degree d i = List.length d.preds.(i)
-
-let front_layer d =
-  let acc = ref [] in
-  for i = n_gates d - 1 downto 0 do
-    if List.is_empty d.preds.(i) then acc := i :: !acc
-  done;
-  !acc

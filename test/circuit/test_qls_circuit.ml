@@ -91,23 +91,33 @@ let circuit_tests =
         Alcotest.(check (list (pair int (pair int int)))) "indexed"
           [ (3, (0, 1)); (4, (1, 2)); (5, (0, 2)) ]
           (Circuit.two_qubit_gates c));
-    test_case "append and gate access" (fun () ->
-        let c = Circuit.append (fig1_circuit ()) (Gate.cx 1 0) in
-        check_int "length" 7 (Circuit.length c);
-        check_bool "last" true (Gate.equal (Gate.cx 1 0) (Circuit.gate c 6)));
-    test_case "concat maxes qubit counts" (fun () ->
-        let a = Circuit.create ~n_qubits:2 [ Gate.h 0 ] in
-        let b = Circuit.create ~n_qubits:5 [ Gate.cx 3 4 ] in
-        let c = Circuit.concat a b in
-        check_int "qubits" 5 (Circuit.n_qubits c);
-        check_int "length" 2 (Circuit.length c));
+    test_case "create and gate access" (fun () ->
+        let c = Circuit.create ~n_qubits:3 [ Gate.h 2; Gate.cx 1 0 ] in
+        check_int "length" 2 (Circuit.length c);
+        check_bool "first" true (Gate.equal (Gate.h 2) (Circuit.gate c 0));
+        check_bool "last" true (Gate.equal (Gate.cx 1 0) (Circuit.gate c 1)));
+    test_case "of_array copies its input" (fun () ->
+        let a = Array.of_list [ Gate.h 0; Gate.cx 0 1 ] in
+        let c = Circuit.of_array ~n_qubits:2 a in
+        a.(1) <- Gate.h 1;
+        check_bool "equals create" true
+          (Circuit.equal c (Circuit.create ~n_qubits:2 [ Gate.h 0; Gate.cx 0 1 ])));
+    test_case "gates is a fresh copy" (fun () ->
+        let c = fig1_circuit () in
+        let a = Circuit.gates c in
+        a.(3) <- Gate.h 0;
+        check_bool "unchanged" true (Gate.equal (Gate.cx 0 1) (Circuit.gate c 3));
+        check_int "length" (Circuit.length c) (Array.length a));
+    test_case "two_qubit_pairs are two_qubit_gates without the indices"
+      (fun () ->
+        let c = fig1_circuit () in
+        Alcotest.(check (list (pair int int))) "pairs"
+          (List.map snd (Circuit.two_qubit_gates c))
+          (Circuit.two_qubit_pairs c));
     test_case "map_qubits" (fun () ->
         let c = Circuit.map_qubits (fun q -> 2 - q) (fig1_circuit ()) ~n_qubits:3 in
         check_bool "reversed gate" true
           (Gate.equal (Gate.cx 2 1) (Circuit.gate c 3)));
-    test_case "used_qubits" (fun () ->
-        let c = Circuit.create ~n_qubits:10 [ Gate.cx 2 7; Gate.h 4 ] in
-        Alcotest.(check (list int)) "used" [ 2; 4; 7 ] (Circuit.used_qubits c));
     test_case "depth of Fig. 1 circuit" (fun () ->
         (* H layer in parallel (depth 1), then three CNOTs forced serial by
            shared qubits: total depth 4. *)
@@ -124,7 +134,9 @@ let circuit_tests =
         check_bool "equal" true (Circuit.equal (fig1_circuit ()) (fig1_circuit ()));
         check_bool "differs" false
           (Circuit.equal (fig1_circuit ())
-             (Circuit.append (fig1_circuit ()) (Gate.h 0))));
+             (Circuit.create ~n_qubits:3
+                [ Gate.h 0; Gate.h 1; Gate.h 2; Gate.cx 0 1; Gate.cx 1 2;
+                  Gate.cx 0 2; Gate.h 0 ])));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -141,15 +153,22 @@ let interaction_tests =
     test_case "repeated gates merge into one edge" (fun () ->
         let c = Circuit.create ~n_qubits:2 [ Gate.cx 0 1; Gate.cx 1 0; Gate.cx 0 1 ] in
         check_int "one edge" 1 (Graph.n_edges (Interaction.of_circuit c)));
-    test_case "of_slice" (fun () ->
-        let c = fig1_circuit () in
-        let g = Interaction.of_slice c ~lo:3 ~hi:5 in
+    test_case "of_pairs of a slice's gates" (fun () ->
+        (* gates 3 and 4 of Fig. 1 interact (0,1) and (1,2), not (0,2) *)
+        let pairs =
+          List.filter_map
+            (fun (i, p) -> if i >= 3 && i < 5 then Some p else None)
+            (Circuit.two_qubit_gates (fig1_circuit ()))
+        in
+        let g = Interaction.of_pairs ~n_qubits:3 pairs in
         check_int "two edges" 2 (Graph.n_edges g);
         check_bool "no (0,2)" false (Graph.mem_edge g 0 2));
-    test_case "of_slice validates range" (fun () ->
-        Alcotest.check_raises "range"
-          (Invalid_argument "Interaction.of_slice: bad range") (fun () ->
-            ignore (Interaction.of_slice (fig1_circuit ()) ~lo:4 ~hi:2)));
+    test_case "swap_free: the triangle fits K4 but not the 4-cycle" (fun () ->
+        (* the 2x2 grid is C4, which has no triangle; K4 has four *)
+        check_bool "C4" false
+          (Interaction.swap_free (fig1_circuit ()) (Generators.grid 2 2));
+        check_bool "K4" true
+          (Interaction.swap_free (fig1_circuit ()) (Generators.complete 4)));
     test_case "swap_free: triangle needs a swap on a line" (fun () ->
         (* the paper's Fig. 1 example: the triangle cannot run on the
            4-qubit line without a SWAP *)
@@ -157,17 +176,6 @@ let interaction_tests =
           (Interaction.swap_free (fig1_circuit ()) (Generators.path 4));
         check_bool "ring" true
           (Interaction.swap_free (fig1_circuit ()) (Generators.cycle 3)));
-    test_case "swap_free_mapping witness" (fun () ->
-        (* The 2x2 grid is C4 — triangle-free — so no witness exists; K4
-           contains triangles, so one does. *)
-        check_bool "none on C4" true
-          (Interaction.swap_free_mapping (fig1_circuit ()) (Generators.grid 2 2) = None);
-        match Interaction.swap_free_mapping (fig1_circuit ()) (Generators.complete 4) with
-        | None -> Alcotest.fail "expected mapping on K4"
-        | Some f ->
-            check_int "3 qubits placed" 3 (Array.length f);
-            let distinct = List.sort_uniq compare (Array.to_list f) in
-            check_int "injective" 3 (List.length distinct));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -187,12 +195,15 @@ let dag_tests =
         let d = Dag.of_circuit (fig1_circuit ()) in
         check_int "first cx at 3" 3 (Dag.circuit_index d 0);
         Alcotest.(check (pair int int)) "pair" (0, 1) (Dag.pair d 0));
-    test_case "front layer" (fun () ->
+    test_case "the front layer is the gates of in-degree 0" (fun () ->
         let c =
           Circuit.create ~n_qubits:4 [ Gate.cx 0 1; Gate.cx 2 3; Gate.cx 1 2 ]
         in
         let d = Dag.of_circuit c in
-        Alcotest.(check (list int)) "two independent" [ 0; 1 ] (Dag.front_layer d));
+        Alcotest.(check (list int)) "two independent" [ 0; 1 ]
+          (List.filter (fun v -> Dag.in_degree d v = 0) (List.init 3 Fun.id));
+        Alcotest.(check (list int)) "the join waits on both" [ 0; 1 ]
+          (Dag.predecessors d 2));
     test_case "no duplicate arc for repeated pair" (fun () ->
         let c = Circuit.create ~n_qubits:2 [ Gate.cx 0 1; Gate.cx 0 1 ] in
         let d = Dag.of_circuit c in
@@ -264,7 +275,6 @@ let dag_props =
         let d = Dag.of_circuit c and o = Dag_oracle.of_circuit c in
         let n = Dag.n_gates d in
         n = Dag_oracle.n_gates o
-        && Dag.front_layer d = Dag_oracle.front_layer o
         && List.for_all
              (fun v ->
                Dag.successors d v = Dag_oracle.successors o v
@@ -273,6 +283,19 @@ let dag_props =
                && Dag.pair d v = Dag_oracle.pair o v
                && Dag.circuit_index d v = Dag_oracle.circuit_index o v)
              (List.init n Fun.id));
+    QCheck.Test.make ~name:"succ_slots hold the successors, then -1"
+      ~count:300 mixed_circuit_arb (fun c ->
+        let d = Dag.of_circuit c in
+        let slots = Dag.succ_slots d in
+        Array.length slots = 2 * Dag.n_gates d
+        && List.for_all
+             (fun v ->
+               let filled =
+                 List.filter (fun w -> w >= 0) [ slots.(2 * v); slots.((2 * v) + 1) ]
+               in
+               filled = Dag.successors d v
+               && (slots.(2 * v) >= 0 || slots.((2 * v) + 1) < 0))
+             (List.init (Dag.n_gates d) Fun.id));
     QCheck.Test.make ~name:"program order is a topological order" ~count:200
       circuit_arb (fun (n, pairs) ->
         let c = Circuit.create ~n_qubits:n (List.map (fun (a, b) -> Gate.cx a b) pairs) in
@@ -396,6 +419,11 @@ let qasm_tests =
              ignore (Qasm.of_string "OPENQASM 2.0;\nqreg q[2];\nh r[0];\n");
              false
            with Qasm.Parse_error e -> e.Qasm.line = 3));
+    test_case "error_to_string prefixes the line when there is one" (fun () ->
+        Alcotest.(check string) "with a line" "line 3: bad"
+          (Qasm.error_to_string { Qasm.line = 3; message = "bad" });
+        Alcotest.(check string) "file-level" "no qreg"
+          (Qasm.error_to_string { Qasm.line = 0; message = "no qreg" }));
     test_case "unreadable file is a typed error, not an exception" (fun () ->
         match Qasm.read_file_result "/nonexistent/q.qasm" with
         | Error e -> check_int "line 0" 0 e.Qasm.line

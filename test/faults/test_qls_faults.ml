@@ -220,7 +220,7 @@ let runner_tests =
             match
               Runner.run { immediate with Runner.retries = 30 } (fun () -> 99)
             with
-            | Ok v -> check_int "recovered" 99 v
+            | Ok (v, _) -> check_int "recovered" 99 v
             | Error e ->
                 Alcotest.failf "should recover: %s" (Herror.to_string e)));
     test_case "an injected hang trips the real timeout" (fun () ->
@@ -233,7 +233,7 @@ let runner_tests =
             | Error e ->
                 check_bool "timeout class" true
                   (e.Herror.klass = Herror.Timeout)
-            | Ok () -> Alcotest.fail "expected a timeout"));
+            | Ok ((), _) -> Alcotest.fail "expected a timeout"));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -350,14 +350,23 @@ let pool_tests =
     test_case "parallel map equals sequential map, in order" (fun () ->
         let tasks = Array.init 50 Fun.id in
         let f x = (x * 37) mod 101 in
-        let seq = Pool.map ~jobs:1 ~f tasks in
-        let par = Pool.map ~jobs:4 ~f tasks in
+        let seq = Pool.run ~jobs:1 ~f:(fun _ -> f) tasks in
+        let par = Pool.run ~jobs:4 ~f:(fun _ -> f) tasks in
         Alcotest.(check (array int)) "identical" seq par);
     test_case "more workers than tasks is fine" (fun () ->
-        let r = Pool.map ~jobs:8 ~f:succ [| 1; 2 |] in
+        let r = Pool.run ~jobs:8 ~f:(fun _ -> succ) [| 1; 2 |] in
         Alcotest.(check (array int)) "results" [| 2; 3 |] r);
     test_case "empty input" (fun () ->
-        check_int "no results" 0 (Array.length (Pool.map ~jobs:4 ~f:succ [||])));
+        check_int "no results" 0 (Array.length (Pool.run ~jobs:4 ~f:(fun _ -> succ) [||])));
+    test_case "f receives each task's own index" (fun () ->
+        let r = Pool.run ~jobs:3 ~f:(fun i x -> (i, x)) [| 'a'; 'b'; 'c'; 'd' |] in
+        Alcotest.(check (array (pair int char))) "indexed"
+          [| (0, 'a'); (1, 'b'); (2, 'c'); (3, 'd') |] r);
+    test_case "jobs below 1 is clamped to 1" (fun () ->
+        Alcotest.(check (array int)) "clamped to 1" [| 2; 4 |]
+          (Pool.run ~jobs:0 ~f:(fun _ x -> 2 * x) [| 1; 2 |]));
+    test_case "recommended_jobs is at least 1" (fun () ->
+        check_bool "positive" true (Pool.recommended_jobs () >= 1));
     test_case "a worker exception is re-raised, not a missing-result crash"
       (fun () ->
         (* Before PR 3 a worker exception killed its domain silently and
@@ -367,13 +376,13 @@ let pool_tests =
         let f x = if x = 13 then failwith "boom" else x * 2 in
         check_bool "failure surfaces" true
           (try
-             ignore (Pool.map ~jobs:4 ~f (Array.init 40 Fun.id));
+             ignore (Pool.run ~jobs:4 ~f:(fun _ -> f) (Array.init 40 Fun.id));
              false
            with Failure m -> m = "boom"));
     test_case "worker exception with jobs = 1 (inline path)" (fun () ->
         check_bool "failure surfaces" true
           (try
-             ignore (Pool.map ~jobs:1 ~f:(fun _ -> failwith "inline") [| 0 |]);
+             ignore (Pool.run ~jobs:1 ~f:(fun _ _ -> failwith "inline") [| 0 |]);
              false
            with Failure m -> m = "inline"));
     test_case "only the first exception wins when several workers fail"
@@ -384,8 +393,8 @@ let pool_tests =
         check_bool "a task failure, not an internal error" true
           (try
              ignore
-               (Pool.map ~jobs:4
-                  ~f:(fun x -> failwith (string_of_int x))
+               (Pool.run ~jobs:4
+                  ~f:(fun _ x -> failwith (string_of_int x))
                   (Array.init 20 Fun.id));
              false
            with
@@ -396,7 +405,7 @@ let pool_tests =
            cleanly even though no result was ever produced. *)
         check_bool "clean teardown" true
           (try
-             ignore (Pool.map ~jobs:2 ~f:(fun _ -> failwith "early") [| 1; 2; 3 |]);
+             ignore (Pool.run ~jobs:2 ~f:(fun _ _ -> failwith "early") [| 1; 2; 3 |]);
              false
            with Failure m -> m = "early"));
   ]
@@ -424,12 +433,12 @@ let runner_tests =
             (fun () -> Thread.delay 0.3)
         with
         | Error e -> check_bool "timeout class" true (e.Herror.klass = Herror.Timeout)
-        | Ok () -> Alcotest.fail "expected a timeout");
+        | Ok ((), _) -> Alcotest.fail "expected a timeout");
     test_case "a fast task under a timeout succeeds" (fun () ->
         match
           Runner.run { immediate with Runner.timeout = Some 5.0 } (fun () -> 42)
         with
-        | Ok v -> check_int "result" 42 v
+        | Ok (v, _) -> check_int "result" 42 v
         | Error e -> Alcotest.failf "unexpected error: %s" (Herror.to_string e));
     test_case "bounded retry recovers a flaky (transient) task" (fun () ->
         let attempts = Atomic.make 0 in
@@ -438,7 +447,7 @@ let runner_tests =
           else 7
         in
         (match Runner.run { immediate with Runner.retries = 2 } flaky with
-        | Ok v -> check_int "third attempt" 7 v
+        | Ok (v, _) -> check_int "third attempt" 7 v
         | Error e -> Alcotest.failf "unexpected error: %s" (Herror.to_string e));
         check_int "attempts" 3 (Atomic.get attempts));
     test_case "a permanent error is never retried" (fun () ->
@@ -821,26 +830,26 @@ let aggregation_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Attempt-count surfacing: Runner.run_counted, the campaign's Done    *)
+(* Attempt-count surfacing: Runner.run, the campaign's Done           *)
 (* path, and the store round-trip (with v2 compatibility)              *)
 (* ------------------------------------------------------------------ *)
 
 let attempts_tests =
   [
-    test_case "run_counted reports 1 attempt on first-try success" (fun () ->
-        match Runner.run_counted immediate (fun () -> 9) with
+    test_case "run reports 1 attempt on first-try success" (fun () ->
+        match Runner.run immediate (fun () -> 9) with
         | Ok (v, attempts) ->
             check_int "value" 9 v;
             check_int "attempts" 1 attempts
         | Error e -> Alcotest.failf "unexpected error: %s" (Herror.to_string e));
-    test_case "run_counted reports the real attempt count after retries"
+    test_case "run reports the real attempt count after retries"
       (fun () ->
         let calls = Atomic.make 0 in
         let flaky () =
           if Atomic.fetch_and_add calls 1 < 2 then raise (transient_exn "flaky")
           else 7
         in
-        match Runner.run_counted { immediate with Runner.retries = 2 } flaky with
+        match Runner.run { immediate with Runner.retries = 2 } flaky with
         | Ok (v, attempts) ->
             check_int "value" 7 v;
             check_int "three attempts" 3 attempts

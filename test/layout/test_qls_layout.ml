@@ -69,11 +69,18 @@ let mapping_tests =
         let m = Mapping.of_array ~n_physical:3 [| 0 |] in
         let m' = Mapping.apply_swaps m [ (0, 1); (1, 2) ] in
         check_int "walked" 2 (Mapping.phys m' 0));
-    test_case "compose_program_perm" (fun () ->
+    test_case "apply_swaps exchanges two program qubits' slots" (fun () ->
         let m = Mapping.of_array ~n_physical:4 [| 2; 3 |] in
-        let m' = Mapping.compose_program_perm m [| 1; 0 |] in
+        let m' = Mapping.apply_swaps m [ (2, 3) ] in
         check_int "q0 takes q1's slot" 3 (Mapping.phys m' 0);
-        check_int "q1 takes q0's slot" 2 (Mapping.phys m' 1));
+        check_int "q1 takes q0's slot" 2 (Mapping.phys m' 1);
+        check_int "input unchanged" 2 (Mapping.phys m 0));
+    test_case "phys_table agrees with phys" (fun () ->
+        let m = Mapping.random (Rng.create 11) ~n_program:5 ~n_physical:9 in
+        let table = Mapping.phys_table m in
+        check_int "one entry per program qubit" (Mapping.n_program m)
+          (Array.length table);
+        Array.iteri (fun q p -> check_int "slot" (Mapping.phys m q) p) table);
     test_case "to_array is a copy" (fun () ->
         let m = Mapping.identity ~n_program:3 ~n_physical:3 in
         let a = Mapping.to_array m in
@@ -195,15 +202,32 @@ let transpiled_tests =
     test_case "swap accounting" (fun () ->
         let t = fig1e () in
         check_int "one swap" 1 (Transpiled.swap_count t);
-        Alcotest.(check (list (pair int int))) "swaps" [ (1, 2) ] (Transpiled.swaps t));
-    test_case "final mapping reflects the swap" (fun () ->
-        let m = Transpiled.final_mapping (fig1e ()) in
-        check_int "q1 moved" 2 (Mapping.phys m 1);
-        check_int "q2 moved" 1 (Mapping.phys m 2));
+        Alcotest.(check (list (pair int int))) "swaps" [ (1, 2) ]
+          (List.filter_map
+             (function Transpiled.Swap (p, p') -> Some (p, p') | Gate _ -> None)
+             (Transpiled.ops t)));
     test_case "mapping_at before and after the swap" (fun () ->
         let t = fig1e () in
         check_int "before" 1 (Mapping.phys (Transpiled.mapping_at t 4) 1);
         check_int "after" 2 (Mapping.phys (Transpiled.mapping_at t 5) 1));
+    test_case "the mapping after the last op reflects the swap" (fun () ->
+        let t = fig1e () in
+        let m = Transpiled.mapping_at t (List.length (Transpiled.ops t)) in
+        check_int "q0 stays" 0 (Mapping.phys m 0);
+        check_int "q1 moved" 2 (Mapping.phys m 1);
+        check_int "q2 moved" 1 (Mapping.phys m 2));
+    test_case "a route with no swaps keeps the initial mapping" (fun () ->
+        let source = Circuit.create ~n_qubits:2 [ Gate.h 0; Gate.cx 0 1 ] in
+        let initial = Mapping.of_array ~n_physical:3 [| 1; 2 |] in
+        let t =
+          Transpiled.create ~source ~device:(Topologies.line 3) ~initial
+            [ Transpiled.Gate 0; Transpiled.Gate 1 ]
+        in
+        check_int "no swaps" 0 (Transpiled.swap_count t);
+        check_bool "unchanged" true (Mapping.equal initial (Transpiled.mapping_at t 2));
+        check_bool "cx on p1, p2" true
+          (Gate.equal (Gate.cx 1 2)
+             (Circuit.gate (Transpiled.to_physical_circuit t) 1)));
     test_case "physical circuit matches Fig. 1(e)" (fun () ->
         let pc = Transpiled.to_physical_circuit (fig1e ()) in
         check_int "qubits" 4 (Circuit.n_qubits pc);
@@ -386,6 +410,11 @@ let metrics_tests =
              ignore (Metrics.mean []);
              false
            with Invalid_argument _ -> true));
+    test_case "mean_opt is None on empty input, else the mean" (fun () ->
+        check_bool "empty" true (Metrics.mean_opt [] = None);
+        match Metrics.mean_opt [ 1.; 2.; 6. ] with
+        | None -> Alcotest.fail "expected a mean"
+        | Some m -> check_float "mean" (Metrics.mean [ 1.; 2.; 6. ]) m);
     test_case "swap_ratio matches the paper's definition" (fun () ->
         check_float "ratio" 2.0 (Metrics.swap_ratio ~optimal:5 ~swap_counts:[ 10; 10 ]);
         check_float "optimal tool" 1.0 (Metrics.swap_ratio ~optimal:4 ~swap_counts:[ 4 ]));
@@ -395,44 +424,14 @@ let metrics_tests =
              ignore (Metrics.swap_ratio ~optimal:0 ~swap_counts:[ 1 ]);
              false
            with Invalid_argument _ -> true));
-    test_case "geometric mean" (fun () ->
-        check_float "gm" 2.0 (Metrics.geometric_mean [ 1.; 2.; 4. ]));
-    test_case "geometric mean rejects non-positive" (fun () ->
-        check_bool "raises" true
+    test_case "swap_ratio averages the counts, then divides" (fun () ->
+        check_float "mean 3.5 over 2" 1.75
+          (Metrics.swap_ratio ~optimal:2 ~swap_counts:[ 2; 3; 4; 5 ]);
+        check_bool "empty list rejected" true
           (try
-             ignore (Metrics.geometric_mean [ 1.; 0. ]);
+             ignore (Metrics.swap_ratio ~optimal:2 ~swap_counts:[]);
              false
            with Invalid_argument _ -> true));
-    test_case "median odd and even" (fun () ->
-        check_float "odd" 3.0 (Metrics.median [ 5.; 1.; 3. ]);
-        check_float "even" 2.5 (Metrics.median [ 4.; 1.; 2.; 3. ]));
-    test_case "stddev" (fun () ->
-        check_float "constant" 0.0 (Metrics.stddev [ 2.; 2.; 2. ]);
-        check_float "spread" 2.0 (Metrics.stddev [ 2.; 6.; 2.; 6. ]));
-    test_case "stddev is the population (/n) variant" (fun () ->
-        (* sample (/(n-1)) stddev of [1;2;3;4] would be ~1.29; population
-           is sqrt(5/4) ~ 1.118 *)
-        check_float "population" (sqrt 1.25) (Metrics.stddev [ 1.; 2.; 3.; 4. ]);
-        check_float "singleton is 0" 0.0 (Metrics.stddev [ 7.0 ]));
-    test_case "median uses Float.compare, not polymorphic compare" (fun () ->
-        (* negative zero and infinities must order as floats *)
-        check_float "with -0." 0.0 (Metrics.median [ 0.; -0.; 1.; -1. ]);
-        check_float "infinities at the ends" 2.0
-          (Metrics.median [ infinity; 2.; neg_infinity ]));
-    test_case "median and stddev reject NaN with a typed error" (fun () ->
-        (* polymorphic compare sorts NaN below every float, so before the
-           typed error a single NaN silently shifted the median *)
-        let raises_nan fn f =
-          check_bool fn true
-            (try
-               ignore (f ());
-               false
-             with Metrics.Nan_input name -> name = fn)
-        in
-        raises_nan "Metrics.median" (fun () ->
-            Metrics.median [ 1.; Float.nan; 3. ]);
-        raises_nan "Metrics.stddev" (fun () ->
-            Metrics.stddev [ Float.nan; 2. ]));
   ]
 
 let () =

@@ -1,7 +1,7 @@
 (* Tests for the Qls_lint static-analysis pass: per-rule fixtures with
-   asserted violation counts, the suppression comment forms, baseline
-   round-tripping, the driver's exit codes, and the self-check that lib/
-   itself is lint-clean. The fixtures are compiled libraries under
+   asserted violation counts, the suppression comment forms, the
+   driver's exit codes, and the self-check that lib/ itself is
+   lint-clean. The fixtures are compiled libraries under
    typed_fixtures/ (deps of this test), so every rule runs on the
    Typedtree the build recorded for them. *)
 
@@ -10,7 +10,6 @@ module Typed_rules = Qls_lint.Typed_rules
 module Engine = Qls_lint.Engine
 module Cmt_index = Qls_lint.Cmt_index
 module Suppress = Qls_lint.Suppress
-module Baseline = Qls_lint.Baseline
 module Driver = Qls_lint.Driver
 module Sarif = Qls_lint.Sarif
 
@@ -85,10 +84,11 @@ let lint_as name ~rule:r ~as_file =
   let path = fixture_path name in
   match Cmt_index.find (Lazy.force index) ~source:path with
   | Cmt_index.Unavailable -> Alcotest.failf "no cmt for %s" path
-  | Cmt_index.Loaded structure ->
+  | Cmt_index.Loaded tree ->
       let src = read_file (Filename.concat (repo_root ()) path) in
-      Engine.lint_structure ~rules:[ rule r ]
-        ~guards:(Typed_rules.Guards.empty ()) ~file:as_file ~src structure
+      Engine.lint_tree ~rules:[ rule r ]
+        ~guards:(Typed_rules.Guards.empty ()) ~index:(Lazy.force index)
+        ~file:as_file ~src tree
 
 let expect_scoped name ~rule:r ~as_file count =
   test_case
@@ -109,6 +109,12 @@ let random_fixture = "lib/sat/tf_r7_seeded_randomness.ml"
 let distance_fixture = "lib/router/tf_r8_distance_in_loop.ml"
 let guard_fixtures = [ "tf_r9_state.ml"; "tf_r9_cross.ml" ]
 let poll_fixture = "lib/router/tf_r12_loops.ml"
+let export_fixtures =
+  [
+    "lib/router/tf_r13_unused_export.mli";
+    "lib/router/tf_r13_unused_export.ml";
+    "lib/router/tf_r13_caller.ml";
+  ]
 
 let rule_tests =
   [
@@ -161,6 +167,15 @@ let typed_rule_tests =
     expect "domain-escape" ~suppressed:1 [ "tf_r10_escape.ml" ] 3;
     expect "blocking-under-mutex" ~suppressed:1 [ "tf_r11_block.ml" ] 4;
     expect "cancel-poll-coverage" ~suppressed:1 [ poll_fixture ] 2;
+    test_case "unused-export reports the exports no other module uses, on \
+               their .mli lines" (fun () ->
+        let report = lint ~rules:[ rule "unused-export" ] export_fixtures in
+        let mli = fixture_path (List.hd export_fixtures) in
+        Alcotest.(check (list (pair string int)))
+          "used_inside and unused, not used_outside" [ (mli, 8); (mli, 11) ]
+          (List.map
+             (fun f -> (f.Finding.file, f.Finding.line))
+             report.Engine.findings));
     test_case "guarded-by resolves the annotation across modules" (fun () ->
         let report = lint ~rules:[ rule "guarded-by" ] guard_fixtures in
         check_bool "a finding lands in tf_r9_cross.ml" true
@@ -190,7 +205,7 @@ let typed_rule_tests =
           Engine.run ~rules:Typed_rules.all ~root
             [ Filename.concat root fixtures_dir ]
         in
-        check_int "files walked" 16 report.Engine.files;
+        check_int "files walked" 19 report.Engine.files;
         Alcotest.(check (list string)) "no file without a cmt" []
           report.Engine.typed_missing;
         List.iter
@@ -289,86 +304,56 @@ let suppression_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Baseline                                                            *)
+(* Findings: order and rendering                                       *)
 (* ------------------------------------------------------------------ *)
 
-let finding ~file ~line ~rule =
-  Finding.v ~file ~line ~col:0 ~rule ~severity:Finding.Error "msg"
+let finding ?(file = "lib/a.ml") ?(line = 1) ?(col = 0) ?(rule = "r") () =
+  Finding.v ~file ~line ~col ~rule ~severity:Finding.Error "m"
 
-let baseline_tests =
+let finding_tests =
   [
-    test_case "of_findings -> render -> load -> apply round-trips" (fun () ->
-        let findings =
+    test_case "order sorts by file, line, column, then rule" (fun () ->
+        let sorted =
           [
-            finding ~file:"bin/a.ml" ~line:3 ~rule:"nondet-source";
-            finding ~file:"bin/a.ml" ~line:9 ~rule:"nondet-source";
-            finding ~file:"bench/b.ml" ~line:1 ~rule:"poly-compare";
+            finding ~file:"lib/a.ml" ~line:2 ~col:9 ~rule:"z" ();
+            finding ~file:"lib/a.ml" ~line:10 ~col:0 ~rule:"a" ();
+            finding ~file:"lib/a.ml" ~line:10 ~col:4 ~rule:"a" ();
+            finding ~file:"lib/a.ml" ~line:10 ~col:4 ~rule:"b" ();
+            finding ~file:"lib/b.ml" ~line:1 ();
           ]
         in
-        let entries = Baseline.of_findings findings in
-        let tmp = Filename.temp_file "qls_lint" ".baseline" in
-        Fun.protect
-          ~finally:(fun () -> Sys.remove tmp)
-          (fun () ->
-            let oc = open_out tmp in
-            output_string oc (Baseline.render entries);
-            close_out oc;
-            match Baseline.load tmp with
-            | Error e -> Alcotest.fail e
-            | Ok loaded ->
-                let applied = Baseline.apply loaded findings in
-                check_int "everything waived" 0
-                  (List.length applied.Baseline.kept);
-                check_int "waived count" 3 applied.Baseline.waived;
-                check_int "nothing stale" 0
-                  (List.length applied.Baseline.stale)));
-    test_case "an exhausted allowance keeps the excess findings" (fun () ->
-        let entries =
-          [ { Baseline.file = "bin/a.ml"; rule = "nondet-source"; allowed = 1 } ]
-        in
-        let findings =
-          [
-            finding ~file:"bin/a.ml" ~line:3 ~rule:"nondet-source";
-            finding ~file:"bin/a.ml" ~line:9 ~rule:"nondet-source";
-          ]
-        in
-        let applied = Baseline.apply entries findings in
-        check_int "one kept" 1 (List.length applied.Baseline.kept);
-        check_int "one waived" 1 applied.Baseline.waived;
-        (match applied.Baseline.kept with
-        | [ f ] -> check_int "the later line survives" 9 f.Finding.line
-        | _ -> Alcotest.fail "expected exactly one kept finding"));
-    test_case "a paid-down allowance is reported stale" (fun () ->
-        let entries =
-          [ { Baseline.file = "bin/a.ml"; rule = "nondet-source"; allowed = 5 } ]
-        in
-        let applied =
-          Baseline.apply entries
-            [ finding ~file:"bin/a.ml" ~line:3 ~rule:"nondet-source" ]
-        in
-        check_int "nothing kept" 0 (List.length applied.Baseline.kept);
-        check_int "stale entry surfaced" 1 (List.length applied.Baseline.stale));
-    test_case "a missing baseline file loads as empty" (fun () ->
-        match Baseline.load "does/not/exist.baseline" with
-        | Ok [] -> ()
-        | Ok _ -> Alcotest.fail "expected no entries"
-        | Error e -> Alcotest.fail e);
+        Alcotest.(check (list string)) "sorted"
+          (List.map Finding.to_human sorted)
+          (List.map Finding.to_human
+             (List.sort Finding.order (List.rev sorted)));
+        check_int "equal findings tie" 0
+          (Finding.order (finding ()) (finding ())));
+    test_case "to_human is file:line:col: severity [rule] message" (fun () ->
+        check_string "error" "lib/x.ml:3:7: error [poly-compare] no"
+          (Finding.to_human
+             (Finding.v ~file:"lib/x.ml" ~line:3 ~col:7 ~rule:"poly-compare"
+                ~severity:Finding.Error "no"));
+        check_string "warning" "b.ml:1:0: warning [r] m"
+          (Finding.to_human
+             (Finding.v ~file:"b.ml" ~line:1 ~col:0 ~rule:"r"
+                ~severity:Finding.Warning "m")));
+    test_case "json_escape escapes quotes, backslashes and control characters"
+      (fun () ->
+        check_string "plain" "a b" (Finding.json_escape "a b");
+        check_string "quote and backslash" {|say \"hi\" \\ now|}
+          (Finding.json_escape {|say "hi" \ now|});
+        check_string "newline and tab" {|a\nb\tc|}
+          (Finding.json_escape "a\nb\tc");
+        check_string "other control" {|\u0001|} (Finding.json_escape "\001"));
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Driver: exit codes, baseline staleness and the write/check cycle    *)
+(* Driver: exit codes                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let with_temp suffix f =
   let tmp = Filename.temp_file "qls_lint_test" suffix in
   Fun.protect ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ()) (fun () -> f tmp)
-
-let with_temp_baseline f = with_temp ".baseline" f
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
 
 (* Drive the real driver over the fixture tree (violations guaranteed). *)
 let driver_opts () =
@@ -393,43 +378,8 @@ let relative_root () =
 
 let driver_tests =
   [
-    test_case "findings exit 1; a fresh baseline waives them to exit 0"
-      (fun () ->
-        let opts = driver_opts () in
-        with_temp_baseline (fun tmp ->
-            check_int "violations found" 1 (Driver.execute opts);
-            check_int "write-baseline exits 0" 0
-              (Driver.execute { opts with Driver.write_baseline = Some tmp });
-            check_int "baselined run is clean" 0
-              (Driver.execute
-                 { opts with Driver.baseline = Some tmp; check_stale = true })));
-    test_case "--check fails on a stale entry; --write-baseline prunes it"
-      (fun () ->
-        let opts = driver_opts () in
-        let gone = fixture_path "gone.ml" in
-        with_temp_baseline (fun tmp ->
-            check_int "seed the baseline" 0
-              (Driver.execute { opts with Driver.write_baseline = Some tmp });
-            (* Append an entry no finding pays down any more. *)
-            let oc = open_out_gen [ Open_append ] 0o644 tmp in
-            output_string oc
-              (Baseline.render
-                 [ { Baseline.file = gone; rule = "poly-compare"; allowed = 3 } ]);
-            close_out oc;
-            check_int "stale is a note without --check" 0
-              (Driver.execute { opts with Driver.baseline = Some tmp });
-            check_int "stale fails with --check" 1
-              (Driver.execute
-                 { opts with Driver.baseline = Some tmp; check_stale = true });
-            check_int "rewrite prunes" 0
-              (Driver.execute { opts with Driver.write_baseline = Some tmp });
-            match Baseline.load tmp with
-            | Error e -> Alcotest.fail e
-            | Ok entries ->
-                check_bool "stale entry pruned" false
-                  (List.exists
-                     (fun e -> String.equal e.Baseline.file gone)
-                     entries)));
+    test_case "findings exit 1" (fun () ->
+        check_int "violations found" 1 (Driver.execute (driver_opts ())));
     test_case "--check fails on a suppression that silences nothing"
       (fun () ->
         let root = repo_root () in
@@ -452,14 +402,6 @@ let driver_tests =
         check_int "usage error" 2
           (Driver.execute
              { (driver_opts ()) with Driver.rules = [ "no-such-rule" ] }));
-    test_case "a malformed baseline exits 2" (fun () ->
-        with_temp_baseline (fun tmp ->
-            let oc = open_out tmp in
-            output_string oc "lib/a.ml\tpoly-compare\tmany\n";
-            close_out oc;
-            check_int "configuration error" 2
-              (Driver.execute
-                 { (driver_opts ()) with Driver.baseline = Some tmp })));
     test_case "a path that does not exist exits 2" (fun () ->
         check_int "usage error" 2
           (Driver.execute
@@ -470,45 +412,31 @@ let driver_tests =
               (Driver.execute { (driver_opts ()) with Driver.paths = [ tmp ] })));
     test_case "a relative and an absolute --root report the same findings"
       (fun () ->
-        (* The baseline waives one file's findings by its root-relative
-           path; the other fixtures' findings survive. *)
-        with_temp_baseline (fun baseline ->
-            let oc = open_out baseline in
-            output_string oc
-              (Baseline.render
-                 [
-                   {
-                     Baseline.file = fixture_path "tf_r2_poly_compare.ml";
-                     rule = "poly-compare";
-                     allowed = 5;
-                   };
-                 ]);
-            close_out oc;
-            let run root =
-              with_temp ".jsonl" (fun jsonl ->
-                  let code =
-                    Driver.execute
-                      {
-                        (driver_opts ()) with
-                        Driver.root;
-                        paths = [ Filename.concat root fixtures_dir ];
-                        baseline = Some baseline;
-                        check_stale = true;
-                        jsonl = Some jsonl;
-                      }
-                  in
-                  (code, read_file jsonl))
-            in
-            let abs_code, abs_findings = run (repo_root ()) in
-            let rel_code, rel_findings = run (relative_root ()) in
-            check_int "findings beyond the baseline" 1 abs_code;
-            check_int "same exit code" abs_code rel_code;
-            check_string "same findings" abs_findings rel_findings;
-            check_bool "the waived file is absent" false
-              (contains abs_findings "tf_r2_poly_compare");
-            check_bool "paths are root-relative" true
-              (contains abs_findings
-                 ("\"file\":\"" ^ fixtures_dir))));
+        let run root =
+          let opts =
+            {
+              (driver_opts ()) with
+              Driver.root;
+              paths = [ Filename.concat root fixtures_dir ];
+              check_stale = true;
+            }
+          in
+          let report =
+            Engine.run ~rules:(List.map rule opts.Driver.rules) ~root
+              opts.Driver.paths
+          in
+          ( Driver.execute opts,
+            List.map Finding.to_human report.Engine.findings )
+        in
+        let abs_code, abs_findings = run (repo_root ()) in
+        let rel_code, rel_findings = run (relative_root ()) in
+        check_int "findings" 1 abs_code;
+        check_int "same exit code" abs_code rel_code;
+        Alcotest.(check (list string)) "same findings" abs_findings rel_findings;
+        check_bool "paths are root-relative" true
+          (List.for_all
+             (fun f -> String.starts_with ~prefix:(fixtures_dir ^ "/") f)
+             abs_findings));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -741,7 +669,7 @@ let () =
       ("typed-rules", typed_rule_tests);
       ("parallel-walk", parallel_tests);
       ("suppression", suppression_tests);
-      ("baseline", baseline_tests);
+      ("finding", finding_tests);
       ("driver", driver_tests);
       ("sarif", sarif_tests);
       ("self-check", self_check_tests);

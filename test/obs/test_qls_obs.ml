@@ -139,7 +139,7 @@ let jsonl_tests =
                in
                let body = String.sub l 0 idx ^ "}" in
                let crc = String.sub l (idx + String.length marker) 8 in
-               check_string "crc" (Obs.crc32 body) crc)
+               check_string "crc" (Qls_sealed.crc32 body) crc)
              lines;
            (* Flip a byte in the middle line: exactly one reject. *)
            let bytes = Bytes.of_string (read_file path) in
