@@ -392,8 +392,8 @@ let campaign_cmd =
       value & opt (some float) None
       & info [ "timeout" ] ~docv:"SEC"
           ~doc:
-            "Per-task wall-clock budget; an overrunning task is recorded \
-             failed and the campaign continues.")
+            "Per-task wall-clock budget, a positive number of seconds; an \
+             overrunning task is recorded failed and the campaign continues.")
   in
   let retries =
     Arg.(
@@ -533,11 +533,20 @@ let campaign_cmd =
           | exception Qls_harness.Herror.Error e ->
               Error e.Qls_harness.Herror.message)
     in
-    match (store, injection, names) with
-    | Error msg, _, _ | _, Error msg, _ | _, _, Error msg ->
+    let budget =
+      match timeout with
+      | Some t when not (t > 0. && Float.is_finite t) ->
+          Error
+            (Printf.sprintf
+               "--timeout must be a positive number of seconds, got %g" t)
+      | _ -> Ok ()
+    in
+    match (store, injection, names, budget) with
+    | Error msg, _, _, _ | _, Error msg, _, _ | _, _, Error msg, _
+    | _, _, _, Error msg ->
         Format.eprintf "campaign: %s@." msg;
         2
-    | Ok (store, do_resume), Ok plan, Ok names ->
+    | Ok (store, do_resume), Ok plan, Ok names, Ok () ->
         if not (Qls_faults.is_none plan) then begin
           Qls_faults.install plan;
           Format.eprintf "campaign: fault injection armed: %s@."

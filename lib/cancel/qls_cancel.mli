@@ -1,7 +1,7 @@
 (** Cooperative cancellation tokens with optional deadlines.
 
-    A {!token} travels with a unit of work (typically a pool job) and serves
-    two purposes:
+    A {!token} travels with a unit of work (a serve request's pool job, a
+    timed campaign attempt) and serves two purposes:
 
     - {b Deadline enforcement.} A token created with [?deadline_ms] carries an
       absolute expiry. Work that calls {!poll} at its natural checkpoints

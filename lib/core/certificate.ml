@@ -53,6 +53,7 @@ let degrees g =
    the section's vertices to distinct device vertices of at least their
    degree, so none exists when the section's k-th largest degree exceeds
    the device's k-th largest, or when the device runs out of vertices. *)
+(* lint: cancel-poll-coverage — one step per section degree, at most the device's qubit count *)
 let rec outranks section device =
   match (section, device) with
   | [], _ -> false
@@ -70,6 +71,7 @@ let sweep circuit flags marks ~stamp ~from ~step ~until =
   flags.(a) <- stamp;
   flags.(b) <- stamp;
   let ci = ref from in
+  (* lint: cancel-poll-coverage — one pass over the section's gate window *)
   while (until - !ci) * step >= 0 do
     (match Circuit.gate circuit !ci with
     | Gate.G2 { a; b; _ } when flags.(a) = stamp || flags.(b) = stamp ->

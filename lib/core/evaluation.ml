@@ -120,29 +120,14 @@ let campaign_tasks ?tools ?names ~config device =
     config.swap_counts
 
 (* Instances are shared by the point's tools (the paper's paired
-   comparison) and each is generated and certified exactly once: the
-   first task to need an instance marks it pending and builds it, while
-   sibling tool tasks block on the condition variable until it is ready
-   rather than duplicating the (expensive) generation + proof.
-
-   Only the [instance_capacity] most recently built instances are kept.
-   Tasks run point-major, so an instance's siblings start within a few
-   tasks of each other; a process that works through many points (a
-   long campaign, repeated benchmark passes) would otherwise hold every
-   instance it ever generated. An evicted instance that is needed again
-   is rebuilt, identically: generation is a pure function of the task. *)
-type instance_cell = Ready of Benchmark.t | Pending
-
-let instance_capacity = 16
-let instance_mutex = Mutex.create ()
-let instance_ready = Condition.create ()
-let instance_cache : (string, instance_cell) Hashtbl.t = Hashtbl.create 64
-
-(* Keys of the [Ready] entries, oldest first. *)
-let instance_order : string Queue.t = Queue.create ()
+   comparison) and built once: sibling tool tasks wait for the first
+   one's generation + proof. Tasks run point-major, so 16 entries
+   suffice; an evicted instance is rebuilt identically. *)
+let instance_cache : Benchmark.t Qls_harness.Cache.t =
+  Qls_harness.Cache.create ~capacity:16 "instance"
 
 let cached_instances () =
-  Mutex.protect instance_mutex (fun () -> Queue.length instance_order)
+  (Qls_harness.Cache.stats instance_cache).Qls_harness.Cache.size
 
 let instance_for device (task : Task.t) =
   let key =
@@ -150,54 +135,22 @@ let instance_for device (task : Task.t) =
       task.Task.circuit task.Task.gate_budget task.Task.single_qubit_ratio
       task.Task.base_seed
   in
-  let build () =
-    let bench =
-      Generator.generate
-        ~config:
-          {
-            Generator.default_config with
-            n_swaps = task.Task.n_swaps;
-            gate_budget = task.Task.gate_budget;
-            single_qubit_ratio = task.Task.single_qubit_ratio;
-            seed = Task.circuit_seed task;
-          }
-        device
-    in
-    Certificate.check_exn bench;
-    bench
-  in
-  Mutex.lock instance_mutex;
-  let rec claim () =
-    match Hashtbl.find_opt instance_cache key with
-    | Some (Ready bench) ->
-        Mutex.unlock instance_mutex;
-        bench
-    | Some Pending ->
-        Condition.wait instance_ready instance_mutex;
-        claim ()
-    | None -> (
-        Hashtbl.replace instance_cache key Pending;
-        Mutex.unlock instance_mutex;
-        match build () with
-        | bench ->
-            Mutex.lock instance_mutex;
-            Hashtbl.replace instance_cache key (Ready bench);
-            Queue.push key instance_order;
-            if Queue.length instance_order > instance_capacity then
-              Hashtbl.remove instance_cache (Queue.pop instance_order);
-            Condition.broadcast instance_ready;
-            Mutex.unlock instance_mutex;
-            bench
-        | exception e ->
-            (* Un-claim so a sibling can retry (and fail with the real
-               error) instead of waiting forever. *)
-            Mutex.lock instance_mutex;
-            Hashtbl.remove instance_cache key;
-            Condition.broadcast instance_ready;
-            Mutex.unlock instance_mutex;
-            raise e)
-  in
-  claim ()
+  fst
+    (Qls_harness.Cache.find_or_compute instance_cache ~key (fun () ->
+         let bench =
+           Generator.generate
+             ~config:
+               {
+                 Generator.default_config with
+                 n_swaps = task.Task.n_swaps;
+                 gate_budget = task.Task.gate_budget;
+                 single_qubit_ratio = task.Task.single_qubit_ratio;
+                 seed = Task.circuit_seed task;
+               }
+             device
+         in
+         Certificate.check_exn bench;
+         bench))
 
 let resolve_tool ?tools (task : Task.t) =
   let found =
@@ -282,14 +235,14 @@ let run_campaign ?tools ?names ?(jobs = 1) ?timeout ?(retries = 0) ?backoff ?sto
     ?(resume = false) ?(rerun_failed = false) ?(fsync = false)
     ?failure_budget ?(degrade = false) ?(progress = false) ~config device =
   let tasks = campaign_tasks ?tools ?names ~config device in
-  let defaults = Campaign.default_config () in
   let campaign_config =
     {
-      defaults with
       Campaign.jobs;
       timeout;
       retries;
-      backoff = Option.value ~default:defaults.Campaign.backoff backoff;
+      backoff =
+        Option.value
+          ~default:(Campaign.default_config ()).Campaign.backoff backoff;
       store_path = store;
       resume;
       rerun_failed;

@@ -90,7 +90,7 @@ val campaign_exec :
 
 val cached_instances : unit -> int
 (** Instances {!campaign_exec}'s cache holds now: the most recently
-    built ones, at most 16. *)
+    used ones, at most 16. *)
 
 val aggregate_campaign :
   ?tools:Qls_router.Router.t list ->

@@ -148,6 +148,7 @@ let connect_components device mapping ~anchor ~n_prog edges =
             end)
           main_pos;
         let hit = ref (-1) in
+        (* lint: cancel-poll-coverage — BFS: each device qubit is queued at most once *)
         while !hit < 0 && not (Queue.is_empty queue) do
           let v = Queue.pop queue in
           if List.mem v other_pos then hit := v

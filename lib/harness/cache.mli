@@ -1,24 +1,24 @@
 (** Content-addressed in-memory cache: bounded LRU with single-flight
     computation.
 
-    The daemon's three caches (device/APSP tables, certified instances,
-    routed results) are instances of this one structure. Two properties
-    matter for serving:
+    Four caches share this structure: the daemon's three (device/APSP
+    tables, certified instances, routed results) and the campaign's
+    certified instances. Two properties matter:
 
     - {b Single-flight} — when several requests miss on the same key at
       once, exactly one computes; the rest block until the value is
       ready and count as hits. This is what makes the cache hit rate
-      (and thus the bench's determinism check) exact: for [k] distinct
-      keys over [n] requests there are exactly [k] misses, whatever the
-      interleaving.
+      (and thus the serve bench's determinism check) exact: for [k]
+      distinct keys over [n] requests there are exactly [k] misses,
+      whatever the interleaving.
     - {b Bounded} — at most [capacity] ready values are retained; on
       overflow the least-recently-used one is evicted (in-flight
       computations are never evicted). Keys are content-addressed, so
       eviction costs recomputation, never correctness.
 
-    Thread- and domain-safe; a computation that raises releases its slot
-    (and wakes its waiters, who re-raise is {e not} done — the first
-    waiter retries the computation itself). *)
+    Thread- and domain-safe. A computation that raises releases its slot
+    and wakes its waiters; they do not see the exception, and the first
+    to wake retries the computation itself. *)
 
 type 'a t
 

@@ -8,7 +8,6 @@ type config = {
   rerun_failed : bool;
   fsync : bool;
   failure_budget : float option;
-  budget_min : int;
   fallback : (string -> string option) option;
   report : (string -> unit) option;
 }
@@ -24,7 +23,6 @@ let default_config () =
     rerun_failed = false;
     fsync = false;
     failure_budget = None;
-    budget_min = 10;
     fallback = None;
     report = None;
   }
@@ -32,6 +30,8 @@ let default_config () =
 type row = { task : Task.t; status : Task.status; resumed : bool }
 
 let abort_site = "campaign"
+
+let budget_min = 10
 
 let stderr_report ?tty ?emit ~total =
   let tty = match tty with Some b -> b | None -> Unix.isatty Unix.stderr in
@@ -131,7 +131,6 @@ let run config ~exec tasks =
       Runner.timeout = config.timeout;
       retries = config.retries;
       backoff = config.backoff;
-      backoff_max = Runner.default.Runner.backoff_max;
     }
   in
   (* Failure budget: when the fresh-failure rate crosses the threshold
@@ -150,7 +149,7 @@ let run config ~exec tasks =
     | Some budget ->
         let n = Atomic.get fresh_done and f = Atomic.get fresh_failed in
         if
-          n >= config.budget_min
+          n >= budget_min
           && float_of_int f /. float_of_int n > budget
           && Option.is_none (Atomic.get aborted)
         then

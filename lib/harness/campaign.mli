@@ -16,7 +16,7 @@
 
     {b Failure budget.} With [failure_budget] set, the campaign watches
     the fresh-failure rate and stops starting tasks once it crosses the
-    threshold (after [budget_min] fresh results): a doomed sweep — wrong
+    threshold (after 10 fresh results): a doomed sweep — wrong
     binary, dead store disk, every task timing out — costs minutes, not
     the night. Unstarted tasks are reported [Failed] with a retryable
     ["not run: …"] error at site ["campaign"] and are {e not}
@@ -38,7 +38,6 @@ type config = {
   fsync : bool;  (** fsync the store on every append *)
   failure_budget : float option;
       (** abort when fresh failures exceed this rate (in [0..1]) *)
-  budget_min : int;  (** fresh results before the budget is consulted *)
   fallback : (string -> string option) option;
       (** per-tool degradation chain, e.g. ["exact" -> Some "sabre"] *)
   report : (string -> unit) option;  (** progress-line sink after each task *)
@@ -46,7 +45,7 @@ type config = {
 
 val default_config : unit -> config
 (** All worker domains the machine recommends; no timeout, store,
-    budget, fallback or reporting; default backoff; [budget_min = 10]. *)
+    budget, fallback or reporting; default backoff. *)
 
 type row = { task : Task.t; status : Task.status; resumed : bool }
 (** One task's terminal state; [resumed] marks results satisfied from

@@ -1,13 +1,7 @@
-type config = {
-  timeout : float option;
-  retries : int;
-  backoff : float;
-  backoff_max : float;
-}
+type config = { timeout : float option; retries : int; backoff : float }
 
-let default = { timeout = None; retries = 0; backoff = 0.05; backoff_max = 2.0 }
-
-let site_exec = "runner.exec"
+let default = { timeout = None; retries = 0; backoff = 0.05 }
+let backoff_max = 2.0
 
 (* FNV-1a fold, as in {!Task.rng_seed}: the jitter stream is a pure
    function of (seed, attempt). *)
@@ -22,8 +16,7 @@ let backoff_delay config ~seed ~attempt =
   if config.backoff <= 0.0 then 0.0
   else
     let base =
-      Float.min config.backoff_max
-        (config.backoff *. (2.0 ** float_of_int attempt))
+      Float.min backoff_max (config.backoff *. (2.0 ** float_of_int attempt))
     in
     (* Deterministic per-task jitter in [0.5, 1.5) x base: retries of a
        whole failed point decorrelate instead of thundering back in
@@ -33,65 +26,24 @@ let backoff_delay config ~seed ~attempt =
 let run_once ~timeout ~site f =
   match timeout with
   | None -> ( try Ok (f ()) with e -> Error (Herror.of_exn ~site e))
-  | Some limit ->
-      (* Run the task on a sibling thread of this worker domain and block
-         until it completes or the wall-clock deadline passes. The thread
-         signals completion by writing one byte to a pipe; the worker
-         sleeps in [Unix.select] on the read end (stdlib [Condition] has
-         no timed wait), so waiting burns no CPU. A task that overruns is reported [Error Timeout] and its
-         thread is abandoned — it cannot be killed, but it owns no shared
-         state (its result cell is private to this call), so siblings and
-         the campaign are unaffected; a reaper thread joins it eventually
-         and closes the pipe. *)
-      let rd, wr = Unix.pipe ~cloexec:true () in
-      let cell = Atomic.make None in
-      let thread =
-        Thread.create
-          (fun () ->
-            let r = try Ok (f ()) with e -> Error (Herror.of_exn ~site e) in
-            Atomic.set cell (Some r);
-            try ignore (Unix.write wr (Bytes.make 1 '!') 0 1) with _ -> ())
-          ()
+  | Some limit -> (
+      (* The body runs on this domain under a deadline token: its next
+         [Qls_cancel.poll] past the deadline raises [Expired], and one
+         that returns or raises after it is reported the same way. Whole
+         milliseconds, rounded up; 10^9 s or more (infinity) is no limit. *)
+      let ms = if limit < 1e9 then Float.ceil (limit *. 1000.) else 1e12 in
+      let deadline_ms = max 1 (int_of_float ms) in
+      let token = Qls_cancel.make ~deadline_ms () in
+      let result =
+        try Ok (Qls_cancel.with_token token f) with e -> Error e
       in
-      let close_both () =
-        (try Unix.close rd with _ -> ());
-        try Unix.close wr with _ -> ()
-      in
-      (* lint: nondet-source — wall-clock enforces the timeout guard *)
-      let deadline = Unix.gettimeofday () +. limit in
-      let rec wait () =
-        match Atomic.get cell with
-        | Some r ->
-            (* lint: unbounded-wait — the body already published its result; the join returns at once *)
-            Thread.join thread;
-            close_both ();
-            r
-        | None ->
-            (* lint: nondet-source — wall-clock enforces the timeout guard *)
-            let remaining = deadline -. Unix.gettimeofday () in
-            if remaining <= 0.0 then begin
-              (* Abandon the body; the reaper keeps the pipe open until
-                 the body's completing write can no longer fault. *)
-              ignore
-                (Thread.create
-                   (fun () ->
-                     (* lint: unbounded-wait — blocking on the abandoned body is the reaper thread's whole job *)
-                     Thread.join thread;
-                     close_both ())
-                   ());
-              Error (Herror.timeout ~site limit)
-            end
-            else begin
-              (try ignore (Unix.select [ rd ] [] [] remaining)
-               with Unix.Unix_error (EINTR, _, _) -> ());
-              wait ()
-            end
-      in
-      wait ()
+      if Qls_cancel.now_ms () - Qls_cancel.created_ms token >= deadline_ms
+      then Error (Herror.timeout ~site limit)
+      else Result.map_error (Herror.of_exn ~site) result)
 
 let attempt_hist = Qls_obs.histogram "runner.attempt_seconds"
 
-let run ?(site = site_exec) ?(key = "") ?(seed = 0) config f =
+let run ?(site = "runner.exec") ?(key = "") ?(seed = 0) config f =
   (* The fault hook runs inside the guarded body: an injected exception
      is classified like a real one, an injected delay can trip the real
      timeout. *)

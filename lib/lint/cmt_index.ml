@@ -1,8 +1,8 @@
 (* Locate and load the build's [.cmt]/[.cmti] files so the engine can
-   map a source path ("lib/serve/cache.ml", "lib/serve/cache.mli") to
+   map a source path ("lib/harness/cache.ml", "lib/harness/cache.mli") to
    its Typedtree. Dune drops them under [<dir>/.<lib>.objs/byte/]
    (libraries) and [<dir>/.<name>.eobjs/byte/] (executables), with the
-   module wrapped as [Qls_serve__Cache] or [Dune__exe__Main]; the index
+   module wrapped as [Qls_harness__Cache] or [Dune__exe__Main]; the index
    walks the build root once, buckets every file by its unwrapped module
    stem, and confirms a candidate by the [cmt_sourcefile] recorded
    inside it. Loads are cached and mutex-guarded so the engine's
@@ -23,7 +23,7 @@ type t = {
 
 let stem_of_cmt name =
   let base = String.lowercase_ascii (Filename.remove_extension name) in
-  (* "qls_serve__cache" -> "cache"; "dune__exe__main" -> "main" *)
+  (* "qls_harness__cache" -> "cache"; "dune__exe__main" -> "main" *)
   let n = String.length base in
   let rec last_sep i best =
     if i + 1 >= n then best

@@ -110,14 +110,23 @@ let default_build_root root =
   if Sys.file_exists b && Sys.is_directory b then b else root
 
 let run ?(jobs = 1) ~rules ~root paths =
-  let files = Array.of_list (collect_paths ~root paths) in
+  let index = Cmt_index.create ~build_root:(default_build_root root) in
+  (* An interface with no items has nothing to lint: dune writes one per
+     executable into the build tree, and a run there must not count it. *)
+  let linted p =
+    (not (Filename.check_suffix p ".mli"))
+    ||
+    match Cmt_index.find index ~source:(relativize ~root p) with
+    | Cmt_index.Loaded (Cmt_index.Intf { Typedtree.sig_items = []; _ }) -> false
+    | Cmt_index.Loaded _ | Cmt_index.Unavailable -> true
+  in
+  let files = Array.of_list (List.filter linted (collect_paths ~root paths)) in
   let n = Array.length files in
   let sources = Array.map read_file files in
   let guards = Typed_rules.Guards.empty () in
   Array.iteri
     (fun i p -> Typed_rules.Guards.add_file guards ~file:p sources.(i))
     files;
-  let index = Cmt_index.create ~build_root:(default_build_root root) in
   let lint_one i _ =
     let file = relativize ~root files.(i) in
     match Cmt_index.find index ~source:file with

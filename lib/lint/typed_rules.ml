@@ -15,7 +15,7 @@ module StringSet = Set.Make (String)
 (* Resolved-path helpers                                               *)
 
 (* Split a module-name segment on "__" so dune's wrapping prefixes
-   ("Qls_serve__Cache", "Dune__exe__Main") compare like user paths. *)
+   ("Qls_harness__Cache", "Dune__exe__Main") compare like user paths. *)
 let split_wrapped seg =
   let n = String.length seg in
   let rec skip_us i = if i < n && seg.[i] = '_' then skip_us (i + 1) else i in
@@ -903,12 +903,13 @@ let blocking_under_mutex ctx ~report structure =
 
 (* ------------------------------------------------------------------ *)
 (* R12 — cancel-poll-coverage                                          *)
-(* Scope: lib/router and lib/sat, the hot paths request deadlines rely
-   on. A [while] loop (and a structure-level recursive function) must
-   contain a reachable [Qls_cancel.poll]: directly, or through a call to
-   a file-local function that transitively polls. [for] loops are exempt
-   (bounded by construction in this codebase); nested [let rec] helpers
-   are covered indirectly through the loops that drive them. *)
+(* Scope: lib/router, lib/sat and lib/core, the work serve's request
+   deadlines and a campaign's per-task timeout stop. A [while] loop (and
+   a structure-level recursive function) must contain a reachable
+   [Qls_cancel.poll]: directly, or through a call to a file-local
+   function that transitively polls. [for] loops are exempt (bounded by
+   construction in this codebase); a nested [let rec] is not checked, so
+   one that no checked loop drives polls by hand (as [Exact]'s does). *)
 
 let poll_suffixes = [ [ "qls_cancel"; "poll" ] ]
 
@@ -939,7 +940,7 @@ let callee_names e =
   !acc
 
 let cancel_poll_coverage ctx ~report structure =
-  if in_scope ctx [ "lib/router"; "lib/sat" ] then begin
+  if in_scope ctx [ "lib/router"; "lib/sat"; "lib/core" ] then begin
     (* Pass 1: which file-local functions (transitively) poll? *)
     let table : (string, bool ref * StringSet.t ref) Hashtbl.t =
       Hashtbl.create 32
@@ -998,7 +999,7 @@ let cancel_poll_coverage ctx ~report structure =
         | Texp_while (cond, body) ->
             if not (reachable cond || reachable body) then
               report e.exp_loc
-                "while loop in a router/solver hot path has no reachable \
+                "while loop on a deadline-bounded path has no reachable \
                  Qls_cancel.poll — deadlines cannot fire here; poll or add a \
                  one-line justification"
         | _ -> ());
@@ -1037,7 +1038,7 @@ let cancel_poll_coverage ctx ~report structure =
                     if recurses && not (reachable vb.vb_expr) then
                       report vb.vb_loc
                         (Printf.sprintf
-                           "recursive function '%s' in a router/solver hot \
+                           "recursive function '%s' on a deadline-bounded \
                             path has no reachable Qls_cancel.poll — poll \
                             or add a one-line justification"
                            (Ident.name id))
@@ -1161,8 +1162,8 @@ let all =
     {
       name = "cancel-poll-coverage";
       summary =
-        "router/solver hot loops with no reachable Qls_cancel poll (lib/\
-         router, lib/sat)";
+        "loops on deadline-bounded paths with no reachable Qls_cancel \
+         poll (lib/router, lib/sat, lib/core)";
       severity = Finding.Error;
       check = Structure cancel_poll_coverage;
     };

@@ -142,8 +142,10 @@ let search ~budget ~nodes ~dag ~k ~n_phys ~coupled ~couplers =
   let maxpred v =
     List.fold_left (fun acc p -> max acc labels.(p)) 0 (Dag.predecessors dag v)
   in
+  (* No loop drives the recursion below: poll on node 1, 4097, ... *)
   let bump () =
     incr nodes;
+    if !nodes land 4095 = 1 then Qls_cancel.poll ();
     if !nodes > budget then raise Budget_exhausted
   in
   let rec assign count =

@@ -35,11 +35,14 @@ let s vars e t = 1 + n_x vars + n_b vars + (t * (vars.n_edges + 1)) + e
 let n_s vars = max 0 (vars.k * (vars.n_edges + 1))
 let total_vars vars = n_x vars + n_b vars + n_s vars
 
+(* Each outer iteration (block, gate, transition) polls: on a large
+   device the encoding alone can take seconds and gigabytes. *)
 let encode ~vars ~device ~dag solver =
   let { n_prog; n_phys; n_gates; n_edges; k } = vars in
   let add = Solver.add_clause solver in
   (* 1. each program qubit occupies exactly one position per block *)
   for t = 0 to k do
+    Qls_cancel.poll ();
     for q = 0 to n_prog - 1 do
       add (List.init n_phys (fun p -> x vars q p t));
       for p = 0 to n_phys - 1 do
@@ -59,6 +62,7 @@ let encode ~vars ~device ~dag solver =
   done;
   (* 3. each gate executes in exactly one block *)
   for g = 0 to n_gates - 1 do
+    Qls_cancel.poll ();
     add (List.init (k + 1) (fun t -> b vars g t));
     for t = 0 to k do
       for t' = t + 1 to k do
@@ -75,6 +79,7 @@ let encode ~vars ~device ~dag solver =
   done;
   (* 4. adjacency: a gate's qubits are coupled during its block *)
   for g = 0 to n_gates - 1 do
+    Qls_cancel.poll ();
     let a, bq = Dag.pair dag g in
     for t = 0 to k do
       for p = 0 to n_phys - 1 do
@@ -87,6 +92,7 @@ let encode ~vars ~device ~dag solver =
   (* 5. transitions *)
   let edges = Array.of_list (Device.edges device) in
   for t = 0 to k - 1 do
+    Qls_cancel.poll ();
     (* exactly one choice (an edge, or none = index n_edges) *)
     add (List.init (n_edges + 1) (fun e -> s vars e t));
     for e = 0 to n_edges do
@@ -185,6 +191,7 @@ let encode_earliest_block ~vars ~dag solver =
   let { n_gates; n_edges; k; _ } = vars in
   let add = Solver.add_clause solver in
   for g = 0 to n_gates - 1 do
+    Qls_cancel.poll ();
     let preds = Dag.predecessors dag g in
     for t = 0 to k - 1 do
       add

@@ -1,4 +1,5 @@
 module Pool = Qls_harness.Pool
+module Cache = Qls_harness.Cache
 module Device = Qls_arch.Device
 module Topologies = Qls_arch.Topologies
 module Circuit = Qls_circuit.Circuit

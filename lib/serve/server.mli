@@ -2,7 +2,7 @@
 
     One process owns the expensive state — devices with their APSP
     tables, certified QUBIKOS instances, routed results — in bounded
-    {!Cache}s shared across every connection, and schedules the actual
+    {!Qls_harness.Cache}s shared across every connection, and schedules the actual
     routing work on a {!Qls_harness.Pool} of worker domains. Clients
     speak the {!Protocol} over a Unix-domain socket and/or a loopback
     TCP port; each accepted connection gets a reader thread (I/O

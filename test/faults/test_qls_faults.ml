@@ -224,7 +224,7 @@ let runner_tests =
             | Error e ->
                 Alcotest.failf "should recover: %s" (Herror.to_string e)));
     test_case "an injected hang trips the real timeout" (fun () ->
-        with_plan (plan_of_spec "seed=1;runner.exec:hang@5:1") (fun () ->
+        with_plan (plan_of_spec "seed=1;runner.exec:hang@0.3:1") (fun () ->
             match
               Runner.run
                 { immediate with Runner.timeout = Some 0.05 }

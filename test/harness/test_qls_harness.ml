@@ -434,12 +434,64 @@ let runner_tests =
         with
         | Error e -> check_bool "timeout class" true (e.Herror.klass = Herror.Timeout)
         | Ok ((), _) -> Alcotest.fail "expected a timeout");
+    test_case "a polling body stops at its deadline, not after run returns"
+      (fun () ->
+        (* Polls between short sleeps until told to stop: under a 50 ms
+           budget its first poll past the deadline must end it. *)
+        let iterations = Atomic.make 0 and stop = Atomic.make false in
+        let body () =
+          while not (Atomic.get stop) do
+            Qls_cancel.poll ();
+            Atomic.incr iterations;
+            Thread.delay 0.002
+          done
+        in
+        let result =
+          Runner.run { immediate with Runner.timeout = Some 0.05 } body
+        in
+        let at_return = Atomic.get iterations in
+        Thread.delay 0.1;
+        let later = Atomic.get iterations in
+        Atomic.set stop true;
+        (match result with
+        | Error e ->
+            check_bool "timeout class" true (e.Herror.klass = Herror.Timeout)
+        | Ok ((), _) -> Alcotest.fail "expected a timeout");
+        check_int "no iteration after run returns" at_return later);
+    test_case "an attempt that returns after its budget without polling is a \
+               timeout"
+      (fun () ->
+        match
+          Runner.run
+            { immediate with Runner.timeout = Some 0.05 }
+            (fun () -> Thread.delay 0.2)
+        with
+        | Error e ->
+            check_bool "timeout class" true (e.Herror.klass = Herror.Timeout);
+            check_string "site" "runner.exec" e.Herror.site;
+            check_string "message" "timeout after 0.05s" e.Herror.message
+        | Ok ((), _) -> Alcotest.fail "expected a timeout");
     test_case "a fast task under a timeout succeeds" (fun () ->
         match
           Runner.run { immediate with Runner.timeout = Some 5.0 } (fun () -> 42)
         with
         | Ok (v, _) -> check_int "result" 42 v
         | Error e -> Alcotest.failf "unexpected error: %s" (Herror.to_string e));
+    test_case "an infinite or enormous limit is no deadline" (fun () ->
+        List.iter
+          (fun limit ->
+            match
+              Runner.run
+                { immediate with Runner.timeout = Some limit }
+                (fun () ->
+                  Thread.delay 0.01;
+                  Qls_cancel.poll ();
+                  42)
+            with
+            | Ok (v, _) -> check_int "result" 42 v
+            | Error e ->
+                Alcotest.failf "limit %g: %s" limit (Herror.to_string e))
+          [ infinity; 1e300; 1e9 ]);
     test_case "bounded retry recovers a flaky (transient) task" (fun () ->
         let attempts = Atomic.make 0 in
         let flaky () =
@@ -476,9 +528,7 @@ let runner_tests =
         check_int "two attempts" 2 (Atomic.get attempts));
     test_case "backoff schedule is deterministic, jittered, exponential"
       (fun () ->
-        let config =
-          { Runner.default with Runner.backoff = 0.1; backoff_max = 10.0 }
-        in
+        let config = { Runner.default with Runner.backoff = 0.1 } in
         let d0 = Runner.backoff_delay config ~seed:42 ~attempt:0 in
         let d0' = Runner.backoff_delay config ~seed:42 ~attempt:0 in
         let d3 = Runner.backoff_delay config ~seed:42 ~attempt:3 in
@@ -489,9 +539,7 @@ let runner_tests =
           (Runner.backoff_delay config ~seed:1 ~attempt:0
           <> Runner.backoff_delay config ~seed:2 ~attempt:0));
     test_case "backoff is capped" (fun () ->
-        let config =
-          { Runner.default with Runner.backoff = 1.0; backoff_max = 2.0 }
-        in
+        let config = { Runner.default with Runner.backoff = 1.0 } in
         check_bool "cap" true
           (Runner.backoff_delay config ~seed:0 ~attempt:20 < 3.0));
   ]
@@ -642,6 +690,28 @@ let campaign_tests =
             check_bool "timeout class" true (e.Herror.klass = Herror.Timeout)
         | _ -> Alcotest.fail "slow task should time out");
         check_int "siblings unharmed" 7 (List.length (Campaign.outcomes rows)));
+    test_case "a timed-out task's store line names class, site and limit"
+      (fun () ->
+        let tasks = synthetic_tasks 2 in
+        let slow = Task.id (List.nth tasks 1) in
+        let exec t =
+          if Task.id t = slow then Thread.delay 0.2;
+          synthetic_exec t
+        in
+        let path = fresh_store_path () in
+        ignore
+          (Campaign.run
+             (campaign_config ~store_path:path ~timeout:0.05 ())
+             ~exec tasks);
+        let lines = In_channel.with_open_text path In_channel.input_lines in
+        let prefix =
+          Printf.sprintf
+            {|{"id":"%s","status":"failed","eclass":"timeout","esite":"runner.exec","error":"timeout after 0.05s","attempts":1,|}
+            slow
+        in
+        check_bool "the failed line" true
+          (List.exists (String.starts_with ~prefix) lines);
+        Sys.remove path);
     test_case "a failed tool degrades to its fallback, recorded as such"
       (fun () ->
         let tasks = synthetic_tasks 8 in

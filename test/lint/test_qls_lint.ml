@@ -167,6 +167,10 @@ let typed_rule_tests =
     expect "domain-escape" ~suppressed:1 [ "tf_r10_escape.ml" ] 3;
     expect "blocking-under-mutex" ~suppressed:1 [ "tf_r11_block.ml" ] 4;
     expect "cancel-poll-coverage" ~suppressed:1 [ poll_fixture ] 2;
+    expect_scoped poll_fixture ~rule:"cancel-poll-coverage"
+      ~as_file:"lib/core/tf_r12_loops.ml" 2;
+    expect_scoped poll_fixture ~rule:"cancel-poll-coverage"
+      ~as_file:"lib/harness/tf_r12_loops.ml" 0;
     test_case "unused-export reports the exports no other module uses, on \
                their .mli lines" (fun () ->
         let report = lint ~rules:[ rule "unused-export" ] export_fixtures in
@@ -660,6 +664,20 @@ let self_check_tests =
           report.Engine.findings;
         check_int "unsuppressed findings in lib/" 0
           (List.length report.Engine.findings));
+    test_case "a walk of the build tree counts what the source tree's does"
+      (fun () ->
+        (* Dune writes an interface with no items for each executable
+           into the build tree; it has nothing to lint, so it is not
+           counted either. *)
+        let root = repo_root () in
+        let build = Engine.default_build_root root in
+        check_bool "dune wrote bin/'s executable interface" true
+          (Sys.file_exists (Filename.concat build "bin/qubikos_cli.mli"));
+        let files root =
+          (Engine.run ~rules:[] ~root [ Filename.concat root "bin" ])
+            .Engine.files
+        in
+        check_int "bin/ files" (files root) (files build));
   ]
 
 let () =

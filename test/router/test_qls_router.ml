@@ -1763,8 +1763,8 @@ let tracing_tests =
 (* ------------------------------------------------------------------ *)
 (* Cancellation: every round loop polls the ambient token, so an       *)
 (* expired deadline stops the route instead of being ignored until it  *)
-(* finishes. SABRE's is in "parallel trials honour an expired ambient  *)
-(* deadline".                                                          *)
+(* finishes, and so does OLSQ's encoder, per block and per gate.       *)
+(* SABRE's is in "parallel trials honour an expired ambient deadline". *)
 (* ------------------------------------------------------------------ *)
 
 let cancellation_tests =
@@ -1782,13 +1782,17 @@ let cancellation_tests =
           check_bool "Expired raised" true
             (try
                Qls_cancel.with_token token (fun () ->
-                   ignore (route device c);
+                   route device c;
                    false)
              with Qls_cancel.Expired _ -> true)))
     [
-      ("qmap", fun device c -> Astar_router.route device c);
-      ("tket", fun device c -> Tket_router.route device c);
-      ("mlqls", fun device c -> Mlqls.route device c);
+      ("qmap", fun device c -> ignore (Astar_router.route device c));
+      ("tket", fun device c -> ignore (Tket_router.route device c));
+      ("mlqls", fun device c -> ignore (Mlqls.route device c));
+      ("exact", fun device c -> ignore (Exact.check ~swaps:3 device c));
+      ( "olsq's encoder",
+        fun device c -> ignore (Olsq.Incremental.create ~max_swaps:5 device c)
+      );
     ]
 
 (* ------------------------------------------------------------------ *)

@@ -5,7 +5,7 @@
    cold responses and to the offline library route). *)
 
 module Protocol = Qls_serve.Protocol
-module Cache = Qls_serve.Cache
+module Cache = Qls_harness.Cache
 module Server = Qls_serve.Server
 module Pool = Qls_harness.Pool
 module Herror = Qls_harness.Herror
