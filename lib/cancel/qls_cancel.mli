@@ -5,7 +5,7 @@
 
     - {b Deadline enforcement.} A token created with [?deadline_ms] carries an
       absolute expiry. Work that calls {!poll} at its natural checkpoints
-      (router rounds, SAT restarts, generator phases) raises {!Expired} once
+      (router rounds, SAT restarts, generator sections) raises {!Expired} once
       the budget is spent; the exception carries both the elapsed time and the
       configured limit so callers can produce a typed response.
     - {b Liveness heartbeat.} Every {!poll} stamps the token with the current
@@ -19,8 +19,9 @@
     cheap no-op, so instrumented code costs nothing on the batch/CLI paths.
 
     Checkpoint granularity is deliberately coarse (one poll per router round /
-    SAT restart / generator phase): cancellation latency is bounded by the
-    longest inter-checkpoint stretch, which the pool watchdog backstops. *)
+    SAT restart / generator section or 1,024 inserted gates): cancellation
+    latency is bounded by the longest inter-checkpoint stretch, which the
+    pool watchdog backstops. *)
 
 type token
 

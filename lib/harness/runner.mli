@@ -16,7 +16,7 @@
     {b Timeouts.} A timed attempt runs under a {!Qls_cancel} deadline,
     the token serve requests carry, so a body that overruns stops at its
     next poll (a router's round or search node, a SAT restart, an
-    encoding block, a generator phase) and nothing of it runs on once
+    encoding block, a generator section) and nothing of it runs on once
     {!run} returns; one that never polls is reported when it returns.
     Either way the error is [Timeout], ["timeout after <limit>s"].
 

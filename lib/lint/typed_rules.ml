@@ -904,12 +904,12 @@ let blocking_under_mutex ctx ~report structure =
 (* ------------------------------------------------------------------ *)
 (* R12 — cancel-poll-coverage                                          *)
 (* Scope: lib/router, lib/sat and lib/core, the work serve's request
-   deadlines and a campaign's per-task timeout stop. A [while] loop (and
-   a structure-level recursive function) must contain a reachable
-   [Qls_cancel.poll]: directly, or through a call to a file-local
-   function that transitively polls. [for] loops are exempt (bounded by
-   construction in this codebase); a nested [let rec] is not checked, so
-   one that no checked loop drives polls by hand (as [Exact]'s does). *)
+   deadlines and a campaign's per-task timeout stop. A [while] loop and
+   a recursive function, at structure level or nested in another, must
+   contain a reachable [Qls_cancel.poll]: directly, or through a call to
+   a file-local function that transitively polls. [for] loops are exempt
+   (bounded by construction), so one over a caller-sized count polls by
+   hand (as the generator's section and filler loops do). *)
 
 let poll_suffixes = [ [ "qls_cancel"; "poll" ] ]
 
@@ -931,7 +931,7 @@ let callee_names e =
   let expr sub x =
     (match x.exp_desc with
     | Texp_apply ({ exp_desc = Texp_ident (Path.Pident id, _, _); _ }, _) ->
-        acc := StringSet.add (Ident.name id) !acc
+        acc := StringSet.add (Ident.unique_name id) !acc
     | _ -> ());
     Tast_iterator.default_iterator.expr sub x
   in
@@ -948,7 +948,7 @@ let cancel_poll_coverage ctx ~report structure =
     let record_binding vb =
       match vb.vb_pat.pat_desc with
       | Tpat_var (id, _) ->
-          let name = Ident.name id in
+          let name = Ident.unique_name id in
           let direct = polls_directly ctx vb.vb_expr in
           let callees = callee_names vb.vb_expr in
           let d, c =
@@ -1003,49 +1003,54 @@ let cancel_poll_coverage ctx ~report structure =
                  Qls_cancel.poll — deadlines cannot fire here; poll or add a \
                  one-line justification"
         | _ -> ());
-    (* Pass 3: structure-level recursive functions. *)
+    (* Pass 3: recursive functions, structure-level and nested alike. *)
+    let check_group vbs =
+      let group_ids =
+        List.filter_map
+          (fun vb ->
+            match vb.vb_pat.pat_desc with
+            | Tpat_var (id, _) -> Some id
+            | _ -> None)
+          vbs
+      in
+      List.iter
+        (fun vb ->
+          match (vb.vb_pat.pat_desc, vb.vb_expr.exp_desc) with
+          | Tpat_var (id, _), Texp_function _ ->
+              let recurses =
+                let found = ref false in
+                let expr sub x =
+                  (match x.exp_desc with
+                  | Texp_ident (Path.Pident i, _, _)
+                    when List.exists (Ident.same i) group_ids ->
+                      found := true
+                  | _ -> ());
+                  if not !found then Tast_iterator.default_iterator.expr sub x
+                in
+                let it = { Tast_iterator.default_iterator with expr } in
+                it.Tast_iterator.expr it vb.vb_expr;
+                !found
+              in
+              if recurses && not (reachable vb.vb_expr) then
+                report vb.vb_loc
+                  (Printf.sprintf
+                     "recursive function '%s' on a deadline-bounded path \
+                      has no reachable Qls_cancel.poll — poll or add a \
+                      one-line justification"
+                     (Ident.name id))
+          | _ -> ())
+        vbs
+    in
     List.iter
       (fun item ->
         match item.str_desc with
-        | Tstr_value (Asttypes.Recursive, vbs) ->
-            let group_ids =
-              List.filter_map
-                (fun vb ->
-                  match vb.vb_pat.pat_desc with
-                  | Tpat_var (id, _) -> Some id
-                  | _ -> None)
-                vbs
-            in
-            List.iter
-              (fun vb ->
-                match (vb.vb_pat.pat_desc, vb.vb_expr.exp_desc) with
-                | Tpat_var (id, _), Texp_function _ ->
-                    let recurses =
-                      let found = ref false in
-                      let expr sub x =
-                        (match x.exp_desc with
-                        | Texp_ident (Path.Pident i, _, _)
-                          when List.exists (Ident.same i) group_ids ->
-                            found := true
-                        | _ -> ());
-                        if not !found then
-                          Tast_iterator.default_iterator.expr sub x
-                      in
-                      let it = { Tast_iterator.default_iterator with expr } in
-                      it.Tast_iterator.expr it vb.vb_expr;
-                      !found
-                    in
-                    if recurses && not (reachable vb.vb_expr) then
-                      report vb.vb_loc
-                        (Printf.sprintf
-                           "recursive function '%s' on a deadline-bounded \
-                            path has no reachable Qls_cancel.poll — poll \
-                            or add a one-line justification"
-                           (Ident.name id))
-                | _ -> ())
-              vbs
+        | Tstr_value (Asttypes.Recursive, vbs) -> check_group vbs
         | _ -> ())
-      structure.str_items
+      structure.str_items;
+    iter_exprs structure (fun e ->
+        match e.exp_desc with
+        | Texp_let (Asttypes.Recursive, vbs, _) -> check_group vbs
+        | _ -> ())
   end
 
 (* ------------------------------------------------------------------ *)

@@ -573,6 +573,7 @@ let fallback_swaps device mapping target_pairs =
         match Qls_graph.Bfs.path (Device.graph device) pa pb with
         | None | Some [] | Some [ _ ] -> ()
         | Some path ->
+            (* lint: cancel-poll-coverage — one step per coupler of a shortest path *)
             let rec go = function
               | p :: p' :: (_ :: _ as rest) ->
                   swaps := (p, p') :: !swaps;

@@ -55,6 +55,7 @@ let build_witness ~device ~circuit ~dag ~k ~swap_edges ~labels ~placement =
   Array.iteri (fun q l -> pending_1q.(q) <- List.rev l) pending_1q;
   let ops = ref [] in
   let flush_1q q ~before =
+    (* lint: cancel-poll-coverage — one call per single-qubit gate still pending on [q] *)
     let rec go = function
       | i :: rest when i < before ->
           ops := Transpiled.Gate i :: !ops;

@@ -249,6 +249,7 @@ let place ?(options = default_options) device circuit =
   let n_prog = Circuit.n_qubits circuit in
   let finest = Wgraph.of_pairs n_prog (Circuit.two_qubit_pairs circuit) in
   (* Coarsen. *)
+  (* lint: cancel-poll-coverage — each level has fewer vertices than the last: at most n_prog levels *)
   let rec build g levels =
     if g.Wgraph.n <= coarsen_to then (g, levels)
     else begin

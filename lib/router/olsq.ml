@@ -146,6 +146,7 @@ let decode ~vars ~device ~dag ~circuit solver =
   Array.iteri (fun q l -> pending_1q.(q) <- List.rev l) pending_1q;
   let ops = ref [] in
   let flush_1q q ~before =
+    (* lint: cancel-poll-coverage — one call per single-qubit gate still pending on [q] *)
     let rec go = function
       | i :: rest when i < before ->
           ops := Transpiled.Gate i :: !ops;
@@ -321,6 +322,7 @@ end
 
 let minimum_swaps ?(max_swaps = 8) ?conflict_budget device circuit =
   let session = Incremental.create ~max_swaps device circuit in
+  (* lint: cancel-poll-coverage — at most max_swaps + 1 steps, and each check polls in the solver *)
   let rec walk k =
     if k > max_swaps then Unknown_above { refuted_below = k }
     else

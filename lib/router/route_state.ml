@@ -351,6 +351,7 @@ let force_route_first t =
       | None | Some [] | Some [ _ ] -> ()
       | Some path ->
           (* Walk qubit [a] along the path until adjacent to [b]. *)
+          (* lint: cancel-poll-coverage — one step per coupler of a shortest path *)
           let rec go = function
             | p :: p' :: (_ :: _ as rest) ->
                 apply_swap t p p';

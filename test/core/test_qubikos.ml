@@ -158,6 +158,41 @@ let generator_tests =
     test_case "saturation cap keeps circuits small" (fun () ->
         let big = gen ~device:(Topologies.aspen4 ()) ~n_swaps:1 ~saturation_cap:0 ~seed:21 () in
         check_bool "small sections" true (Benchmark.two_qubit_count big <= 20));
+    test_case "a paper-size Eagle instance allocates under 2M minor words"
+      (fun () ->
+        (* Eagle at the paper's 3,000-gate budget (§IV-B), 5 SWAPs. Each
+           block shifts int indices to place an op and builds its filler
+           pairs once; when every filler was spliced into a list and
+           re-read the device's couplers, this instance allocated about
+           25M words. The device is built outside the window. *)
+        let device = Topologies.eagle127 () in
+        let w0 = Gc.minor_words () in
+        let b = gen ~device ~n_swaps:5 ~gate_budget:3000 ~seed:1 () in
+        let words = Gc.minor_words () -. w0 in
+        check_int "gates" 3000 (Benchmark.two_qubit_count b);
+        check_bool
+          (Printf.sprintf "%.2fM minor words <= 2M" (words /. 1e6))
+          true (words <= 2e6));
+    test_case "an ambient deadline stops generation within its sections"
+      (fun () ->
+        (* 20,000 sections on Eagle take seconds to build; the count comes
+           from the caller (serve takes it from the wire), so the section
+           loop polls. *)
+        let token = Qls_cancel.make ~deadline_ms:50 () in
+        let t0 = Qls_cancel.now_ms () in
+        let expired =
+          try
+            ignore
+              (Qls_cancel.with_token token (fun () ->
+                   gen ~device:(Topologies.eagle127 ()) ~n_swaps:20_000 ()));
+            false
+          with Qls_cancel.Expired _ -> true
+        in
+        let elapsed = Qls_cancel.now_ms () - t0 in
+        check_bool "raised Expired" true expired;
+        check_bool
+          (Printf.sprintf "raised after %d ms <= 1000" elapsed)
+          true (elapsed <= 1000));
   ]
 
 let generator_props =
@@ -201,6 +236,48 @@ let generator_props =
         let padded = gen ~n_swaps:2 ~gate_budget:80 ~seed () in
         Transpiled.swap_count bare.Benchmark.designed
         = Transpiled.swap_count padded.Benchmark.designed);
+    QCheck.Test.make
+      ~name:"instances are byte-identical to the frozen list-splicing generator"
+      ~count:60
+      QCheck.(
+        quad (int_range 0 9) (int_range 1 12)
+          (triple (int_range 0 2000) (int_range 0 2) (int_range 0 2))
+          (int_range 0 10_000))
+      (fun (shape, n_swaps, (gate_budget, ratio, cap), seed) ->
+        let device =
+          match shape with
+          | 0 -> Topologies.grid 3 3
+          | 1 -> Topologies.line 6
+          | 2 -> Topologies.ring 8
+          | 3 -> Topologies.aspen4 ()
+          | 4 -> Topologies.sycamore54 ()
+          | 5 -> Topologies.rochester ()
+          | 6 -> Topologies.eagle127 ()
+          | 7 -> Topologies.heavy_hex ~distance:3
+          | 8 -> Topologies.falcon27 ()
+          | _ -> Topologies.grid 4 6
+        in
+        let single_qubit_ratio = [| 0.0; 0.3; 1.0 |].(ratio) in
+        let saturation_cap = [| 1; 3; max_int |].(cap) in
+        let fresh =
+          gen ~device ~n_swaps ~gate_budget ~single_qubit_ratio ~saturation_cap
+            ~seed ()
+        in
+        let frozen =
+          Generator_oracle.generate
+            ~config:
+              {
+                Generator_oracle.n_swaps;
+                gate_budget;
+                single_qubit_ratio;
+                saturation_cap;
+                seed;
+              }
+            device
+        in
+        String.equal
+          (Qubikos.Serialize.to_string fresh)
+          (Qubikos.Serialize.to_string frozen));
     QCheck.Test.make ~name:"backbone indices are sorted, unique and in range"
       ~count:30
       QCheck.(int_range 0 10_000)

@@ -98,6 +98,154 @@ let rng_tests =
         Alcotest.check_raises "empty"
           (Invalid_argument "Rng.pick_array: empty array") (fun () ->
             ignore (Rng.pick_array rng [||])));
+    test_case "first draws are pinned" (fun () ->
+        (* The streams every seeded component replays: recorded from the
+           boxed-state implementation the unboxed one replaced. Bound
+           2^61 + 1 rejects about a quarter of the raw draws, so the
+           retry loop runs. *)
+        let seeds = [ 0; 1; 42; -7; 1_000_003 ] in
+        let draws f seed =
+          let r = Rng.create seed in
+          List.init 4 (fun _ -> f r)
+        in
+        Alcotest.(check (list (list int64)))
+          "bits64"
+          [
+            [ -2152535657050944081L; 7960286522194355700L; 487617019471545679L ];
+            [ -4616330145664149646L; 6869446166584666695L; 8084911050856847527L ];
+            [ -7450291807549245335L; 2958219263312191191L; 3069497704473277141L ];
+            [ -6657567321482388864L; 2521065584565188649L; -2683386023840429499L ];
+            [ -2240771435954595603L; -7891713799552418299L; 6744790030358357961L ];
+          ]
+          (List.map
+             (fun seed ->
+               let r = Rng.create seed in
+               List.init 3 (fun _ -> Rng.bits64 r))
+             seeds);
+        let ints bound = List.map (draws (fun r -> Rng.int r bound)) seeds in
+        Alcotest.(check (list (list int)))
+          "int 7"
+          [ [ 4; 4; 4; 2 ]; [ 5; 4; 2; 6 ]; [ 3; 2; 0; 5 ]; [ 1; 4; 2; 2 ]; [ 6; 3; 5; 1 ] ]
+          (ints 7);
+        Alcotest.(check (list (list int)))
+          "int 1000"
+          [
+            [ 767; 850; 839; 222 ];
+            [ 985; 347; 763; 502 ];
+            [ 140; 595; 570; 183 ];
+            [ 376; 324; 58; 44 ];
+            [ 6; 658; 980; 557 ];
+          ]
+          (ints 1000);
+        Alcotest.(check (list (list int)))
+          "int 2^40"
+          [
+            [ 123439343319; 228989907706; 602369467047; 361736061174 ];
+            [ 104939482041; 490724742435; 970351832147; 127530159766 ];
+            [ 590642093108; 410483453803; 1044163647850; 629070152839 ];
+            [ 986490178880; 985153682452; 345524610338; 243416832068 ];
+            [ 138052029558; 61242121986; 438255326180; 567799672821 ];
+          ]
+          (ints (1 lsl 40));
+        Alcotest.(check (list (list int)))
+          "int max_int"
+          [
+            [ 3535418189901915864; 3980143261097177850; 243808509735772839; 4343119669962883319 ];
+            [ 2303520945595313082; 3434723083292333347; 4042455525428423763; 4188487418961448599 ];
+            [ 886540114652765237; 1479109631656095595; 1534748852236638570; 442959779040642183 ];
+            [ 1282902357686193473; 1260532792282594324; 3269993006507173155; 3519345648904575044 ];
+            [ 3491300300450090103; 665829118651178755; 3372395015179178980; 3143127179122929654 ];
+          ]
+          (ints max_int);
+        (* Eight draws at the rejecting bound, then the raw draw that
+           follows them: a retry shows as a later next draw. *)
+        Alcotest.(check (list (pair (list int) int64)))
+          "int 2^61 + 1, then bits64"
+          [
+            ( [ 1674300251883483897; 243808509735772839; 980875101213047373;
+                713204291417887092; 1603648013000153456; 2266080580496311649;
+                1350928630709526147; 220905217336405435 ],
+              -8205710985559103185L );
+            ( [ 2303520945595313079; 1128880074078639394; 1736612516214729810;
+                1863671749315441757; 883303267573283889; 1897886891002106619;
+                1715044117173982647; 598206921771546333 ],
+              -2172474089950573756L );
+            ( [ 886540114652765234; 1479109631656095595; 1534748852236638570;
+                442959779040642183; 2168621964841929057; 270605592958008291;
+                1410192177313165993; 2248669789835156923 ],
+              -4345211542386587372L );
+            ( [ 1282902357686193470; 1260532792282594324; 1213502639690881091;
+                1142376331601577184; 200436771489865846; 1018074844533399996;
+                206485939062459013; 1200601630637657773 ],
+              -1481875313368461091L );
+            ( [ 665829118651178752; 1066552005965485027; 723593669339722883;
+                1140352189721416368; 1850821431101551836; 2129285756534041374;
+                218674610904335904; 1556432371829386490 ],
+              -4601219991975975946L );
+          ]
+          (List.map
+             (fun seed ->
+               let r = Rng.create seed in
+               let xs = List.init 8 (fun _ -> Rng.int r ((1 lsl 61) + 1)) in
+               (xs, Rng.bits64 r))
+             seeds);
+        Alcotest.(check (list (list bool)))
+          "bool"
+          [
+            [ true; false; true; false ];
+            [ false; true; true; false ];
+            [ true; true; true; false ];
+            [ false; true; true; false ];
+            [ true; true; true; true ];
+          ]
+          (List.map (draws Rng.bool) seeds);
+        Alcotest.(check (list (pair (float 0.0) (float 0.0))))
+          "float 1.0, float 2.5"
+          [
+            (0x1.c4415072f63b9p-1, 0x1.142d8c0a944f7p+0);
+            (0x1.7fdf0061bb85ap-1, 0x1.dca9e0768ebd4p-1);
+            (0x1.31367e26140c7p-1, 0x1.9a890f7776687p-2);
+            (0x1.47372396bd963p-1, 0x1.5dde3deb7ab4bp-2);
+            (0x1.c1ce5c80922b3p-1, 0x1.6e3380474b931p+0);
+          ]
+          (List.map
+             (fun seed ->
+               let r = Rng.create seed in
+               let a = Rng.float r 1.0 in
+               (a, Rng.float r 2.5))
+             seeds);
+        Alcotest.(check (list (pair int64 int64)))
+          "split: child's first draw, then the parent's"
+          [
+            (-6411193824288604561L, 7960286522194355700L);
+            (6180444375122719049L, 6869446166584666695L);
+            (6168158941143839527L, 2958219263312191191L);
+            (-1852148599770368987L, 2521065584565188649L);
+            (5758236889919081360L, -7891713799552418299L);
+          ]
+          (List.map
+             (fun seed ->
+               let r = Rng.create seed in
+               let c = Rng.split r in
+               let a = Rng.bits64 c in
+               (a, Rng.bits64 r))
+             seeds));
+    test_case "Rng.int allocates nothing" (fun () ->
+        (* The draw a generator makes per filler and a router per trial:
+           with a boxed state each call allocated 18 words. The bound is
+           the two reads of the counter; 10,000 draws at even one word
+           each would exceed it 600-fold. *)
+        let rng = Rng.create 31 in
+        let acc = ref 0 in
+        let w0 = Gc.minor_words () in
+        for i = 1 to 10_000 do
+          acc := !acc + Rng.int rng (1 + (i land 1023))
+        done;
+        let words = Gc.minor_words () -. w0 in
+        check_bool "drew something" true (!acc > 0);
+        check_bool
+          (Printf.sprintf "%.0f minor words over 10,000 draws <= 16" words)
+          true (words <= 16.0));
     test_case "bool is not constant" (fun () ->
         let rng = Rng.create 23 in
         let trues = ref 0 in

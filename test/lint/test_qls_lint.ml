@@ -109,6 +109,7 @@ let random_fixture = "lib/sat/tf_r7_seeded_randomness.ml"
 let distance_fixture = "lib/router/tf_r8_distance_in_loop.ml"
 let guard_fixtures = [ "tf_r9_state.ml"; "tf_r9_cross.ml" ]
 let poll_fixture = "lib/router/tf_r12_loops.ml"
+let nested_poll_fixture = "lib/router/tf_r12_nested.ml"
 let export_fixtures =
   [
     "lib/router/tf_r13_unused_export.mli";
@@ -188,6 +189,13 @@ let typed_rule_tests =
                Filename.basename f.Finding.file = "tf_r9_cross.ml"
                && f.Finding.line = 9)
              report.Engine.findings));
+    test_case "cancel-poll-coverage checks a let rec nested in a function"
+      (fun () ->
+        let report =
+          lint ~rules:[ rule "cancel-poll-coverage" ] [ nested_poll_fixture ]
+        in
+        Alcotest.(check (list int)) "only the unpolled nested group fires" [ 8 ]
+          (lines_of report));
     test_case "cancel-poll-coverage credits transitive local polls" (fun () ->
         let report = lint ~rules:[ rule "cancel-poll-coverage" ] [ poll_fixture ] in
         Alcotest.(check (list int)) "only the two seeded sites fire" [ 7; 38 ]
@@ -209,7 +217,7 @@ let typed_rule_tests =
           Engine.run ~rules:Typed_rules.all ~root
             [ Filename.concat root fixtures_dir ]
         in
-        check_int "files walked" 19 report.Engine.files;
+        check_int "files walked" 20 report.Engine.files;
         Alcotest.(check (list string)) "no file without a cmt" []
           report.Engine.typed_missing;
         List.iter
