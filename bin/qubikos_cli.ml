@@ -203,20 +203,24 @@ let verify_cmd =
             Format.printf
               "structural certificate: OK (Lemmas 1-3 + designed schedule)@.";
             if exact then begin
-              let r =
+              match
                 Certificate.check_exact ~solver:exact_method ~node_budget
                   ~conflict_budget bench
-              in
-              match r.Certificate.exact_agrees with
-              | Some true ->
+              with
+              | exception Qls_router.Olsq.Too_large { clauses; limit } ->
+                  Format.printf
+                    "exact solver: unknown (too large: %d clauses, limit %d)@."
+                    clauses limit;
+                  0
+              | { Certificate.exact_agrees = Some true; _ } ->
                   Format.printf
                     "exact solver: confirmed (no %d-swap solution exists)@."
                     (bench.Benchmark.optimal_swaps - 1);
                   0
-              | Some false ->
+              | { exact_agrees = Some false; _ } ->
                   Format.printf "exact solver: REFUTED the certificate (bug!)@.";
                   1
-              | None ->
+              | { exact_agrees = None; _ } ->
                   Format.printf "exact solver: budget exhausted (inconclusive)@.";
                   0
             end
@@ -742,7 +746,11 @@ let serve_cmd =
     Arg.(
       value
       & opt int (Qls_harness.Pool.recommended_jobs ())
-      & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker domains routing requests.")
+      & info [ "j"; "jobs" ] ~docv:"N"
+          ~doc:
+            "Worker domains routing requests. With fewer workers than \
+             cores, the connection threads also parse inline circuits, on \
+             a core the workers leave free.")
   in
   let queue =
     Arg.(

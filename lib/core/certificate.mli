@@ -96,4 +96,6 @@ val check_exact :
     its own budget in its own unit — [node_budget] bounds the [Search]
     solver's search-tree nodes (default 5e7) and [conflict_budget] bounds
     the [Sat] solver's conflicts (default 2e6); neither is rescaled into
-    the other. *)
+    the other.
+    @raise Qls_router.Olsq.Too_large when the [Sat] method's encoding is
+    above {!Qls_router.Olsq.clause_limit}. *)

@@ -174,7 +174,9 @@ type optimality_row = {
   o_exact_refuted : int;
       (** exact solver found an [n - 1]-swap solution, disproving the
           certified optimum *)
-  o_exact_unknown : int;  (** exact solver budget ran out *)
+  o_exact_unknown : int;
+      (** exact solver budget ran out, or the instance was too large to
+          encode ({!Qls_router.Olsq.Too_large}) *)
   o_mean_gates : float;  (** two-qubit gates per instance *)
 }
 (** One row of the §IV-A study. *)

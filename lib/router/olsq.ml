@@ -35,11 +35,50 @@ let s vars e t = 1 + n_x vars + n_b vars + (t * (vars.n_edges + 1)) + e
 let n_s vars = max 0 (vars.k * (vars.n_edges + 1))
 let total_vars vars = n_x vars + n_b vars + n_s vars
 
+exception Too_large of { clauses : int; limit : int }
+
+(* A policy set on a 2-core machine with 8 GB of RAM shared with other
+   tenants, not a property of the instance: between the largest encoding
+   confirmed to fit there (Eagle, 3,000 gates, k = 4: about 21.5 M
+   clauses, 2.4 GB resident) and the smallest seen to run out of memory
+   under a 3 GB address-space cap (serve's k = 8 on that instance: about
+   40 M). At that 2.4 GB per 21.5 M, the limit keeps an encoding under
+   about 3 GB; a larger host could encode more. *)
+let clause_limit = 25_000_000
+
+(* The clauses [encode] adds, term by term in its order, plus
+   [encode_earliest_block]'s for a session. The dependency arcs are at
+   most two per gate. *)
+let count_clauses ~vars ~dag ~session =
+  let { n_prog; n_phys; n_gates; n_edges; k } = vars in
+  let pairs n = n * (n - 1) / 2 in
+  let n_arcs = ref 0 in
+  for g = 0 to n_gates - 1 do
+    n_arcs := !n_arcs + Dag.in_degree dag g
+  done;
+  ((k + 1) * ((n_prog * (1 + pairs n_phys)) + (n_phys * pairs n_prog)))
+  + (n_gates * (1 + pairs (k + 1)))
+  + (!n_arcs * (k + 1))
+  + (n_gates * (k + 1) * n_phys)
+  + (k * (1 + pairs (n_edges + 1) + ((n_edges + 1) * n_prog * n_phys)))
+  + if session then n_gates * k else 0
+
+(* Refuse an encoding above [clause_limit] before adding any clause. *)
+let check_size ~vars ~dag ~session =
+  let clauses = count_clauses ~vars ~dag ~session in
+  if clauses > clause_limit then
+    raise (Too_large { clauses; limit = clause_limit })
+
 (* Each outer iteration (block, gate, transition) polls: on a large
-   device the encoding alone can take seconds and gigabytes. *)
+   device the encoding alone can take seconds and gigabytes. Returns the
+   clauses added. *)
 let encode ~vars ~device ~dag solver =
   let { n_prog; n_phys; n_gates; n_edges; k } = vars in
-  let add = Solver.add_clause solver in
+  let added = ref 0 in
+  let add c =
+    incr added;
+    Solver.add_clause solver c
+  in
   (* 1. each program qubit occupies exactly one position per block *)
   for t = 0 to k do
     Qls_cancel.poll ();
@@ -115,7 +154,8 @@ let encode ~vars ~device ~dag solver =
         add [ -s vars n_edges t; -x vars q p t; x vars q p (t + 1) ]
       done
     done
-  done
+  done;
+  !added
 
 let decode ~vars ~device ~dag ~circuit solver =
   let { n_prog; n_phys; n_gates; n_edges; k } = vars in
@@ -190,16 +230,18 @@ let decode ~vars ~device ~dag ~circuit solver =
    each bound. *)
 let encode_earliest_block ~vars ~dag solver =
   let { n_gates; n_edges; k; _ } = vars in
-  let add = Solver.add_clause solver in
+  let added = ref 0 in
   for g = 0 to n_gates - 1 do
     Qls_cancel.poll ();
     let preds = Dag.predecessors dag g in
     for t = 0 to k - 1 do
-      add
+      incr added;
+      Solver.add_clause solver
         (-b vars g (t + 1) :: -s vars n_edges t
         :: List.map (fun g' -> b vars g' (t + 1)) preds)
     done
-  done
+  done;
+  !added
 
 let make_vars device circuit dag ~k =
   {
@@ -229,6 +271,10 @@ let encode_span ~vars f =
       [ ("vars", Qls_obs.Int (total_vars vars)); ("k", Qls_obs.Int vars.k) ])
     f
 
+let clause_count ~session device circuit ~k =
+  let dag = Dag.of_circuit circuit in
+  count_clauses ~vars:(make_vars device circuit dag ~k) ~dag ~session
+
 let validate_instance ~fn ~swaps device circuit =
   if swaps < 0 then invalid_arg (fn ^ ": negative swap count");
   if Circuit.n_qubits circuit > Device.n_qubits device then
@@ -241,8 +287,9 @@ let check ?(conflict_budget = 2_000_000) ~swaps device circuit =
   if vars.n_gates = 0 then Feasible (gate_free_witness ~vars ~device circuit)
   else if vars.n_prog = 0 then Infeasible
   else begin
+    check_size ~vars ~dag ~session:false;
     let solver = Solver.create (total_vars vars) in
-    encode_span ~vars (fun () -> encode ~vars ~device ~dag solver);
+    ignore (encode_span ~vars (fun () -> encode ~vars ~device ~dag solver));
     match Solver.solve ~conflict_budget solver with
     | Solver.Sat -> Feasible (decode ~vars ~device ~dag ~circuit solver)
     | Solver.Unsat -> Infeasible
@@ -263,6 +310,7 @@ module Incremental = struct
     dag : Dag.t;
     vars : vars;
     solver : Solver.t option;  (* None: trivial instance, no SAT needed *)
+    clauses : int;  (* added to [solver] by the encoding *)
   }
 
   let create ?(max_swaps = 8) device circuit =
@@ -270,19 +318,23 @@ module Incremental = struct
       circuit;
     let dag = Dag.of_circuit circuit in
     let vars = make_vars device circuit dag ~k:max_swaps in
-    let solver =
-      if vars.n_gates = 0 || vars.n_prog = 0 then None
+    let solver, clauses =
+      if vars.n_gates = 0 || vars.n_prog = 0 then (None, 0)
       else begin
+        check_size ~vars ~dag ~session:true;
         let solver = Solver.create (total_vars vars) in
-        encode_span ~vars (fun () ->
-            encode ~vars ~device ~dag solver;
-            encode_earliest_block ~vars ~dag solver);
-        Some solver
+        let clauses =
+          encode_span ~vars (fun () ->
+              let n = encode ~vars ~device ~dag solver in
+              n + encode_earliest_block ~vars ~dag solver)
+        in
+        (Some solver, clauses)
       end
     in
-    { device; circuit; dag; vars; solver }
+    { device; circuit; dag; vars; solver; clauses }
 
   let max_swaps sess = sess.vars.k
+  let clauses sess = sess.clauses
 
   (* Assume "no swap" for every transition from [swaps] up to the session
      bound: these are exactly the selector literals that specialise the

@@ -43,7 +43,30 @@ val check :
 (** Decide "executable with at most [swaps] SWAPs" by a fresh SAT solve
     (default budget: 2 million conflicts).
     @raise Invalid_argument if [swaps < 0] or the circuit has more
-    qubits than the device. *)
+    qubits than the device.
+    @raise Too_large if the encoding is above {!clause_limit}. *)
+
+exception Too_large of { clauses : int; limit : int }
+(** Raised by {!check} and {!Incremental.create}, before any clause is
+    added, when the encoding would add [clauses] clauses, more than
+    [limit] ({!clause_limit}). *)
+
+val clause_limit : int
+(** 25 million clauses, a policy set on a 2-core machine with 8 GB of
+    RAM: between the largest encoding seen to fit there (Eagle at 3,000
+    gates and [k = 4], about 21.5 million clauses in 2.4 GB) and the
+    smallest seen to run out of memory under a 3 GB address-space cap
+    (the same instance in a session at [k = 8], about 40 million). At
+    that ratio it keeps an encoding under about 3 GB; a host with more
+    memory could encode more. *)
+
+val clause_count :
+  session:bool -> Qls_arch.Device.t -> Qls_circuit.Circuit.t -> k:int -> int
+(** The clauses the encoding of bound [k] adds: {!check}'s, or with
+    [session] an {!Incremental} session's, which adds its earliest-block
+    clauses. A closed form over the circuit's program qubits, two-qubit
+    gates and their dependency arcs, the device's qubits and couplers,
+    and [k]; it builds the circuit's DAG and nothing else. *)
 
 type optimum =
   | Optimal of { swaps : int; witness : Qls_layout.Transpiled.t }
@@ -57,7 +80,8 @@ val minimum_swaps :
   optimum
 (** Iterative deepening over the SWAP bound (default [max_swaps] 8),
     deciding [k = 0, 1, …] in one {!Incremental.session}.
-    [conflict_budget] is {e per bound}. *)
+    [conflict_budget] is {e per bound}.
+    @raise Too_large as {!Incremental.create}. *)
 
 (** One encoding, many bounds: a session holds a single incremental
     {!Qls_sat.Solver} over the bound-[max_swaps] transition encoding plus
@@ -77,7 +101,8 @@ module Incremental : sig
     session
   (** Encode the instance once at bound [max_swaps] (default 8).
       @raise Invalid_argument if the circuit has more qubits than the
-      device. *)
+      device.
+      @raise Too_large if the encoding is above {!clause_limit}. *)
 
   val max_swaps : session -> int
   (** The session's encoding bound: the largest [swaps] {!check}
@@ -88,6 +113,10 @@ module Incremental : sig
       conflicts, counted per call). Verdicts agree with the fresh
       {!Olsq.check} at every bound.
       @raise Invalid_argument if [swaps < 0] or [swaps > max_swaps]. *)
+
+  val clauses : session -> int
+  (** Clauses the session's encoding added, as counted by the encoder
+      (0 for a trivial instance, which needs no SAT). *)
 
   val solves : session -> int
   (** SAT solve calls made through this session. *)

@@ -6,6 +6,7 @@ module Circuit = Qls_circuit.Circuit
 module Qasm = Qls_circuit.Qasm
 module Router = Qls_router.Router
 module Registry = Qls_router.Registry
+module Olsq = Qls_router.Olsq
 module Verifier = Qls_layout.Verifier
 module Benchmark = Qubikos.Benchmark
 module Generator = Qubikos.Generator
@@ -79,6 +80,9 @@ type t = {
   started_ms : int;  (** daemon start; feeds [uptime_s] *)
   conn_seq : int Atomic.t;
   job_seq : int Atomic.t;  (** fault-injection key for pooled work *)
+  reader_parses : bool;
+      (** inline circuits are parsed on the reader thread: only when the
+          workers leave a core to the main domain (DESIGN.md §12) *)
   (* always-on metrics, independent of the trace sink *)
   c_requests : Qls_obs.counter;
   c_ok : Qls_obs.counter;
@@ -89,7 +93,9 @@ type t = {
   c_deadline : Qls_obs.counter;
   c_internal : Qls_obs.counter;
   c_log_dropped : Qls_obs.counter;
-  latency : Qls_obs.histogram;
+  latency : Qls_obs.histogram;  (** frame receipt to response written *)
+  parse_stage : Qls_obs.histogram;  (** frame receipt to submission *)
+  queue_wait : Qls_obs.histogram;  (** submission to a worker's pickup *)
 }
 
 (* Sub-millisecond buckets at the bottom: cache hits are microseconds,
@@ -158,6 +164,7 @@ let create cfg =
     started_ms = Qls_cancel.now_ms ();
     conn_seq = Atomic.make 0;
     job_seq = Atomic.make 0;
+    reader_parses = cfg.jobs < Pool.recommended_jobs ();
     c_requests = Qls_obs.counter "serve.requests";
     c_ok = Qls_obs.counter "serve.ok";
     c_errors = Qls_obs.counter "serve.errors";
@@ -168,6 +175,8 @@ let create cfg =
     c_internal = Qls_obs.counter "serve.internal";
     c_log_dropped = Qls_obs.counter "serve.log.dropped";
     latency = Qls_obs.histogram ~bounds:latency_bounds "serve.request.seconds";
+    parse_stage = Qls_obs.histogram ~bounds:latency_bounds "serve.parse.seconds";
+    queue_wait = Qls_obs.histogram ~bounds:latency_bounds "serve.queue.seconds";
   }
 
 let bound_tcp_port t = t.tcp_port_bound
@@ -216,25 +225,43 @@ let instance_of t (g : Protocol.gen_params) =
       in
       { bench; certified = Result.is_ok (Certificate.check bench) })
 
-let routed_of t (p : Protocol.route_params) =
-  let device, _ = device_of t p.gen.arch in
-  let circuit, optimal =
-    match p.qasm with
-    | Some text -> (
-        match Qasm.of_string_result text with
-        | Error e -> bad "qasm: %s" (Qasm.error_to_string e)
-        | Ok c when Circuit.n_qubits c > Device.n_qubits device ->
-            bad "qasm: circuit on %d qubits does not fit %s (%d qubits)"
-              (Circuit.n_qubits c) (Device.name device) (Device.n_qubits device)
-        | Ok c -> (c, None))
-    | None ->
-        let inst, _ = instance_of t p.gen in
-        (inst.bench.Benchmark.circuit, Some inst.bench.Benchmark.optimal_swaps)
+let route_key device (p : Protocol.route_params) circuit =
+  Protocol.route_key ~device:(Device.name device)
+    ~circuit:(Protocol.circuit_hash (Qasm.to_string circuit))
+    ~tool:p.tool ~trials:p.trials ~seed:p.gen.seed
+
+(* An inline circuit, parsed, checked against the device and keyed. *)
+type inline = { device : Device.t; circuit : Circuit.t; key : string }
+
+let parse_inline t (p : Protocol.route_params) text =
+  Qls_obs.with_span ~site:"serve" "serve.parse" (fun () ->
+      let device, _ = device_of t p.gen.arch in
+      match Qasm.of_string_result text with
+      | Error e -> bad "qasm: %s" (Qasm.error_to_string e)
+      | Ok c when Circuit.n_qubits c > Device.n_qubits device ->
+          bad "qasm: circuit on %d qubits does not fit %s (%d qubits)"
+            (Circuit.n_qubits c) (Device.name device) (Device.n_qubits device)
+      | Ok c -> { device; circuit = c; key = route_key device p c })
+
+(* [inline] is the reader stage's parse of the request's [qasm]; without
+   it an inline circuit is parsed here, on the worker. *)
+let routed_of t ?inline (p : Protocol.route_params) =
+  let inline =
+    match (inline, p.qasm) with
+    | None, Some text -> Some (parse_inline t p text)
+    | inline, _ -> inline
   in
-  let key =
-    Protocol.route_key ~device:(Device.name device)
-      ~circuit:(Protocol.circuit_hash (Qasm.to_string circuit))
-      ~tool:p.tool ~trials:p.trials ~seed:p.gen.seed
+  let device, circuit, optimal, key =
+    match inline with
+    | Some { device; circuit; key } -> (device, circuit, None, key)
+    | None ->
+        let device, _ = device_of t p.gen.arch in
+        let inst, _ = instance_of t p.gen in
+        let circuit = inst.bench.Benchmark.circuit in
+        ( device,
+          circuit,
+          Some inst.bench.Benchmark.optimal_swaps,
+          route_key device p circuit )
   in
   Cache.find_or_compute t.routes ~key (fun () ->
       match Registry.by_name ~sabre_trials:p.trials p.tool with
@@ -246,7 +273,12 @@ let routed_of t (p : Protocol.route_params) =
              hits replay the cold measurement. *)
           (* lint: nondet-source — latency telemetry *)
           let t0 = Unix.gettimeofday () in
-          let _, report = Router.run_verified router device circuit in
+          let _, report =
+            try Router.run_verified router device circuit
+            with Olsq.Too_large { clauses; limit } ->
+              bad "%s: instance too large to encode (%d clauses, limit %d)"
+                p.tool clauses limit
+          in
           (* lint: nondet-source — see above *)
           let dt = Unix.gettimeofday () -. t0 in
           (* A count below the certified optimum is an alarm: raising here
@@ -320,15 +352,18 @@ let uptime_s t = float_of_int (Qls_cancel.now_ms () - t.started_ms) /. 1000.
 let watchdog_age_field t =
   match Pool.watchdog_age_ms t.pool with Some ms -> ms | None -> -1
 
-let stats_payload t ~id =
+(* p50/p95/p99 of one histogram in milliseconds, as stats fields. *)
+let quantile_fields prefix h =
   let q p =
-    match Qls_obs.approx_quantile t.latency p with
-    | Some s -> s *. 1000.
-    | None -> 0.
+    match Qls_obs.approx_quantile h p with Some s -> s *. 1000. | None -> 0.
   in
+  Printf.sprintf {|"%sp50_ms":%.3f,"%sp95_ms":%.3f,"%sp99_ms":%.3f|} prefix
+    (q 0.50) prefix (q 0.95) prefix (q 0.99)
+
+let stats_payload t ~id =
   with_id id
     (Printf.sprintf
-       {|"ok":true,"verb":"stats","uptime_s":%.3f,"requests":%d,"completed":%d,"errors":%d,"bad_request":%d,"overloaded":%d,"draining":%d,"deadline_exceeded":%d,"internal":%d,"log_dropped":%d,"queue_depth":%d,"in_flight":%d,"jobs":%d,"live_workers":%d,"lost_workers":%d,"watchdog_age_ms":%d,"latency_count":%d,"p50_ms":%.3f,"p95_ms":%.3f,"p99_ms":%.3f,%s,%s,%s|}
+       {|"ok":true,"verb":"stats","uptime_s":%.3f,"requests":%d,"completed":%d,"errors":%d,"bad_request":%d,"overloaded":%d,"draining":%d,"deadline_exceeded":%d,"internal":%d,"log_dropped":%d,"queue_depth":%d,"in_flight":%d,"jobs":%d,"live_workers":%d,"lost_workers":%d,"watchdog_age_ms":%d,"latency_count":%d,%s,%s,%s,%s,%s,%s|}
        (uptime_s t)
        (Qls_obs.counter_value t.c_requests)
        (Qls_obs.counter_value t.c_ok)
@@ -343,7 +378,9 @@ let stats_payload t ~id =
        (Pool.live_workers t.pool) (Pool.lost_workers t.pool)
        (watchdog_age_field t)
        (Qls_obs.histogram_total t.latency)
-       (q 0.50) (q 0.95) (q 0.99)
+       (quantile_fields "" t.latency)
+       (quantile_fields "parse_" t.parse_stage)
+       (quantile_fields "queue_" t.queue_wait)
        (cache_stats_fields "device" (Cache.stats t.devices))
        (cache_stats_fields "instance" (Cache.stats t.instances))
        (cache_stats_fields "route" (Cache.stats t.routes)))
@@ -440,8 +477,9 @@ let verb_name = function
   | Protocol.Health -> "health"
 
 (* Run one parsed request body; returns (payload, hit). Called on a
-   pool worker domain, inside the request span. *)
-let execute t ~id req =
+   pool worker domain, inside the request span. [inline] is the reader
+   stage's parse of the request's [qasm]. *)
+let execute t ~id ?inline req =
   match req with
   | Protocol.Stats -> (stats_payload t ~id, false)
   | Protocol.Health -> (health_payload t ~id, false)
@@ -449,8 +487,18 @@ let execute t ~id req =
       let inst, hit = instance_of t g in
       (certify_payload ~id g inst, hit)
   | Protocol.Route p | Protocol.Evaluate p ->
-      let r, hit = routed_of t p in
+      let r, hit = routed_of t ?inline p in
       (route_payload ~id ~verb:(verb_name req) p r, hit)
+
+(* The reader stage, on the connection's reader thread before
+   admission: with a core to spare for the main domain, an inline
+   circuit is parsed, checked against the device and keyed here, so the
+   worker only looks up the route cache and routes. A generated instance
+   stays whole on the worker, where generation and its deadline belong. *)
+let inline_stage t = function
+  | Protocol.Route ({ qasm = Some text; _ } as p) when t.reader_parses ->
+      Some (parse_inline t p text)
+  | _ -> None
 
 let request_deadline_ms t = function
   | Protocol.Route p | Protocol.Evaluate p -> (
@@ -460,6 +508,73 @@ let request_deadline_ms t = function
   | Protocol.Certify { deadline_ms = Some _ as d; _ } -> d
   | Protocol.Certify { deadline_ms = None; _ } -> t.cfg.default_deadline_ms
   | Protocol.Stats | Protocol.Health -> None
+
+(* Admit one request to the pool; its completion writes the response. *)
+let submit t conn ~verb ~token ~t_recv ~id ?inline req =
+  let job_key = string_of_int (Atomic.fetch_and_add t.job_seq 1) in
+  (* lint: nondet-source — stage timing is telemetry *)
+  let t_submit = Unix.gettimeofday () in
+  Qls_obs.observe t.parse_stage (t_submit -. t_recv);
+  conn_retain conn;
+  let submitted =
+    Pool.submit ~token t.pool
+      ~work:(fun () ->
+        (* lint: nondet-source — stage timing is telemetry *)
+        Qls_obs.observe t.queue_wait (Unix.gettimeofday () -. t_submit);
+        (* Fault sites: a [delay] on the hang site simulates a stuck
+           worker (no poll happens while sleeping, so the watchdog —
+           not the deadline — must recover); an exn on the exn site
+           exercises the typed-internal path. *)
+        Qls_faults.exec ~site:"serve.work.hang" ~key:job_key;
+        Qls_faults.exec ~site:"serve.work.exn" ~key:job_key;
+        Qls_obs.with_span ~site:"serve" "serve.request"
+          ~attrs:(fun () -> [ ("verb", Qls_obs.Str verb) ])
+          (fun () -> execute t ~id ?inline req))
+      ~complete:(fun result ->
+        (match result with
+        | Ok (payload, hit) ->
+            respond t conn ~verb ~status:"ok" ~hit ~t_recv ~id payload
+        | Error (Protocol.Bad_request msg) ->
+            respond t conn ~verb ~status:"bad_request" ~hit:false ~t_recv ~id
+              (error_payload ~id ~kind:"bad_request" msg)
+        | Error (Qls_cancel.Expired { elapsed_ms; limit_ms }) ->
+            respond t conn ~verb ~status:"deadline_exceeded" ~hit:false
+              ~t_recv ~id
+              (with_id id
+                 (Printf.sprintf
+                    {|"ok":false,"kind":"deadline_exceeded","error":"deadline exceeded","elapsed_ms":%d,"limit_ms":%d|}
+                    elapsed_ms limit_ms))
+        | Error (Certificate.Optimality_violated { tool; swaps; optimum }) ->
+            respond t conn ~verb ~status:"optimality_violated" ~hit:false
+              ~t_recv ~id
+              (with_id id
+                 (Printf.sprintf
+                    {|"ok":false,"kind":"optimality_violated","error":"routed below the certified optimum","tool":"%s","swaps":%d,"optimal":%d|}
+                    (Qls_sealed.escape tool) swaps optimum))
+        | Error (Pool.Worker_lost { stalled_ms; _ }) ->
+            respond t conn ~verb ~status:"internal" ~hit:false ~t_recv ~id
+              (error_payload ~id ~kind:"internal"
+                 (Printf.sprintf
+                    "worker lost: no heartbeat for %dms; request abandoned"
+                    stalled_ms))
+        | Error e ->
+            respond t conn ~verb ~status:"internal" ~hit:false ~t_recv ~id
+              (error_payload ~id ~kind:"internal" (Printexc.to_string e)));
+        conn_release conn)
+  in
+  match submitted with
+  | Pool.Submitted -> ()
+  | Pool.Rejected_full ->
+      conn_release conn;
+      respond t conn ~verb ~status:"overloaded" ~hit:false ~t_recv ~id
+        (with_id id
+           (Printf.sprintf
+              {|"ok":false,"kind":"overloaded","error":"queue full","queue_depth":%d,"queue_capacity":%d|}
+              (Pool.queue_depth t.pool) t.cfg.queue_capacity))
+  | Pool.Rejected_closed ->
+      conn_release conn;
+      respond t conn ~verb ~status:"draining" ~hit:false ~t_recv ~id
+        (error_payload ~id ~kind:"draining" "daemon is draining")
 
 let handle_payload t conn payload ~t_recv =
   Qls_obs.incr t.c_requests;
@@ -480,68 +595,21 @@ let handle_payload t conn payload ~t_recv =
         (health_payload t ~id)
   | Ok req -> (
       let verb = verb_name req in
+      (* Made before the reader stage: [deadline_ms] covers the whole
+         request, parse and queue wait included. *)
       let token = Qls_cancel.make ?deadline_ms:(request_deadline_ms t req) () in
-      let job_key = string_of_int (Atomic.fetch_and_add t.job_seq 1) in
-      conn_retain conn;
-      let submitted =
-        Pool.submit ~token t.pool
-          ~work:(fun () ->
-            (* Fault sites: a [delay] on the hang site simulates a stuck
-               worker (no poll happens while sleeping, so the watchdog —
-               not the deadline — must recover); an exn on the exn site
-               exercises the typed-internal path. *)
-            Qls_faults.exec ~site:"serve.work.hang" ~key:job_key;
-            Qls_faults.exec ~site:"serve.work.exn" ~key:job_key;
-            Qls_obs.with_span ~site:"serve" "serve.request"
-              ~attrs:(fun () -> [ ("verb", Qls_obs.Str verb) ])
-              (fun () -> execute t ~id req))
-          ~complete:(fun result ->
-            (match result with
-            | Ok (payload, hit) ->
-                respond t conn ~verb ~status:"ok" ~hit ~t_recv ~id payload
-            | Error (Protocol.Bad_request msg) ->
-                respond t conn ~verb ~status:"bad_request" ~hit:false ~t_recv
-                  ~id
-                  (error_payload ~id ~kind:"bad_request" msg)
-            | Error (Qls_cancel.Expired { elapsed_ms; limit_ms }) ->
-                respond t conn ~verb ~status:"deadline_exceeded" ~hit:false
-                  ~t_recv ~id
-                  (with_id id
-                     (Printf.sprintf
-                        {|"ok":false,"kind":"deadline_exceeded","error":"deadline exceeded","elapsed_ms":%d,"limit_ms":%d|}
-                        elapsed_ms limit_ms))
-            | Error (Certificate.Optimality_violated { tool; swaps; optimum })
-              ->
-                respond t conn ~verb ~status:"optimality_violated" ~hit:false
-                  ~t_recv ~id
-                  (with_id id
-                     (Printf.sprintf
-                        {|"ok":false,"kind":"optimality_violated","error":"routed below the certified optimum","tool":"%s","swaps":%d,"optimal":%d|}
-                        (Qls_sealed.escape tool) swaps optimum))
-            | Error (Pool.Worker_lost { stalled_ms; _ }) ->
-                respond t conn ~verb ~status:"internal" ~hit:false ~t_recv ~id
-                  (error_payload ~id ~kind:"internal"
-                     (Printf.sprintf
-                        "worker lost: no heartbeat for %dms; request abandoned"
-                        stalled_ms))
-            | Error e ->
-                respond t conn ~verb ~status:"internal" ~hit:false ~t_recv ~id
-                  (error_payload ~id ~kind:"internal" (Printexc.to_string e)));
-            conn_release conn)
-      in
-      match submitted with
-      | Pool.Submitted -> ()
-      | Pool.Rejected_full ->
-          conn_release conn;
-          respond t conn ~verb ~status:"overloaded" ~hit:false ~t_recv ~id
-            (with_id id
-               (Printf.sprintf
-                  {|"ok":false,"kind":"overloaded","error":"queue full","queue_depth":%d,"queue_capacity":%d|}
-                  (Pool.queue_depth t.pool) t.cfg.queue_capacity))
-      | Pool.Rejected_closed ->
-          conn_release conn;
-          respond t conn ~verb ~status:"draining" ~hit:false ~t_recv ~id
-            (error_payload ~id ~kind:"draining" "daemon is draining"))
+      match inline_stage t req with
+      | exception Protocol.Bad_request msg ->
+          (* Refused before admission: no queue slot, so a full queue
+             answers a malformed circuit bad_request, not overloaded. *)
+          respond t conn ~verb ~status:"bad_request" ~hit:false ~t_recv ~id
+            (error_payload ~id ~kind:"bad_request" msg)
+      | exception e ->
+          (* As the pool path answers a raising job: a reader thread
+             never dies on a request. *)
+          respond t conn ~verb ~status:"internal" ~hit:false ~t_recv ~id
+            (error_payload ~id ~kind:"internal" (Printexc.to_string e))
+      | inline -> submit t conn ~verb ~token ~t_recv ~id ?inline req)
 
 (* Per-read fault hook for ["serve.frame.read"]: [exec] may delay (slow
    network) or raise (connection torn down mid-read); a [Torn] mangle

@@ -35,7 +35,10 @@
 type config = {
   socket_path : string option;  (** Unix-domain listener *)
   tcp_port : int option;  (** loopback TCP listener *)
-  jobs : int;  (** worker domains on the routing pool *)
+  jobs : int;
+      (** worker domains on the routing pool; below the core count, the
+          reader threads also parse inline circuits before admission, on
+          the core the workers leave free (DESIGN.md §12) *)
   queue_capacity : int;  (** admitted-but-not-running bound *)
   device_cache : int;  (** retained devices (APSP tables) *)
   instance_cache : int;  (** retained certified instances *)

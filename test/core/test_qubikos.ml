@@ -489,6 +489,23 @@ let certificate_tests =
         let r = Certificate.check_exact ~node_budget:1 b in
         check_bool "still confirmed" true
           (r.Certificate.exact_agrees = Some true));
+    test_case "check_exact raises Too_large above the clause limit" (fun () ->
+        (* Eagle at 3,000 gates and n = 10: about 45 M clauses. The
+           deadline only bounds a guard that fails to fire: the encoder
+           polls, and that encoding would take gigabytes. *)
+        let device = Topologies.eagle127 () in
+        let b = gen ~device ~n_swaps:10 ~gate_budget:3000 ~seed:1 () in
+        match
+          Qls_cancel.with_token (Qls_cancel.make ~deadline_ms:2000 ())
+            (fun () -> Certificate.check_exact b)
+        with
+        | exception Qls_router.Olsq.Too_large { clauses; limit } ->
+            check_int "the closed-form count"
+              (Qls_router.Olsq.clause_count ~session:false device
+                 b.Benchmark.circuit ~k:9)
+              clauses;
+            check_int "limit" Qls_router.Olsq.clause_limit limit
+        | _ -> Alcotest.fail "not refused");
     test_case "pp_failure output is non-empty for all cases" (fun () ->
         List.iter
           (fun f ->
@@ -815,6 +832,22 @@ let evaluation_tests =
             check_bool "row passes" true
               (Evaluation.optimality_failure r = None))
           rows);
+    test_case "an instance too large to encode is exact-unknown" (fun () ->
+        (* Eagle at 3,000 gates and n = 10 is above the clause limit; the
+           deadline only bounds a guard that fails to fire. *)
+        let rows =
+          Qls_cancel.with_token (Qls_cancel.make ~deadline_ms:2000 ())
+            (fun () ->
+              Evaluation.run_optimality_study ~circuits_per_count:1
+                ~swap_counts:[ 10 ] ~gate_budget:3000 (Topologies.eagle127 ()))
+        in
+        match rows with
+        | [ r ] ->
+            check_int "certified" 1 r.Evaluation.o_certified;
+            check_int "exact-unknown" 1 r.Evaluation.o_exact_unknown;
+            check_int "confirmed" 0 r.Evaluation.o_exact_confirmed;
+            check_int "refuted" 0 r.Evaluation.o_exact_refuted
+        | rows -> Alcotest.failf "%d rows" (List.length rows));
     test_case "a refuted or uncertified instance fails its row" (fun () ->
         let row =
           {

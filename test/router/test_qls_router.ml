@@ -957,6 +957,76 @@ let olsq_incremental_tests =
           (Mapping.equal ident (initial_of from_session)));
   ]
 
+(* A paper-size instance: Eagle at 3,000 gates. *)
+let eagle_instance ~n_swaps =
+  let device = Topologies.eagle127 () in
+  let config =
+    {
+      Qubikos.Generator.default_config with
+      n_swaps;
+      gate_budget = 3000;
+      seed = 0;
+    }
+  in
+  (device, (Qubikos.Generator.generate ~config device).Qubikos.Benchmark.circuit)
+
+let olsq_size_tests =
+  [
+    test_case "the clause count is the encoder's on grid 3x3 and Aspen-4"
+      (fun () ->
+        List.iter
+          (fun (device, seed) ->
+            let rng = Rng.create seed in
+            let c =
+              Random_circuit.uniform rng
+                ~n_qubits:(2 + Rng.int rng (Device.n_qubits device - 1))
+                ~n_two_qubit:(1 + Rng.int rng 30) ~single_ratio:0.2
+            in
+            (* k = 0 adds no earliest-block clause, so it pins the
+               transition encoding alone *)
+            for k = 0 to 3 do
+              let sess = Olsq.Incremental.create ~max_swaps:k device c in
+              check_int
+                (Printf.sprintf "%s seed %d k %d" (Device.name device) seed k)
+                (Olsq.Incremental.clauses sess)
+                (Olsq.clause_count ~session:true device c ~k)
+            done)
+          (List.concat_map
+             (fun device -> List.init 5 (fun seed -> (device, seed)))
+             [ Topologies.grid 3 3; Topologies.aspen4 () ]));
+    test_case "an encoding above the limit is refused before it starts"
+      (fun () ->
+        let device, c = eagle_instance ~n_swaps:5 in
+        let fits = Olsq.clause_count ~session:false device c ~k:4 in
+        check_bool "Eagle's n = 5 refutation fits (about 21.5 M)" true
+          (fits > 21_000_000 && fits < Olsq.clause_limit);
+        let session = Olsq.clause_count ~session:true device c ~k:8 in
+        check_bool "serve's olsq session does not (about 40 M)" true
+          (session > 39_000_000);
+        (* The deadline only bounds a guard that fails to fire: the
+           encoder polls, and 40 M clauses would take gigabytes. *)
+        let refused f =
+          match
+            Qls_cancel.with_token (Qls_cancel.make ~deadline_ms:2000 ()) f
+          with
+          | exception Olsq.Too_large { clauses; limit } -> Some (clauses, limit)
+          | _ -> None
+        in
+        let expect what clauses f =
+          match refused f with
+          | Some (n, limit) ->
+              check_int (what ^ ": count") clauses n;
+              check_int (what ^ ": limit") Olsq.clause_limit limit
+          | None -> Alcotest.fail (what ^ ": not refused")
+        in
+        expect "session" session (fun () ->
+            ignore (Olsq.Incremental.create device c));
+        let device, c = eagle_instance ~n_swaps:10 in
+        expect "check at n = 10"
+          (Olsq.clause_count ~session:false device c ~k:9)
+          (fun () -> ignore (Olsq.check ~swaps:9 device c)));
+  ]
+
 let olsq_incremental_props =
   [
     QCheck.Test.make
@@ -1969,6 +2039,7 @@ let () =
       ("olsq", olsq_tests);
       ("olsq-properties", List.map QCheck_alcotest.to_alcotest olsq_props);
       ("olsq-incremental", olsq_incremental_tests);
+      ("olsq-size", olsq_size_tests);
       ( "olsq-incremental-properties",
         List.map QCheck_alcotest.to_alcotest olsq_incremental_props );
       ("olsq-pins", olsq_pin_tests);

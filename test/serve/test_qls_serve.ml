@@ -1028,6 +1028,174 @@ let test_server_worker_lost () =
   (* let the abandoned domain run off its stall before the process ends *)
   Thread.delay 0.7
 
+let inline_route qasm =
+  Printf.sprintf {|{"verb":"route","arch":"grid3x3","trials":1,"qasm":"%s"}|}
+    (Qls_sealed.escape qasm)
+
+let repeated_operand = "OPENQASM 2.0;\nqreg q[4];\ncx q[1],q[1];\n"
+
+(* The reader parses an inline circuit only when the workers leave the
+   main domain a core: [jobs] below the core count. *)
+let cores = Qls_harness.Pool.recommended_jobs ()
+
+(* The reader parses an inline circuit before admission, so a malformed
+   one is answered at once, not after the queue and its own turn. On one
+   core there is no reader stage: the worker parses, as with a worker on
+   every core. *)
+let test_server_malformed_inline_not_queued () =
+  if cores < 2 then Alcotest.skip ();
+  let socket = fresh_socket () in
+  with_server
+    {
+      Server.default_config with
+      socket_path = Some socket;
+      jobs = 1;
+      hang_threshold = None;
+    }
+    (fun _ ->
+      let _, held_ic, held_oc = connect socket in
+      let ((_, ic, _) as c) = connect socket in
+      install_plan "seed=1;serve.work.hang:delay@0.5:1.0";
+      Fun.protect ~finally:Qls_faults.clear (fun () ->
+          Protocol.write_frame held_oc
+            {|{"verb":"route","arch":"grid3x3","swaps":2,"gates":24,"seed":11,"tool":"sabre","trials":1}|};
+          let t0 = Unix.gettimeofday () in
+          let r = rpc c (inline_route repeated_operand) in
+          let dt = Unix.gettimeofday () -. t0 in
+          check_string "malformed is bad_request" "bad_request" (field r "kind");
+          check_bool
+            (Printf.sprintf "answered in %.3f s, under 0.25 s" dt)
+            true (dt < 0.25);
+          match Protocol.read_frame held_ic with
+          | Some ok ->
+              check_string "the held request completes" "true" (field ok "ok")
+          | None -> Alcotest.fail "held connection closed");
+      close_in_noerr ic;
+      close_in_noerr held_ic)
+
+(* With no queue slot at all: below one worker per core the reader
+   parses before admission, so a malformed circuit is the client's
+   fault; with a worker on every core the worker would parse, and the
+   request is shed unparsed. A well-formed one is shed either way. The
+   second daemon is capped at 8 workers, so a larger machine checks the
+   reader stage twice. *)
+let test_server_inline_parsed_before_admission () =
+  List.iter
+    (fun jobs ->
+      let socket = fresh_socket () in
+      with_server
+        {
+          Server.default_config with
+          socket_path = Some socket;
+          jobs;
+          queue_capacity = 0;
+        }
+        (fun _ ->
+          let ((_, ic, _) as c) = connect socket in
+          let what = Printf.sprintf "jobs %d of %d cores: " jobs cores in
+          check_string (what ^ "malformed")
+            (if jobs < cores then "bad_request" else "overloaded")
+            (field (rpc c (inline_route repeated_operand)) "kind");
+          check_string (what ^ "well-formed is overloaded") "overloaded"
+            (field
+               (rpc c
+                  (inline_route "OPENQASM 2.0;\nqreg q[4];\ncx q[0],q[1];\n"))
+               "kind");
+          close_in_noerr ic))
+    (List.sort_uniq compare [ 1; min cores 8 ])
+
+(* Below one worker per core the reader parses an inline circuit, with a
+   worker on every core the worker does: the answers are the same. *)
+let test_server_inline_same_on_either_thread () =
+  let answers jobs =
+    let socket = fresh_socket () in
+    with_server
+      { Server.default_config with socket_path = Some socket; jobs }
+      (fun _ ->
+        let ((_, ic, _) as c) = connect socket in
+        let fields =
+          List.concat_map
+            (fun (qasm, keys) ->
+              let r = rpc c (inline_route qasm) in
+              List.map (fun key -> field r key) keys)
+            [
+              ( "OPENQASM 2.0;\nqreg q[4];\ncx q[0],q[1];\ncx q[1],q[2];\n\
+                 cx q[0],q[3];\ncx q[2],q[3];\n",
+                [ "ok"; "swaps"; "depth" ] );
+              (repeated_operand, [ "kind"; "error" ]);
+              ( "OPENQASM 2.0;\nqreg q[12];\ncx q[0],q[11];\n",
+                [ "kind"; "error" ] );
+            ]
+        in
+        close_in_noerr ic;
+        fields)
+  in
+  Alcotest.(check (list string))
+    (Printf.sprintf "jobs 1 and jobs %d of %d cores" (min cores 8) cores)
+    (answers 1)
+    (answers (min cores 8))
+
+(* Two requests pipelined on one connection to the only worker, held
+   0.3 s each: the second waits out the first in the queue. *)
+let test_server_stage_quantiles () =
+  let socket = fresh_socket () in
+  with_server
+    {
+      Server.default_config with
+      socket_path = Some socket;
+      jobs = 1;
+      hang_threshold = None;
+    }
+    (fun _ ->
+      (* the histograms are process-wide: start them from zero *)
+      Qls_obs.reset_metrics ();
+      let ((_, ic, oc) as c) = connect socket in
+      install_plan "seed=1;serve.work.hang:delay@0.3:1.0";
+      Fun.protect ~finally:Qls_faults.clear (fun () ->
+          List.iter
+            (fun seed ->
+              Protocol.write_frame oc
+                (Printf.sprintf
+                   {|{"verb":"route","arch":"grid3x3","swaps":2,"gates":24,"seed":%d,"tool":"sabre","trials":1}|}
+                   seed))
+            [ 12; 13 ];
+          for _ = 1 to 2 do
+            match Protocol.read_frame ic with
+            | Some r -> check_string "ok" "true" (field r "ok")
+            | None -> Alcotest.fail "connection closed before response"
+          done);
+      let st = rpc c {|{"verb":"stats"}|} in
+      let ms key = float_of_string (field st key) in
+      check_bool
+        (Printf.sprintf "queue_p99_ms %.3f >= 250" (ms "queue_p99_ms"))
+        true
+        (ms "queue_p99_ms" >= 250.);
+      List.iter
+        (fun key -> check_bool (key ^ " reported") true (ms key >= 0.))
+        [
+          "parse_p50_ms"; "parse_p95_ms"; "parse_p99_ms"; "queue_p50_ms";
+          "queue_p95_ms";
+        ];
+      close_in_noerr ic)
+
+(* Serve's olsq tool encodes at k = 8: on a 3,000-gate Eagle instance
+   that is about 40 M clauses, refused before encoding. *)
+let test_server_olsq_too_large () =
+  let socket = fresh_socket () in
+  with_server
+    { Server.default_config with socket_path = Some socket; jobs = 1 }
+    (fun _ ->
+      let ((_, ic, _) as c) = connect socket in
+      let r =
+        rpc c
+          {|{"verb":"route","arch":"eagle","swaps":5,"gates":3000,"tool":"olsq","deadline_ms":5000}|}
+      in
+      check_string "bad_request" "bad_request" (field r "kind");
+      check_bool "names the size" true
+        (String.starts_with ~prefix:"olsq: instance too large to encode ("
+           (field r "error"));
+      close_in_noerr ic)
+
 let test_server_health () =
   let socket = fresh_socket () in
   with_server
@@ -1117,5 +1285,15 @@ let () =
           test_case "health reports readiness" test_server_health;
           test_case "bad inline circuits are bad_request"
             test_server_bad_inline_qasm;
+          test_case "a malformed inline circuit is not queued behind a held job"
+            test_server_malformed_inline_not_queued;
+          test_case "an inline circuit is parsed before admission"
+            test_server_inline_parsed_before_admission;
+          test_case "an inline circuit gets one answer on either thread"
+            test_server_inline_same_on_either_thread;
+          test_case "stats reports parse and queue quantiles"
+            test_server_stage_quantiles;
+          test_case "an olsq route too large to encode is bad_request"
+            test_server_olsq_too_large;
         ] );
     ]
