@@ -15,8 +15,8 @@
    - timing: ns per routed two-qubit gate and SWAPs inserted per second
      (best of [runs] repetitions, so scheduler noise biases down, not up);
    - structure: SWAP count, routing rounds, and the number of
-     extended-set / remaining-layers constructions from
-     {!Qls_router.Route_state.Debug} — these are bit-deterministic, so a
+     extended-set / remaining-layers constructions from Route_state's
+     [router.*] counters — these are bit-deterministic, so a
      regression in them is a code change, never noise. A correctly
      hoisted router builds each lookahead structure at most once per
      round ([builds_per_round <= 1]); the pre-hoisting routers built one
@@ -35,7 +35,6 @@ module Topologies = Qls_arch.Topologies
 module Circuit = Qls_circuit.Circuit
 module Transpiled = Qls_layout.Transpiled
 module Router = Qls_router.Router
-module Route_state = Qls_router.Route_state
 module Sabre = Qls_router.Sabre
 module Generator = Qubikos.Generator
 
@@ -83,18 +82,31 @@ let routers scale =
     Qls_router.Astar_router.router ();
   ]
 
+(* Route_state's lookahead counters (DESIGN.md §9): candidate scans,
+   extended-set builds, remaining-layers builds. *)
+let candidate_scans = Qls_obs.counter "router.swap_candidate_scans"
+let es_builds = Qls_obs.counter "router.extended_set_builds"
+let rl_builds = Qls_obs.counter "router.remaining_layers_builds"
+
+let lookahead () =
+  Qls_obs.
+    ( counter_value candidate_scans,
+      counter_value es_builds,
+      counter_value rl_builds )
+
 let measure ~runs ~router ~device ~gate_budget ~n_swaps =
   let seed = 1 in
   let config = { Generator.default_config with n_swaps; gate_budget; seed } in
   let circuit = (Generator.generate ~config device).Qubikos.Benchmark.circuit in
   let gates = Array.length (Circuit.gates circuit) in
-  (* Every run resets and reads the counters; the first run's are kept
+  (* Every run reads the counters' deltas; the first run's are kept
      (a counter bump is two atomic adds per round, noise-level). *)
-  let (routed, c), best =
+  let (routed, (scans, extended_set_builds, remaining_layers_builds)), best =
     Kit.best_of ~runs (fun () ->
-        Route_state.Debug.reset ();
+        let s0, e0, r0 = lookahead () in
         let routed = router.Router.route ?initial:None device circuit in
-        (routed, Route_state.Debug.counters ()))
+        let s1, e1, r1 = lookahead () in
+        (routed, (s1 - s0, e1 - e0, r1 - r0)))
   in
   let elapsed = Float.max best 1e-9 in
   let swaps = Transpiled.swap_count routed in
@@ -102,11 +114,8 @@ let measure ~runs ~router ~device ~gate_budget ~n_swaps =
      swap-candidate scan per round; qmap runs its own per-layer A*, so
      its rounds are its remaining-layers builds (one per layer
      iteration). *)
-  let rounds =
-    if c.swap_candidate_scans > 0 then c.swap_candidate_scans
-    else c.remaining_layers_builds
-  in
-  let builds = c.extended_set_builds + c.remaining_layers_builds in
+  let rounds = if scans > 0 then scans else remaining_layers_builds in
+  let builds = extended_set_builds + remaining_layers_builds in
   {
     router = router.Router.name;
     device = Device.name device;
@@ -119,8 +128,8 @@ let measure ~runs ~router ~device ~gate_budget ~n_swaps =
     swaps_per_sec = float_of_int swaps /. elapsed;
     swaps;
     rounds;
-    extended_set_builds = c.extended_set_builds;
-    remaining_layers_builds = c.remaining_layers_builds;
+    extended_set_builds;
+    remaining_layers_builds;
     builds_per_round =
       (if rounds = 0 then 0.0 else float_of_int builds /. float_of_int rounds);
   }

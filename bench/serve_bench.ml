@@ -391,7 +391,7 @@ let run_drain_test ~server =
   in
   (* The sealed request log must load with zero corrupt lines: the drain
      flushed every line whole. *)
-  let lines, corrupt = Qls_sealed.Log.load ~strict:true d.log in
+  let lines, corrupt = Qls_sealed.Log.load ~parse:Result.ok d.log in
   Printf.printf
     "drain-test: exit_clean=%b responses=%d whole=%b log_lines=%d corrupt=%d\n"
     clean_exit answered whole (List.length lines) (List.length corrupt);
@@ -532,7 +532,7 @@ let run_chaos ~server ~seed =
     fail "daemon did not exit 0 on SIGTERM";
   (* the request log stays well-sealed: injected log faults drop whole
      lines (counted by the daemon), they never tear the file *)
-  let lines, corrupt = Qls_sealed.Log.load ~strict:true d.log in
+  let lines, corrupt = Qls_sealed.Log.load ~parse:Result.ok d.log in
   if not (List.is_empty corrupt) then
     fail "%d corrupt request-log lines after chaos" (List.length corrupt);
   let dropped = count stats "log_dropped" in

@@ -759,24 +759,6 @@ let serve_cmd =
           ~doc:"Admission bound: requests queued beyond the workers; when \
                 full, new work is refused with a typed overloaded response.")
   in
-  let cache_devices =
-    Arg.(
-      value & opt int 16
-      & info [ "cache-devices" ] ~docv:"N"
-          ~doc:"Retained devices with their APSP tables (LRU).")
-  in
-  let cache_instances =
-    Arg.(
-      value & opt int 128
-      & info [ "cache-instances" ] ~docv:"N"
-          ~doc:"Retained certified QUBIKOS instances (LRU).")
-  in
-  let cache_routes =
-    Arg.(
-      value & opt int 1024
-      & info [ "cache-routes" ] ~docv:"N"
-          ~doc:"Retained routed results (LRU).")
-  in
   let request_log =
     Arg.(
       value & opt (some string) None
@@ -830,9 +812,8 @@ let serve_cmd =
                 serve.work.hang, serve.work.exn, serve.log.append."
                Qls_faults.spec_help))
   in
-  let run socket tcp jobs queue cache_devices cache_instances cache_routes
-      request_log default_deadline io_timeout idle_timeout hang_threshold
-      inject trace =
+  let run socket tcp jobs queue request_log default_deadline io_timeout
+      idle_timeout hang_threshold inject trace =
     if Option.is_none socket && Option.is_none tcp then begin
       Format.eprintf "serve: pass --socket PATH and/or --tcp PORT@.";
       2
@@ -865,9 +846,6 @@ let serve_cmd =
                 tcp_port = tcp;
                 jobs;
                 queue_capacity = queue;
-                device_cache = cache_devices;
-                instance_cache = cache_instances;
-                route_cache = cache_routes;
                 request_log;
                 default_deadline_ms =
                   (if default_deadline > 0 then Some default_deadline
@@ -892,8 +870,7 @@ let serve_cmd =
   let doc = "Run the routing-as-a-service daemon (see DESIGN.md \xc2\xa712)." in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ socket $ tcp $ jobs $ queue $ cache_devices
-      $ cache_instances $ cache_routes $ request_log $ default_deadline
+      const run $ socket $ tcp $ jobs $ queue $ request_log $ default_deadline
       $ io_timeout $ idle_timeout $ hang_threshold $ inject $ trace_arg)
 
 (* ------------------------------------------------------------------ *)

@@ -80,7 +80,7 @@ type wjob = {
   j_token : Qls_cancel.token;
   j_started_ms : int Atomic.t;  (* 0 until a worker picks it up *)
   j_abandoned : bool Atomic.t;  (* the watchdog gave up on it *)
-  j_run : unit -> unit;  (* work + owned completion delivery *)
+  j_run : unit -> unit -> unit;  (* runs the work, returns its delivery *)
   j_fail : exn -> unit;  (* completion delivery for the watchdog *)
 }
 
@@ -129,7 +129,7 @@ let pool_worker p w () =
         Atomic.set job.j_started_ms (Qls_cancel.now_ms ());
         Atomic.set w.w_current (Some job);
         Mutex.unlock p.mutex;
-        job.j_run ();
+        let deliver = job.j_run () in
         Mutex.lock p.mutex;
         Atomic.set w.w_current None;
         (* If the watchdog abandoned this job it already took over the
@@ -141,7 +141,11 @@ let pool_worker p w () =
             Condition.broadcast p.all_idle
         end;
         if Atomic.get w.w_lost then continue_ := false;
-        Mutex.unlock p.mutex
+        Mutex.unlock p.mutex;
+        (* The job left [running] above, so a callback that writes a
+           response never leaves it counted in flight. [drain] still
+           waits for the callback: it joins this domain. *)
+        deliver ()
   done
 
 (* Must be called with [p.mutex] held. *)
@@ -281,7 +285,7 @@ let submit ?token p ~work ~complete =
                      work ()))
             with e -> Error e
           in
-          deliver result);
+          fun () -> deliver result);
       j_fail = (fun e -> deliver (Error e));
     }
   in

@@ -96,13 +96,18 @@ val submit :
     expired while the job was still queued, in which case [work] never
     runs. A job abandoned by the watchdog completes with
     [Error Worker_lost] instead; whichever of worker and watchdog
-    delivers first wins, the other outcome is dropped. *)
+    delivers first wins, the other outcome is dropped. The watchdog
+    supervises [work], not [complete]: the job has left {!in_flight}
+    when [complete] runs, and a callback that blocks holds its worker
+    (serve bounds its response writes with a send timeout). *)
 
 val queue_depth : pool -> int
 (** Jobs admitted but not yet picked up by a worker. *)
 
 val in_flight : pool -> int
-(** Queued plus currently-executing jobs. *)
+(** Queued plus currently-executing jobs. A job stops counting before
+    its completion callback runs, so whoever reads the result the
+    callback reports never sees that job in flight. *)
 
 val closing : pool -> bool
 (** True once {!drain} has started. *)
@@ -121,6 +126,7 @@ val watchdog_age_ms : pool -> int option
 val drain : pool -> unit
 (** Stop admitting ([submit] returns [Rejected_closed]), let every
     already-admitted job run to completion, then join all live worker
-    domains and stop the watchdog. Domains abandoned by the watchdog are
-    {e not} waited for — they die with the process. Idempotent:
-    concurrent callers all block until the pool is quiescent. *)
+    domains — so every callback they run has returned — and stop the
+    watchdog. Domains abandoned by the watchdog are {e not} waited for —
+    they die with the process. Idempotent: concurrent callers all block
+    until the pool is quiescent. *)

@@ -7,10 +7,9 @@ type t = { log : Qls_sealed.Log.t }
 let site_append = "store.append"
 let site_load = "store.load"
 
-(* The CRC framing, escape and flat-JSON codec all live in Qls_sealed
-   now — this module keeps only the entry codec and the store policy
-   (v1/v2/v3 compatibility, quarantine, compaction). *)
-let seal = Qls_sealed.seal
+(* The CRC framing, the flat-JSON codec and the line loops all live in
+   Qls_sealed — this module keeps only the entry codec and the store
+   policy (v1/v2/v3 compatibility, quarantine, compaction). *)
 let escape = Qls_sealed.escape
 
 exception Malformed = Qls_sealed.Malformed
@@ -32,22 +31,21 @@ let error_fields (e : Herror.t) =
    [error_fields]), so the fallback outcome's count is ["fb_attempts"]
    to keep the flat object collision-free. v2 lines predate both keys
    and load with the count defaulted to 1. *)
-let line_of_entry e =
-  seal
-    (match e.status with
-    | Task.Done o ->
-        Printf.sprintf
-          {|{"id":"%s","status":"ok","swaps":%d,"seconds":%.6f,"attempts":%d}|}
-          (escape e.task_id) o.Task.swaps o.Task.seconds o.Task.attempts
-    | Task.Degraded d ->
-        Printf.sprintf
-          {|{"id":"%s","status":"degraded","via":"%s","swaps":%d,"seconds":%.6f,"fb_attempts":%d,%s}|}
-          (escape e.task_id) (escape d.Task.via) d.Task.outcome.Task.swaps
-          d.Task.outcome.Task.seconds d.Task.outcome.Task.attempts
-          (error_fields d.Task.error)
-    | Task.Failed err ->
-        Printf.sprintf {|{"id":"%s","status":"failed",%s}|} (escape e.task_id)
-          (error_fields err))
+let payload_of_entry e =
+  match e.status with
+  | Task.Done o ->
+      Printf.sprintf
+        {|{"id":"%s","status":"ok","swaps":%d,"seconds":%.6f,"attempts":%d}|}
+        (escape e.task_id) o.Task.swaps o.Task.seconds o.Task.attempts
+  | Task.Degraded d ->
+      Printf.sprintf
+        {|{"id":"%s","status":"degraded","via":"%s","swaps":%d,"seconds":%.6f,"fb_attempts":%d,%s}|}
+        (escape e.task_id) (escape d.Task.via) d.Task.outcome.Task.swaps
+        d.Task.outcome.Task.seconds d.Task.outcome.Task.attempts
+        (error_fields d.Task.error)
+  | Task.Failed err ->
+      Printf.sprintf {|{"id":"%s","status":"failed",%s}|} (escape e.task_id)
+        (error_fields err)
 
 let error_of_fields fields =
   let klass =
@@ -88,63 +86,39 @@ let outcome_of_fields ~attempts_key fields =
       | _ -> malformed "bad outcome numbers")
   | _ -> malformed "missing outcome fields"
 
-let entry_of_line line =
-  let payload, sealing = Qls_sealed.unseal line in
-  if sealing = Qls_sealed.Crc_mismatch then Error "crc mismatch"
-  else
-    match fields_of_line payload with
-    | exception Malformed m -> Error m
-    | fields -> (
-        match (List.assoc_opt "id" fields, List.assoc_opt "status" fields) with
-        | Some task_id, Some "ok" -> (
-            match outcome_of_fields ~attempts_key:"attempts" fields with
-            | o -> Ok { task_id; status = Task.Done o }
-            | exception Malformed m -> Error m)
-        | Some task_id, Some "degraded" -> (
-            match
-              ( outcome_of_fields ~attempts_key:"fb_attempts" fields,
-                List.assoc_opt "via" fields,
-                error_of_fields fields )
-            with
-            | o, Some via, err ->
-                Ok
-                  { task_id; status = Task.Degraded { outcome = o; via; error = err } }
-            | _, None, _ -> Error "degraded line without via"
-            | exception Malformed m -> Error m)
-        | Some task_id, Some "failed" -> (
-            match error_of_fields fields with
-            | err -> Ok { task_id; status = Task.Failed err }
-            | exception Malformed m -> Error m)
-        | Some _, Some status -> Error (Printf.sprintf "unknown status %S" status)
-        | _ -> Error "missing id/status")
+let entry_of_fields fields =
+  match (List.assoc_opt "id" fields, List.assoc_opt "status" fields) with
+  | Some task_id, Some "ok" ->
+      let o = outcome_of_fields ~attempts_key:"attempts" fields in
+      { task_id; status = Task.Done o }
+  | Some task_id, Some "degraded" -> (
+      (* The error is decoded before the outcome: a line bad in both
+         reports the error's reason. *)
+      let error = error_of_fields fields in
+      let outcome = outcome_of_fields ~attempts_key:"fb_attempts" fields in
+      match List.assoc_opt "via" fields with
+      | Some via -> { task_id; status = Task.Degraded { outcome; via; error } }
+      | None -> malformed "degraded line without via")
+  | Some task_id, Some "failed" ->
+      { task_id; status = Task.Failed (error_of_fields fields) }
+  | Some _, Some status -> malformed "unknown status %S" status
+  | _ -> malformed "missing id/status"
+
+let entry_of_payload payload =
+  match entry_of_fields (fields_of_line payload) with
+  | e -> Ok e
+  | exception Malformed m -> Error m
 
 (* ------------------------------------------------------------------ *)
 (* Store operations                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let load_verified path =
-  if not (Sys.file_exists path) then ([], [])
-  else begin
-    let ic = open_in path in
-    let entries = ref [] and bad = ref [] in
-    (try
-       let line_no = ref 0 in
-       while true do
-         let raw = input_line ic in
-         incr line_no;
-         let raw =
-           Qls_faults.mangle ~site:site_load ~key:(string_of_int !line_no) raw
-         in
-         if String.trim raw <> "" then
-           match entry_of_line raw with
-           | Ok e -> entries := e :: !entries
-           | Error reason ->
-               bad := { line_no = !line_no; reason; text = raw } :: !bad
-       done
-     with End_of_file -> ());
-    close_in ic;
-    (List.rev !entries, List.rev !bad)
-  end
+  (* Not strict: v1 lines, written before the seal, still load. *)
+  Qls_sealed.Log.load ~strict:false
+    ~mangle:(fun ~line_no raw ->
+      Qls_faults.mangle ~site:site_load ~key:(string_of_int line_no) raw)
+    ~parse:entry_of_payload path
 
 let load path = fst (load_verified path)
 
@@ -166,7 +140,7 @@ let open_append ?(fsync = false) path =
   }
 
 let append t entry =
-  Qls_sealed.Log.append_sealed t.log ~key:entry.task_id (line_of_entry entry)
+  Qls_sealed.Log.append t.log ~key:entry.task_id (payload_of_entry entry)
 
 let compact ?(fsync = false) path =
   let entries, bad = load_verified path in
@@ -188,7 +162,9 @@ let compact ?(fsync = false) path =
   in
   let tmp = path ^ ".tmp" in
   let oc = open_out tmp in
-  List.iter (fun e -> output_string oc (line_of_entry e ^ "\n")) survivors;
+  List.iter
+    (fun e -> output_string oc (Qls_sealed.seal (payload_of_entry e) ^ "\n"))
+    survivors;
   flush oc;
   if fsync then Unix.fsync (Unix.descr_of_out_channel oc);
   close_out oc;

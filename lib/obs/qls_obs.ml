@@ -1,7 +1,8 @@
 (* Structured tracing and metrics for the whole stack, with two sinks:
-   an append-only JSONL span log (one sealed, flushed line per finished
-   span — the Store crash-truncation contract: a kill can only tear the
-   final line, and the seal catches it) and a Chrome trace-event export
+   an append-only JSONL span log (one flat, sealed line per finished
+   span, written and read back through Qls_sealed.Log — the Store
+   crash-truncation contract: a kill can only tear the final line, and
+   the seal catches it) and a Chrome trace-event export
    (chrome://tracing / Perfetto).
 
    The library is off by default and the disabled path is deliberately
@@ -31,14 +32,14 @@ type record = {
 (* Global state                                                        *)
 (* ------------------------------------------------------------------ *)
 
-type sink = {
-  s_format : format;
-  s_path : string;
-  s_oc : out_channel option;  (* Jsonl: the open append handle *)
-  s_buf : Buffer.t;  (* Chrome: accumulated event objects *)
-  mutable s_first : bool;
-  s_mutex : Mutex.t;
-}
+type sink =
+  | To_jsonl of Qls_sealed.Log.t
+  | To_chrome of {
+      path : string;
+      buf : Buffer.t;  (* accumulated event objects *)
+      mutable first : bool;
+      mutex : Mutex.t;
+    }
 
 let enabled_flag = Atomic.make false
 let sink : sink option Atomic.t = Atomic.make None
@@ -47,14 +48,6 @@ let enabled () = Atomic.get enabled_flag
 let none = No_span
 let tid () = (Domain.self () :> int)
 
-(* ------------------------------------------------------------------ *)
-(* CRC seal and JSON helpers: the framing is the shared Qls_sealed     *)
-(* implementation (same polynomial and splice as the result store), so *)
-(* a trace reader can apply the identical torn-line quarantine.        *)
-(* ------------------------------------------------------------------ *)
-
-let seal = Qls_sealed.seal
-let unseal = Qls_sealed.unseal_ok
 let escape = Qls_sealed.escape
 
 let value_json = function
@@ -62,9 +55,12 @@ let value_json = function
   | Float f -> Printf.sprintf "%.6f" f
   | Str s -> Printf.sprintf "\"%s\"" (escape s)
 
-let attrs_json attrs =
-  String.concat ","
-    (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (escape k) (value_json v)) attrs)
+(* The JSONL line is flat, so Qls_sealed's one flat-object parser reads
+   it back: each attribute is a member of its own, its key prefixed. *)
+let attr_prefix = "attr."
+
+let member ~prefix (k, v) =
+  Printf.sprintf "\"%s%s\":%s" prefix (escape k) (value_json v)
 
 (* ------------------------------------------------------------------ *)
 (* Span lifecycle                                                      *)
@@ -80,27 +76,15 @@ let emit ~name ~site ~t0 ~tid ~dur attrs =
   | None -> ()
   | Some s -> (
       let rel = t0 -. Atomic.get epoch in
-      match s.s_format with
-      | Jsonl ->
-          let line =
-            seal
-              (Printf.sprintf
-                 {|{"name":"%s","site":"%s","tid":%d,"start":%.6f,"dur":%.6f%s}|}
-                 (escape name) (escape site) tid rel dur
-                 (match attrs with
-                 | [] -> ""
-                 | attrs -> Printf.sprintf {|,"attrs":{%s}|} (attrs_json attrs)))
-          in
-          Mutex.protect s.s_mutex (fun () ->
-              match s.s_oc with
-              | Some oc ->
-                  (* Whole line in one buffered write, then flush: lines
-                     from concurrent domains never interleave and a kill
-                     can only truncate the final line. *)
-                  output_string oc (line ^ "\n");
-                  flush oc
-              | None -> ())
-      | Chrome ->
+      match s with
+      | To_jsonl log ->
+          Qls_sealed.Log.append log ~key:name
+            (Printf.sprintf
+               {|{"name":"%s","site":"%s","tid":%d,"start":%.6f,"dur":%.6f%s}|}
+               (escape name) (escape site) tid rel dur
+               (String.concat ""
+                  (List.map (fun a -> "," ^ member ~prefix:attr_prefix a) attrs)))
+      | To_chrome c ->
           let ev =
             Printf.sprintf
               {|{"name":"%s","cat":"%s","ph":"X","ts":%.1f,"dur":%.1f,"pid":1,"tid":%d%s}|}
@@ -109,11 +93,13 @@ let emit ~name ~site ~t0 ~tid ~dur attrs =
               tid
               (match attrs with
               | [] -> ""
-              | attrs -> Printf.sprintf {|,"args":{%s}|} (attrs_json attrs))
+              | attrs ->
+                  Printf.sprintf {|,"args":{%s}|}
+                    (String.concat "," (List.map (member ~prefix:"") attrs)))
           in
-          Mutex.protect s.s_mutex (fun () ->
-              if s.s_first then s.s_first <- false else Buffer.add_string s.s_buf ",\n";
-              Buffer.add_string s.s_buf ev))
+          Mutex.protect c.mutex (fun () ->
+              if c.first then c.first <- false else Buffer.add_string c.buf ",\n";
+              Buffer.add_string c.buf ev))
 
 let stop ?(attrs = []) = function
   | No_span -> ()
@@ -240,22 +226,12 @@ let reset_metrics () =
 let infer_format path = if Filename.check_suffix path ".jsonl" then Jsonl else Chrome
 
 let tracing_to ?format path =
-  let s_format = match format with Some f -> f | None -> infer_format path in
-  let s_oc =
-    match s_format with
-    | Jsonl ->
-        Some (open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path)
-    | Chrome -> None
-  in
   let s =
-    {
-      s_format;
-      s_path = path;
-      s_oc;
-      s_buf = Buffer.create 4096;
-      s_first = true;
-      s_mutex = Mutex.create ();
-    }
+    match Option.value format ~default:(infer_format path) with
+    | Jsonl -> To_jsonl (Qls_sealed.Log.open_append path)
+    | Chrome ->
+        To_chrome
+          { path; buf = Buffer.create 4096; first = true; mutex = Mutex.create () }
   in
   (* lint: nondet-source — trace epoch is observability data *)
   Atomic.set epoch (Unix.gettimeofday ());
@@ -264,120 +240,46 @@ let tracing_to ?format path =
 
 let shutdown () =
   Atomic.set enabled_flag false;
-  match Atomic.get sink with
+  match Atomic.exchange sink None with
   | None -> ()
-  | Some s ->
-      Atomic.set sink None;
-      Mutex.protect s.s_mutex (fun () ->
-          match s.s_format with
-          | Jsonl -> Option.iter close_out s.s_oc
-          | Chrome ->
-              let oc = open_out s.s_path in
-              output_string oc "{\"traceEvents\":[\n";
-              Buffer.output_buffer oc s.s_buf;
-              output_string oc "\n],\"displayTimeUnit\":\"ms\"}\n";
-              close_out oc)
+  | Some (To_jsonl log) -> Qls_sealed.Log.close log
+  | Some (To_chrome c) ->
+      Mutex.protect c.mutex (fun () ->
+          let oc = open_out c.path in
+          output_string oc "{\"traceEvents\":[\n";
+          Buffer.output_buffer oc c.buf;
+          output_string oc "\n],\"displayTimeUnit\":\"ms\"}\n";
+          close_out oc)
 
 (* ------------------------------------------------------------------ *)
 (* JSONL reader (post-processing and tests)                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Extract the value of ["key"] from a flat object we serialised
-   ourselves; span names/sites never contain quotes, so a plain substring
-   scan is exact for our own output. *)
-let field payload key =
-  let pat = Printf.sprintf "\"%s\":" key in
-  let n = String.length payload and m = String.length pat in
-  let rec scan i =
-    if i + m > n then None
-    else if String.sub payload i m = pat then Some (i + m)
-    else scan (i + 1)
-  in
-  match scan 0 with
-  | None -> None
-  | Some start ->
-      let stop = ref start and depth = ref 0 and in_str = ref false in
-      while
-        !stop < n
-        && (!depth > 0 || !in_str
-           || (payload.[!stop] <> ',' && payload.[!stop] <> '}'))
-      do
-        (match payload.[!stop] with
-        | '"' -> in_str := not !in_str
-        | '{' when not !in_str -> Stdlib.incr depth
-        | '}' when not !in_str -> Stdlib.decr depth
-        | _ -> ());
-        Stdlib.incr stop
-      done;
-      Some (String.sub payload start (!stop - start))
-
-let strip_quotes s =
-  let n = String.length s in
-  if n >= 2 && s.[0] = '"' && s.[n - 1] = '"' then String.sub s 1 (n - 2) else s
-
-let record_of_line line =
-  match unseal line with
-  | None -> None
-  | Some payload -> (
+let record_of_payload payload =
+  match Qls_sealed.fields_of_line payload with
+  | exception Qls_sealed.Malformed m -> Error m
+  | fields -> (
+      let get k = List.assoc_opt k fields in
       match
-        ( field payload "name",
-          field payload "site",
-          field payload "tid",
-          field payload "start",
-          field payload "dur" )
+        ( get "name",
+          get "site",
+          Option.bind (get "tid") int_of_string_opt,
+          Option.bind (get "start") float_of_string_opt,
+          Option.bind (get "dur") float_of_string_opt )
       with
-      | Some name, Some site, Some tid, Some start, Some dur -> (
-          match
-            (int_of_string_opt tid, float_of_string_opt start, float_of_string_opt dur)
-          with
-          | Some r_tid, Some r_start, Some r_dur ->
-              let r_attrs =
-                match field payload "attrs" with
-                | None -> []
-                | Some obj ->
-                    let inner =
-                      let n = String.length obj in
-                      if n >= 2 && obj.[0] = '{' && obj.[n - 1] = '}' then
-                        String.sub obj 1 (n - 2)
-                      else obj
-                    in
-                    String.split_on_char ',' inner
-                    |> List.filter_map (fun kv ->
-                           match String.index_opt kv ':' with
-                           | None -> None
-                           | Some i ->
-                               Some
-                                 ( strip_quotes (String.sub kv 0 i),
-                                   strip_quotes
-                                     (String.sub kv (i + 1)
-                                        (String.length kv - i - 1)) ))
-              in
-              Some
-                {
-                  r_name = strip_quotes name;
-                  r_site = strip_quotes site;
-                  r_tid;
-                  r_start;
-                  r_dur;
-                  r_attrs;
-                }
-          | _ -> None)
-      | _ -> None)
+      | Some r_name, Some r_site, Some r_tid, Some r_start, Some r_dur ->
+          let n = String.length attr_prefix in
+          let r_attrs =
+            List.filter_map
+              (fun (k, v) ->
+                if String.starts_with ~prefix:attr_prefix k then
+                  Some (String.sub k n (String.length k - n), v)
+                else None)
+              fields
+          in
+          Ok { r_name; r_site; r_tid; r_start; r_dur; r_attrs }
+      | _ -> Error "not a span")
 
 let load_jsonl path =
-  if not (Sys.file_exists path) then ([], 0)
-  else begin
-    let ic = open_in path in
-    let records = ref [] and bad = ref 0 in
-    (try
-       while true do
-         let line = input_line ic in
-         if String.trim line <> "" then
-           match record_of_line line with
-           | Some r -> records := r :: !records
-           | None -> Stdlib.incr bad
-       done
-     with End_of_file -> ());
-    close_in ic;
-    (List.rev !records, !bad)
-  end
+  let records, bad = Qls_sealed.Log.load ~parse:record_of_payload path in
+  (records, List.length bad)

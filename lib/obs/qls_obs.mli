@@ -5,11 +5,12 @@
     ["sat"], ["gen"], ["harness"]), a start time relative to one process
     epoch, a duration, and optional attributes. Two sinks:
 
-    - {e JSONL}: one CRC-sealed line per finished span, written whole
-      and flushed under a mutex — the same crash-truncation contract as
-      the result store: concurrent domains never interleave within a
-      line and a kill can only tear the final line, which the seal
-      catches on read-back.
+    - {e JSONL}: one flat, CRC-sealed line per finished span, each
+      attribute a member of its own under an ["attr."]-prefixed key,
+      written and read back through {!Qls_sealed.Log} — the same
+      crash-truncation contract as the result store: concurrent domains
+      never interleave within a line and a kill can only tear the final
+      line, which the seal catches on read-back.
     - {e Chrome trace-event}: a [{"traceEvents":[…]}] JSON file written
       at {!shutdown}, loadable in [chrome://tracing] or Perfetto
       (complete ["ph":"X"] events, microsecond timestamps).
@@ -114,10 +115,13 @@ type record = {
   r_tid : int;
   r_start : float;
   r_dur : float;
-  r_attrs : (string * string) list;  (** attribute values as raw text *)
+  r_attrs : (string * string) list;
+      (** attributes in emission order, keys without their ["attr."]
+          prefix: a {!Str} value unescaped, a number as its raw text *)
 }
 
 val load_jsonl : string -> record list * int
 (** Parse a JSONL trace in file order: [(spans, rejected)] where
-    [rejected] counts lines that fail their seal or don't parse (torn
-    tail after a kill). A missing file is an empty trace. *)
+    [rejected] counts lines that fail their seal, carry none, or don't
+    parse as a span (torn tail after a kill). A missing file is an empty
+    trace. *)

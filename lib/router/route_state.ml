@@ -5,38 +5,14 @@ module Device = Qls_arch.Device
 module Mapping = Qls_layout.Mapping
 module Transpiled = Qls_layout.Transpiled
 
-(* Build counters for the round-invariant lookahead structures. The
-   routers are expected to build each at most once per routing round; the
-   bench (bench/router_bench.ml) and the hoisting regression tests read
-   these to prove it. Atomic because campaign workers route on several
-   domains at once. *)
-module Debug = struct
-  type counters = {
-    extended_set_builds : int;
-    remaining_layers_builds : int;
-    swap_candidate_scans : int;
-    phys_front_scanned : int;
-  }
-
-  let es_builds = Atomic.make 0
-  let rl_builds = Atomic.make 0
-  let sc_scans = Atomic.make 0
-  let pf_scanned = Atomic.make 0
-
-  let reset () =
-    Atomic.set es_builds 0;
-    Atomic.set rl_builds 0;
-    Atomic.set sc_scans 0;
-    Atomic.set pf_scanned 0
-
-  let counters () =
-    {
-      extended_set_builds = Atomic.get es_builds;
-      remaining_layers_builds = Atomic.get rl_builds;
-      swap_candidate_scans = Atomic.get sc_scans;
-      phys_front_scanned = Atomic.get pf_scanned;
-    }
-end
+(* The lookahead counters of the mli's "Round invariance": the build
+   counters count rebuilds, not calls, so a hoisted router builds each
+   structure at most once per front change. The bench and the hot-path
+   tests read them by name. *)
+let obs_es_builds = Qls_obs.counter "router.extended_set_builds"
+let obs_rl_builds = Qls_obs.counter "router.remaining_layers_builds"
+let obs_candidate_scans = Qls_obs.counter "router.swap_candidate_scans"
+let obs_front_scanned = Qls_obs.counter "router.phys_front_scanned"
 
 type t = {
   device : Device.t;
@@ -91,7 +67,7 @@ type t = {
      adds or removes front vertices). The lookahead structures below are
      pure functions of the front set and the DAG — never of the mapping —
      so across the swap-only rounds between emissions they are reused
-     as-is instead of rebuilt. The [Debug] build counters count actual
+     as-is instead of rebuilt. The build counters count actual
      rebuilds, which is how the bench and the hot-path tests prove the
      delta maintenance (builds per round drops below 1). *)
   mutable front_gen : int;
@@ -361,15 +337,15 @@ let force_route_first t =
           go path)
 
 let swap_candidates t =
-  Atomic.incr Debug.sc_scans;
+  Qls_obs.incr obs_candidate_scans;
   (* Walk only the delta-maintained active set (physical qubits holding a
      front operand) and mark their incident couplers; the marked range is
      then read back in ascending coupler order — the canonical
      [Device.edges] order — clearing each mark on the way. The cost is
      O(front couplers + marked id range), never a re-scan of every qubit.
-     [pf_scanned] records the active entries examined so the hot-path
-     tests can prove the delta maintenance. *)
-  Atomic.fetch_and_add Debug.pf_scanned t.active_count |> ignore;
+     [router.phys_front_scanned] records the active entries examined so
+     the hot-path tests can prove the delta maintenance. *)
+  Qls_obs.add obs_front_scanned t.active_count;
   let lo = ref max_int and hi = ref (-1) in
   for i = 0 to t.active_count - 1 do
     let inc = Device.incident_edges t.device t.active_phys.(i) in
@@ -407,7 +383,7 @@ let es_visit t size v =
   done
 
 let build_extended_set t ~size =
-  Atomic.incr Debug.es_builds;
+  Qls_obs.incr obs_es_builds;
   (* Breadth-first through successors of the front layer, skipping
      already-emitted vertices; nearer successors first, capped at [size].
      The queue is the sorted front followed by [es_buf] itself: every
@@ -475,7 +451,7 @@ let pick_tied ~rng scores n =
   end
 
 let build_remaining_layers t ~max_layers =
-  Atomic.incr Debug.rl_builds;
+  Qls_obs.incr obs_rl_builds;
   (* Simulate ASAP emission on the scratch in-degree array. Entries are
      initialised lazily from [indeg] the first time this epoch touches
      them, so a call costs O(gates reached), never O(all gates) — the old

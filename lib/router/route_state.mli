@@ -21,8 +21,15 @@
     {!force_route_first}. Between two such mutations — i.e. for the whole
     of one routing round — their results are invariant, so routers must
     build each {e once per round} and reuse the value across every
-    candidate SWAP they score. The {!Debug} counters exist to keep that
-    contract observable.
+    candidate SWAP they score. Four always-on {!Qls_obs} counters keep
+    that contract observable: [router.extended_set_builds] and
+    [router.remaining_layers_builds] count rebuilds (cache misses, not
+    calls — both structures survive SWAP-only rounds, so a hoisted
+    router builds each at most once per front change),
+    [router.swap_candidate_scans] counts {!swap_candidates} calls, and
+    [router.phys_front_scanned] totals the physical-front entries those
+    calls examined (the sum of the front sizes, not
+    [scans * n_qubits]).
 
     {2 Buffers and live tables}
 
@@ -42,37 +49,6 @@ type t
     and the result buffers above; every query restores its scratch
     before returning, so calls never observe each other. A state must
     only be used from one domain at a time. *)
-
-(** Counters of lookahead-structure constructions, for the benchmark
-    harness and the hoisting regression tests. Process-global and atomic
-    (campaigns route on several domains). *)
-module Debug : sig
-  type counters = {
-    extended_set_builds : int;
-    remaining_layers_builds : int;
-    swap_candidate_scans : int;
-    phys_front_scanned : int;
-        (** active physical-front entries examined across all
-            {!swap_candidates} calls. The active set is delta-maintained,
-            so this totals the {e front sizes}, not
-            [scans * n_qubits] — the regression tests pin the gap. *)
-  }
-
-  val reset : unit -> unit
-  (** Zero all counters. *)
-
-  val counters : unit -> counters
-  (** Current counts since the last {!reset}. The build counters count
-      {e rebuilds} (cache misses), not calls: {!extended_set} and
-      {!remaining_layers} results are kept across rounds whose
-      {!advance} emitted nothing (SWAP-only rounds leave the front — and
-      hence both structures — unchanged), so a correctly hoisted router
-      sees at most one [extended_set_builds] (resp.
-      [remaining_layers_builds]) per {e front change}, which is at most
-      one per [swap_candidate_scans] and typically far fewer. A
-      delta-maintained state likewise keeps [phys_front_scanned] far
-      below [swap_candidate_scans * n_qubits]. *)
-end
 
 val create :
   device:Qls_arch.Device.t ->

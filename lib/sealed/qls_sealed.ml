@@ -1,36 +1,38 @@
-(* The one implementation of the CRC-sealed JSONL framing (see the mli).
-   Before this module existed the seal lived in two hand-kept copies
-   (harness store, obs trace sink); both now route here, as does the
-   serve daemon's request log. *)
+(* The one implementation of the CRC-sealed JSONL framing and of the
+   line loops that write and read it (see the mli). The harness store,
+   the obs trace sink and the serve daemon's request log each keep only
+   a payload codec: [Log.append] writes their lines, [Log.load] reads
+   them back and quarantines the damaged ones. *)
 
 (* ------------------------------------------------------------------ *)
 (* CRC32 (IEEE 802.3, the zlib polynomial) over the unsealed payload.  *)
 (* ------------------------------------------------------------------ *)
 
+(* Built at module initialisation, not lazily: forcing a lazy value on
+   two domains at once raises [CamlinternalLazy.Undefined] on one, which
+   two serve workers sealing their first request-log lines can do. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref (Int32.of_int n) in
+      for _ = 0 to 7 do
+        c :=
+          if Int32.logand !c 1l <> 0l then
+            Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+          else Int32.shift_right_logical !c 1
+      done;
+      !c)
 
 let crc32 s =
-  let table = Lazy.force crc_table in
   let c = ref 0xFFFFFFFFl in
   String.iter
     (fun ch ->
       c :=
         Int32.logxor
           (Int32.shift_right_logical !c 8)
-          table.(Int32.to_int
-                   (Int32.logand
-                      (Int32.logxor !c (Int32.of_int (Char.code ch)))
-                      0xffl)))
+          crc_table.(Int32.to_int
+                       (Int32.logand
+                          (Int32.logxor !c (Int32.of_int (Char.code ch)))
+                          0xffl)))
     s;
   Printf.sprintf "%08lx" (Int32.logxor !c 0xFFFFFFFFl)
 
@@ -246,50 +248,45 @@ module Log = struct
     in
     { oc; fsync; mangle; mutex = Mutex.create () }
 
-  let append_sealed t ~key line =
+  let append t ~key payload =
     (* One buffered write of the whole line then a flush, under the
        mutex: concurrent writers never interleave within a line, and a
        kill can only ever truncate the final line (which loading
        quarantines). The mangle hook sees the sealed bytes, newline
        included, so an injected torn write really does splice into the
        next line. *)
+    let line = seal payload ^ "\n" in
     Mutex.protect t.mutex (fun () ->
-        output_string t.oc (t.mangle ~key (line ^ "\n"));
+        output_string t.oc (t.mangle ~key line);
         flush t.oc;
         if t.fsync then Unix.fsync (Unix.descr_of_out_channel t.oc))
 
-  let append t ~key payload = append_sealed t ~key (seal payload)
-  let close t = close_out t.oc
+  let close t = Mutex.protect t.mutex (fun () -> close_out t.oc)
 
-  let load ?(strict = true) ?(mangle = fun ~line_no:_ s -> s) path =
+  (* The one read loop over a sealed file: the seal verdict, the line
+     numbers, the raw bytes of a quarantined line and the load-side
+     fault hook live here; the caller's [parse] sees payloads only. *)
+  let load ?(strict = true) ?(mangle = fun ~line_no:_ s -> s) ~parse path =
     if not (Sys.file_exists path) then ([], [])
-    else begin
-      let ic = open_in path in
-      let lines = ref [] and bad = ref [] in
-      (try
-         let line_no = ref 0 in
-         while true do
-           let raw = input_line ic in
-           incr line_no;
-           let raw = mangle ~line_no:!line_no raw in
-           if String.trim raw <> "" then begin
-             let payload, verdict = unseal raw in
-             match verdict with
-             | Crc_ok -> lines := (!line_no, payload) :: !lines
-             | Crc_mismatch ->
-                 bad :=
-                   { line_no = !line_no; reason = "crc mismatch"; text = raw }
-                   :: !bad
-             | No_crc ->
-                 if strict then
-                   bad :=
-                     { line_no = !line_no; reason = "missing seal"; text = raw }
-                     :: !bad
-                 else lines := (!line_no, payload) :: !lines
-           end
-         done
-       with End_of_file -> ());
-      close_in ic;
-      (List.rev !lines, List.rev !bad)
-    end
+    else
+      In_channel.with_open_text path (fun ic ->
+          let rec go line_no values bad =
+            match In_channel.input_line ic with
+            | None -> (List.rev values, List.rev bad)
+            | Some raw -> (
+                let raw = mangle ~line_no raw in
+                let reject reason =
+                  go (line_no + 1) values ({ line_no; reason; text = raw } :: bad)
+                in
+                if String.trim raw = "" then go (line_no + 1) values bad
+                else
+                  match unseal raw with
+                  | _, Crc_mismatch -> reject "crc mismatch"
+                  | _, No_crc when strict -> reject "missing seal"
+                  | payload, (Crc_ok | No_crc) -> (
+                      match parse payload with
+                      | Ok v -> go (line_no + 1) (v :: values) bad
+                      | Error reason -> reject reason))
+          in
+          go 1 [] [])
 end

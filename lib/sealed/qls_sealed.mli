@@ -6,11 +6,13 @@
     and flushed, so a kill can only ever truncate the final line, and
     the seal catches exactly that (plus any later bit rot) at load time.
 
-    This module is the single implementation of the seal; the result
-    {!Qls_harness.Store}, the {!Qls_obs} trace sink and the serve
-    daemon's request log all frame their lines through it instead of
-    keeping private copies. It is deliberately dependency-free: callers
-    that want fault injection pass their mangle hook in. *)
+    This module is the single implementation of the seal and of the
+    line loops around it: the result {!Qls_harness.Store}, the
+    {!Qls_obs} trace sink and the serve daemon's request log all write
+    their lines through {!Log.append} and read them back through
+    {!Log.load}, each passing only its own payload decoder. It is
+    deliberately dependency-free: callers that want fault injection
+    pass their mangle hook in. *)
 
 (** {1 Checksum and framing} *)
 
@@ -24,18 +26,8 @@ val seal : string -> string
     checksum covers the exact serialisation, not a re-encoding. The
     payload must end in ['}']. *)
 
-type unsealed =
-  | No_crc  (** no seal present — a legacy (pre-seal) line *)
-  | Crc_ok
-  | Crc_mismatch
-
-val unseal : string -> string * unsealed
-(** [unseal line] strips the seal and reports its verdict. On [No_crc]
-    the line is returned unchanged (callers that accept legacy lines
-    parse it anyway; strict callers treat it as damage). *)
-
 val unseal_ok : string -> string option
-(** Strict form: the payload iff the line carries a valid seal. *)
+(** The payload iff the line carries a valid seal. *)
 
 (** {1 Flat JSON} *)
 
@@ -81,20 +73,21 @@ module Log : sig
       it as one line. [key] is handed to the mangle hook (a task or
       request id), it does not reach the file. *)
 
-  val append_sealed : t -> key:string -> string -> unit
-  (** Like {!append} for a line the caller already sealed. *)
-
   val close : t -> unit
 
   val load :
     ?strict:bool ->
     ?mangle:(line_no:int -> string -> string) ->
+    parse:(string -> ('a, string) result) ->
     string ->
-    (int * string) list * corrupt list
-  (** Read a sealed log back: unsealed payloads with their 1-based line
-      numbers, plus the quarantine list. [Crc_mismatch] lines are always
-      quarantined; [No_crc] lines are quarantined too when [strict]
-      (default [true] — legacy-tolerant readers pass [~strict:false] and
-      run their own parse). Blank lines are skipped; a missing file is
-      [([], [])]. [mangle] is the load-side fault hook. *)
+    'a list * corrupt list
+  (** Read a sealed log back in file order: the [parse]d payload of
+      every line that passes, plus the quarantine list. A line is
+      quarantined, with its raw bytes, when its seal fails (["crc
+      mismatch"]), when it carries no seal and [strict] holds
+      (["missing seal"]; default [true] — a reader of pre-seal lines
+      passes [~strict:false], and [parse] then sees the whole line), or
+      when [parse] returns [Error reason]. Blank lines are skipped; a
+      missing file is [([], [])]. [mangle] is the load-side fault hook,
+      applied to each raw line first. *)
 end

@@ -18,9 +18,6 @@ type config = {
   tcp_port : int option;
   jobs : int;
   queue_capacity : int;
-  device_cache : int;
-  instance_cache : int;
-  route_cache : int;
   request_log : string option;
   default_deadline_ms : int option;
   io_timeout : float option;
@@ -34,15 +31,18 @@ let default_config =
     tcp_port = None;
     jobs = 2;
     queue_capacity = 64;
-    device_cache = 16;
-    instance_cache = 128;
-    route_cache = 1024;
     request_log = None;
     default_deadline_ms = None;
     io_timeout = Some 30.;
     idle_timeout = Some 300.;
     hang_threshold = Some 30.;
   }
+
+(* Cache capacities (LRU entries): devices with their APSP tables,
+   certified instances, routed results. *)
+let device_cache = 16
+let instance_cache = 128
+let route_cache = 1024
 
 (* Cached values. The routed result retains the cold run's measured
    seconds: a cache hit replays the {e whole} response byte for byte,
@@ -148,9 +148,9 @@ let create cfg =
   {
     cfg;
     pool = Pool.start ?watchdog ~jobs:cfg.jobs ~capacity:cfg.queue_capacity ();
-    devices = Cache.create ~capacity:cfg.device_cache "device";
-    instances = Cache.create ~capacity:cfg.instance_cache "instance";
-    routes = Cache.create ~capacity:cfg.route_cache "route";
+    devices = Cache.create ~capacity:device_cache "device";
+    instances = Cache.create ~capacity:instance_cache "instance";
+    routes = Cache.create ~capacity:route_cache "route";
     log = Option.map (fun p -> Qls_sealed.Log.open_append p) cfg.request_log;
     listeners =
       Option.to_list unix_l @ List.map fst (Option.to_list tcp);

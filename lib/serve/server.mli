@@ -40,9 +40,6 @@ type config = {
           reader threads also parse inline circuits before admission, on
           the core the workers leave free (DESIGN.md §12) *)
   queue_capacity : int;  (** admitted-but-not-running bound *)
-  device_cache : int;  (** retained devices (APSP tables) *)
-  instance_cache : int;  (** retained certified instances *)
-  route_cache : int;  (** retained routed results *)
   request_log : string option;  (** sealed JSONL request log *)
   default_deadline_ms : int option;
       (** applied to route/evaluate/certify requests that carry no
@@ -61,9 +58,10 @@ type config = {
 
 val default_config : config
 (** No listeners (callers must set at least one), [jobs = 2], queue
-    capacity 64, cache capacities 16 / 128 / 1024, no request log, no
-    default deadline, 30 s frame-I/O budget, 300 s idle reap, 30 s
-    watchdog hang threshold. *)
+    capacity 64, no request log, no default deadline, 30 s frame-I/O
+    budget, 300 s idle reap, 30 s watchdog hang threshold. The caches
+    are not configurable: they retain 16 devices, 128 instances and
+    1,024 routed results, and [stats] reports each capacity. *)
 
 type t
 

@@ -1,7 +1,7 @@
 (* Tests for Qls_obs: the disabled-path contract, span emission into
    both sinks (JSONL seal + parse-back, Chrome export shape), nesting
    well-formedness per domain, counters/histograms, and corruption
-   detection on read-back. *)
+   detection on read-back through the shared sealed-log loader. *)
 
 module Obs = Qls_obs
 
@@ -169,6 +169,50 @@ let jsonl_tests =
            check_int "torn tail rejected" 1 bad;
            check_int "first span survives" 1 (List.length records);
            check_string "it is span a" "a" (List.hd records).Obs.r_name));
+    test_case "jsonl: string attributes read back exactly as written"
+      (isolated (fun () ->
+           (* A comma, escaped quotes, braces and a colon: a value a
+              scanner splitting a nested object on ',' would cut, or
+              leave escaped. *)
+           let strs =
+             [ ("id", "a,b"); ("msg", {|say "hi" {x}|}); ("kv", "k:v") ]
+           in
+           let path = tmp_path ".jsonl" in
+           Obs.tracing_to path;
+           Obs.with_span "s"
+             ~attrs:(fun () ->
+               ("n", Obs.Int 3) :: List.map (fun (k, v) -> (k, Obs.Str v)) strs)
+             (fun () -> ());
+           Obs.shutdown ();
+           let records, bad = Obs.load_jsonl path in
+           Sys.remove path;
+           check_int "no rejects" 0 bad;
+           match records with
+           | [ r ] ->
+               Alcotest.(check (list (pair string string)))
+                 "attrs" (("n", "3") :: strs) r.Obs.r_attrs
+           | rs -> Alcotest.failf "%d spans, expected 1" (List.length rs)));
+    test_case "jsonl: unsealed lines and sealed non-spans are rejected"
+      (isolated (fun () ->
+           let path = tmp_path ".jsonl" in
+           Obs.tracing_to path;
+           Obs.with_span "a" (fun () -> ());
+           Obs.shutdown ();
+           let span = String.trim (read_file path) in
+           let oc = open_out_bin path in
+           List.iter
+             (fun l -> output_string oc (l ^ "\n"))
+             [
+               span;
+               Option.get (Qls_sealed.unseal_ok span);
+               Qls_sealed.seal {|{"name":"b"}|};
+               span;
+             ];
+           close_out oc;
+           let records, bad = Obs.load_jsonl path in
+           Sys.remove path;
+           check_int "two rejects" 2 bad;
+           check_int "both spans load" 2 (List.length records)));
     test_case "jsonl: missing file is an empty trace"
       (isolated (fun () ->
            let records, bad = Obs.load_jsonl "/nonexistent/trace.jsonl" in
@@ -251,6 +295,36 @@ let chrome_tests =
 
 (* ------------------------------------------------------------------ *)
 
+let sealed_log_tests =
+  [
+    test_case "a payload the decoder rejects is quarantined in place"
+      (fun () ->
+        let path = tmp_path ".jsonl" in
+        let log = Qls_sealed.Log.open_append path in
+        List.iter
+          (Qls_sealed.Log.append log ~key:"k")
+          [ {|{"n":1}|}; {|{"n":"two"}|}; {|{"n":3}|} ];
+        Qls_sealed.Log.close log;
+        let parse payload =
+          match List.assoc_opt "n" (Qls_sealed.fields_of_line payload) with
+          | Some n ->
+              Option.to_result ~none:("bad n " ^ n) (int_of_string_opt n)
+          | None -> Error "no n"
+        in
+        let values, bad = Qls_sealed.Log.load ~parse path in
+        let raw = List.nth (String.split_on_char '\n' (read_file path)) 1 in
+        Sys.remove path;
+        Alcotest.(check (list int)) "the lines around it load" [ 1; 3 ] values;
+        match bad with
+        | [ c ] ->
+            check_int "line number" 2 c.Qls_sealed.line_no;
+            check_string "reason" "bad n two" c.Qls_sealed.reason;
+            check_string "raw bytes" raw c.Qls_sealed.text
+        | l -> Alcotest.failf "%d quarantined, expected 1" (List.length l));
+  ]
+
+(* ------------------------------------------------------------------ *)
+
 let metrics_tests =
   [
     test_case "counters: named cells are shared, sorted, resettable"
@@ -312,5 +386,6 @@ let () =
       ("disabled", disabled_tests);
       ("jsonl", jsonl_tests);
       ("chrome", chrome_tests);
+      ("sealed-log", sealed_log_tests);
       ("metrics", metrics_tests);
     ]

@@ -89,6 +89,10 @@ let registration_tests =
             "router.astar.pushes";
             "router.astar.pops";
             "router.astar.exhausted";
+            "router.extended_set_builds";
+            "router.remaining_layers_builds";
+            "router.swap_candidate_scans";
+            "router.phys_front_scanned";
             "sat.conflicts";
             "sat.learned";
             "sat.restarts";
@@ -1580,6 +1584,10 @@ let hot_path_props =
           cands);
   ]
 
+(* One of Route_state's lookahead counters, by the name after
+   "router.". *)
+let lookahead name = Qls_obs.counter_value (Qls_obs.counter ("router." ^ name))
+
 let hot_path_tests =
   [
     test_case "sabre builds the extended set once per round" (fun () ->
@@ -1589,14 +1597,13 @@ let hot_path_tests =
           Random_circuit.uniform rng ~n_qubits:16 ~n_two_qubit:60
             ~single_ratio:0.0
         in
-        Route_state.Debug.reset ();
+        Qls_obs.reset_metrics ();
         let t = Sabre.route device c in
-        let cnt = Route_state.Debug.counters () in
+        let rounds = lookahead "swap_candidate_scans"
+        and builds = lookahead "extended_set_builds" in
         check_bool "verifies" true (Verifier.is_valid t);
-        let rounds = cnt.Route_state.Debug.swap_candidate_scans in
         check_bool "routing happened" true (rounds > 0);
-        check_bool "at most one build per round" true
-          (cnt.Route_state.Debug.extended_set_builds <= rounds);
+        check_bool "at most one build per round" true (builds <= rounds);
         (* The pre-hoisting code built one extended set per candidate;
            on aspen4 a blocked round offers >= 3 candidates, so the old
            behaviour would violate the bound above by >= 3x. *)
@@ -1615,14 +1622,13 @@ let hot_path_tests =
           Random_circuit.uniform rng ~n_qubits:16 ~n_two_qubit:60
             ~single_ratio:0.0
         in
-        Route_state.Debug.reset ();
+        Qls_obs.reset_metrics ();
         let t = Tket_router.route device c in
-        let cnt = Route_state.Debug.counters () in
+        let rounds = lookahead "swap_candidate_scans"
+        and builds = lookahead "remaining_layers_builds" in
         check_bool "verifies" true (Verifier.is_valid t);
-        let rounds = cnt.Route_state.Debug.swap_candidate_scans in
         check_bool "routing happened" true (rounds > 0);
-        check_bool "at most one build per round" true
-          (cnt.Route_state.Debug.remaining_layers_builds <= rounds));
+        check_bool "at most one build per round" true (builds <= rounds));
     test_case "delta-maintained physical front: scans stay below rescans"
       (fun () ->
         (* The physical front is an active set updated by deltas on
@@ -1637,16 +1643,15 @@ let hot_path_tests =
           Random_circuit.uniform rng ~n_qubits:16 ~n_two_qubit:60
             ~single_ratio:0.0
         in
-        Route_state.Debug.reset ();
+        Qls_obs.reset_metrics ();
         let t = Sabre.route device c in
-        let cnt = Route_state.Debug.counters () in
+        let rounds = lookahead "swap_candidate_scans"
+        and scanned = lookahead "phys_front_scanned" in
         check_bool "verifies" true (Verifier.is_valid t);
-        let rounds = cnt.Route_state.Debug.swap_candidate_scans in
         check_bool "routing happened" true (rounds > 0);
-        check_bool "front entries were scanned" true
-          (cnt.Route_state.Debug.phys_front_scanned > 0);
+        check_bool "front entries were scanned" true (scanned > 0);
         check_bool "below the full-rescan floor" true
-          (cnt.Route_state.Debug.phys_front_scanned < rounds * n_qubits));
+          (scanned < rounds * n_qubits));
     test_case "extended set and layers cached across swap-only rounds"
       (fun () ->
         (* cx 0 4 on a 5-line stays blocked through several SWAP rounds:
@@ -1661,14 +1666,9 @@ let hot_path_tests =
             ~initial:(Placement.identity device source)
         in
         ignore (Route_state.advance st);
-        Route_state.Debug.reset ();
-        let builds () =
-          (Route_state.Debug.counters ()).Route_state.Debug.extended_set_builds
-        in
-        let lbuilds () =
-          (Route_state.Debug.counters ())
-            .Route_state.Debug.remaining_layers_builds
-        in
+        Qls_obs.reset_metrics ();
+        let builds () = lookahead "extended_set_builds" in
+        let lbuilds () = lookahead "remaining_layers_builds" in
         let es1 = extended st ~size:10 in
         check_int "first query builds" 1 (builds ());
         let es2 = extended st ~size:10 in

@@ -566,6 +566,20 @@ let test_pool_callback_error_contained () =
   check_int "callback failure reported" 1 (Atomic.get seen);
   check_bool "worker survived it" true (Atomic.get after)
 
+let test_pool_callback_sees_job_settled () =
+  (* serve writes a response from the completion callback: a client
+     that has read it and asks [stats] must not find the job in flight. *)
+  let p = Pool.start ~jobs:1 () in
+  let seen = Atomic.make (-1) in
+  ignore
+    (Pool.submit p
+       ~work:(fun () -> ())
+       ~complete:(fun _ ->
+         Thread.delay 0.05;
+         Atomic.set seen (Pool.in_flight p)));
+  Pool.drain p;
+  check_int "in_flight inside the callback, after drain" 0 (Atomic.get seen)
+
 (* ------------------------------------------------------------------ *)
 (* Deadlines and watchdog supervision                                  *)
 (* ------------------------------------------------------------------ *)
@@ -904,12 +918,12 @@ let test_server_request_log () =
       let _, ic, _ = c in
       close_in_noerr ic);
   (* after the drain the sealed log is whole and complete *)
-  let lines, corrupt = Qls_sealed.Log.load ~strict:true log in
+  let lines, corrupt = Qls_sealed.Log.load ~parse:Result.ok log in
   check_int "no corrupt lines" 0 (List.length corrupt);
   check_int "every request logged" 3 (List.length lines);
   let statuses =
     List.map
-      (fun (_, payload) ->
+      (fun payload ->
         match List.assoc_opt "status" (Qls_sealed.fields_of_line payload) with
         | Some s -> s
         | None -> "?")
@@ -1254,6 +1268,8 @@ let () =
           test_case "bounded queue refuses overflow" test_pool_rejects_when_full;
           test_case "callback exceptions are contained"
             test_pool_callback_error_contained;
+          test_case "a completion callback sees its job settled"
+            test_pool_callback_sees_job_settled;
         ] );
       ( "deadlines-watchdog",
         [
